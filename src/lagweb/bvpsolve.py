@@ -66,17 +66,22 @@ class BvpSolution:
 def apriori_bounds(phi0: float, phi1: float) -> AprioriBounds:
     """Bounds for flows whose phase stays inside [phi0, phi1].
 
-    phi0 == phi1 is admitted and forces the zero Hamiltonian.
+    phi0 == phi1 is admitted and forces the zero Hamiltonian.  When
+    e^{pi tan phi1} overflows a float, both bounds are infinite and the
+    solver runs without a box.
     """
     half_pi = 0.5 * math.pi
     if not (-half_pi < phi0 <= phi1 < half_pi):
         raise BadPhaseWindow(f"need -pi/2 < phi0 <= phi1 < pi/2, got ({phi0}, {phi1})")
-    metric_bound = 1.0 if phi1 <= 0.0 else math.exp(math.pi * math.tan(phi1))
+    try:
+        metric_bound = 1.0 if phi1 <= 0.0 else math.exp(math.pi * math.tan(phi1))
+    except OverflowError:  # phi1 within ~4e-3 of pi/2: no finite box
+        metric_bound = math.inf
     return AprioriBounds(
         alpha0=phi0,
         alpha1=phi1,
         metric_bound=metric_bound,
-        coefficient_bound=0.5 * metric_bound * (phi1 - phi0),
+        coefficient_bound=0.5 * metric_bound * (phi1 - phi0) if phi1 > phi0 else 0.0,
     )
 
 

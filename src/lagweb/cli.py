@@ -179,11 +179,14 @@ def run_geodesic(config: RunConfig) -> int:
             maslov,
         )
 
-    traj_path = os.path.join(config.out_dir, "trajectory.csv")
     if reversed_roles:
-        _write_reversed_trajectory_csv(traj, traj_path)
+        # rows run in reversed time: the plane at row time tau is the solved
+        # trajectory's plane at 1 - tau
+        out_traj = geoflow.GeodesicTrajectory(spec=traj.spec, times=1.0 - traj.times[::-1],
+                                              g=traj.g[::-1], theta=traj.theta[::-1])
     else:
-        geoflow.write_trajectory_csv(traj, traj_path)
+        out_traj = traj
+    geoflow.write_trajectory_csv(out_traj, os.path.join(config.out_dir, "trajectory.csv"))
 
     base = traj.spec.base
     payload = {
@@ -209,23 +212,6 @@ def run_geodesic(config: RunConfig) -> int:
     path = emit_report(config.out_dir, "solution.json", payload)
     print(f"wrote {path} (residual {residual:.3e})")
     return EXIT_OK
-
-
-def _write_reversed_trajectory_csv(traj, path) -> None:
-    """Emit samples against reversed time; the plane at row time tau is the
-    solved trajectory's plane at 1 - tau."""
-    n = traj.spec.n
-    header = (["t"] + [f"g_{j + 1}" for j in range(n)]
-              + [f"theta_{j + 1}" for j in range(n)] + ["phase"])
-    phases = traj.phases
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(traj.times) - 1, -1, -1):
-            row = [f"{1.0 - traj.times[i]:.17g}"]
-            row += [f"{v:.17g}" for v in traj.g[i]]
-            row += [f"{v:.17g}" for v in traj.theta[i]]
-            row.append(f"{phases[i]:.17g}")
-            fh.write(",".join(row) + "\n")
 
 
 def _trajectory_from_solution(solution: dict, sol_dir: str):

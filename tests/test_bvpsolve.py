@@ -41,6 +41,13 @@ class TestAprioriBounds:
     def test_degenerate_window(self):
         assert apriori_bounds(0.3, 0.3).coefficient_bound == 0.0
 
+    def test_overflowing_metric_bound_is_infinite(self):
+        # e^{pi tan phi1} overflows a float once phi1 exceeds ~1.5664
+        b = apriori_bounds(0.0, 1.568)
+        assert b.metric_bound == math.inf
+        assert b.coefficient_bound == math.inf
+        assert apriori_bounds(1.568, 1.568).coefficient_bound == 0.0
+
     def test_rejects_bad_windows(self):
         with pytest.raises(BadPhaseWindow):
             apriori_bounds(0.5, 0.1)
@@ -154,6 +161,15 @@ class TestSolver:
             theta1 = sol.trajectory.theta[-1]
             assert np.all(theta1 >= 0.0) and np.all(theta1 < math.pi)
             assert abs(theta1.sum() - (l1.phase - l0.phase)) < 1e-8
+
+    def test_phase_near_half_pi_solves_without_box(self):
+        # phase1 = 1.568 leaves no finite a priori box; the solve still lands
+        beta = np.array([0.568, 1.0])
+        l0 = make_frame(FlatCalabiYau(2), np.eye(2))
+        sol = solve_bvp_maslov0(l0, diag_frame(*beta), 1e-10, IntegratorConfig(1000))
+        assert sol.residual_norm < 1e-10
+        np.testing.assert_allclose(sol.trajectory.theta[-1], beta, atol=1e-10)
+        assert np.all(sol.coefficients < 0.0)
 
     def test_quadratic_final_stage(self):
         rng = np.random.default_rng(24)

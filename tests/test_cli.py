@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lagweb
 from lagweb.cli import build_parser, config_from_args, run
 from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame
 from lagweb.cli import write_json
@@ -243,3 +247,15 @@ class TestDeterministicJson:
         write_json(path, {"b": 1.0 / 3.0, "a": [1, True, None, "s"]})
         text = path.read_text()
         assert text == '{"a":[1,true,null,"s"],"b":0.33333333333333331}\n'
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only by the n >= 4 sphere sampler; a top-level import
+    # anywhere in the package would add ~1 s to every CLI call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lagweb.__file__)))
+    code = ("import sys, lagweb.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -6,10 +6,11 @@ import pytest
 from lagweb.bvpsolve import solve_bvp_maslov0
 from lagweb.errors import DegenerateMetric, OriginNode, SignError
 from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory
-from lagweb.laggrass import FlatCalabiYau, make_frame
+from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
 from lagweb.webbing import (
     CylinderMesh,
+    SphereGrid,
     boundary_containment,
     cylinder_mesh,
     euler_transversality,
@@ -81,6 +82,17 @@ class TestSphereGrid:
         gram = np.einsum("pmi,pki->pmk", grid.tangents, grid.tangents)
         eye = np.broadcast_to(np.eye(n - 1), gram.shape)
         assert np.max(np.abs(gram - eye)) < 1e-12
+
+    def test_quasirandom_nodes_are_halton_gaussians(self):
+        from scipy.special import ndtri
+        from scipy.stats import qmc
+
+        seed = 7
+        grid = sphere_grid(4, 64, seed)
+        gauss = ndtri(np.clip(qmc.Halton(d=4, seed=seed).random(64), 1e-12, 1.0 - 1e-12))
+        expected = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+        np.testing.assert_array_equal(grid.points, expected)
+        np.testing.assert_array_equal(grid.params, expected)
 
 
 class TestCylinderMesh:
@@ -298,7 +310,58 @@ class TestHarmonicResidual:
             harmonic_residual(broken)
 
 
+def reference_mesh_csv(mesh):
+    """The row-at-a-time formatter that write_mesh_csv must match byte for byte."""
+    n = mesh.n
+    k = mesh.sphere.params.shape[1]
+    header = [f"s_{i + 1}" for i in range(k)] + ["t"]
+    for j in range(n):
+        header += [f"re_z{j + 1}", f"im_z{j + 1}"]
+    lines = [",".join(header)]
+    for it, t in enumerate(mesh.trajectory.times):
+        for ip in range(mesh.points.shape[1]):
+            row = [f"{v:.17g}" for v in mesh.sphere.params[ip]]
+            row.append(f"{t:.17g}")
+            for j in range(n):
+                z = mesh.points[it, ip, j]
+                row.append(f"{z.real:.17g}")
+                row.append(f"{z.imag:.17g}")
+            lines.append(",".join(row))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def random_traj(n, steps, seed):
+    l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(seed), n)
+    return solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(steps)).trajectory
+
+
 class TestMeshCsv:
+    @pytest.mark.parametrize("n,steps,res", [(2, 40, 16), (3, 20, 8), (4, 20, 64)])
+    def test_bytes_match_row_formatter(self, n, steps, res, tmp_path):
+        mesh = cylinder_mesh(random_traj(n, steps, 30 + n), -0.7, res)
+        assert mesh.sphere.kind == {2: "circle", 3: "latlong", 4: "quasirandom"}[n]
+        path = tmp_path / "mesh.csv"
+        write_mesh_csv(mesh, path)
+        assert path.read_bytes() == reference_mesh_csv(mesh)
+
+    def test_negative_zero_and_specials_match(self, symmetric_traj, tmp_path):
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 200), -1.0, 8)
+        points = mesh.points.copy()
+        points[0, 0, 0] = complex(-0.0, -0.0)
+        points[1, 2, 1] = complex(1e-300, -2.5e-17)
+        params = mesh.sphere.params.copy()
+        params[3, 0] = -0.0
+        sphere = SphereGrid(mesh.sphere.kind, params, mesh.sphere.points, mesh.sphere.tangents)
+        odd = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart, sphere=sphere,
+                           points=points, sphere_tangents=mesh.sphere_tangents,
+                           time_tangents=mesh.time_tangents,
+                           boundary_defect=mesh.boundary_defect)
+        path = tmp_path / "mesh.csv"
+        write_mesh_csv(odd, path)
+        text = path.read_bytes()
+        assert text == reference_mesh_csv(odd)
+        assert b"\n0,0,-0,-0," in text and b"\n-0,0," in text
+
     def test_round_trip(self, solved, tmp_path):
         _, _, sol = solved
         mesh = cylinder_mesh(thin_trajectory(sol.trajectory, 100), -1.0, 16)
