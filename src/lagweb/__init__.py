@@ -5,8 +5,8 @@ Module map:
     numkernel -- eigendecomposition of symmetric unitaries, RK4, Newton
     laggrass  -- Lagrangian frames, pair angles, Maslov index
     geoflow   -- the geodesic ODE system and its full-frame cross-check
-    bvpsolve  -- shooting/continuation solver for the two-frame boundary
-                 value problem
+    bvpsolve  -- direct Newton shooting solver, with a continuation
+                 fallback, for the two-frame boundary value problem
     webbing   -- level-set cylinders, calibration verification, flux
     cli       -- command line pipeline and JSON/CSV emitters
 """

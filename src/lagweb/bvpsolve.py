@@ -3,10 +3,14 @@
 Given transverse frames with Maslov index zero, find negative coefficients
 a_j whose flow rotates every adapted direction of the start plane onto the
 target plane at t = 1, i.e. th_j(1; a) = beta_j.  The solver shoots on the
-block coefficients (one unknown per degeneracy block), walks the targets
-s * beta from s = 0.05 up to s = 1 with an adaptive continuation step, and
-Newton-corrects at each stop.  Zero-angle blocks of non-transverse pairs are
-frozen at a_j = 0 and only the complementary sub-problem is shot.
+block coefficients (one unknown per degeneracy block) with a projected
+Newton solve at the full targets, started from a_j = -tan(beta_j) / 4; the
+paper's a priori existence result for Maslov index 0 lets it aim at beta
+directly.  When that start fails (from a start phase near -pi/2 the
+guess can drive the phase out of the chart), the solve restarts from the
+roots of a continuation that walks the targets s * beta up from s = 0.05.  Zero-angle blocks of
+non-transverse pairs are frozen at a_j = 0 and only the complementary
+sub-problem is shot.
 
 The a priori box used as a trust region: along an admissible flow with
 phases inside [alpha0, alpha1],
@@ -19,6 +23,7 @@ the second following from integrating the phase speed -2 sum a_j / g_j.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,8 +64,8 @@ class BvpSolution:
     trajectory: GeodesicTrajectory
     residual_norm: float            # max_j |th_j(1) - beta_j|
     jacobian_condition: float
-    continuation_steps: int
-    newton_residuals: tuple         # residual norms of the final Newton stage
+    continuation_steps: int         # continuation stops before s = 1; 0 when solved directly
+    newton_residuals: tuple         # residual norms of the Newton solve
 
 
 def apriori_bounds(phi0: float, phi1: float) -> AprioriBounds:
@@ -196,15 +201,15 @@ def _newton_stage(shooter, v, s, config, tol, box_low, max_iter=12, fd_step=1e-6
     for _ in range(max_iter):
         if record is not None:
             record.append(norm)
-        if norm < tol:
-            if jac is None:
-                jac = shooter.jacobian(v, s, jac_config, fd_step)
-            return v, norm, jac
-        jac = shooter.jacobian(v, s, jac_config, fd_step)
         try:
+            if norm < tol:
+                if jac is None:
+                    jac = shooter.jacobian(v, s, jac_config, fd_step)
+                return v, norm, jac
+            jac = shooter.jacobian(v, s, jac_config, fd_step)
             delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
+        except (PhaseBlowup, NonFiniteState, np.linalg.LinAlgError):
+            return None  # a difference row left the chart, or jac is singular
         step = 1.0
         while True:
             v_try = clip(v + step * delta)
@@ -293,14 +298,46 @@ def _newton_stage_unclipped(shooter, v, s, config, tol, box):
     return _newton_stage(shooter, v, s, config, tol, -box, max_iter=8, box_high=box)
 
 
+def _continuation_starts(shooter, coarse, box_low):
+    """Start points for the Newton solve at s = 1 from a coarse-grid walk.
+
+    The targets s * beta are walked from S_START to S_HANDOFF with an
+    adaptive step and Newton-corrected at each stop.  Yields the root at
+    S_HANDOFF, then roots at stops that halve the distance left to 1, each
+    with its count of stops plus one for the final solve.
+    """
+    coarse_tol = 1e-7  # the final fine solve corrects the rest
+    stage = _newton_stage(shooter, -0.5 * S_START * shooter.beta_block, S_START,
+                          coarse, coarse_tol, box_low)
+    if stage is None:
+        return
+    v, s, ds, stops = stage[0], S_START, DS_START, 1
+    while s < S_HANDOFF:
+        s_next = min(s + ds, S_HANDOFF)
+        stage = _newton_stage(shooter, v, s_next, coarse, coarse_tol, box_low)
+        if stage is None:
+            ds *= 0.5
+            if ds < DS_FLOOR:
+                return
+            continue
+        v, s, ds, stops = stage[0], s_next, 2.0 * ds, stops + 1
+    while True:
+        yield v, stops + 1
+        s = 0.5 * (1.0 + s)
+        stage = _newton_stage(shooter, v, s, coarse, coarse_tol, box_low)
+        if stage is None or s > 1.0 - 1e-3:
+            return
+        v, stops = stage[0], stops + 1
+
+
 def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
                       tolerance: float = 1e-10,
                       config: IntegratorConfig = IntegratorConfig()) -> BvpSolution:
-    """Shoot-and-continue solver carrying l0 to l1 in unit time.
+    """Shooting solver carrying l0 to l1 in unit time.
 
     Requires Maslov index 0; transverse directions get strictly negative
     coefficients, zero-angle blocks are frozen.  Raising NoConvergence
-    reports the last continuation parameter that still converged.
+    reports the smallest residual any Newton solve at s = 1 reached.
     """
     spectrum = pair_decomposition(l0, l1)
     raw = (float(spectrum.beta.sum()) + spectrum.phase0 - spectrum.phase1) / math.pi
@@ -325,44 +362,23 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
     bounds = apriori_bounds(spectrum.phase0, spectrum.phase1)
     box_low = -(bounds.coefficient_bound + 1.0)
     coarse = IntegratorConfig(max(150, config.step_count // 8))
-    coarse_tol = 1e-7  # the final fine stage corrects the rest
 
-    v = -0.5 * S_START * shooter.beta_block
-    stage = _newton_stage(shooter, v, S_START, coarse, coarse_tol, box_low)
-    if stage is None:
-        raise NoConvergence("continuation failed at its first stop", last_good=0.0)
-    v = stage[0]
-    s, ds = S_START, DS_START
-    continuation_steps = 1
-    handoff = S_HANDOFF
-    while s < handoff:
-        s_next = min(s + ds, handoff)
-        stage = _newton_stage(shooter, v, s_next, coarse, coarse_tol, box_low)
-        if stage is None:
-            ds *= 0.5
-            if ds < DS_FLOOR:
-                raise NoConvergence("continuation step collapsed", last_good=s)
-            continue
-        v, s = stage[0], s_next
-        continuation_steps += 1
-        ds *= 2.0
-
-    # final stop at s = 1: residuals on the requested grid, coarse Jacobians
-    history: list = []
-    final = _newton_stage(shooter, v, 1.0, config, 0.2 * tolerance, box_low,
-                          max_iter=24, record=history, jac_config=coarse)
-    while final is None:
-        handoff = 0.5 * (1.0 + handoff)
-        stage = _newton_stage(shooter, v, handoff, coarse, coarse_tol, box_low)
-        if stage is None or handoff > 1.0 - 1e-3:
-            raise NoConvergence("final correction failed", last_good=s)
-        v, s = stage[0], handoff
-        continuation_steps += 1
-        history = []
+    # Newton at s = 1 with residuals on the requested grid and Jacobians on
+    # the coarse one; each start is tried only after the one before failed
+    starts = itertools.chain([(-0.25 * np.tan(shooter.beta_block), 0)],
+                             _continuation_starts(shooter, coarse, box_low))
+    best = math.inf
+    for v, continuation_steps in starts:
+        history: list = []
         final = _newton_stage(shooter, v, 1.0, config, 0.2 * tolerance, box_low,
                               max_iter=24, record=history, jac_config=coarse)
+        best = min([best, *history])
+        if final is not None:
+            break
+    else:
+        raise NoConvergence("Newton solve at the full targets did not converge",
+                            best_residual=best)
     v, _, jac = final
-    continuation_steps += 1
 
     a = shooter.expand(v)
     spec = GeodesicSpec(base=l0, adapted_basis=spectrum.adapted_basis,
@@ -372,7 +388,7 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
     if residual_norm >= tolerance:
         raise NoConvergence(
             f"final residual {residual_norm:.3e} did not reach {tolerance:.1e}",
-            last_good=s,
+            best_residual=residual_norm,
         )
     return BvpSolution(
         spectrum=spectrum,

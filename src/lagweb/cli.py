@@ -456,7 +456,9 @@ def run(config: RunConfig) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NoConvergence as exc:
-        print(f"solver failure: {exc} (last good continuation: {exc.last_good})", file=sys.stderr)
+        detail = (f"smallest residual: {exc.best_residual:.3e}" if exc.best_residual is not None
+                  else f"last good continuation: {exc.last_good}")
+        print(f"solver failure: {exc} ({detail})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,9 +22,10 @@ class NonFiniteState(LagwebError):
 class NoConvergence(LagwebError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
-    def __init__(self, message, last_good=None):
+    def __init__(self, message, last_good=None, best_residual=None):
         super().__init__(message)
         self.last_good = last_good
+        self.best_residual = best_residual
 
 
 class SingularJacobian(LagwebError):

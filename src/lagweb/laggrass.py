@@ -270,13 +270,21 @@ def frame_to_json_dict(frame: LagrangianFrame) -> dict:
 
 
 def frame_from_json_dict(data: dict) -> LagrangianFrame:
-    n = int(data["n"])
-    cols = data["columns"]
-    if len(cols) != n or any(len(c) != n for c in cols):
-        raise ValueError("frame JSON must hold n columns of n entries")
-    raw = np.empty((n, n), dtype=complex)
-    for j, col in enumerate(cols):
-        raw[:, j] = [complex(e["re"], e["im"]) for e in col]
+    """Frame from ``{"n": n, "columns": [[{"re": .., "im": ..}, ..], ..]}``.
+
+    Raises ValueError on any other shape, missing keys and scalar entries
+    included.
+    """
+    try:
+        n = int(data["n"])
+        cols = data["columns"]
+        if len(cols) != n or any(len(c) != n for c in cols):
+            raise ValueError("frame JSON must hold n columns of n entries")
+        raw = np.empty((n, n), dtype=complex)
+        for j, col in enumerate(cols):
+            raw[:, j] = [complex(e["re"], e["im"]) for e in col]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed frame JSON: {type(exc).__name__} {exc}") from exc
     return make_frame(FlatCalabiYau(n), raw)
 
 

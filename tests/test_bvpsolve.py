@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from lagweb.bvpsolve import (
+    _BlockShooter,
     apriori_bounds,
     shooting_residual,
     solve_bvp_maslov0,
 )
-from lagweb.errors import BadPhaseWindow, MaslovNonzero
+from lagweb.errors import BadPhaseWindow, MaslovNonzero, NoConvergence
 from lagweb.geoflow import horizontal_frame
 from lagweb.laggrass import (
     FlatCalabiYau,
@@ -179,6 +180,87 @@ class TestSolver:
         assert len(hist) >= 3
         for r_prev, r_next in zip(hist[-3:], hist[-2:]):
             assert r_next <= max(50.0 * r_prev**2, 1e-13)
+
+    def test_angle_past_half_pi(self):
+        # beta = (0.4, 1.6): the -tan(beta)/4 start of the larger angle is
+        # positive and gets clipped to the box before Newton moves it
+        l0, l1 = diag_frame(-1.2, 0.0), diag_frame(0.4, 0.4)
+        sol = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
+        assert sol.spectrum.beta[1] > 0.5 * math.pi
+        assert sol.residual_norm < 1e-10
+        assert np.all(sol.coefficients < 0.0)
+        assert principal_angle_distance(horizontal_frame(sol.trajectory, 1.0), l1) < 1e-7
+
+    def test_phase_near_minus_half_pi_falls_back_to_continuation(self):
+        # phase0 = -1.5378: the first shot from the -tan(beta)/4 start leaves
+        # the phase chart, so only the continuation's starts reach the solution
+        beta = np.array([0.4793, 0.6221])
+        l0 = diag_frame(-0.7689, -0.7689)
+        l1 = diag_frame(*(-0.7689 + beta))
+        sol = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
+        assert sol.continuation_steps > 0
+        assert sol.residual_norm < 1e-10
+        np.testing.assert_allclose(sol.trajectory.theta[-1], beta, rtol=0, atol=1e-10)
+        assert np.all(sol.coefficients < 0.0)
+
+    def test_jacobian_leaving_the_chart_is_a_failed_solve(self):
+        # phase1 = 1.569: a coarse-grid difference row of a Jacobian leaves
+        # the phase chart; that fails the Newton stage instead of escaping
+        with pytest.raises(NoConvergence) as info:
+            solve_bvp_maslov0(diag_frame(0.06), diag_frame(1.569), 1e-10, IntegratorConfig(1000))
+        assert 0.0 < info.value.best_residual < math.inf
+
+    def test_singular_jacobian_is_a_failed_solve(self, monkeypatch):
+        monkeypatch.setattr(_BlockShooter, "jacobian",
+                            lambda self, v, s, config, fd_step: np.zeros((v.size, v.size)))
+        with pytest.raises(NoConvergence) as info:
+            solve_bvp_maslov0(make_frame(FlatCalabiYau(2), np.eye(2)),
+                              diag_frame(math.pi / 6, math.pi / 4), 1e-10, IntegratorConfig(200))
+        assert info.value.best_residual > 0.0
+
+
+def hard_pair(seed, phase1, fixed, weights):
+    """Maslov-zero pair reaching phase1: the fixed angles as given, the rest
+    of phase1 - phase0 shared by the weights, in a random rotated basis."""
+    rng = np.random.default_rng(seed)
+    n = len(fixed) + len(weights)
+    l0 = make_frame(FlatCalabiYau(n), np.diag(np.exp(1j * np.full(n, rng.uniform(-0.3, 0.3) / n))))
+    w = np.asarray(weights, dtype=float)
+    beta = np.concatenate([np.asarray(fixed, dtype=float),
+                           (phase1 - l0.phase - sum(fixed)) * w / w.sum()])
+    r, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    raw1 = ((l0.columns @ r) * np.exp(1j * beta)) @ r.T
+    return l0, make_frame(l0.ambient, raw1), np.sort(beta)
+
+
+# (phase1, fixed angles, weights): phases near pi/2, an angle of 1e-4,
+# repeated angles (one degenerate block) and zero angles (frozen blocks)
+HARD_PAIRS = [
+    (1.555, (), (1.0, 1.5)),
+    (1.565, (), (1.0, 2.0, 3.0)),
+    (1.568, (), (1.0, 2.0)),
+    (1.2, (1e-4,), (1.0, 1.3)),
+    (1.0, (1e-4,), (1.0, 2.0, 3.0)),
+    (1.3, (), (1.0, 1.0, 2.0, 2.0)),
+    (1.1, (), (1.0, 1.0, 1.0)),
+    (1.2, (0.0,), (1.0, 2.0)),
+    (1.3, (0.0, 0.0), (1.0, 2.0)),
+    (1.555, (0.0, 1e-4), (1.0, 1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("seed,case", list(enumerate(HARD_PAIRS)))
+def test_hard_pair_stress(seed, case):
+    phase1, fixed, weights = case
+    l0, l1, beta_true = hard_pair(seed, phase1, fixed, weights)
+    sol = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
+    assert sol.residual_norm < 1e-10
+    assert sol.continuation_steps == 0
+    np.testing.assert_allclose(sol.spectrum.beta, beta_true, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(sol.trajectory.theta[-1], beta_true, rtol=0, atol=1e-8)
+    frozen = sol.spectrum.beta == 0.0
+    assert np.all(sol.coefficients[frozen] == 0.0)
+    assert np.all(sol.coefficients[~frozen] < 0.0)
 
 
 def sol_bounds(sol):

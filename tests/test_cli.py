@@ -76,6 +76,20 @@ class TestPairAnalyze:
                    str(tmp_path / "nope.json"), "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 2},                       # no columns
+        {"n": 2, "columns": [1, 2]},    # scalar columns
+        {"n": 1, "columns": [[0.5]]},   # scalar entries
+    ])
+    def test_malformed_frame_json_exit_2(self, tmp_path, doc):
+        f0 = tmp_path / "l0.json"
+        f1 = tmp_path / "l1.json"
+        write_frame(f0, np.eye(2, dtype=complex))
+        write_json(f1, doc)
+        code = cli("pair-analyze", "--lambda0", str(f0), "--lambda1", str(f1),
+                   "--out", str(tmp_path))
+        assert code == 2
+
 
 class TestGeodesic:
     def test_1d_closed_form_coefficient(self, tmp_path):
@@ -123,6 +137,18 @@ class TestGeodesic:
         lines = (out / "trajectory.csv").read_text().splitlines()
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
+
+    def test_failed_solve_exit_3(self, tmp_path, capsys):
+        # the solver gives up on this pair (see test_bvpsolve); the CLI must
+        # report it as a solver failure with the smallest residual reached
+        f0 = tmp_path / "l0.json"
+        f1 = tmp_path / "l1.json"
+        write_frame(f0, np.array([[np.exp(0.06j)]]))
+        write_frame(f1, np.array([[np.exp(1.569j)]]))
+        code = cli("geodesic", "--lambda0", str(f0), "--lambda1", str(f1),
+                   "--steps", "1000", "--out", str(tmp_path / "run"))
+        assert code == 3
+        assert "smallest residual: " in capsys.readouterr().err
 
     def test_maslov_other_requires_flag(self, tmp_path):
         f0 = tmp_path / "l0.json"
