@@ -2,11 +2,11 @@
 special Lagrangian cylinder families they sweep out.
 
 Module map:
-    numkernel -- eigendecomposition of symmetric unitaries, RK4, Newton
+    numkernel -- eigendecomposition of symmetric unitaries, RK4
     laggrass  -- Lagrangian frames, pair angles, Maslov index
     geoflow   -- the geodesic ODE system and its full-frame cross-check
-    bvpsolve  -- direct Newton shooting solver, with a continuation
-                 fallback, for the two-frame boundary value problem
+    bvpsolve  -- Newton on the exact phase-parametrised shooting map, then
+                 one RK4 trajectory, for the two-frame boundary value problem
     webbing   -- level-set cylinders, calibration verification, flux
     cli       -- command line pipeline and JSON/CSV emitters
 """

@@ -50,6 +50,9 @@ DEFAULT_THRESHOLDS = {
     "min_im_omega": 0.0,
     "min_euler_angle": 0.01,
 }
+# (report key, upper bound?): a value passes only strictly inside its limit
+THRESHOLD_SIDES = (("max_omega", True), ("max_re_omega", True),
+                   ("min_im_omega", False), ("min_euler_angle", False))
 
 
 @dataclass
@@ -65,7 +68,6 @@ class RunConfig:
     tolerance: float = 1e-10
     levels: tuple = ()
     sphere_resolution: int | None = None
-    experimental_general_maslov: bool = False
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
     seed: int = 0
 
@@ -148,36 +150,16 @@ def run_pair_analyze(config: RunConfig) -> int:
 
 def run_geodesic(config: RunConfig) -> int:
     l0, l1 = _load_pair(config)
-    maslov, defect = laggrass.maslov_index(l0, l1)
-    integrator = IntegratorConfig(config.steps)
-    reversed_roles = False
-    experimental = False
-
-    if maslov == 0:
-        sol = bvpsolve.solve_bvp_maslov0(l0, l1, config.tolerance, integrator)
-        spectrum, a, traj = sol.spectrum, sol.coefficients, sol.trajectory
-        residual, jac_cond = sol.residual_norm, sol.jacobian_condition
-        newton_residuals = list(sol.newton_residuals)
-    elif maslov == l0.n:
-        # index-n pairs: swap roles, solve at index zero, reverse time below
-        reversed_roles = True
-        sol = bvpsolve.solve_bvp_maslov0(l1, l0, config.tolerance, integrator)
-        spectrum, a, traj = sol.spectrum, sol.coefficients, sol.trajectory
-        residual, jac_cond = sol.residual_norm, sol.jacobian_condition
-        newton_residuals = list(sol.newton_residuals)
-    elif config.experimental_general_maslov:
-        experimental = True
-        spectrum, a, traj, residual, _ = bvpsolve.solve_experimental(
-            l0, l1, config.tolerance, integrator
-        )
-        jac_cond = None
-        newton_residuals = []
-    else:
-        raise MaslovNonzero(
-            f"Maslov index {maslov} is not 0 or n = {l0.n}; "
-            "rerun with --experimental-maslov to attempt unconstrained shooting",
-            maslov,
-        )
+    maslov, _ = laggrass.maslov_index(l0, l1)
+    if maslov not in (0, l0.n):
+        raise MaslovNonzero(f"Maslov index {maslov} is not 0 or n = {l0.n}; "
+                            "the geodesic is solved for those two only", maslov)
+    # index-n pairs: swap roles, solve at index zero, reverse time below
+    reversed_roles = maslov != 0
+    if reversed_roles:
+        l0, l1 = l1, l0
+    sol = bvpsolve.solve_bvp_maslov0(l0, l1, config.tolerance, IntegratorConfig(config.steps))
+    spectrum, traj = sol.spectrum, sol.trajectory
 
     if reversed_roles:
         # rows run in reversed time: the plane at row time tau is the solved
@@ -190,10 +172,10 @@ def run_geodesic(config: RunConfig) -> int:
 
     base = traj.spec.base
     payload = {
-        "a": a,
+        "a": sol.coefficients,
         "beta": spectrum.beta,
-        "residual": residual,
-        "jacobian_condition": jac_cond,
+        "residual": sol.residual_norm,
+        "jacobian_condition": sol.jacobian_condition,
         "trajectory_csv": "trajectory.csv",
         "n": base.n,
         "maslov": maslov,
@@ -205,12 +187,11 @@ def run_geodesic(config: RunConfig) -> int:
         "reversed": reversed_roles,
         "frame0": laggrass.frame_to_json_dict(base),
         "adapted_basis": traj.spec.adapted_basis,
-        "newton_residuals": newton_residuals,
+        "newton_residuals": sol.newton_residuals,
+        "grid_residuals": sol.grid_residuals,
     }
-    if experimental:
-        payload["experimental"] = "no existence guarantee"
     path = emit_report(config.out_dir, "solution.json", payload)
-    print(f"wrote {path} (residual {residual:.3e})")
+    print(f"wrote {path} (residual {sol.residual_norm:.3e})")
     return EXIT_OK
 
 
@@ -247,22 +228,12 @@ def _mesh_report(mesh, include_harmonic: bool) -> dict:
 
 
 def _check_thresholds(report: dict, thresholds: dict):
+    """One message per value outside its limit; NaN is never inside one."""
     failures = []
-    if report["max_omega"] >= thresholds["max_omega"]:
-        failures.append(f"max_omega {report['max_omega']:.3e} >= {thresholds['max_omega']:.1e}")
-    if report["max_re_omega"] >= thresholds["max_re_omega"]:
-        failures.append(
-            f"max_re_omega {report['max_re_omega']:.3e} >= {thresholds['max_re_omega']:.1e}"
-        )
-    if report["min_im_omega"] <= thresholds["min_im_omega"]:
-        failures.append(
-            f"min_im_omega {report['min_im_omega']:.3e} <= {thresholds['min_im_omega']:.1e}"
-        )
-    if report["min_euler_angle"] <= thresholds["min_euler_angle"]:
-        failures.append(
-            f"min_euler_angle {report['min_euler_angle']:.3e} <= "
-            f"{thresholds['min_euler_angle']:.2e}"
-        )
+    for key, upper in THRESHOLD_SIDES:
+        value, limit = report[key], thresholds[key]
+        if not (value < limit if upper else value > limit):
+            failures.append(f"{key} {value:.3e} {'>=' if upper else '<='} {limit:.2e}")
     return failures
 
 
@@ -320,7 +291,7 @@ def run_verify(config: RunConfig) -> int:
     resolution = points.shape[1] if traj.spec.n >= 4 else _resolution_from_params(traj.spec.n, params)
     mesh = webbing.cylinder_mesh(traj, level, resolution, config.seed)
     rebuild_defect = float(np.max(np.abs(mesh.points - points)))
-    if rebuild_defect > 1e-9:
+    if not rebuild_defect <= 1e-9:
         raise ValueError(f"stored mesh nodes deviate from the rebuild by {rebuild_defect:.3e}")
     report = _mesh_report(mesh, include_harmonic=True)
     report["rebuild_defect"] = rebuild_defect
@@ -379,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--lambda1", required=True)
     geo.add_argument("--steps", type=int, default=2000)
     geo.add_argument("--tol", type=float, default=1e-10)
-    geo.add_argument("--experimental-maslov", action="store_true")
     geo.add_argument("--out", default=".")
 
     web = sub.add_parser("webbing", help="build and verify level-set cylinder meshes")
@@ -418,8 +388,6 @@ def config_from_args(args) -> RunConfig:
         if args.tol <= 0:
             raise ValueError("tolerance must be positive")
         config.tolerance = args.tol
-    if hasattr(args, "experimental_maslov"):
-        config.experimental_general_maslov = args.experimental_maslov
     if hasattr(args, "levels"):
         text = args.levels.strip()
         config.levels = tuple(float(v) for v in text.split(",") if v.strip()) if text else ()
@@ -456,9 +424,9 @@ def run(config: RunConfig) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NoConvergence as exc:
-        detail = (f"smallest residual: {exc.best_residual:.3e}" if exc.best_residual is not None
-                  else f"last good continuation: {exc.last_good}")
-        print(f"solver failure: {exc} ({detail})", file=sys.stderr)
+        detail = ("" if exc.best_residual is None
+                  else f" (smallest residual: {exc.best_residual:.3e})")
+        print(f"solver failure: {exc}{detail}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

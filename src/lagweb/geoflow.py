@@ -76,12 +76,6 @@ class GeodesicSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class GeodesicState:
-    g: np.ndarray
-    theta: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class GeodesicTrajectory:
     """Uniformly sampled (g, theta) history over [0, 1]."""
 
@@ -93,11 +87,6 @@ class GeodesicTrajectory:
     @property
     def phases(self) -> np.ndarray:
         return self.spec.phase0 + self.theta.sum(axis=1)
-
-    @property
-    def samples(self):
-        return [(float(t), GeodesicState(self.g[i], self.theta[i]))
-                for i, t in enumerate(self.times)]
 
     def grid_index(self, t: float) -> int:
         h = self.times[1] - self.times[0]
@@ -277,9 +266,15 @@ def write_trajectory_csv(traj: GeodesicTrajectory, path) -> None:
 
 
 def read_trajectory_csv(path):
-    """Returns (times, g, theta, phase) arrays from a trajectory CSV."""
+    """Returns (times, g, theta, phase) arrays from a trajectory CSV.
+
+    Raises ValueError on a non-finite sample.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not np.all(np.isfinite(data)):
+        row = int(np.argmin(np.all(np.isfinite(data), axis=1)))
+        raise ValueError(f"trajectory CSV {path} has a non-finite sample in data row {row + 1}")
     n = (len(header) - 2) // 2
     return data[:, 0], data[:, 1:1 + n], data[:, 1 + n:1 + 2 * n], data[:, -1]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInteger, NotLagrangian, NotPositive
-from .numkernel import TWO_PI, ComplexMatrix, joint_diagonalize_symmetric_unitary
+from .numkernel import TWO_PI, joint_diagonalize_symmetric_unitary
 
 CONSTRUCTION_TOL = 1e-10
 IDENTITY_TOL = 1e-8
@@ -121,8 +121,6 @@ def make_frame(ambient: FlatCalabiYau, raw) -> LagrangianFrame:
     before any mixing; orthonormalization happens over the reals, and the
     first column is negated if needed so that Re det > 0.
     """
-    if isinstance(raw, ComplexMatrix):
-        raw = raw.as_array()
     raw = np.asarray(raw, dtype=complex)
     n = ambient.n
     if raw.shape != (n, n):

@@ -1,4 +1,4 @@
-"""Dense kernel: structured eigendecomposition, fixed-step RK4, damped Newton.
+"""Dense kernel: structured eigendecomposition and fixed-step RK4.
 
 Everything here is pure-function over small dense arrays.  The only
 nontrivial algorithm is the two-stage Jacobi scheme for symmetric unitary
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, NoConvergence, NotSymmetricUnitary, SingularJacobian
+from .errors import NonFiniteState, NoConvergence, NotSymmetricUnitary
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,65 +28,14 @@ RE_CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ComplexMatrix:
-    """Dense complex matrix stored as a row-major tuple of entries."""
-
-    n_rows: int
-    n_cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.n_rows <= 0 or self.n_cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.n_rows * self.n_cols:
-            raise ValueError(
-                f"expected {self.n_rows * self.n_cols} entries, got {len(self.entries)}"
-            )
-        arr = np.asarray(self.entries, dtype=complex)
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("matrix entries must be finite")
-
-    @classmethod
-    def from_array(cls, a) -> "ComplexMatrix":
-        a = np.asarray(a, dtype=complex)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        return cls(a.shape[0], a.shape[1], tuple(a.ravel().tolist()))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=complex).reshape(self.n_rows, self.n_cols)
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step classical RK4 configuration."""
 
     step_count: int = 2000
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.step_count < 1:
             raise ValueError("step_count must be >= 1")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    max_iterations: int = 40
-    residual_tolerance: float = 1e-12
-    damping: float = 1.0
-    jacobian_fd_step: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.residual_tolerance <= 0.0:
-            raise ValueError("residual_tolerance must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.jacobian_fd_step <= 0.0:
-            raise ValueError("jacobian_fd_step must be positive")
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
@@ -143,7 +92,7 @@ def joint_diagonalize_symmetric_unitary(s, cluster_tol: float = 1e-8):
 
     Parameters
     ----------
-    s : (n, n) complex array or ComplexMatrix, with s.T == s and s*s = I
+    s : (n, n) complex array with s.T == s and s*s = I
         within 1e-10.
     cluster_tol : eigenvalues closer than this in arc distance on the unit
         circle are reported as one block.
@@ -155,8 +104,6 @@ def joint_diagonalize_symmetric_unitary(s, cluster_tol: float = 1e-8):
     blocks : list of index lists partitioning range(n), grouped by arc
         distance; a group may wrap around 0 ~ 2*pi.
     """
-    if isinstance(s, ComplexMatrix):
-        s = s.as_array()
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
     if s.shape != (n, n):
@@ -230,55 +177,3 @@ def integrate_rk4(vector_field, y0, t0: float, t1: float, config: IntegratorConf
             raise NonFiniteState(f"state became non-finite at t = {ts[i + 1]:.6g}")
         ys[i + 1] = y
     return ts, ys
-
-
-def finite_difference_jacobian(residual, x: np.ndarray, step: float, out_dim=None) -> np.ndarray:
-    """Central-difference Jacobian of residual at x.
-
-    ``out_dim`` sizes the result without an extra residual call; defaults to
-    len(x).
-    """
-    x = np.asarray(x, dtype=float)
-    jac = np.empty((x.size if out_dim is None else out_dim, x.size))
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        r_plus = np.atleast_1d(np.asarray(residual(x + e), dtype=float))
-        r_minus = np.atleast_1d(np.asarray(residual(x - e), dtype=float))
-        jac[:, i] = (r_plus - r_minus) / (2.0 * step)
-    return jac
-
-
-def newton_solve(residual, x0, config: NewtonConfig):
-    """Damped Newton iteration with a central-difference Jacobian.
-
-    Returns (root, iterations, final_residual_norm, jacobian_condition) where
-    the norm is the sup-norm and the condition estimate comes from the last
-    Jacobian assembled.
-    """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    cond = np.inf
-    jac = None
-    for it in range(config.max_iterations + 1):
-        r = np.atleast_1d(np.asarray(residual(x), dtype=float))
-        norm = float(np.max(np.abs(r)))
-        if not np.isfinite(norm):
-            raise NonFiniteState("residual is non-finite")
-        if norm < config.residual_tolerance:
-            if jac is None:
-                jac = finite_difference_jacobian(residual, x, config.jacobian_fd_step, r.size)
-            cond = float(np.linalg.cond(jac))
-            return x, it, norm, cond
-        if it == config.max_iterations:
-            break
-        jac = finite_difference_jacobian(residual, x, config.jacobian_fd_step, r.size)
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Jacobian solve failed: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobian("Jacobian solve produced non-finite step")
-        x = x + config.damping * delta
-    raise NoConvergence(
-        f"no convergence after {config.max_iterations} iterations (residual {norm:.3e})"
-    )

@@ -47,6 +47,7 @@ from .geoflow import GeodesicTrajectory
 BOUNDARY_TOL = 1e-8
 FLUX_SPREAD_TOL = 1e-4
 TIME_CHUNK = 64  # node sweeps run in time blocks to bound peak memory
+MIN_SPHERE_RESOLUTION = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +90,9 @@ def sphere_grid(n: int, resolution=None, seed: int = 0) -> SphereGrid:
     """
     if n < 2:
         raise ValueError("cylinders need n >= 2 (S^0 cross sections are not supported)")
+    if resolution is not None and resolution < MIN_SPHERE_RESOLUTION:
+        raise ValueError(f"sphere resolution must be at least {MIN_SPHERE_RESOLUTION}, "
+                         f"got {resolution}")
     if n == 2:
         m = 128 if resolution is None else int(resolution)
         s = 2.0 * np.pi * np.arange(m) / m
@@ -229,7 +233,9 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
     so that Im Omega is predominantly positive and reported alongside.
     On meshes from ``cylinder_mesh`` Re Omega vanishes for any trajectory
     whose phases are phase0 + sum(theta), solved or not; pass node-derived
-    time tangents to test the surface that the nodes actually trace.
+    time tangents to test the surface that the nodes actually trace.  The
+    chunk folds use np.maximum and np.minimum, so a NaN anywhere reaches the
+    report.
     """
     t_total = mesh.points.shape[0]
     max_omega = 0.0
@@ -241,22 +247,22 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
         sl = slice(start, min(start + TIME_CHUNK, t_total))
         v = _tangent_stack(mesh, sl)
         pair = np.einsum("tpai,tpbi->tpab", v.conj(), v).imag
-        max_omega = max(max_omega, float(np.max(np.abs(pair))))
+        max_omega = np.maximum(max_omega, np.max(np.abs(pair)))
         det = np.linalg.det(v)
-        max_re = max(max_re, float(np.max(np.abs(det.real))))
-        im_values_min = min(im_values_min, float(det.imag.min()))
-        im_values_max = max(im_values_max, float(det.imag.max()))
+        max_re = np.maximum(max_re, np.max(np.abs(det.real)))
+        im_values_min = np.minimum(im_values_min, det.imag.min())
+        im_values_max = np.maximum(im_values_max, det.imag.max())
         # |Omega| against the Hadamard bound: scale-free rank test
         hadamard = np.sqrt(np.einsum("tpki,tpki->tpk", v.conj(), v).real).prod(axis=2)
-        min_rank_ratio = min(min_rank_ratio, float(np.min(np.abs(det) / hadamard)))
+        min_rank_ratio = np.minimum(min_rank_ratio, np.min(np.abs(det) / hadamard))
     if min_rank_ratio < 1e-12:
         raise DegenerateFrame(
             f"tangent frame degenerates (|Omega| / Hadamard bound = {min_rank_ratio:.3e})"
         )
     orientation = 1 if im_values_max + im_values_min > 0.0 else -1
     min_im = im_values_min if orientation == 1 else -im_values_max
-    return SlagReport(max_omega=max_omega, max_re_omega=max_re,
-                      min_im_omega=min_im, orientation=orientation)
+    return SlagReport(max_omega=float(max_omega), max_re_omega=float(max_re),
+                      min_im_omega=float(min_im), orientation=orientation)
 
 
 def euler_transversality(mesh: CylinderMesh) -> float:
@@ -276,8 +282,8 @@ def euler_transversality(mesh: CylinderMesh) -> float:
         coeff = np.einsum("tpkj,tpk->tpj", q, e)
         resid = e - np.einsum("tpkj,tpj->tpk", q, coeff)
         sin_angle = np.linalg.norm(resid, axis=2) / norms
-        min_angle = min(min_angle, float(np.arcsin(np.clip(sin_angle, 0.0, 1.0)).min()))
-    return min_angle
+        min_angle = np.minimum(min_angle, np.arcsin(np.clip(sin_angle, 0.0, 1.0)).min())
+    return float(min_angle)
 
 
 def webbing_family(traj: GeodesicTrajectory, levels, sphere_resolution=None,

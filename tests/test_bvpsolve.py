@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lagweb import bvpsolve
 from lagweb.bvpsolve import (
-    _BlockShooter,
     apriori_bounds,
+    exact_shooting_map,
+    phase_quadrature,
     shooting_residual,
     solve_bvp_maslov0,
 )
@@ -182,8 +184,8 @@ class TestSolver:
             assert r_next <= max(50.0 * r_prev**2, 1e-13)
 
     def test_angle_past_half_pi(self):
-        # beta = (0.4, 1.6): the -tan(beta)/4 start of the larger angle is
-        # positive and gets clipped to the box before Newton moves it
+        # beta = (0.4, 1.6): -tan(beta)/4 would start the larger angle at a
+        # positive coefficient; the exact map starts every block below zero
         l0, l1 = diag_frame(-1.2, 0.0), diag_frame(0.4, 0.4)
         sol = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
         assert sol.spectrum.beta[1] > 0.5 * math.pi
@@ -192,31 +194,139 @@ class TestSolver:
         assert principal_angle_distance(horizontal_frame(sol.trajectory, 1.0), l1) < 1e-7
 
     def test_phase_near_minus_half_pi_falls_back_to_continuation(self):
-        # phase0 = -1.5378: the first shot from the -tan(beta)/4 start leaves
-        # the phase chart, so only the continuation's starts reach the solution
+        # phase0 = -1.5378: RK4 shooting from the -tan(beta)/4 start left the
+        # phase chart here and needed the continuation fallback, which is gone;
+        # the exact map never leaves [phase0, phase1] and solves it directly
         beta = np.array([0.4793, 0.6221])
         l0 = diag_frame(-0.7689, -0.7689)
         l1 = diag_frame(*(-0.7689 + beta))
         sol = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
-        assert sol.continuation_steps > 0
+        assert sol.continuation_steps == 0
+        assert sol.grid_residuals == ()   # the exact root needs no grid correction
         assert sol.residual_norm < 1e-10
         np.testing.assert_allclose(sol.trajectory.theta[-1], beta, rtol=0, atol=1e-10)
         assert np.all(sol.coefficients < 0.0)
 
     def test_jacobian_leaving_the_chart_is_a_failed_solve(self):
-        # phase1 = 1.569: a coarse-grid difference row of a Jacobian leaves
-        # the phase chart; that fails the Newton stage instead of escaping
+        # phase1 = 1.569 at 200 steps: the exact root exists, but this RK4
+        # grid misses it by 4e-4 and the grid correction stalls
         with pytest.raises(NoConvergence) as info:
-            solve_bvp_maslov0(diag_frame(0.06), diag_frame(1.569), 1e-10, IntegratorConfig(1000))
+            solve_bvp_maslov0(diag_frame(0.06), diag_frame(1.569), 1e-10, IntegratorConfig(200))
         assert 0.0 < info.value.best_residual < math.inf
+        steps = int(str(info.value).split("about ")[1].split(" steps")[0])
+        assert 200 * (3e-4 / 1e-10) ** 0.25 < steps < 200 * (5e-4 / 1e-10) ** 0.25
 
     def test_singular_jacobian_is_a_failed_solve(self, monkeypatch):
-        monkeypatch.setattr(_BlockShooter, "jacobian",
-                            lambda self, v, s, config, fd_step: np.zeros((v.size, v.size)))
+        def singular(v, mult, phase0, nodes, weights):
+            t, th, dt, dth, rate = exact_shooting_map(v, mult, phase0, nodes, weights)
+            return t, th, 0.0 * dt, 0.0 * dth, rate
+
+        monkeypatch.setattr(bvpsolve, "exact_shooting_map", singular)
         with pytest.raises(NoConvergence) as info:
             solve_bvp_maslov0(make_frame(FlatCalabiYau(2), np.eye(2)),
                               diag_frame(math.pi / 6, math.pi / 4), 1e-10, IntegratorConfig(200))
         assert info.value.best_residual > 0.0
+
+
+def n1_root(phase0, phase1):
+    """Closed-form coefficient of the n = 1 flow from phase0 to phase1."""
+    return -math.cos(phase0) ** 2 * (math.tan(phase1) - math.tan(phase0)) / 2.0
+
+
+class TestExactMap:
+    def test_n1_root_is_the_closed_form(self):
+        for phase0, phase1 in ((0.0, 0.6), (-1.2, 0.3), (0.06, 1.569), (-1.56, -0.4),
+                               (0.5, 1.568), (-1.5, 1.569), (-0.3, 1.568)):
+            v, _, _, _ = bvpsolve.solve_exact_map(np.array([phase1 - phase0]), np.ones(1),
+                                                phase0, 1e-10)
+            assert abs(v[0] / n1_root(phase0, phase1) - 1.0) < 1e-12, (phase0, phase1)
+
+    def test_rk4_oracle_at_the_exact_root(self):
+        rng = np.random.default_rng(25)
+        for n in (2, 3, 4, 5, 6):
+            l0, l1, _, _ = random_maslov_zero_pair(rng, n)
+            sol = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
+            assert sol.grid_residuals == ()
+            r = shooting_residual(sol.spectrum, sol.coefficients, IntegratorConfig(1000))
+            assert np.max(np.abs(r)) <= 1e-12
+
+    def test_analytic_jacobian_matches_differences(self):
+        mult = np.array([1.0, 2.0, 1.0])
+        v = np.array([-0.3, -1.1, -4.0])
+        nodes, weights = phase_quadrature(-0.4, 1.3)
+        _, _, dt, dth, _ = exact_shooting_map(v, mult, -0.4, nodes, weights)
+        for c in range(3):
+            e = np.zeros(3)
+            e[c] = 1e-6
+            tp, thp, _, _, _ = exact_shooting_map(v + e, mult, -0.4, nodes, weights)
+            tm, thm, _, _, _ = exact_shooting_map(v - e, mult, -0.4, nodes, weights)
+            assert abs((tp - tm) / 2e-6 - dt[c]) < 1e-7 * (1.0 + abs(dt[c]))
+            np.testing.assert_allclose((thp - thm) / 2e-6, dth[:, c], rtol=1e-7, atol=1e-8)
+
+    def test_angles_sum_to_the_window(self):
+        mult = np.array([2.0, 1.0])
+        nodes, weights = phase_quadrature(-1.0, 1.5)
+        t, th, _, _, _ = exact_shooting_map(np.array([-0.2, -3.0]), mult, -1.0, nodes, weights)
+        assert t > 0.0
+        assert abs(th @ mult - 2.5) < 1e-14
+
+    def test_first_integral_along_the_trajectory(self):
+        rng = np.random.default_rng(26)
+        for n in (2, 4, 6):
+            l0, l1, _, _ = random_maslov_zero_pair(rng, n)
+            traj = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000)).trajectory
+            integral = np.cos(traj.phases) * np.sqrt(np.prod(traj.g, axis=1))
+            assert np.max(np.abs(integral - math.cos(traj.spec.phase0))) <= 1e-11
+
+    @pytest.mark.parametrize("phase0,beta", [
+        (0.0, (0.568, 1.0)),                # phase1 = 1.568
+        (-1.5378, (0.4793, 0.6221)),        # phase0 = -1.5378
+    ])
+    def test_doubling_the_panels_keeps_the_root(self, monkeypatch, phase0, beta):
+        beta = np.array(beta)
+        mult = np.ones(2)
+        v, _, _, _ = bvpsolve.solve_exact_map(beta, mult, phase0, 1e-10)
+        monkeypatch.setattr(bvpsolve, "PANEL_RATIO", math.sqrt(bvpsolve.PANEL_RATIO))
+        fine, _, _, _ = bvpsolve.solve_exact_map(beta, mult, phase0, 1e-10)
+        assert np.max(np.abs(fine / v - 1.0)) < 1e-13
+
+
+class TestFormerlyUnsolvedPairs:
+    """Pairs that RK4-rooting Newton with continuation could not solve."""
+
+    def test_n1_pair_near_half_pi(self):
+        sol = solve_bvp_maslov0(diag_frame(0.06), diag_frame(1.569), 1e-10, IntegratorConfig(1000))
+        assert sol.residual_norm < 1e-10
+        # RK4 at the exact root -277.3147 misses by 2.4e-6; the grid
+        # correction lands in three trajectories
+        assert 1 < len(sol.grid_residuals) <= 1 + bvpsolve.GRID_STEPS
+        assert sol.grid_residuals[0] > 1e-6
+        assert abs(sol.coefficients[0] / n1_root(0.06, 1.569) - 1.0) < 1e-2
+        np.testing.assert_allclose(sol.trajectory.theta[-1], [1.509], atol=1e-10)
+
+    def test_n3_pair_from_phase_near_minus_half_pi(self):
+        rng = np.random.default_rng(5)
+        l0 = diag_frame(-0.52, -0.52, -0.52)
+        beta = np.array([4e-4, 0.086, 0.628])
+        r, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        l1 = make_frame(l0.ambient, ((l0.columns @ r) * np.exp(1j * beta)) @ r.T)
+        sol = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
+        assert sol.residual_norm < 1e-10
+        assert sol.grid_residuals[0] > 1e-10     # RK4 misses by 4.1e-10 at the exact root
+        np.testing.assert_allclose(sol.spectrum.beta, beta, atol=1e-12)
+        np.testing.assert_allclose(sol.trajectory.theta[-1], beta, atol=1e-10)
+        assert np.all(sol.coefficients < 0.0)
+
+    def test_n6_pair_from_phase_near_minus_half_pi(self):
+        # phase0 = -1.569: uncapped Newton steps in log(-v) overshoot to
+        # t(phase1) ~ 0, where the line search stalls; steps capped at 2 land
+        beta = np.array([7.4e-4, 0.0603, 0.0957, 0.1724, 0.2619, 1.0926])
+        l0 = diag_frame(*np.full(6, -1.569 / 6))
+        sol = solve_bvp_maslov0(l0, diag_frame(*(-1.569 / 6 + beta)), 1e-10,
+                                IntegratorConfig(1000))
+        assert sol.residual_norm < 1e-10
+        np.testing.assert_allclose(sol.trajectory.theta[-1], beta, atol=1e-10)
+        assert np.all(sol.coefficients < 0.0)
 
 
 def hard_pair(seed, phase1, fixed, weights):
@@ -256,6 +366,7 @@ def test_hard_pair_stress(seed, case):
     sol = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
     assert sol.residual_norm < 1e-10
     assert sol.continuation_steps == 0
+    assert sol.grid_residuals == ()   # RK4 at the exact root already meets the tolerance
     np.testing.assert_allclose(sol.spectrum.beta, beta_true, rtol=0, atol=1e-8)
     np.testing.assert_allclose(sol.trajectory.theta[-1], beta_true, rtol=0, atol=1e-8)
     frozen = sol.spectrum.beta == 0.0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import lagweb
-from lagweb.cli import build_parser, config_from_args, run
-from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame
+from lagweb.cli import DEFAULT_THRESHOLDS, _check_thresholds, build_parser, config_from_args, run
+from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame, random_maslov_zero_pair
 from lagweb.cli import write_json
 
 
@@ -139,16 +140,20 @@ class TestGeodesic:
         assert first[0] == 0.0
 
     def test_failed_solve_exit_3(self, tmp_path, capsys):
-        # the solver gives up on this pair (see test_bvpsolve); the CLI must
-        # report it as a solver failure with the smallest residual reached
+        # 200 RK4 steps cannot reach this pair's targets (see test_bvpsolve);
+        # the CLI must report a solver failure with the smallest residual
+        # reached and the step count that would do
         f0 = tmp_path / "l0.json"
         f1 = tmp_path / "l1.json"
         write_frame(f0, np.array([[np.exp(0.06j)]]))
         write_frame(f1, np.array([[np.exp(1.569j)]]))
         code = cli("geodesic", "--lambda0", str(f0), "--lambda1", str(f1),
-                   "--steps", "1000", "--out", str(tmp_path / "run"))
+                   "--steps", "200", "--out", str(tmp_path / "run"))
         assert code == 3
-        assert "smallest residual: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "smallest residual: " in err
+        assert "RK4 grid of 200 steps" in err
+        assert re.search(r"at about \d+ steps", err)
 
     def test_maslov_other_requires_flag(self, tmp_path):
         f0 = tmp_path / "l0.json"
@@ -160,19 +165,20 @@ class TestGeodesic:
                    "--steps", "400", "--out", str(out))
         assert code == 2
 
-    def test_experimental_flag_attempts_solve(self, tmp_path):
+    def test_grid_residuals_emitted(self, tmp_path, solved_dir):
+        # phase1 = 1.568 in n = 1: the 1000-step grid misses the exact root
+        # by 5e-7 and is corrected; the README pair needs no correction
+        readme = json.loads((solved_dir / "solution.json").read_text())
+        assert readme["grid_residuals"] == []
         f0 = tmp_path / "l0.json"
         f1 = tmp_path / "l1.json"
-        write_frame(f0, np.eye(2, dtype=complex))
-        write_frame(f1, np.diag(np.exp(1j * np.array([0.9, 1.0]))))
-        out = tmp_path / "exp"
-        code = cli("geodesic", "--lambda0", str(f0), "--lambda1", str(f1),
-                   "--steps", "400", "--experimental-maslov", "--out", str(out))
-        assert code in (0, 3)  # no existence claim for index 1
-        if code == 0:
-            sol = json.loads((out / "solution.json").read_text())
-            assert sol["experimental"] == "no existence guarantee"
-            assert sol["residual"] < 1e-10
+        write_frame(f0, np.eye(1, dtype=complex))
+        write_frame(f1, np.array([[np.exp(1.568j)]]))
+        assert cli("geodesic", "--lambda0", str(f0), "--lambda1", str(f1),
+                   "--steps", "1000", "--out", str(tmp_path / "run")) == 0
+        sol = json.loads((tmp_path / "run" / "solution.json").read_text())
+        assert sol["grid_residuals"][0] > 1e-10 > sol["grid_residuals"][-1] == sol["residual"]
+        assert sol["newton_residuals"][-1] < 1e-13
 
 
 class TestWebbing:
@@ -209,11 +215,64 @@ class TestWebbing:
                    "--levels=-1", "--out", str(blocked))
         assert code == 2
 
+    @pytest.mark.parametrize("res", ["0", "1", "-4"])
+    def test_sphere_resolution_below_minimum_exit_2(self, tmp_path, solved_dir, capsys, res):
+        code = cli("webbing", "--solution", str(solved_dir / "solution.json"),
+                   "--levels=-1", "--sphere-res", res, "--out", str(tmp_path / "w"))
+        assert code == 2
+        assert "sphere resolution must be at least 4" in capsys.readouterr().err
+
     def test_threshold_failure_exit_4(self, tmp_path, solved_dir):
         out = tmp_path / "strict"
         code = cli("webbing", "--solution", str(solved_dir / "solution.json"),
                    "--levels=-1", "--min-euler", "3.0", "--out", str(out))
         assert code == 4
+
+
+def test_nan_report_values_fail_every_threshold():
+    report = {"max_omega": 0.0, "max_re_omega": 0.0, "min_im_omega": 1.0, "min_euler_angle": 1.0}
+    assert _check_thresholds(report, DEFAULT_THRESHOLDS) == []
+    for key in report:
+        failures = _check_thresholds(dict(report, **{key: math.nan}), DEFAULT_THRESHOLDS)
+        assert len(failures) == 1 and failures[0].startswith(f"{key} nan")
+
+
+class TestNonFiniteTrajectory:
+    @pytest.fixture()
+    def nan_run(self, tmp_path):
+        # the seeded n = 3 pair on a short grid, with one g_1 sample set to nan
+        rng = np.random.default_rng(0)
+        l0, l1, _, _ = random_maslov_zero_pair(rng, 3)
+        write_json(tmp_path / "l0.json", frame_to_json_dict(l0))
+        write_json(tmp_path / "l1.json", frame_to_json_dict(l1))
+        run_dir = tmp_path / "run"
+        assert cli("geodesic", "--lambda0", str(tmp_path / "l0.json"), "--lambda1",
+                   str(tmp_path / "l1.json"), "--steps", "40", "--out", str(run_dir)) == 0
+        assert cli("webbing", "--solution", str(run_dir / "solution.json"), "--levels=-1",
+                   "--sphere-res", "8", "--out", str(tmp_path / "web")) == 0
+        csv = run_dir / "trajectory.csv"
+        lines = csv.read_text().splitlines()
+        cells = lines[7].split(",")
+        cells[1] = "nan"
+        lines[7] = ",".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        return tmp_path
+
+    def test_webbing_rejects_it(self, nan_run, capsys):
+        code = cli("webbing", "--solution", str(nan_run / "run" / "solution.json"),
+                   "--levels=-1", "--sphere-res", "8", "--out", str(nan_run / "web2"))
+        assert code == 2
+        assert "non-finite sample" in capsys.readouterr().err
+        assert not (nan_run / "web2" / "webbing_report.json").exists()
+
+    def test_verify_rejects_it(self, nan_run, capsys):
+        code = cli("verify", "--mesh", str(nan_run / "web" / "mesh_0.csv"),
+                   "--trajectory", str(nan_run / "run" / "trajectory.csv"),
+                   "--solution", str(nan_run / "run" / "solution.json"),
+                   "--out", str(nan_run / "ver"))
+        assert code == 2
+        assert "non-finite sample" in capsys.readouterr().err
+        assert not (nan_run / "ver" / "verify_report.json").exists()
 
 
 class TestVerify:

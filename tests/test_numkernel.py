@@ -3,38 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from lagweb.errors import NoConvergence, NonFiniteState, NotSymmetricUnitary, SingularJacobian
+from lagweb.errors import NonFiniteState, NotSymmetricUnitary
 from lagweb.numkernel import (
-    ComplexMatrix,
     IntegratorConfig,
-    NewtonConfig,
-    finite_difference_jacobian,
     integrate_rk4,
     jacobi_eigh,
     joint_diagonalize_symmetric_unitary,
-    newton_solve,
 )
 
 
 def rotation2(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
-
-
-class TestComplexMatrix:
-    def test_round_trip(self):
-        a = np.array([[1 + 2j, 3], [0, -1j]])
-        m = ComplexMatrix.from_array(a)
-        assert m.n_rows == 2 and m.n_cols == 2
-        np.testing.assert_array_equal(m.as_array(), a)
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            ComplexMatrix(2, 2, (1.0, 2.0, 3.0))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ComplexMatrix(1, 2, (1.0, complex(np.nan, 0.0)))
 
 
 class TestJacobi:
@@ -142,65 +122,3 @@ class TestRK4:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             integrate_rk4(lambda t, y: y, np.array([1.0]), 1.0, 0.0, IntegratorConfig(10))
-
-
-class TestNewton:
-    def test_affine_single_iteration(self):
-        # fd-Jacobian roundoff (~1e-10 relative) bounds what one step can reach
-        root, iters, norm, cond = newton_solve(
-            lambda x: x - 2.0, np.array([0.0]), NewtonConfig(residual_tolerance=1e-8)
-        )
-        assert iters == 1
-        assert abs(root[0] - 2.0) < 1e-8
-        assert norm < 1e-8
-        assert np.isfinite(cond)
-
-    def test_sqrt2_quadratic_convergence(self):
-        calls = []
-
-        def residual(x):
-            calls.append(float(x[0]))
-            return x * x - 2.0
-
-        root, _, _, _ = newton_solve(residual, np.array([1.0]), NewtonConfig(residual_tolerance=1e-13))
-        assert abs(root[0] - math.sqrt(2.0)) < 1e-12
-        # call cadence for a 1-d solve is (iterate, probe+, probe-); the final
-        # converged evaluation is calls[-1]
-        iterates = calls[0::3][: len(calls) // 3] + [calls[-1]]
-        errs = [abs(x - math.sqrt(2.0)) for x in iterates]
-        errs = [e for e in errs if e > 1e-13]
-        assert len(errs) >= 3
-        # successive error ratios e_{k+1}/e_k^2 stay bounded by a constant < 10
-        for e_prev, e_next in zip(errs, errs[1:]):
-            assert e_next <= 10.0 * e_prev**2
-
-    def test_linear_system(self):
-        def residual(v):
-            x, y = v
-            return np.array([x + y - 3.0, x - y - 1.0])
-
-        root, _, _, _ = newton_solve(residual, np.zeros(2), NewtonConfig())
-        np.testing.assert_allclose(root, [2.0, 1.0], atol=1e-10)
-
-    def test_no_convergence(self):
-        # exp has no root; Newton walks left forever
-        with pytest.raises(NoConvergence):
-            newton_solve(lambda x: np.exp(x), np.array([0.0]), NewtonConfig(max_iterations=5))
-
-    def test_singular_jacobian(self):
-        with pytest.raises(SingularJacobian):
-            newton_solve(
-                lambda x: np.array([x[0] + x[1] - 1.0, x[0] + x[1] - 1.0]),
-                np.zeros(2),
-                NewtonConfig(max_iterations=3),
-            )
-
-    def test_fd_jacobian_matches_analytic(self):
-        def residual(v):
-            x, y = v
-            return np.array([x * x * y, math.sin(x) + y])
-
-        x0 = np.array([0.7, -0.4])
-        jac = finite_difference_jacobian(residual, x0, 1e-6)
-        expected = np.array([[2 * 0.7 * -0.4, 0.49], [math.cos(0.7), 1.0]])
-        np.testing.assert_allclose(jac, expected, atol=1e-9)

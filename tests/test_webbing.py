@@ -9,6 +9,7 @@ from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory
 from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
 from lagweb.webbing import (
+    TIME_CHUNK,
     CylinderMesh,
     SphereGrid,
     boundary_containment,
@@ -94,6 +95,12 @@ class TestSphereGrid:
         np.testing.assert_array_equal(grid.points, expected)
         np.testing.assert_array_equal(grid.params, expected)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_resolution_below_minimum_rejected(self, n):
+        for res in (-4, 0, 1, 3):
+            with pytest.raises(ValueError, match="at least 4"):
+                sphere_grid(n, res)
+
 
 class TestCylinderMesh:
     def test_symmetric_slices_are_round(self, symmetric_traj):
@@ -158,6 +165,13 @@ class TestVerifySlag:
         )
         assert verify_slag(tampered).max_re_omega > 1e-3
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    def test_nan_in_a_later_chunk_reaches_the_report(self, solved):
+        report = verify_slag(nan_tangent_mesh(solved[2].trajectory))
+        assert math.isnan(report.max_omega)
+        assert math.isnan(report.max_re_omega)
+        assert math.isnan(report.min_im_omega)
+
     def test_symmetric_mesh_calibration(self, symmetric_traj):
         report = verify_slag(cylinder_mesh(symmetric_traj, -1.0, 64))
         assert report.max_omega < 1e-8
@@ -165,10 +179,23 @@ class TestVerifySlag:
         assert report.min_im_omega > 0.0
 
 
+def nan_tangent_mesh(traj):
+    """Mesh with one NaN time tangent past the first TIME_CHUNK slices."""
+    mesh = cylinder_mesh(traj, -1.0, 16)
+    time_tangents = mesh.time_tangents.copy()
+    time_tangents[TIME_CHUNK + 3, 5, 0] = np.nan
+    return CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart, sphere=mesh.sphere,
+                        points=mesh.points, sphere_tangents=mesh.sphere_tangents,
+                        time_tangents=time_tangents, boundary_defect=mesh.boundary_defect)
+
+
 class TestEulerTransversality:
     def test_solved_mesh_is_transverse(self, solved):
         _, _, sol = solved
         assert euler_transversality(cylinder_mesh(sol.trajectory, -1.0, 64)) > 0.01
+
+    def test_nan_in_a_later_chunk_reaches_the_angle(self, solved):
+        assert math.isnan(euler_transversality(nan_tangent_mesh(solved[2].trajectory)))
 
     def test_radial_cone_control(self, symmetric_traj):
         mesh = cylinder_mesh(symmetric_traj, -1.0, 32)
