@@ -8,7 +8,7 @@ Module map:
     bvpsolve  -- Newton on the exact phase-parametrised shooting map, then
                  one RK4 trajectory, for the two-frame boundary value problem
     webbing   -- level-set cylinders, calibration verification, flux
-    cli       -- command line pipeline and JSON/CSV emitters
+    cli       -- command line pipeline and its JSON emitter
 """
 
 __version__ = "0.1.0"

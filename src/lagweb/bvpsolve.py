@@ -116,11 +116,8 @@ def shooting_residual(spectrum: PairSpectrum, a, config: IntegratorConfig = Inte
     n = a.size
     y0 = np.concatenate([np.ones(n), np.zeros(n)])
     _, ys = integrate_rk4(_scalar_rhs(a, spectrum.phase0), y0, 0.0, 1.0, config)
-    raw = ys[-1, n:] - spectrum.beta
-    out = np.empty_like(raw)
-    for block in spectrum.blocks:
-        out[list(block)] = raw[list(block)].mean()
-    return out
+    sizes = [len(block) for block in spectrum.blocks]  # blocks partition range(n) in order
+    return np.repeat(_block_average(ys[-1, n:] - spectrum.beta, spectrum.blocks), sizes)
 
 
 def _graded_panels(far: float, near: float) -> np.ndarray:
@@ -259,8 +256,7 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
     when the requested RK4 grid cannot be corrected to the tolerance.
     """
     spectrum = pair_decomposition(l0, l1)
-    raw = (float(spectrum.beta.sum()) + spectrum.phase0 - spectrum.phase1) / math.pi
-    index = int(round(raw))
+    index = int(round(spectrum.maslov_quotient))
     if index != 0:
         raise MaslovNonzero(f"pair has Maslov index {index}, need 0", index)
 

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,89 +43,58 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_THRESHOLD = 4
 
-DEFAULT_THRESHOLDS = {
-    "max_omega": 1e-8,
-    "max_re_omega": 1e-7,
-    "min_im_omega": 0.0,
-    "min_euler_angle": 0.01,
-}
-# (report key, upper bound?): a value passes only strictly inside its limit
-THRESHOLD_SIDES = (("max_omega", True), ("max_re_omega", True),
-                   ("min_im_omega", False), ("min_euler_angle", False))
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    lambda0: str = ""
-    lambda1: str = ""
-    solution: str = ""
-    mesh: str = ""
-    trajectory: str = ""
-    out_dir: str = "."
-    steps: int = 2000
-    tolerance: float = 1e-10
-    levels: tuple = ()
-    sphere_resolution: int | None = None
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
-    seed: int = 0
+# (report key, flag, default, upper bound?): a value passes only strictly
+# inside its limit; min_im_omega has no flag
+THRESHOLDS = (
+    ("max_omega", "--max-omega-tol", 1e-8, True),
+    ("max_re_omega", "--max-re-omega-tol", 1e-7, True),
+    ("min_im_omega", None, 0.0, False),
+    ("min_euler_angle", "--min-euler", 0.01, False),
+)
+DEFAULT_THRESHOLDS = {key: default for key, _, default, _ in THRESHOLDS}
 
 
 # --- deterministic emitters ---
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _render_json(obj) -> str:
-    obj = _jsonable(obj)
+    """Sorted keys and 17 significant digits; numpy values become JSON ones."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(k)}:{_render_json(obj[k])}" for k in sorted(obj))
-        return "{" + inner + "}"
-    if isinstance(obj, list):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        return "{" + ",".join(f"{json.dumps(str(k))}:{_render_json(v)}" for k, v in items) + "}"
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render_json(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if obj is None or isinstance(obj, (int, str)):  # bool is an int
         return json.dumps(obj)
     if isinstance(obj, float):
         return format(obj, ".17g")
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_render_json(obj) + "\n")
-
-
-def emit_report(out_dir: str, name: str, payload: dict) -> str:
-    path = os.path.join(out_dir, name)
-    write_json(path, payload)
     return path
 
 
 # --- subcommand implementations ---
 
-def _load_pair(config: RunConfig):
-    l0 = laggrass.load_frame(config.lambda0)
-    l1 = laggrass.load_frame(config.lambda1)
+def _load_pair(args):
+    l0 = laggrass.load_frame(args.lambda0)
+    l1 = laggrass.load_frame(args.lambda1)
     if l0.n != l1.n:
         raise ValueError("frames have different dimensions")
     return l0, l1
 
 
-def _pair_payload(spectrum, maslov, defect):
-    return {
+def run_pair_analyze(args) -> int:
+    l0, l1 = _load_pair(args)
+    spectrum = laggrass.pair_decomposition(l0, l1)
+    maslov, defect = laggrass.maslov_index(l0, l1)
+    payload = {
         "beta": spectrum.beta,
         "blocks": [list(b) for b in spectrum.blocks],
         "phases": [spectrum.phase0, spectrum.phase1],
@@ -134,22 +102,14 @@ def _pair_payload(spectrum, maslov, defect):
         "integrality_defect": defect,
         "membership_defect": spectrum.membership_defect,
         "transverse": spectrum.transverse,
+        "seed": args.seed,
     }
-
-
-def run_pair_analyze(config: RunConfig) -> int:
-    l0, l1 = _load_pair(config)
-    spectrum = laggrass.pair_decomposition(l0, l1)
-    maslov, defect = laggrass.maslov_index(l0, l1)
-    payload = _pair_payload(spectrum, maslov, defect)
-    payload["seed"] = config.seed
-    path = emit_report(config.out_dir, "pair.json", payload)
-    print(f"wrote {path}")
+    print(f"wrote {write_json(os.path.join(args.out, 'pair.json'), payload)}")
     return EXIT_OK
 
 
-def run_geodesic(config: RunConfig) -> int:
-    l0, l1 = _load_pair(config)
+def run_geodesic(args) -> int:
+    l0, l1 = _load_pair(args)
     maslov, _ = laggrass.maslov_index(l0, l1)
     if maslov not in (0, l0.n):
         raise MaslovNonzero(f"Maslov index {maslov} is not 0 or n = {l0.n}; "
@@ -158,7 +118,7 @@ def run_geodesic(config: RunConfig) -> int:
     reversed_roles = maslov != 0
     if reversed_roles:
         l0, l1 = l1, l0
-    sol = bvpsolve.solve_bvp_maslov0(l0, l1, config.tolerance, IntegratorConfig(config.steps))
+    sol = bvpsolve.solve_bvp_maslov0(l0, l1, args.tol, IntegratorConfig(args.steps))
     spectrum, traj = sol.spectrum, sol.trajectory
 
     if reversed_roles:
@@ -168,7 +128,7 @@ def run_geodesic(config: RunConfig) -> int:
                                               g=traj.g[::-1], theta=traj.theta[::-1])
     else:
         out_traj = traj
-    geoflow.write_trajectory_csv(out_traj, os.path.join(config.out_dir, "trajectory.csv"))
+    geoflow.write_trajectory_csv(out_traj, os.path.join(args.out, "trajectory.csv"))
 
     base = traj.spec.base
     payload = {
@@ -181,36 +141,42 @@ def run_geodesic(config: RunConfig) -> int:
         "maslov": maslov,
         "phase0": spectrum.phase0,
         "phase1": spectrum.phase1,
-        "steps": config.steps,
-        "tolerance": config.tolerance,
-        "seed": config.seed,
+        "steps": args.steps,
+        "tolerance": args.tol,
+        "seed": args.seed,
         "reversed": reversed_roles,
         "frame0": laggrass.frame_to_json_dict(base),
         "adapted_basis": traj.spec.adapted_basis,
         "newton_residuals": sol.newton_residuals,
         "grid_residuals": sol.grid_residuals,
     }
-    path = emit_report(config.out_dir, "solution.json", payload)
+    path = write_json(os.path.join(args.out, "solution.json"), payload)
     print(f"wrote {path} (residual {sol.residual_norm:.3e})")
     return EXIT_OK
 
 
-def _trajectory_from_solution(solution: dict, sol_dir: str):
-    frame = laggrass.frame_from_json_dict(solution["frame0"])
-    spec = geoflow.GeodesicSpec(
-        base=frame,
-        adapted_basis=np.asarray(solution["adapted_basis"], dtype=float),
-        coefficients=np.asarray(solution["a"], dtype=float),
-        phase0=frame.phase,
-    )
-    csv_path = os.path.join(sol_dir, solution["trajectory_csv"])
+def _load_trajectory(solution_path: str):
+    """The solved trajectory: frame data from the solution JSON, samples from its CSV."""
+    with open(solution_path, "r", encoding="utf-8") as fh:
+        solution = json.load(fh)
+    try:
+        frame = laggrass.frame_from_json_dict(solution["frame0"])
+        spec = geoflow.GeodesicSpec(
+            base=frame,
+            adapted_basis=np.asarray(solution["adapted_basis"], dtype=float),
+            coefficients=np.asarray(solution["a"], dtype=float),
+            phase0=frame.phase,
+        )
+        csv_path = os.path.join(os.path.dirname(solution_path) or ".", solution["trajectory_csv"])
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed solution JSON: {type(exc).__name__} {exc}") from exc
     times, g, theta, _ = geoflow.read_trajectory_csv(csv_path)
     return geoflow.GeodesicTrajectory(spec=spec, times=times, g=g, theta=theta)
 
 
-def _mesh_report(mesh, include_harmonic: bool) -> dict:
+def _mesh_report(mesh) -> dict:
     slag = webbing.verify_slag(mesh)
-    report = {
+    return {
         "level": mesh.chart.level,
         "max_omega": slag.max_omega,
         "max_re_omega": slag.max_re_omega,
@@ -220,65 +186,62 @@ def _mesh_report(mesh, include_harmonic: bool) -> dict:
         "boundary_defect": mesh.boundary_defect,
         "harmonic_residual": (
             webbing.harmonic_residual(mesh)
-            if include_harmonic and mesh.n == 2 and mesh.sphere.kind == "circle"
+            if mesh.n == 2 and mesh.sphere.kind == "circle"
             else None
         ),
     }
-    return report
 
 
 def _check_thresholds(report: dict, thresholds: dict):
     """One message per value outside its limit; NaN is never inside one."""
     failures = []
-    for key, upper in THRESHOLD_SIDES:
+    for key, _, _, upper in THRESHOLDS:
         value, limit = report[key], thresholds[key]
         if not (value < limit if upper else value > limit):
             failures.append(f"{key} {value:.3e} {'>=' if upper else '<='} {limit:.2e}")
     return failures
 
 
-def run_webbing(config: RunConfig) -> int:
-    with open(config.solution, "r", encoding="utf-8") as fh:
-        solution = json.load(fh)
-    traj = _trajectory_from_solution(solution, os.path.dirname(config.solution) or ".")
-    levels = sorted(float(c) for c in config.levels)
+def _emit_checked(path: str, payload: dict, failures, note: str = "") -> int:
+    """Write a checked report, then name each threshold failure on stderr."""
+    print(f"wrote {write_json(path, payload)}{note}")
+    for msg in failures:
+        print(f"threshold failure: {msg}", file=sys.stderr)
+    return EXIT_THRESHOLD if failures else EXIT_OK
+
+
+def run_webbing(args) -> int:
+    traj = _load_trajectory(args.solution)
     meshes = []
     failures = []
-    for k, level in enumerate(levels):
-        mesh = webbing.cylinder_mesh(traj, level, config.sphere_resolution, config.seed)
+    for k, level in enumerate(args.levels):
+        mesh = webbing.cylinder_mesh(traj, level, args.sphere_res, args.seed)
         name = f"mesh_{k}.csv"
-        webbing.write_mesh_csv(mesh, os.path.join(config.out_dir, name))
-        report = _mesh_report(mesh, include_harmonic=True)
+        webbing.write_mesh_csv(mesh, os.path.join(args.out, name))
+        report = _mesh_report(mesh)
         report["csv"] = name
-        failures += [f"level {level}: {msg}" for msg in _check_thresholds(report, config.thresholds)]
+        failures += [f"level {level}: {msg}" for msg in _check_thresholds(report, args.thresholds)]
         meshes.append(report)
     payload = {
-        "levels": levels,
-        "sphere_resolution": config.sphere_resolution,
-        "seed": config.seed,
-        "thresholds": config.thresholds,
+        "levels": args.levels,
+        "sphere_resolution": args.sphere_res,
+        "seed": args.seed,
+        "thresholds": args.thresholds,
         "meshes": meshes,
         "passed": not failures,
         "failures": failures,
     }
-    path = emit_report(config.out_dir, "webbing_report.json", payload)
-    print(f"wrote {path} ({len(meshes)} meshes)")
-    if failures:
-        for msg in failures:
-            print(f"threshold failure: {msg}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    return EXIT_OK
+    return _emit_checked(os.path.join(args.out, "webbing_report.json"), payload, failures,
+                         f" ({len(meshes)} meshes)")
 
 
-def run_verify(config: RunConfig) -> int:
-    solution_path = config.solution or os.path.join(
-        os.path.dirname(config.mesh) or ".", "solution.json"
+def run_verify(args) -> int:
+    solution_path = args.solution or os.path.join(
+        os.path.dirname(args.mesh) or ".", "solution.json"
     )
-    with open(solution_path, "r", encoding="utf-8") as fh:
-        solution = json.load(fh)
-    traj = _trajectory_from_solution(solution, os.path.dirname(solution_path) or ".")
-    params, times, points = webbing.read_mesh_csv(config.mesh)
-    csv_times, csv_g, csv_theta, _ = geoflow.read_trajectory_csv(config.trajectory)
+    traj = _load_trajectory(solution_path)
+    params, times, points = webbing.read_mesh_csv(args.mesh)
+    csv_times, csv_g, csv_theta, _ = geoflow.read_trajectory_csv(args.trajectory)
     if not np.array_equal(csv_times, traj.times):
         raise ValueError("trajectory CSV grid does not match the solution's trajectory")
     if not np.array_equal(times, traj.times):
@@ -287,48 +250,20 @@ def run_verify(config: RunConfig) -> int:
         raise ValueError("trajectory CSV samples disagree with the solution's trajectory")
 
     # rebuild the immersion with analytic tangents on the stored grid
-    level = _infer_level(traj, params, points)
-    resolution = points.shape[1] if traj.spec.n >= 4 else _resolution_from_params(traj.spec.n, params)
-    mesh = webbing.cylinder_mesh(traj, level, resolution, config.seed)
+    level = webbing.slice_level(traj, points[0])
+    resolution = webbing.grid_resolution(traj.spec.n, params)
+    mesh = webbing.cylinder_mesh(traj, level, resolution, args.seed)
     rebuild_defect = float(np.max(np.abs(mesh.points - points)))
     if not rebuild_defect <= 1e-9:
         raise ValueError(f"stored mesh nodes deviate from the rebuild by {rebuild_defect:.3e}")
-    report = _mesh_report(mesh, include_harmonic=True)
+    report = _mesh_report(mesh)
     report["rebuild_defect"] = rebuild_defect
-    report["mesh_csv"] = os.path.basename(config.mesh)
-    report["seed"] = config.seed
-    failures = _check_thresholds(report, config.thresholds)
+    report["mesh_csv"] = os.path.basename(args.mesh)
+    report["seed"] = args.seed
+    failures = _check_thresholds(report, args.thresholds)
     report["passed"] = not failures
     report["failures"] = failures
-    path = emit_report(config.out_dir, "verify_report.json", report)
-    print(f"wrote {path}")
-    if failures:
-        for msg in failures:
-            print(f"threshold failure: {msg}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    return EXIT_OK
-
-
-def _resolution_from_params(n: int, params: np.ndarray) -> int:
-    if n == 2:
-        return params.shape[0]
-    return int(round(math.sqrt(2 * params.shape[0])))  # latlong grid m x m/2
-
-
-def _infer_level(traj, params, points) -> float:
-    # pair the first slice with the frame rotated/stretched to that sample
-    # (handles time-reversed trajectories, whose first sample is not the
-    # unit state); the Hamiltonian sum a_j kappa_j^2 recovers the level
-    rotated = traj.spec.frame_directions() * np.exp(1j * traj.theta[0])[np.newaxis, :]
-    prods = points[0] @ rotated.conj()
-    if np.max(np.abs(prods.imag)) > 1e-8:
-        raise ValueError("first slice of the stored mesh is not in its trajectory plane")
-    kappa = prods.real / np.sqrt(traj.g[0])[np.newaxis, :]
-    values = (kappa**2) @ traj.spec.coefficients
-    level = float(values.mean())
-    if float(values.max() - values.min()) > 1e-8 * abs(level):
-        raise ValueError("stored mesh nodes do not sit on a single level set")
-    return level
+    return _emit_checked(os.path.join(args.out, "verify_report.json"), report, failures)
 
 
 # --- argument parsing / dispatch ---
@@ -341,11 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     pair = sub.add_parser("pair-analyze", help="angles, phases and Maslov index of a pair")
+    pair.set_defaults(handler=run_pair_analyze)
     pair.add_argument("--lambda0", required=True)
     pair.add_argument("--lambda1", required=True)
     pair.add_argument("--out", default=".")
 
     geo = sub.add_parser("geodesic", help="solve the two-frame boundary value problem")
+    geo.set_defaults(handler=run_geodesic)
     geo.add_argument("--lambda0", required=True)
     geo.add_argument("--lambda1", required=True)
     geo.add_argument("--steps", type=int, default=2000)
@@ -353,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--out", default=".")
 
     web = sub.add_parser("webbing", help="build and verify level-set cylinder meshes")
+    web.set_defaults(handler=run_webbing)
     web.add_argument("--solution", required=True)
     web.add_argument("--levels", default="-1")
     web.add_argument("--sphere-res", type=int, default=None)
@@ -360,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threshold_args(web)
 
     ver = sub.add_parser("verify", help="re-check an emitted mesh CSV")
+    ver.set_defaults(handler=run_verify)
     ver.add_argument("--mesh", required=True)
     ver.add_argument("--trajectory", required=True)
     ver.add_argument("--solution", default="",
@@ -370,56 +309,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_threshold_args(sub) -> None:
-    sub.add_argument("--max-omega-tol", type=float, default=DEFAULT_THRESHOLDS["max_omega"])
-    sub.add_argument("--max-re-omega-tol", type=float, default=DEFAULT_THRESHOLDS["max_re_omega"])
-    sub.add_argument("--min-euler", type=float, default=DEFAULT_THRESHOLDS["min_euler_angle"])
+    for _, flag, default, _ in THRESHOLDS:
+        if flag:
+            sub.add_argument(flag, type=float, default=default)
 
 
-def config_from_args(args) -> RunConfig:
-    seed = int(os.environ.get("LAGWEB_SEED", "0"))
-    config = RunConfig(subcommand=args.subcommand, seed=seed)
-    config.out_dir = getattr(args, "out", ".")
-    for name in ("lambda0", "lambda1", "solution", "mesh", "trajectory"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "steps"):
-        config.steps = args.steps
+def config_from_args(args) -> argparse.Namespace:
+    """Check the parsed arguments and complete them in place: the seed from
+    LAGWEB_SEED, the levels as sorted floats and the threshold dict."""
+    args.seed = int(os.environ.get("LAGWEB_SEED", "0"))
     if hasattr(args, "tol"):
         if args.tol <= 0:
             raise ValueError("tolerance must be positive")
-        config.tolerance = args.tol
+        if not math.isfinite(args.tol):
+            raise ValueError(f"tolerance must be finite, got {args.tol}")
     if hasattr(args, "levels"):
-        text = args.levels.strip()
-        config.levels = tuple(float(v) for v in text.split(",") if v.strip()) if text else ()
-    if hasattr(args, "sphere_res"):
-        config.sphere_resolution = args.sphere_res
+        args.levels = sorted(float(v) for v in args.levels.split(",") if v.strip())
     if hasattr(args, "max_omega_tol"):
-        config.thresholds = {
-            "max_omega": args.max_omega_tol,
-            "max_re_omega": args.max_re_omega_tol,
-            "min_im_omega": 0.0,
-            "min_euler_angle": args.min_euler,
-        }
-    return config
+        # argparse stores --max-omega-tol as max_omega_tol
+        args.thresholds = {key: default if flag is None else vars(args)[flag[2:].replace("-", "_")]
+                           for key, flag, default, _ in THRESHOLDS}
+    return args
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated RunConfig; returns the process exit code."""
+def run(args) -> int:
+    """Dispatch checked arguments to their stage; returns the process exit code."""
     try:
-        os.makedirs(config.out_dir, exist_ok=True)
-        probe = os.path.join(config.out_dir, ".lagweb_write_probe")
+        os.makedirs(args.out, exist_ok=True)
+        probe = os.path.join(args.out, ".lagweb_write_probe")
         with open(probe, "w", encoding="utf-8"):
             pass
         os.remove(probe)
-        if config.subcommand == "pair-analyze":
-            return run_pair_analyze(config)
-        if config.subcommand == "geodesic":
-            return run_geodesic(config)
-        if config.subcommand == "webbing":
-            return run_webbing(config)
-        if config.subcommand == "verify":
-            return run_verify(config)
-        raise ValueError(f"unknown subcommand {config.subcommand!r}")
+        return args.handler(args)
     except (NotLagrangian, NotPositive, NotInteger, MaslovNonzero) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -428,10 +349,8 @@ def run(config: RunConfig) -> int:
                   else f" (smallest residual: {exc.best_residual:.3e})")
         print(f"solver failure: {exc}{detail}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except LagwebError as exc:
+    except (ValueError, OSError, MemoryError, LagwebError) as exc:
+        # MemoryError: --steps or --sphere-res too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -439,11 +358,11 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        args = config_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_VALIDATION)
-    sys.exit(run(config))
+    sys.exit(run(args))
 
 
 if __name__ == "__main__":

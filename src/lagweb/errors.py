@@ -87,3 +87,8 @@ class InconsistentBoundary(LagwebError):
 
 class DegenerateMetric(LagwebError):
     """Induced surface metric is singular at a grid node."""
+
+
+class IdentityDefect(LagwebError):
+    """A built frame or mesh misses an identity of its construction, such as
+    boundary containment, by more than its tolerance."""

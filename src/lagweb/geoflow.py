@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, PhaseBlowup
-from .laggrass import LagrangianFrame, make_frame
+from .errors import IdentityDefect, NonFiniteState, PhaseBlowup
+from .laggrass import LagrangianFrame, make_frame, span_angle
 from .numkernel import IntegratorConfig, integrate_rk4
 
 PHASE_MARGIN = 1e-6   # |phi| >= pi/2 - margin aborts the flow
@@ -150,7 +150,7 @@ def horizontal_frame(traj: GeodesicTrajectory, t: float) -> LagrangianFrame:
     frame = make_frame(traj.spec.base.ambient, traj.spec.frame_directions() * w[np.newaxis, :])
     expected = traj.spec.phase0 + traj.theta[i].sum()
     if abs(frame.phase - expected) > 1e-8:
-        raise AssertionError(
+        raise IdentityDefect(
             f"frame phase {frame.phase:.12f} != reconstructed {expected:.12f}"
         )
     return frame
@@ -227,42 +227,25 @@ def two_route_deviation(spec: GeodesicSpec, config: IntegratorConfig = Integrato
     angle_dev = 0.0
     for i in range(0, len(ts), frame_stride):
         w = np.sqrt(traj.g[i]) * np.exp(1j * traj.theta[i])
-        angle_dev = max(angle_dev, _plane_angle(directions * w[np.newaxis, :], frames[i]))
-    angle_dev = max(angle_dev, _plane_angle(
+        angle_dev = max(angle_dev, span_angle(directions * w[np.newaxis, :], frames[i]))
+    angle_dev = max(angle_dev, span_angle(
         directions * (np.sqrt(traj.g[-1]) * np.exp(1j * traj.theta[-1]))[np.newaxis, :],
         frames[-1]))
     return g_dev, angle_dev, gram_offdiag
 
 
-def _plane_angle(fa: np.ndarray, fb: np.ndarray) -> float:
-    """Largest principal angle between the real spans of two column sets."""
-    qa, _ = np.linalg.qr(np.vstack([fa.real, fa.imag]))
-    qb, _ = np.linalg.qr(np.vstack([fb.real, fb.imag]))
-    resid = qb - qa @ (qa.T @ qb)
-    s = np.linalg.svd(resid, compute_uv=False)
-    return float(np.arcsin(min(1.0, float(s.max()))))
-
-
 # --- trajectory CSV (t, g_1..g_n, theta_1..theta_n, phase) ---
 
-def trajectory_csv_lines(traj: GeodesicTrajectory):
+def write_trajectory_csv(traj: GeodesicTrajectory, path) -> None:
+    """One row per sample, 17 significant digits."""
     n = traj.spec.n
     header = (["t"] + [f"g_{j + 1}" for j in range(n)]
               + [f"theta_{j + 1}" for j in range(n)] + ["phase"])
-    yield ",".join(header)
-    phases = traj.phases
-    for i, t in enumerate(traj.times):
-        row = [f"{t:.17g}"]
-        row += [f"{v:.17g}" for v in traj.g[i]]
-        row += [f"{v:.17g}" for v in traj.theta[i]]
-        row.append(f"{phases[i]:.17g}")
-        yield ",".join(row)
-
-
-def write_trajectory_csv(traj: GeodesicTrajectory, path) -> None:
+    row = ",".join(["%.17g"] * (2 * n + 2)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for line in trajectory_csv_lines(traj):
-            fh.write(line + "\n")
+        fh.write(",".join(header) + "\n")
+        for values in np.column_stack([traj.times, traj.g, traj.theta, traj.phases]).tolist():
+            fh.write(row % tuple(values))
 
 
 def read_trajectory_csv(path):

@@ -93,6 +93,11 @@ class PairSpectrum:
     def n(self) -> int:
         return len(self.beta)
 
+    @property
+    def maslov_quotient(self) -> float:
+        """(sum beta + phase0 - phase1) / pi, an integer for consistent frames."""
+        return (float(self.beta.sum()) + self.phase0 - self.phase1) / math.pi
+
 
 def real_gram_schmidt(columns: np.ndarray) -> np.ndarray:
     """Orthonormalize complex columns with respect to Re<u, v>.
@@ -125,6 +130,8 @@ def make_frame(ambient: FlatCalabiYau, raw) -> LagrangianFrame:
     n = ambient.n
     if raw.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} frame, got {raw.shape}")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("frame has a non-finite entry")
     norms = np.sqrt(np.einsum("ij,ij->j", raw.conj(), raw).real)
     if np.any(norms < 1e-12):
         raise ValueError("columns are real-linearly dependent")
@@ -226,8 +233,7 @@ def maslov_index(l0: LagrangianFrame, l1: LagrangianFrame):
     Raises NotInteger when the quotient strays more than 1e-6 from the
     nearest integer, which signals inconsistent input frames.
     """
-    spectrum = pair_decomposition(l0, l1)
-    raw = (float(spectrum.beta.sum()) + spectrum.phase0 - spectrum.phase1) / math.pi
+    raw = pair_decomposition(l0, l1).maslov_quotient
     m = int(round(raw))
     defect = abs(raw - m)
     if defect >= INTEGER_TOL:
@@ -236,13 +242,18 @@ def maslov_index(l0: LagrangianFrame, l1: LagrangianFrame):
 
 
 def principal_angle_distance(a: LagrangianFrame, b: LagrangianFrame) -> float:
-    """Largest principal angle between the two real n-planes.
+    """Largest principal angle between the two real n-planes."""
+    return span_angle(a.columns, b.columns)
+
+
+def span_angle(fa: np.ndarray, fb: np.ndarray) -> float:
+    """Largest principal angle between the real spans of two complex column sets.
 
     Computed from the projection residual, which stays accurate for tiny
     angles where arccos of a cross-Gram singular value loses digits.
     """
-    qa = np.vstack([a.columns.real, a.columns.imag])
-    qb = np.vstack([b.columns.real, b.columns.imag])
+    qa, _ = np.linalg.qr(np.vstack([fa.real, fa.imag]))
+    qb, _ = np.linalg.qr(np.vstack([fb.real, fb.imag]))
     resid = qb - qa @ (qa.T @ qb)
     s = np.linalg.svd(resid, compute_uv=False)
     return float(np.arcsin(min(1.0, float(s.max()))))
@@ -270,8 +281,8 @@ def frame_to_json_dict(frame: LagrangianFrame) -> dict:
 def frame_from_json_dict(data: dict) -> LagrangianFrame:
     """Frame from ``{"n": n, "columns": [[{"re": .., "im": ..}, ..], ..]}``.
 
-    Raises ValueError on any other shape, missing keys and scalar entries
-    included.
+    Raises ValueError on any other shape, missing keys, scalar entries and
+    numbers too large for a float included.
     """
     try:
         n = int(data["n"])
@@ -281,7 +292,7 @@ def frame_from_json_dict(data: dict) -> LagrangianFrame:
         raw = np.empty((n, n), dtype=complex)
         for j, col in enumerate(cols):
             raw[:, j] = [complex(e["re"], e["im"]) for e in col]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed frame JSON: {type(exc).__name__} {exc}") from exc
     return make_frame(FlatCalabiYau(n), raw)
 

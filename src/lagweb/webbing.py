@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     DegenerateFrame,
     DegenerateMetric,
+    IdentityDefect,
     InconsistentBoundary,
     OriginNode,
     SignError,
@@ -63,6 +64,8 @@ def level_set_chart(coefficients, level: float) -> LevelSetChart:
     a = np.asarray(coefficients, dtype=float)
     if np.any(a >= 0.0):
         raise SignError("all coefficients must be negative")
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     if level >= 0.0:
         raise SignError("level must be negative")
     return LevelSetChart(coefficients=a, level=float(level),
@@ -136,6 +139,32 @@ def sphere_grid(n: int, resolution=None, seed: int = 0) -> SphereGrid:
     return SphereGrid("quasirandom", points, points, tangents)
 
 
+def grid_resolution(n: int, params: np.ndarray) -> int:
+    """The ``sphere_grid`` resolution whose chart coordinates are ``params``."""
+    if n == 3:
+        return int(round(math.sqrt(2 * params.shape[0])))  # latlong grid m x m/2
+    return params.shape[0]
+
+
+def slice_level(traj: GeodesicTrajectory, slice_points: np.ndarray) -> float:
+    """The level c of mesh nodes stored for the trajectory's first sample.
+
+    The nodes are paired with the frame rotated and stretched to that sample
+    (a time-reversed trajectory's first sample is not the unit state); the
+    Hamiltonian sum a_j kappa_j^2 recovers the level.
+    """
+    rotated = traj.spec.frame_directions() * np.exp(1j * traj.theta[0])[np.newaxis, :]
+    prods = slice_points @ rotated.conj()
+    if np.max(np.abs(prods.imag)) > 1e-8:
+        raise ValueError("first slice of the stored mesh is not in its trajectory plane")
+    kappa = prods.real / np.sqrt(traj.g[0])[np.newaxis, :]
+    values = (kappa**2) @ traj.spec.coefficients
+    level = float(values.mean())
+    if float(values.max() - values.min()) > 1e-8 * abs(level):
+        raise ValueError("stored mesh nodes do not sit on a single level set")
+    return level
+
+
 @dataclass(frozen=True, eq=False)
 class CylinderMesh:
     """Discretized immersion S^{n-1} x [0, 1] -> C^n with analytic tangents."""
@@ -206,7 +235,7 @@ def cylinder_mesh(traj: GeodesicTrajectory, level: float,
         plane = directions * np.exp(1j * traj.theta[idx])[np.newaxis, :]
         defect = max(defect, float(np.max(np.abs((points[idx] @ plane.conj()).imag))))
     if defect > BOUNDARY_TOL:
-        raise AssertionError(f"boundary slice left its plane (defect {defect:.3e})")
+        raise IdentityDefect(f"boundary slice left its plane (defect {defect:.3e})")
     return CylinderMesh(trajectory=traj, chart=chart, sphere=grid, points=points,
                         sphere_tangents=sphere_tangents, time_tangents=time_tangents,
                         boundary_defect=defect)

@@ -4,14 +4,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lagweb
 from lagweb.cli import DEFAULT_THRESHOLDS, _check_thresholds, build_parser, config_from_args, run
 from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame, random_maslov_zero_pair
-from lagweb.cli import write_json
+from lagweb.cli import main, write_json
 
 
 def write_frame(path, raw):
@@ -344,3 +347,176 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def exit_code(*argv):
+    """Exit code of ``lagweb.cli.main``; any other exception fails the test."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
+
+
+class TestNonFiniteAndHugeInput:
+    """Levels, tolerances and frame entries outside their range exit 2 with a
+    message, never a traceback."""
+
+    @pytest.mark.parametrize("level, message", [
+        ("-1e20", "boundary slice left its plane"),
+        ("-1e300", "boundary slice left its plane"),
+        ("nan", "level must be finite, got nan"),
+        ("-inf", "level must be finite, got -inf"),
+    ])
+    def test_levels(self, tmp_path, solved_dir, capsys, level, message):
+        assert exit_code("webbing", "--solution", str(solved_dir / "solution.json"),
+                         f"--levels={level}", "--sphere-res", "16",
+                         "--out", str(tmp_path / "w")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "w" / "webbing_report.json").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_tolerance(self, tmp_path, pair_files, capsys, tol):
+        f0, f1 = pair_files
+        assert exit_code("geodesic", "--lambda0", f0, "--lambda1", f1, "--tol", tol,
+                         "--steps", "100", "--out", str(tmp_path / "g")) == 2
+        assert capsys.readouterr().err == f"error: tolerance must be finite, got {tol}\n"
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("stage, flag", [("geodesic", "--steps"), ("webbing", "--sphere-res")])
+    def test_counts_too_large_to_allocate(self, tmp_path, pair_files, solved_dir, capsys,
+                                          stage, flag):
+        # 10**15 samples need petabytes, beyond any address space: numpy
+        # refuses at once, and nothing is allocated
+        f0, f1 = pair_files
+        source = (["--lambda0", f0, "--lambda1", f1] if stage == "geodesic"
+                  else ["--solution", str(solved_dir / "solution.json")])
+        assert exit_code(stage, *source, flag, str(10**15), "--out", str(tmp_path / "big")) == 2
+        assert "Unable to allocate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ("NaN", "frame has a non-finite entry"),
+        ("Infinity", "frame has a non-finite entry"),
+        ("1" + "0" * 400, "malformed frame JSON: OverflowError"),
+    ], ids=["nan", "inf", "int-beyond-float"])
+    def test_frame_entries(self, tmp_path, capsys, entry, message):
+        frame = tmp_path / "bad.json"
+        frame.write_text('{"n": 1, "columns": [[{"re": %s, "im": 0}]]}' % entry)
+        assert exit_code("pair-analyze", "--lambda0", str(frame), "--lambda1", str(frame),
+                         "--out", str(tmp_path / "p")) == 2
+        assert message in capsys.readouterr().err
+
+
+# --- property test of the exit-code contract ---
+
+SPECIAL = (math.nan, math.inf, -math.inf, 1e300, -1e300, -1e20, 0.0, -0.0, -1.0)
+
+
+def _numbers(lo, hi):
+    return st.sampled_from(SPECIAL) | st.floats(lo, hi)
+
+
+_JSON_LEAF = (st.none() | st.booleans() | st.integers(-3, 3) | st.just(10**400) | st.floats()
+              | st.text(max_size=3))
+_JSON_DOC = st.recursive(
+    _JSON_LEAF,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["n", "columns", "re", "im"]), inner,
+                                     max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _frame_text(draw):
+    """Frame JSON: diagonal phases (valid unless non-finite), entry-wise
+    corrupted frames, arbitrary JSON or arbitrary text."""
+    kind = draw(st.sampled_from(["diagonal", "entries", "json", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=12))
+    if kind == "json":
+        return json.dumps(draw(_JSON_DOC))
+    n = draw(st.integers(1, 3))
+    if kind == "diagonal":
+        values = np.array(draw(st.lists(_numbers(-1.6, 1.6), min_size=n, max_size=n)))
+    else:
+        values = np.array(draw(st.lists(_numbers(-2.0, 2.0), min_size=2 * n * n,
+                                        max_size=2 * n * n)))
+    with np.errstate(invalid="ignore"):  # non-finite entries are the point
+        raw = (np.diag(np.exp(1j * values)) if kind == "diagonal"
+               else (values[::2] + 1j * values[1::2]).reshape(n, n))
+    cols = [[{"re": float(z.real), "im": float(z.imag)} for z in raw[:, j]] for j in range(n)]
+    return json.dumps({"n": draw(st.just(n) | _JSON_LEAF), "columns": cols})
+
+
+_STEPS = st.integers(-2, 60).map(str)
+_SPHERE_RES = st.none() | st.integers(-4, 12)
+_THRESHOLD_FLAGS = st.lists(
+    st.tuples(st.sampled_from(["--max-omega-tol", "--max-re-omega-tol", "--min-euler"]),
+              _numbers(-1.0, 1.0)), max_size=2)
+
+
+@pytest.fixture(scope="module")
+def contract_run(tmp_path_factory):
+    """README pair solved on 40 steps, meshed at level -1 on 8 sphere nodes."""
+    base = tmp_path_factory.mktemp("contract")
+    write_frame(base / "l0.json", np.eye(2, dtype=complex))
+    write_frame(base / "l1.json", np.diag(np.exp(1j * np.array([math.pi / 6, math.pi / 4]))))
+    assert cli("geodesic", "--lambda0", str(base / "l0.json"), "--lambda1", str(base / "l1.json"),
+               "--steps", "40", "--out", str(base / "run")) == 0
+    assert cli("webbing", "--solution", str(base / "run" / "solution.json"), "--levels=-1",
+               "--sphere-res", "8", "--out", str(base / "web")) == 0
+    return base
+
+
+def _argv(draw, base, work):
+    stage = draw(st.sampled_from(["pair-analyze", "geodesic", "webbing", "verify"]))
+    if stage in ("pair-analyze", "geodesic"):
+        frames = []
+        for name in ("a.json", "b.json"):
+            if draw(st.booleans()):
+                frames.append(str(base / "l0.json"))
+                continue
+            path = os.path.join(work, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(draw(_frame_text()))
+            frames.append(path)
+        argv = [stage, "--lambda0", frames[0], "--lambda1", frames[1]]
+        if stage == "geodesic":
+            argv += ["--steps", draw(_STEPS), "--tol", repr(draw(_numbers(1e-14, 1e-2)))]
+        return argv
+    solution = base / "run" / "solution.json"
+    edit = draw(st.none() | st.tuples(st.sampled_from(sorted(json.loads(solution.read_text()))),
+                                      st.none() | _JSON_DOC))
+    if edit is not None:
+        # a copy of the solution with one key dropped (None) or replaced
+        doc = json.loads(solution.read_text())
+        key, value = edit
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        with open(os.path.join(work, "trajectory.csv"), "w", encoding="utf-8") as fh:
+            fh.write((base / "run" / "trajectory.csv").read_text())
+        solution = os.path.join(work, "solution.json")
+        with open(solution, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    argv = [stage, "--solution", str(solution)]
+    for flag, value in draw(_THRESHOLD_FLAGS):
+        argv.append(f"{flag}={value!r}")
+    if stage == "webbing":
+        levels = draw(st.lists(_numbers(-4.0, 1.0), max_size=3))
+        argv.append("--levels=" + ",".join(repr(c) for c in levels))
+        res = draw(_SPHERE_RES)
+        return argv + ([] if res is None else ["--sphere-res", str(res)])
+    return argv + ["--mesh", str(base / "web" / "mesh_0.csv"),
+                   "--trajectory", str(base / "run" / "trajectory.csv")]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exit_code_contract(contract_run, data):
+    # every stage, on malformed frames and solutions, non-finite and huge
+    # numbers and out-of-range counts, ends in one of the four exit codes
+    with tempfile.TemporaryDirectory() as work:
+        argv = _argv(data.draw, contract_run, work)
+        assert exit_code(*argv, "--out", os.path.join(work, "out")) in (0, 2, 3, 4), argv
