@@ -198,8 +198,8 @@ def solve_exact_map(beta_block, mult, phase0, tolerance):
 
     Returns (v, nodes, weights, history): the root, the quadrature it was
     solved on, and the residual norm at every accepted iterate.  Iterates
-    stop at 1e-3 * tolerance, or below tolerance where rounding stops the
-    descent.
+    stop at or below 1e-3 * tolerance (a subnormal tolerance makes that 0),
+    or below tolerance where rounding stops the descent.
     """
     nodes, weights = phase_quadrature(phase0, phase0 + beta_block @ mult)
 
@@ -214,7 +214,7 @@ def solve_exact_map(beta_block, mult, phase0, tolerance):
     w = np.log(0.25 * math.cos(phase0) ** 2 * (np.tan(phase0 + beta_block) - math.tan(phase0)))
     r, jac = residual(w)
     history = [float(np.max(np.abs(r)))]
-    while history[-1] >= 1e-3 * tolerance:
+    while history[-1] > 1e-3 * tolerance:
         if len(history) > NEWTON_ITERATIONS:
             raise NoConvergence("exact-map Newton solve did not converge",
                                 best_residual=min(history))
@@ -258,7 +258,7 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
     spectrum = pair_decomposition(l0, l1)
     index = int(round(spectrum.maslov_quotient))
     if index != 0:
-        raise MaslovNonzero(f"pair has Maslov index {index}, need 0", index)
+        raise MaslovNonzero(f"pair has Maslov index {index}, need 0")
 
     n = spectrum.n
     blocks = [b for b in spectrum.blocks if spectrum.beta[b[0]] > 0.0]

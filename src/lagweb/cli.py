@@ -113,7 +113,7 @@ def run_geodesic(args) -> int:
     maslov, _ = laggrass.maslov_index(l0, l1)
     if maslov not in (0, l0.n):
         raise MaslovNonzero(f"Maslov index {maslov} is not 0 or n = {l0.n}; "
-                            "the geodesic is solved for those two only", maslov)
+                            "the geodesic is solved for those two only")
     # index-n pairs: swap roles, solve at index zero, reverse time below
     reversed_roles = maslov != 0
     if reversed_roles:
@@ -222,6 +222,7 @@ def run_webbing(args) -> int:
         report["csv"] = name
         failures += [f"level {level}: {msg}" for msg in _check_thresholds(report, args.thresholds)]
         meshes.append(report)
+        del mesh  # the next level is built without this one alongside
     payload = {
         "levels": args.levels,
         "sphere_resolution": args.sphere_res,
@@ -253,7 +254,10 @@ def run_verify(args) -> int:
     level = webbing.slice_level(traj, points[0])
     resolution = webbing.grid_resolution(traj.spec.n, params)
     mesh = webbing.cylinder_mesh(traj, level, resolution, args.seed)
+    if not np.array_equal(params, mesh.sphere.params):
+        raise ValueError("mesh CSV sphere parameters (s_ columns) differ from the rebuilt grid")
     rebuild_defect = float(np.max(np.abs(mesh.points - points)))
+    del points  # the checks read the rebuild only
     if not rebuild_defect <= 1e-9:
         raise ValueError(f"stored mesh nodes deviate from the rebuild by {rebuild_defect:.3e}")
     report = _mesh_report(mesh)

@@ -10,10 +10,6 @@ class LagwebError(Exception):
 class NotSymmetricUnitary(LagwebError):
     """Input matrix fails the symmetric-unitary precondition."""
 
-    def __init__(self, message, defect=None):
-        super().__init__(message)
-        self.defect = defect
-
 
 class NonFiniteState(LagwebError):
     """An integration step produced NaN/Inf or a collapsed metric coefficient."""
@@ -44,19 +40,11 @@ class NotInteger(LagwebError):
 class MaslovNonzero(LagwebError):
     """Boundary-value solver requires a Maslov index zero pair."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 # --- geodesic flow ---
 
 class PhaseBlowup(LagwebError):
     """Phase reached +/- pi/2; the flow left the positive Grassmannian."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
 
 
 class BadPhaseWindow(LagwebError):
@@ -79,10 +67,6 @@ class OriginNode(LagwebError):
 
 class InconsistentBoundary(LagwebError):
     """Flux primitive is not constant on the top boundary."""
-
-    def __init__(self, message, spread=None):
-        super().__init__(message)
-        self.spread = spread
 
 
 class DegenerateMetric(LagwebError):

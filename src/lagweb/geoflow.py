@@ -113,7 +113,7 @@ def _scalar_rhs(a: np.ndarray, phase0: float):
         g = y[:n]
         phi = phase0 + y[n:].sum()
         if abs(phi) >= 0.5 * math.pi - PHASE_MARGIN:
-            raise PhaseBlowup(f"phase reached {phi:.6f} at t = {t:.4f}", t)
+            raise PhaseBlowup(f"phase reached {phi:.6f} at t = {t:.4f}")
         if g.min() < METRIC_FLOOR:
             raise NonFiniteState(f"metric coefficient collapsed at t = {t:.4f}")
         out = np.empty(2 * n)
@@ -135,7 +135,7 @@ def geodesic_ivp(spec: GeodesicSpec, config: IntegratorConfig = IntegratorConfig
         raise NonFiniteState("metric coefficient lost positivity")
     if np.max(np.abs(phases)) >= 0.5 * math.pi - PHASE_MARGIN:
         i = int(np.argmax(np.abs(phases)))
-        raise PhaseBlowup(f"phase reached {phases[i]:.6f}", float(ts[i]))
+        raise PhaseBlowup(f"phase reached {phases[i]:.6f}")
     return traj
 
 
@@ -182,7 +182,7 @@ def _frame_rhs(a: np.ndarray, n: int):
         det = complex(np.linalg.det(psi))
         phi = math.atan2(det.imag, det.real)
         if abs(phi) >= 0.5 * math.pi - PHASE_MARGIN:
-            raise PhaseBlowup(f"oracle phase reached {phi:.6f} at t = {t:.4f}", t)
+            raise PhaseBlowup(f"oracle phase reached {phi:.6f} at t = {t:.4f}")
         gram = (psi.conj().T @ psi).real
         try:
             ginv = np.linalg.inv(gram)

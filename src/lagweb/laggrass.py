@@ -44,14 +44,8 @@ class FlatCalabiYau:
         if self.n < 1:
             raise ValueError("complex dimension must be >= 1")
 
-    def hermitian(self, u, v) -> complex:
-        return complex(np.vdot(u, v))
-
     def omega(self, u, v) -> float:
         return float(np.vdot(u, v).imag)
-
-    def metric(self, u, v) -> float:
-        return float(np.vdot(u, v).real)
 
     def holomorphic_volume(self, vectors) -> complex:
         """Omega evaluated on n tangent vectors (columns)."""

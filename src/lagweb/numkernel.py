@@ -111,12 +111,12 @@ def joint_diagonalize_symmetric_unitary(s, cluster_tol: float = 1e-8):
     sym_defect = float(np.max(np.abs(s - s.T)))
     if sym_defect > SYM_UNITARY_TOL:
         raise NotSymmetricUnitary(
-            f"symmetry defect {sym_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}", sym_defect
+            f"symmetry defect {sym_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}"
         )
     unit_defect = float(np.max(np.abs(s.conj().T @ s - np.eye(n))))
     if unit_defect > SYM_UNITARY_TOL:
         raise NotSymmetricUnitary(
-            f"unitarity defect {unit_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}", unit_defect
+            f"unitarity defect {unit_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}"
         )
     s = 0.5 * (s + s.T)
 

@@ -25,7 +25,8 @@ residuals), the minimum angle to the radial direction, boundary containment
 defects, and for surfaces the discrete Laplace-Beltrami residual of the time
 coordinate (which the continuum immersion makes harmonic).  The
 boundary-flux check uses the exact level-family deformation field
-Phi_c / (2c).  scipy is imported only by the quasi-random sphere of n >= 4.
+Phi_c / (2c) on the unit-level cylinder alone, as Phi_c = sqrt|c| Phi_-1.
+scipy is imported only by the quasi-random sphere of n >= 4.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ MIN_SPHERE_RESOLUTION = 4
 class LevelSetChart:
     """Ellipsoid level set {sum a_j x_j^2 = c} with its semi-axes."""
 
-    coefficients: np.ndarray
     level: float
     semi_axes: np.ndarray
 
@@ -68,8 +68,7 @@ def level_set_chart(coefficients, level: float) -> LevelSetChart:
         raise ValueError(f"level must be finite, got {level}")
     if level >= 0.0:
         raise SignError("level must be negative")
-    return LevelSetChart(coefficients=a, level=float(level),
-                         semi_axes=np.sqrt(level / a))
+    return LevelSetChart(level=float(level), semi_axes=np.sqrt(level / a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,18 +197,6 @@ class FluxReport:
     relflux: float
 
 
-def _frame_weights(traj: GeodesicTrajectory):
-    """(w, dw) with w = sqrt(g) e^{i th} and dw its flow-equation derivative."""
-    a = traj.spec.coefficients
-    g, theta, phases = traj.g, traj.theta, traj.phases
-    sqrt_g = np.sqrt(g)
-    w = sqrt_g * np.exp(1j * theta)
-    dg = -4.0 * np.tan(phases)[:, np.newaxis] * a[np.newaxis, :]
-    dtheta = -2.0 * a[np.newaxis, :] / g
-    dw = (dg / (2.0 * sqrt_g) + 1j * sqrt_g * dtheta) * np.exp(1j * theta)
-    return w, dw
-
-
 def cylinder_mesh(traj: GeodesicTrajectory, level: float,
                   sphere_resolution=None, seed: int = 0) -> CylinderMesh:
     """Mesh the level-set cylinder of a trajectory with negative coefficients.
@@ -218,11 +205,16 @@ def cylinder_mesh(traj: GeodesicTrajectory, level: float,
     endpoint planes is verified at build time.  Time tangents come from the
     flow equations at each sample, not from differences of the nodes.
     """
-    chart = level_set_chart(traj.spec.coefficients, level)
-    n = traj.spec.n
-    grid = sphere_grid(n, sphere_resolution, seed)
+    a = traj.spec.coefficients
+    chart = level_set_chart(a, level)
+    grid = sphere_grid(traj.spec.n, sphere_resolution, seed)
     directions = traj.spec.frame_directions()
-    w, dw = _frame_weights(traj)
+    # w = sqrt(g) e^{i th} and dw its derivative from the flow equations
+    sqrt_g, rotation = np.sqrt(traj.g), np.exp(1j * traj.theta)
+    w = sqrt_g * rotation
+    dg = -4.0 * np.tan(traj.phases)[:, np.newaxis] * a[np.newaxis, :]
+    dtheta = -2.0 * a[np.newaxis, :] / traj.g
+    dw = (dg / (2.0 * sqrt_g) + 1j * sqrt_g * dtheta) * rotation
 
     kappa = grid.points * chart.semi_axes[np.newaxis, :]             # (P, n)
     kappa_tan = grid.tangents * chart.semi_axes[np.newaxis, np.newaxis, :]
@@ -247,11 +239,12 @@ def boundary_containment(mesh: CylinderMesh, frame, end: int) -> float:
     return float(np.max(np.abs((slice_points @ frame.columns.conj()).imag)))
 
 
-def _tangent_stack(mesh: CylinderMesh, sl: slice) -> np.ndarray:
-    """(T_chunk, P, n, n) stack: sphere tangents then the time tangent."""
-    return np.concatenate(
-        [mesh.sphere_tangents[sl], mesh.time_tangents[sl][:, :, np.newaxis, :]], axis=2
-    )
+def _frame_chunks(mesh: CylinderMesh):
+    """(slice, (T_chunk, P, n, n) sphere tangents then time tangent) per TIME_CHUNK samples."""
+    for start in range(0, mesh.points.shape[0], TIME_CHUNK):
+        sl = slice(start, start + TIME_CHUNK)
+        tangents = [mesh.sphere_tangents[sl], mesh.time_tangents[sl, :, np.newaxis]]
+        yield sl, np.concatenate(tangents, axis=2)
 
 
 def verify_slag(mesh: CylinderMesh) -> SlagReport:
@@ -260,21 +253,15 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
     omega is evaluated on all tangent pairs, Omega as the determinant of the
     (sphere..., time)-ordered tangent frame; the orientation sign is chosen
     so that Im Omega is predominantly positive and reported alongside.
-    On meshes from ``cylinder_mesh`` Re Omega vanishes for any trajectory
-    whose phases are phase0 + sum(theta), solved or not; pass node-derived
-    time tangents to test the surface that the nodes actually trace.  The
-    chunk folds use np.maximum and np.minimum, so a NaN anywhere reaches the
-    report.
+    Re Omega cannot see a wrong theta history (module docstring).  The chunk
+    folds use np.maximum and np.minimum, so a NaN anywhere reaches the report.
     """
-    t_total = mesh.points.shape[0]
     max_omega = 0.0
     max_re = 0.0
     im_values_min = math.inf
     im_values_max = -math.inf
     min_rank_ratio = math.inf
-    for start in range(0, t_total, TIME_CHUNK):
-        sl = slice(start, min(start + TIME_CHUNK, t_total))
-        v = _tangent_stack(mesh, sl)
+    for _, v in _frame_chunks(mesh):
         pair = np.einsum("tpai,tpbi->tpab", v.conj(), v).imag
         max_omega = np.maximum(max_omega, np.max(np.abs(pair)))
         det = np.linalg.det(v)
@@ -296,11 +283,8 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
 
 def euler_transversality(mesh: CylinderMesh) -> float:
     """Minimum angle between the radial direction and the tangent plane."""
-    t_total = mesh.points.shape[0]
     min_angle = math.inf
-    for start in range(0, t_total, TIME_CHUNK):
-        sl = slice(start, min(start + TIME_CHUNK, t_total))
-        v = _tangent_stack(mesh, sl)
+    for sl, v in _frame_chunks(mesh):
         real_frames = np.concatenate([v.real, v.imag], axis=3)  # (.., n, 2n)
         q, _ = np.linalg.qr(np.swapaxes(real_frames, 2, 3))     # (.., 2n, n)
         pos = mesh.points[sl]
@@ -333,41 +317,26 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float,
     For each level c, the deformation field v = d Phi_c / dc is paired with
     the time tangent through omega; the t-integral from the bottom boundary
     gives a primitive that must be constant on the top boundary, whose value
-    is A_c.  The result is -integral A_c dc over [b0, b1].  Phi_c is linear
-    in sqrt|c|, so the field is exactly v = Phi_c / (2c) and needs no
-    difference quotient.
+    is A_c.  The result is -integral A_c dc over [b0, b1].  As Phi_c =
+    sqrt|c| Phi_-1, the field is exactly v = Phi_c / (2c), and its pairing,
+    so A_c, is the same at every level: one unit-level cylinder gives all.
     """
     if not (b0 <= b1 < 0.0):
         raise SignError("need b0 <= b1 < 0")
     if b0 == b1:
         return FluxReport(levels=np.array([]), boundary_values=np.array([]),
                           spreads=np.array([]), relflux=0.0)
-    n = traj.spec.n
-    grid = sphere_grid(n, sphere_resolution, seed)
-    directions = traj.spec.frame_directions()
-    w, dw = _frame_weights(traj)
-    times = traj.times
-
+    mesh = cylinder_mesh(traj, -1.0, sphere_resolution, seed)
+    pairing = np.einsum("tpi,tpi->tp", mesh.points.conj(), mesh.time_tangents).imag
+    u_top = np.trapezoid(pairing / (2.0 * mesh.chart.level), traj.times, axis=0)
+    spread = float(u_top.max() - u_top.min())
+    if spread > FLUX_SPREAD_TOL:
+        raise InconsistentBoundary(f"primitive varies by {spread:.3e} on the top boundary")
     levels = np.linspace(b0, b1, level_count)
-    boundary_values = np.empty(level_count)
-    spreads = np.empty(level_count)
-    for k, c in enumerate(levels):
-        semi = np.sqrt(c / traj.spec.coefficients)
-        kappa = grid.points * semi[np.newaxis, :]
-        phi = np.einsum("pj,tj,ij->tpi", kappa, w, directions)
-        d_t = np.einsum("pj,tj,ij->tpi", kappa, dw, directions)
-        integrand = np.einsum("tpi,tpi->tp", phi.conj(), d_t).imag / (2.0 * c)
-        u_top = np.trapezoid(integrand, times, axis=0)
-        spread = float(u_top.max() - u_top.min())
-        if spread > FLUX_SPREAD_TOL:
-            raise InconsistentBoundary(
-                f"primitive varies by {spread:.3e} on the top boundary", spread
-            )
-        boundary_values[k] = float(u_top.mean())
-        spreads[k] = spread
-    total = -float(np.trapezoid(boundary_values, levels))
+    boundary_values = np.full(level_count, float(u_top.mean()))
     return FluxReport(levels=levels, boundary_values=boundary_values,
-                      spreads=spreads, relflux=total)
+                      spreads=np.full(level_count, spread),
+                      relflux=-float(np.trapezoid(boundary_values, levels)))
 
 
 def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
@@ -441,14 +410,21 @@ def write_mesh_csv(mesh: CylinderMesh, path) -> None:
 
 
 def read_mesh_csv(path):
-    """Returns (params, times, points) with points shaped (T, P, n)."""
+    """Returns (params, times, points) with points shaped (T, P, n), as copies
+    that do not keep the parse alive.  Each time slice must repeat the first
+    slice's parameters, and carry one time."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    k = sum(1 for name in header if name.startswith("s_"))
-    n = (len(header) - k - 1) // 2
-    times = np.unique(data[:, k])
-    p_count = data.shape[0] // times.size
-    params = data[:p_count, :k]
-    z = data[:, k + 1::2] + 1j * data[:, k + 2::2]
-    return params, times, z.reshape(times.size, p_count, n)
+    k = header.index("t")
+    if data.size == 0 or data.shape[1] != len(header):
+        raise ValueError("mesh CSV rows do not match its header")
+    p_count = int(np.argmax(data[:, k] != data[0, k])) or data.shape[0]  # rows at t[0]
+    if data.shape[0] % p_count:
+        raise ValueError("mesh CSV rows do not fill whole time slices")
+    blocks = data.reshape(-1, p_count, data.shape[1])  # (T, P, columns)
+    for col, name in enumerate(header[:k + 1]):
+        if np.any(blocks[:, :, col] != (blocks[:, :1, col] if col == k else blocks[:1, :, col])):
+            raise ValueError(f"mesh CSV column {name} is not constant along its grid axis")
+    points = np.ascontiguousarray(blocks[:, :, k + 1:]).view(np.complex128)
+    return blocks[0, :, :k].copy(), blocks[:, 0, k].copy(), points

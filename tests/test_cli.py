@@ -142,6 +142,16 @@ class TestGeodesic:
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
 
+    @pytest.mark.parametrize("tol", ["5e-324", "1e-310"])
+    def test_subnormal_tolerance_solves(self, tmp_path, pair_files, tol):
+        # 1e-3 * 5e-324 underflows to 0; Newton stops on a zero residual
+        # instead of running out of iterations
+        f0, f1 = pair_files
+        out = tmp_path / "run"
+        assert cli("geodesic", "--lambda0", f0, "--lambda1", f1, "--steps", "100",
+                   "--tol", tol, "--out", str(out)) == 0
+        assert json.loads((out / "solution.json").read_text())["residual"] == 0.0
+
     def test_failed_solve_exit_3(self, tmp_path, capsys):
         # 200 RK4 steps cannot reach this pair's targets (see test_bvpsolve);
         # the CLI must report a solver failure with the smallest residual
@@ -279,6 +289,51 @@ class TestNonFiniteTrajectory:
 
 
 class TestVerify:
+    @pytest.fixture()
+    def readme_mesh(self, tmp_path, pair_files):
+        """README pair at 200 steps: (run dir, mesh CSV path) at --sphere-res 16."""
+        f0, f1 = pair_files
+        run_dir, web = tmp_path / "run200", tmp_path / "web200"
+        assert cli("geodesic", "--lambda0", f0, "--lambda1", f1,
+                   "--steps", "200", "--out", str(run_dir)) == 0
+        assert cli("webbing", "--solution", str(run_dir / "solution.json"),
+                   "--levels=-1", "--sphere-res", "16", "--out", str(web)) == 0
+        return run_dir, web / "mesh_0.csv"
+
+    @staticmethod
+    def tamper(mesh_path, rows, column, value):
+        lines = mesh_path.read_text().splitlines()
+        col = lines[0].split(",").index(column)
+        for row in rows:  # data rows, counted from 0 below the header
+            cells = lines[1 + row].split(",")
+            cells[col] = value
+            lines[1 + row] = ",".join(cells)
+        mesh_path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("row, column, value", [(3, "s_1", "9.5"), (20, "t", "0.01")])
+    def test_tampered_grid_column_rejected(self, tmp_path, readme_mesh, capsys,
+                                           row, column, value):
+        # verify used to compare the node columns only, and read the times
+        # through np.unique, so both of these exited 0
+        run_dir, mesh_path = readme_mesh
+        self.tamper(mesh_path, [row], column, value)
+        code = cli("verify", "--mesh", str(mesh_path),
+                   "--trajectory", str(run_dir / "trajectory.csv"),
+                   "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
+        assert code == 2
+        assert f"column {column} " in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    def test_parameters_must_match_the_rebuilt_grid(self, tmp_path, readme_mesh, capsys):
+        # the same wrong angle in every slice passes the reader's grid checks
+        run_dir, mesh_path = readme_mesh
+        self.tamper(mesh_path, range(3, 201 * 16, 16), "s_1", "9.5")
+        code = cli("verify", "--mesh", str(mesh_path),
+                   "--trajectory", str(run_dir / "trajectory.csv"),
+                   "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
+        assert code == 2
+        assert "sphere parameters (s_ columns)" in capsys.readouterr().err
+
     def test_pipeline_consistency(self, tmp_path, solved_dir):
         web = tmp_path / "web"
         assert cli("webbing", "--solution", str(solved_dir / "solution.json"),

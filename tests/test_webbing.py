@@ -281,6 +281,50 @@ class TestRelflux:
         report = relflux(sol.trajectory, -3.0, -0.5, level_count=7)
         np.testing.assert_allclose(report.boundary_values, -1.0, atol=1e-7)
 
+    @pytest.mark.parametrize("which", ["solved", "symmetric"])
+    def test_matches_per_level_rebuilds(self, which, solved, symmetric_traj):
+        # one unit-level cylinder stands in for the whole level grid
+        traj = solved[2].trajectory if which == "solved" else symmetric_traj
+        report = relflux(traj, -3.0, -0.5, level_count=7)
+        levels, boundary_values, spreads, total = reference_relflux(traj, -3.0, -0.5, 7)
+        np.testing.assert_array_equal(report.levels, levels)
+        np.testing.assert_allclose(report.boundary_values, boundary_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.spreads, spreads, rtol=0, atol=1e-12)
+        assert abs(report.relflux - total) < 1e-12
+
+    def test_zero_coefficient_rejected(self):
+        # a frozen direction has no level-set ellipsoid, as in cylinder_mesh
+        l0 = make_frame(FlatCalabiYau(2), np.eye(2))
+        traj = geodesic_ivp(GeodesicSpec.from_frame(l0, [0.0, -0.3]), IntegratorConfig(200))
+        with pytest.raises(SignError):
+            cylinder_mesh(traj, -1.0, 16)
+        with pytest.raises(SignError):
+            relflux(traj, -2.0, -1.0, sphere_resolution=16)
+
+
+def reference_relflux(traj, b0, b1, level_count):
+    """relflux rebuilt level by level from the immersion, with the flow-equation
+    time tangent: (levels, boundary values, spreads, relflux)."""
+    a = traj.spec.coefficients
+    grid = sphere_grid(traj.spec.n)
+    directions = traj.spec.frame_directions()
+    sqrt_g = np.sqrt(traj.g)
+    w = sqrt_g * np.exp(1j * traj.theta)
+    dg = -4.0 * np.tan(traj.phases)[:, np.newaxis] * a[np.newaxis, :]
+    dw = (dg / (2.0 * sqrt_g) + 1j * sqrt_g * (-2.0 * a / traj.g)) * np.exp(1j * traj.theta)
+    levels = np.linspace(b0, b1, level_count)
+    boundary_values = np.empty(level_count)
+    spreads = np.empty(level_count)
+    for k, c in enumerate(levels):
+        kappa = grid.points * np.sqrt(c / a)[np.newaxis, :]
+        phi = (kappa[np.newaxis, :, :] * w[:, np.newaxis, :]) @ directions.T
+        d_t = (kappa[np.newaxis, :, :] * dw[:, np.newaxis, :]) @ directions.T
+        integrand = np.sum(phi.conj() * d_t, axis=2).imag / (2.0 * c)
+        u_top = np.trapezoid(integrand, traj.times, axis=0)
+        boundary_values[k] = u_top.mean()
+        spreads[k] = u_top.max() - u_top.min()
+    return levels, boundary_values, spreads, -float(np.trapezoid(boundary_values, levels))
+
 
 class TestHarmonicResidual:
     @staticmethod
@@ -398,3 +442,53 @@ class TestMeshCsv:
         np.testing.assert_array_equal(params, mesh.sphere.params)
         np.testing.assert_array_equal(times, mesh.trajectory.times)
         np.testing.assert_array_equal(points, mesh.points)
+
+    def test_round_trip_keeps_negative_zeros(self, symmetric_traj, tmp_path):
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+        points = mesh.points.copy()
+        points[0, 0, 0] = complex(-0.0, -0.0)
+        points[2, 3, 1] = complex(-0.0, 0.5)
+        points[4, 1, 0] = complex(0.25, -0.0)
+        odd = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart, sphere=mesh.sphere,
+                           points=points, sphere_tangents=mesh.sphere_tangents,
+                           time_tangents=mesh.time_tangents,
+                           boundary_defect=mesh.boundary_defect)
+        path = tmp_path / "mesh.csv"
+        write_mesh_csv(odd, path)
+        _, _, stored = read_mesh_csv(path)
+        assert stored.dtype == np.complex128
+        np.testing.assert_array_equal(np.signbit(stored.real), np.signbit(points.real))
+        np.testing.assert_array_equal(np.signbit(stored.imag), np.signbit(points.imag))
+        np.testing.assert_array_equal(stored, points)
+
+    def test_params_do_not_keep_the_parse_alive(self, symmetric_traj, tmp_path):
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+        path = tmp_path / "mesh.csv"
+        write_mesh_csv(mesh, path)
+        params, times, points = read_mesh_csv(path)
+        for array in (params, times):
+            assert array.base is None
+        assert points.base is not None and points.base.base is None
+        assert points.base.nbytes == points.nbytes
+
+    @pytest.mark.parametrize("row, column, value", [(3, 0, 9.5), (20, 1, 0.01)])
+    def test_grid_columns_checked(self, symmetric_traj, tmp_path, row, column, value):
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+        path = tmp_path / "mesh.csv"
+        write_mesh_csv(mesh, path)
+        lines = path.read_text().splitlines()
+        cells = lines[1 + row].split(",")
+        cells[column] = repr(value)
+        lines[1 + row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        name = lines[0].split(",")[column]
+        with pytest.raises(ValueError, match=f"column {name} "):
+            read_mesh_csv(path)
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_header_only_file_rejected(self, tmp_path):
+        # used to end in an IndexError, outside the CLI's exit-code contract
+        path = tmp_path / "mesh.csv"
+        path.write_text("s_1,t,re_z1,im_z1,re_z2,im_z2\n")
+        with pytest.raises(ValueError, match="do not match its header"):
+            read_mesh_csv(path)

@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Check that this checkout's src/ gives the same CLI outputs as a git revision.
+
+    python3 tools/cmp_pipelines.py <rev>
+
+The revision's src/ is extracted with ``git archive`` into a temporary
+directory.  Both trees then run the same four pipelines, each stage in a
+fresh interpreter (``python -m lagweb.cli``):
+
+  readme    the README pair, --steps 2000, --levels=-1,-0.25
+  n3        random_maslov_zero_pair(default_rng(1), 3), --steps 500,
+            --levels=-1,-0.5, the default sphere
+  reversed  the README pair in reverse order (Maslov index n), --steps 400,
+            --sphere-res 24
+  n4        random_maslov_zero_pair(default_rng(2), 4), --steps 300,
+            --sphere-res 256
+
+Each pipeline writes its frames, then runs pair-analyze, geodesic, webbing
+and verify on every mesh.  Every output file, exit code, stdout and stderr
+is compared, and so is ``--help`` of every stage.  One line is printed per
+difference; the exit code is 1 on any difference and 0 when there is none.
+Only the standard library is used, and only the temporary directory is
+written.  The stages run one at a time; the n = 3 ones take up to about
+0.5 GB, and a whole comparison about 95 s on a 2-CPU host.
+"""
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+STAGES = ("pair-analyze", "geodesic", "webbing", "verify")
+
+README_PAIR = """
+l0 = make_frame(FlatCalabiYau(2), np.eye(2))
+l1 = make_frame(FlatCalabiYau(2), np.diag(np.exp(1j * np.array([np.pi / 6, np.pi / 4]))))
+"""
+FRAME_SCRIPT = """
+import numpy as np
+from lagweb.cli import write_json
+from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame, random_maslov_zero_pair
+{pair}
+write_json("l0.json", frame_to_json_dict(l0))
+write_json("l1.json", frame_to_json_dict(l1))
+"""
+
+# name, frame construction, geodesic steps, webbing flags
+PIPELINES = (
+    ("readme", README_PAIR, 2000, ["--levels=-1,-0.25"]),
+    ("n3", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(1), 3)", 500,
+     ["--levels=-1,-0.5"]),
+    ("reversed", README_PAIR + "l0, l1 = l1, l0", 400, ["--sphere-res", "24"]),
+    ("n4", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(2), 4)", 300,
+     ["--sphere-res", "256"]),
+)
+
+
+def extract_src(rev: str, dest: Path) -> None:
+    archive = dest / "src.tar"
+    subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", f"--output={archive}",
+                    rev, "src"], check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    archive.unlink()
+
+
+def run_tree(src: Path, work: Path) -> dict:
+    """Run every pipeline with the lagweb package under src; returns
+    {command label: (exit code, stdout, stderr)}.  Outputs go under work."""
+    env = dict(os.environ, PYTHONPATH=str(src), LAGWEB_SEED="0",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    results = {}
+
+    def call(label, cwd, argv):
+        done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
+        results[label] = (done.returncode, done.stdout, done.stderr)
+        return done.returncode
+
+    work.mkdir()
+    for stage in STAGES:
+        call(f"{stage} --help", work, ["-m", "lagweb.cli", stage, "--help"])
+    for name, pair, steps, web_flags in PIPELINES:
+        cwd = work / name
+        cwd.mkdir()
+        if call(f"{name}: frames", cwd, ["-c", FRAME_SCRIPT.format(pair=pair)]):
+            continue
+        frames = ["--lambda0", "l0.json", "--lambda1", "l1.json"]
+        call(f"{name}: pair-analyze", cwd, ["-m", "lagweb.cli", "pair-analyze", *frames,
+                                            "--out", "run"])
+        if call(f"{name}: geodesic", cwd, ["-m", "lagweb.cli", "geodesic", *frames,
+                                           "--steps", str(steps), "--out", "run"]):
+            continue
+        call(f"{name}: webbing", cwd, ["-m", "lagweb.cli", "webbing", "--solution",
+                                       "run/solution.json", *web_flags, "--out", "web"])
+        for mesh in sorted((cwd / "web").glob("mesh_*.csv")):
+            call(f"{name}: verify {mesh.name}", cwd,
+                 ["-m", "lagweb.cli", "verify", "--mesh", f"web/{mesh.name}",
+                  "--trajectory", "run/trajectory.csv", "--solution", "run/solution.json",
+                  "--out", f"verify_{mesh.stem}"])
+    return results
+
+
+def compare(base: dict, head: dict, base_dir: Path, head_dir: Path) -> list:
+    diffs = []
+    for label in sorted(set(base) | set(head)):
+        if label not in base or label not in head:
+            diffs.append(f"{label}: run by only one tree")
+            continue
+        for part, old, new in zip(("exit code", "stdout", "stderr"), base[label], head[label]):
+            if old != new:
+                diffs.append(f"{label}: {part} differs: {old!r} -> {new!r}")
+    files = {p.relative_to(base_dir) for p in base_dir.rglob("*") if p.is_file()}
+    files |= {p.relative_to(head_dir) for p in head_dir.rglob("*") if p.is_file()}
+    for rel in sorted(files):
+        old, new = base_dir / rel, head_dir / rel
+        if not (old.is_file() and new.is_file()):
+            diffs.append(f"{rel}: written by only one tree")
+        elif not filecmp.cmp(old, new, shallow=False):
+            diffs.append(f"{rel}: bytes differ")
+    print(f"compared {len(base)} commands and {len(files)} files", file=sys.stderr)
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision whose src/ is the reference")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="cmp_pipelines_") as tmp:
+        tmp = Path(tmp)
+        (tmp / "base").mkdir()
+        extract_src(args.rev, tmp / "base")
+        base = run_tree(tmp / "base" / "src", tmp / "base_out")
+        head = run_tree(REPO / "src", tmp / "head_out")
+        diffs = compare(base, head, tmp / "base_out", tmp / "head_out")
+    for line in diffs:
+        print(line)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
