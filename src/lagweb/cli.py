@@ -247,7 +247,7 @@ def run_verify(args) -> int:
         raise ValueError("trajectory CSV grid does not match the solution's trajectory")
     if not np.array_equal(times, traj.times):
         raise ValueError("mesh CSV time grid does not match the trajectory")
-    if np.max(np.abs(csv_g - traj.g)) > 0 or np.max(np.abs(csv_theta - traj.theta)) > 0:
+    if not (np.array_equal(csv_g, traj.g) and np.array_equal(csv_theta, traj.theta)):
         raise ValueError("trajectory CSV samples disagree with the solution's trajectory")
 
     # rebuild the immersion with analytic tangents on the stored grid

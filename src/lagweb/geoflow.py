@@ -9,8 +9,14 @@ to the scalar system
     phi(t) = phase0 + sum_j th_j(t),
 
 where g_j is the squared stretch of the j-th frame direction and th_j its
-accumulated rotation angle.  The plane at time t is spanned by
-sqrt(g_j) e^{i th_j} u_j for u_j the adapted basis pushed into C^n.
+accumulated rotation angle.  The plane at time t is spanned by w_j u_j for
+u_j the adapted basis pushed into C^n, with the flow factors
+
+    w_j = sqrt(g_j) e^{i th_j},
+    w_j' = (g_j' / (2 sqrt(g_j)) + i sqrt(g_j) th_j') e^{i th_j},
+
+the rates read from the flow equations at each sample
+(``GeodesicTrajectory.flow_factors``, the one place they are computed).
 
 ``frame_ode_oracle`` integrates the full matrix evolution
 
@@ -95,15 +101,13 @@ class GeodesicTrajectory:
             raise ValueError(f"t = {t} is not a sample time")
         return i
 
-    def interpolate(self, t: float):
-        """Linear interpolation of (g, theta) for off-grid t in [0, 1]."""
-        ts = self.times
-        if not ts[0] <= t <= ts[-1]:
-            raise ValueError("t outside trajectory range")
-        j = min(int((t - ts[0]) / (ts[1] - ts[0])), len(ts) - 2)
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return ((1 - w) * self.g[j] + w * self.g[j + 1],
-                (1 - w) * self.theta[j] + w * self.theta[j + 1])
+    def flow_factors(self):
+        """(w, dw/dt) per sample and direction, each (m+1, n) complex."""
+        a = self.spec.coefficients
+        sqrt_g, rotation = np.sqrt(self.g), np.exp(1j * self.theta)
+        dg = -4.0 * np.tan(self.phases)[:, np.newaxis] * a[np.newaxis, :]
+        dtheta = -2.0 * a[np.newaxis, :] / self.g
+        return sqrt_g * rotation, (dg / (2.0 * sqrt_g) + 1j * sqrt_g * dtheta) * rotation
 
 
 def _scalar_rhs(a: np.ndarray, phase0: float):
@@ -140,13 +144,13 @@ def geodesic_ivp(spec: GeodesicSpec, config: IntegratorConfig = IntegratorConfig
 
 
 def horizontal_frame(traj: GeodesicTrajectory, t: float) -> LagrangianFrame:
-    """Frame spanned by sqrt(g_j) e^{i th_j} u_j at a sample time.
+    """Frame spanned by the flow factors w_j u_j at a sample time.
 
     Revalidation rescales the sqrt(g) factors away; the returned phase must
     agree with phase0 + sum th_j to 1e-8 or the reduction itself is broken.
     """
     i = traj.grid_index(t)
-    w = np.sqrt(traj.g[i]) * np.exp(1j * traj.theta[i])
+    w = traj.flow_factors()[0][i]
     frame = make_frame(traj.spec.base.ambient, traj.spec.frame_directions() * w[np.newaxis, :])
     expected = traj.spec.phase0 + traj.theta[i].sum()
     if abs(frame.phase - expected) > 1e-8:
@@ -224,13 +228,10 @@ def two_route_deviation(spec: GeodesicSpec, config: IntegratorConfig = Integrato
     gram_offdiag = float(np.max(np.abs(off)))
 
     directions = spec.frame_directions()
+    w, _ = traj.flow_factors()
     angle_dev = 0.0
-    for i in range(0, len(ts), frame_stride):
-        w = np.sqrt(traj.g[i]) * np.exp(1j * traj.theta[i])
-        angle_dev = max(angle_dev, span_angle(directions * w[np.newaxis, :], frames[i]))
-    angle_dev = max(angle_dev, span_angle(
-        directions * (np.sqrt(traj.g[-1]) * np.exp(1j * traj.theta[-1]))[np.newaxis, :],
-        frames[-1]))
+    for i in [*range(0, len(ts), frame_stride), -1]:
+        angle_dev = max(angle_dev, span_angle(directions * w[i][np.newaxis, :], frames[i]))
     return g_dev, angle_dev, gram_offdiag
 
 

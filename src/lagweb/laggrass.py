@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInteger, NotLagrangian, NotPositive
-from .numkernel import TWO_PI, joint_diagonalize_symmetric_unitary
+from .numkernel import ARC_CLUSTER_TOL, TWO_PI, joint_diagonalize_symmetric_unitary
 
 CONSTRUCTION_TOL = 1e-10
 IDENTITY_TOL = 1e-8
@@ -155,18 +155,12 @@ def make_frame(ambient: FlatCalabiYau, raw) -> LagrangianFrame:
     return LagrangianFrame(ambient=ambient, columns=f, phase=float(np.angle(det)))
 
 
-def phase(frame: LagrangianFrame) -> float:
-    """Phase of the plane: arg det of the unitary frame, in (-pi/2, pi/2)."""
-    return frame.phase
-
-
 def _circular_mean(angles: np.ndarray) -> float:
     z = np.exp(1j * angles).sum()
     return float(np.mod(np.angle(z), TWO_PI))
 
 
-def pair_decomposition(l0: LagrangianFrame, l1: LagrangianFrame,
-                       cluster_tol: float = 1e-8) -> PairSpectrum:
+def pair_decomposition(l0: LagrangianFrame, l1: LagrangianFrame) -> PairSpectrum:
     """Split a pair of planes into jointly rotated orthogonal directions.
 
     Works on S = U U^T with U = F0^H F1: S is symmetric unitary and does not
@@ -179,7 +173,7 @@ def pair_decomposition(l0: LagrangianFrame, l1: LagrangianFrame,
     n = l0.ambient.n
     u = l0.columns.conj().T @ l1.columns
     s = u @ u.T
-    o, args, blocks = joint_diagonalize_symmetric_unitary(s, cluster_tol)
+    o, args, blocks = joint_diagonalize_symmetric_unitary(s)
 
     # non-transverse <=> some eigenvalue sits on 1 (arc distance through 0)
     axis_distance = np.minimum(args, TWO_PI - args)
@@ -188,7 +182,7 @@ def pair_decomposition(l0: LagrangianFrame, l1: LagrangianFrame,
     beta = np.empty(n)
     for block in blocks:
         block_arg = _circular_mean(args[list(block)])
-        if min(block_arg, TWO_PI - block_arg) <= cluster_tol:
+        if min(block_arg, TWO_PI - block_arg) <= ARC_CLUSTER_TOL:
             block_arg = 0.0
         beta[list(block)] = 0.5 * block_arg
 

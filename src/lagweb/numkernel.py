@@ -20,11 +20,15 @@ TWO_PI = 2.0 * np.pi
 # Precision ladder used throughout the package: construction-time checks at
 # 1e-10, derived identities at 1e-8 (see laggrass), Jacobi sweep target 1e-13.
 JACOBI_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 60
 SYM_UNITARY_TOL = 1e-10
 # Re-eigenvalue gaps below this are merged before the Im stage; eigenvectors
 # across smaller gaps are not trustworthy individually, and the Im stage (or
 # the final arc-distance blocking) separates whatever is genuinely distinct.
 RE_CLUSTER_TOL = 1e-8
+# eigenvalues of S closer than this in arc distance on the unit circle form
+# one block, and a block this close to 1 is read as angle 0 (see laggrass)
+ARC_CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,11 +42,11 @@ class IntegratorConfig:
             raise ValueError("step_count must be >= 1")
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
+def jacobi_eigh(a: np.ndarray):
     """Cyclic Jacobi diagonalization of a real symmetric matrix.
 
     Returns (eigenvalues, V) with a = V @ diag(w) @ V.T; sweeps stop once the
-    largest off-diagonal entry drops below ``tol``.
+    largest off-diagonal entry drops below JACOBI_TOL.
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
@@ -50,15 +54,15 @@ def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
     if n == 1:
         return a.diagonal().copy(), v
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = np.max(np.abs(a - np.diag(a.diagonal())))
-        if off < tol:
+        if off < JACOBI_TOL:
             converged = True
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
-                if abs(apq) < 0.1 * tol:
+                if abs(apq) < 0.1 * JACOBI_TOL:
                     continue
                 # Givens angle zeroing a[p, q]; smaller-|t| root keeps |angle| <= pi/4
                 tau = (a[q, q] - a[p, p]) / (2.0 * apq)
@@ -69,7 +73,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
                 a[[p, q], :] = jt @ a[[p, q], :]
                 a[:, [p, q]] = a[:, [p, q]] @ jt.T
                 v[:, [p, q]] = v[:, [p, q]] @ jt.T
-    if not converged and np.max(np.abs(a - np.diag(a.diagonal()))) >= tol:
+    if not converged and np.max(np.abs(a - np.diag(a.diagonal()))) >= JACOBI_TOL:
         raise NoConvergence("Jacobi sweeps did not reach tolerance")
     # clean up rounding asymmetry accumulated by the two-sided updates
     a = 0.5 * (a + a.T)
@@ -87,22 +91,20 @@ def _cluster_sorted(values: np.ndarray, gap: float):
     return groups
 
 
-def joint_diagonalize_symmetric_unitary(s, cluster_tol: float = 1e-8):
+def joint_diagonalize_symmetric_unitary(s):
     """Orthogonally diagonalize a symmetric unitary matrix.
 
     Parameters
     ----------
     s : (n, n) complex array with s.T == s and s*s = I
         within 1e-10.
-    cluster_tol : eigenvalues closer than this in arc distance on the unit
-        circle are reported as one block.
 
     Returns
     -------
     o : (n, n) real orthogonal matrix with o.T @ s @ o diagonal.
     args : (n,) arguments of the diagonal entries, taken in [0, 2*pi).
     blocks : list of index lists partitioning range(n), grouped by arc
-        distance; a group may wrap around 0 ~ 2*pi.
+        distance (ARC_CLUSTER_TOL); a group may wrap around 0 ~ 2*pi.
     """
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
@@ -141,9 +143,9 @@ def joint_diagonalize_symmetric_unitary(s, cluster_tol: float = 1e-8):
     args = args[order]
     o = o[:, order]
 
-    blocks = _cluster_sorted(args, cluster_tol)
+    blocks = _cluster_sorted(args, ARC_CLUSTER_TOL)
     # arc distance wraps: a group near 2*pi may continue into the group at 0
-    if len(blocks) > 1 and (args[blocks[0][0]] + TWO_PI - args[blocks[-1][-1]]) < cluster_tol:
+    if len(blocks) > 1 and (args[blocks[0][0]] + TWO_PI - args[blocks[-1][-1]]) < ARC_CLUSTER_TOL:
         blocks[0] = blocks.pop() + blocks[0]
     return o, args, blocks
 

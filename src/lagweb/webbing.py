@@ -4,14 +4,14 @@ For a flow with coefficients a_j < 0, the level set {sum a_j x_j^2 = c},
 c < 0, is the ellipsoid with semi-axes sqrt(c / a_j).  Carrying it along the
 flow gives the immersion
 
-    Phi(p, t) = sum_j kappa_j(p) sqrt(g_j(t)) e^{i th_j(t)} u_j,
+    Phi(p, t) = sum_j kappa_j(p) w_j(t) u_j,   w_j = sqrt(g_j) e^{i th_j},
     kappa_j(p) = sqrt(c / a_j) p_j,   p in S^{n-1},
 
 whose slices t = 0, 1 sit inside the start and target planes.  All tangent
 data is analytic: sphere tangents push the chart differential through the
-frame, the time tangent uses d/dt (sqrt(g) e^{i th}) evaluated from the flow
-equations at each sample, so verification measures geometry rather than
-differencing noise.  The time tangent carries the factor
+frame, the time tangent uses the rates dw_j/dt from the flow equations at
+each sample (``GeodesicTrajectory.flow_factors``), so verification measures
+geometry rather than differencing noise.  The time tangent carries the factor
 i e^{-i phase} / cos(phase), so the frame determinant is
 i e^{i(phase0 + sum theta - phase)} / cos(phase) times a real factor.  Re Omega
 therefore vanishes on the stored tangents for any trajectory with
@@ -25,7 +25,9 @@ residuals), the minimum angle to the radial direction, boundary containment
 defects, and for surfaces the discrete Laplace-Beltrami residual of the time
 coordinate (which the continuum immersion makes harmonic).  The
 boundary-flux check uses the exact level-family deformation field
-Phi_c / (2c) on the unit-level cylinder alone, as Phi_c = sqrt|c| Phi_-1.
+Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
+pairing with the time tangent is sum_j kappa_j^2 Im(conj(w_j) dw_j/dt), so
+it reads the flow factors and builds no cylinder.
 scipy is imported only by the quasi-random sphere of n >= 4.
 """
 
@@ -189,11 +191,10 @@ class SlagReport:
     orientation: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FluxReport:
-    levels: np.ndarray           # c grid, ascending
-    boundary_values: np.ndarray  # A_c per level
-    spreads: np.ndarray          # per-level spread of the primitive over p
+    boundary_value: float  # A_c, the same at every level c
+    spread: float          # spread of the primitive over the top boundary
     relflux: float
 
 
@@ -205,16 +206,10 @@ def cylinder_mesh(traj: GeodesicTrajectory, level: float,
     endpoint planes is verified at build time.  Time tangents come from the
     flow equations at each sample, not from differences of the nodes.
     """
-    a = traj.spec.coefficients
-    chart = level_set_chart(a, level)
+    chart = level_set_chart(traj.spec.coefficients, level)
     grid = sphere_grid(traj.spec.n, sphere_resolution, seed)
     directions = traj.spec.frame_directions()
-    # w = sqrt(g) e^{i th} and dw its derivative from the flow equations
-    sqrt_g, rotation = np.sqrt(traj.g), np.exp(1j * traj.theta)
-    w = sqrt_g * rotation
-    dg = -4.0 * np.tan(traj.phases)[:, np.newaxis] * a[np.newaxis, :]
-    dtheta = -2.0 * a[np.newaxis, :] / traj.g
-    dw = (dg / (2.0 * sqrt_g) + 1j * sqrt_g * dtheta) * rotation
+    w, dw = traj.flow_factors()
 
     kappa = grid.points * chart.semi_axes[np.newaxis, :]             # (P, n)
     kappa_tan = grid.tangents * chart.semi_axes[np.newaxis, np.newaxis, :]
@@ -311,7 +306,7 @@ def webbing_family(traj: GeodesicTrajectory, levels, sphere_resolution=None,
 
 
 def relflux(traj: GeodesicTrajectory, b0: float, b1: float,
-            level_count: int = 9, sphere_resolution=None, seed: int = 0) -> FluxReport:
+            sphere_resolution=None, seed: int = 0) -> FluxReport:
     """Integrated boundary value of the level-family deformation primitive.
 
     For each level c, the deformation field v = d Phi_c / dc is paired with
@@ -319,24 +314,24 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float,
     gives a primitive that must be constant on the top boundary, whose value
     is A_c.  The result is -integral A_c dc over [b0, b1].  As Phi_c =
     sqrt|c| Phi_-1, the field is exactly v = Phi_c / (2c), and its pairing,
-    so A_c, is the same at every level: one unit-level cylinder gives all.
+    so A_c, is the same at every level.  At c = -1 the pairing is
+    sum_j kappa_j(p)^2 Im(conj(w_j) dw_j/dt), and the t-integral is taken
+    per direction before the sum over j, so only (T, n) and (P, n) arrays
+    are held.
     """
     if not (b0 <= b1 < 0.0):
         raise SignError("need b0 <= b1 < 0")
-    if b0 == b1:
-        return FluxReport(levels=np.array([]), boundary_values=np.array([]),
-                          spreads=np.array([]), relflux=0.0)
-    mesh = cylinder_mesh(traj, -1.0, sphere_resolution, seed)
-    pairing = np.einsum("tpi,tpi->tp", mesh.points.conj(), mesh.time_tangents).imag
-    u_top = np.trapezoid(pairing / (2.0 * mesh.chart.level), traj.times, axis=0)
+    chart = level_set_chart(traj.spec.coefficients, -1.0)
+    kappa = sphere_grid(traj.spec.n, sphere_resolution, seed).points * chart.semi_axes
+    w, dw = traj.flow_factors()
+    rates = np.trapezoid((w.conj() * dw).imag, traj.times, axis=0)    # (n,)
+    u_top = (kappa**2 @ rates) / (2.0 * chart.level)
     spread = float(u_top.max() - u_top.min())
     if spread > FLUX_SPREAD_TOL:
         raise InconsistentBoundary(f"primitive varies by {spread:.3e} on the top boundary")
-    levels = np.linspace(b0, b1, level_count)
-    boundary_values = np.full(level_count, float(u_top.mean()))
-    return FluxReport(levels=levels, boundary_values=boundary_values,
-                      spreads=np.full(level_count, spread),
-                      relflux=-float(np.trapezoid(boundary_values, levels)))
+    boundary_value = float(u_top.mean())
+    return FluxReport(boundary_value=boundary_value, spread=spread,
+                      relflux=-float(b1 - b0) * boundary_value)
 
 
 def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:

@@ -367,6 +367,26 @@ class TestVerify:
                    "--out", str(tmp_path / "revver"))
         assert code == 0
 
+    def test_trajectory_of_another_dimension_rejected(self, tmp_path, solved_dir, capsys):
+        # an n = 2 trajectory CSV on the same time grid as an n = 3 solution
+        # used to end in numpy's "operands could not be broadcast together"
+        l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(1), 3)
+        f0, f1 = tmp_path / "n3_l0.json", tmp_path / "n3_l1.json"
+        write_json(f0, frame_to_json_dict(l0))
+        write_json(f1, frame_to_json_dict(l1))
+        run3, web3 = tmp_path / "run3", tmp_path / "web3"
+        assert cli("geodesic", "--lambda0", str(f0), "--lambda1", str(f1),
+                   "--steps", "500", "--out", str(run3)) == 0
+        assert cli("webbing", "--solution", str(run3 / "solution.json"),
+                   "--levels=-1", "--sphere-res", "8", "--out", str(web3)) == 0
+        code = cli("verify", "--mesh", str(web3 / "mesh_0.csv"),
+                   "--trajectory", str(solved_dir / "trajectory.csv"),
+                   "--solution", str(run3 / "solution.json"), "--out", str(tmp_path / "v"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "trajectory CSV samples disagree with the solution's trajectory" in err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
     def test_corrupted_mesh_rejected(self, tmp_path, solved_dir):
         web = tmp_path / "web"
         assert cli("webbing", "--solution", str(solved_dir / "solution.json"),

@@ -120,6 +120,17 @@ class TestHorizontalFrame:
             horizontal_frame(traj, 0.123456)
 
 
+class TestFlowFactors:
+    def test_rates_match_differenced_factors(self):
+        # dw/dt comes from the flow equations; a central difference of w
+        # agrees to second order in the step
+        rng = np.random.default_rng(13)
+        traj = geodesic_ivp(random_spec(rng, 3), CFG)
+        w, dw = traj.flow_factors()
+        central = (w[2:] - w[:-2]) / (traj.times[2:] - traj.times[:-2])[:, np.newaxis]
+        assert np.max(np.abs(central - dw[1:-1])) < 1e-5
+
+
 class TestPhaseAlong:
     def test_zero_hamiltonian(self):
         spec = GeodesicSpec.from_frame(real_line(0.2), [0.0])
@@ -175,28 +186,6 @@ class TestFrameOracle:
             devs.append(g_dev)
         ratio = devs[0] / devs[1]
         assert 10.0 < ratio < 24.0
-
-
-class TestInterpolation:
-    def test_off_grid_matches_closed_form(self):
-        beta = 0.6
-        traj = geodesic_ivp(spec_1d(beta), IntegratorConfig(100))
-        tanb = math.tan(beta)
-        for t in (0.123, 0.5004, 0.987):
-            g, theta = traj.interpolate(t)
-            # linear interpolation error is O(h^2) on a smooth flow
-            assert abs(theta[0] - math.atan(t * tanb)) < 5e-5
-            assert abs(g[0] - (1.0 + (t * tanb) ** 2)) < 5e-5
-
-    def test_endpoints_exact(self):
-        traj = geodesic_ivp(spec_1d(0.3), IntegratorConfig(10))
-        g, theta = traj.interpolate(1.0)
-        assert g[0] == traj.g[-1, 0] and theta[0] == traj.theta[-1, 0]
-
-    def test_out_of_range_rejected(self):
-        traj = geodesic_ivp(spec_1d(0.3), IntegratorConfig(10))
-        with pytest.raises(ValueError):
-            traj.interpolate(1.5)
 
 
 class TestTrajectoryCsv:

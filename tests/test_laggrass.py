@@ -13,7 +13,6 @@ from lagweb.laggrass import (
     make_frame,
     maslov_index,
     pair_decomposition,
-    phase,
     principal_angle_distance,
     random_maslov_zero_pair,
     random_positive_frame,
@@ -146,7 +145,7 @@ class TestPhase:
         for _ in range(10):
             r = random_rotation(rng, 3)
             g = make_frame(base.ambient, base.columns @ r)
-            assert abs(phase(g) - phase(base)) < 1e-12
+            assert abs(g.phase - base.phase) < 1e-12
 
 
 class TestPairDecomposition:

@@ -36,14 +36,14 @@ class TestJacobi:
 
 class TestJointDiagonalization:
     def test_identity(self):
-        o, args, blocks = joint_diagonalize_symmetric_unitary(np.eye(2), 1e-8)
+        o, args, blocks = joint_diagonalize_symmetric_unitary(np.eye(2))
         np.testing.assert_allclose(np.abs(o), np.eye(2), atol=1e-12)
         np.testing.assert_allclose(args, [0.0, 0.0], atol=1e-12)
         assert sorted(len(b) for b in blocks) == [2]
 
     def test_already_diagonal(self):
         s = np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 2])))
-        o, args, blocks = joint_diagonalize_symmetric_unitary(s, 1e-8)
+        o, args, blocks = joint_diagonalize_symmetric_unitary(s)
         np.testing.assert_allclose(sorted(args), [np.pi / 3, np.pi / 2], atol=1e-12)
         np.testing.assert_allclose(np.abs(o), np.eye(2), atol=1e-12)
         assert [len(b) for b in blocks] == [1, 1]
@@ -51,7 +51,7 @@ class TestJointDiagonalization:
     def test_construct_then_recover(self):
         r = rotation2(0.7)
         s = r.T @ np.diag(np.exp(1j * np.array([np.pi / 3, np.pi / 2]))) @ r
-        o, args, blocks = joint_diagonalize_symmetric_unitary(s, 1e-8)
+        o, args, blocks = joint_diagonalize_symmetric_unitary(s)
         np.testing.assert_allclose(sorted(args), [np.pi / 3, np.pi / 2], atol=1e-10)
         # columns of o recover r's rows (= r.T columns) up to sign/permutation
         overlap = np.abs(o.T @ r.T)
@@ -64,7 +64,7 @@ class TestJointDiagonalization:
                 q, _ = np.linalg.qr(rng.standard_normal((n, n)))
                 args_true = rng.uniform(0.0, 2.0 * np.pi, size=n)
                 s = q @ np.diag(np.exp(1j * args_true)) @ q.T
-                o, args, _ = joint_diagonalize_symmetric_unitary(s, 1e-8)
+                o, args, _ = joint_diagonalize_symmetric_unitary(s)
                 assert np.max(np.abs(o.T @ o - np.eye(n))) < 1e-12
                 d = o.T @ s @ o
                 off = d - np.diag(d.diagonal())
@@ -76,17 +76,17 @@ class TestJointDiagonalization:
         eps = 1e-10
         r = rotation2(0.3)
         s = r.T @ np.diag(np.exp(1j * np.array([eps, -eps]))) @ r
-        _, _, blocks = joint_diagonalize_symmetric_unitary(s, 1e-8)
+        _, _, blocks = joint_diagonalize_symmetric_unitary(s)
         assert sorted(len(b) for b in blocks) == [2]
 
     def test_rejects_non_symmetric(self):
         s = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # unitary, skew
         with pytest.raises(NotSymmetricUnitary):
-            joint_diagonalize_symmetric_unitary(s, 1e-8)
+            joint_diagonalize_symmetric_unitary(s)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotSymmetricUnitary):
-            joint_diagonalize_symmetric_unitary(np.diag([2.0, 1.0]).astype(complex), 1e-8)
+            joint_diagonalize_symmetric_unitary(np.diag([2.0, 1.0]).astype(complex))
 
 
 class TestRK4:

@@ -8,6 +8,7 @@ from lagweb.errors import DegenerateMetric, OriginNode, SignError
 from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory
 from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
+from lagweb import webbing
 from lagweb.webbing import (
     TIME_CHUNK,
     CylinderMesh,
@@ -257,7 +258,7 @@ class TestRelflux:
         _, _, sol = solved
         report = relflux(sol.trajectory, -2.0, -1.0)
         assert abs(report.relflux - 1.0) < 1e-4
-        assert np.all(report.spreads < 1e-5)
+        assert report.spread < 1e-5
 
     def test_empty_interval(self, solved):
         _, _, sol = solved
@@ -271,26 +272,33 @@ class TestRelflux:
         assert abs(a + b - c) < 2e-4
 
     def test_symmetric_case(self, symmetric_traj):
-        report = relflux(symmetric_traj, -1.25, -0.75, level_count=5)
+        report = relflux(symmetric_traj, -1.25, -0.75)
         assert abs(report.relflux - 0.5) < 1e-4
 
     def test_boundary_values_are_minus_one(self, solved):
         # the deformation field is Phi / (2c) by degree-2 homogeneity, so the
         # pairing with the time tangent is exactly -1 at every level
         _, _, sol = solved
-        report = relflux(sol.trajectory, -3.0, -0.5, level_count=7)
-        np.testing.assert_allclose(report.boundary_values, -1.0, atol=1e-7)
+        report = relflux(sol.trajectory, -3.0, -0.5)
+        assert abs(report.boundary_value + 1.0) < 1e-7
 
     @pytest.mark.parametrize("which", ["solved", "symmetric"])
     def test_matches_per_level_rebuilds(self, which, solved, symmetric_traj):
-        # one unit-level cylinder stands in for the whole level grid
+        # one boundary value and one spread stand in for the whole level grid
         traj = solved[2].trajectory if which == "solved" else symmetric_traj
-        report = relflux(traj, -3.0, -0.5, level_count=7)
-        levels, boundary_values, spreads, total = reference_relflux(traj, -3.0, -0.5, 7)
-        np.testing.assert_array_equal(report.levels, levels)
-        np.testing.assert_allclose(report.boundary_values, boundary_values, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(report.spreads, spreads, rtol=0, atol=1e-12)
+        report = relflux(traj, -3.0, -0.5)
+        _, boundary_values, spreads, total = reference_relflux(traj, -3.0, -0.5, 7)
+        np.testing.assert_allclose(boundary_values, report.boundary_value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spreads, report.spread, rtol=0, atol=1e-12)
         assert abs(report.relflux - total) < 1e-12
+
+    def test_builds_no_cylinder(self, solved, monkeypatch):
+        # the pairing is read off the flow factors, not off a mesh
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("relflux built a cylinder mesh")
+
+        monkeypatch.setattr(webbing, "cylinder_mesh", no_mesh)
+        assert abs(relflux(solved[2].trajectory, -2.0, -1.0).relflux - 1.0) < 1e-4
 
     def test_zero_coefficient_rejected(self):
         # a frozen direction has no level-set ellipsoid, as in cylinder_mesh
