@@ -63,10 +63,8 @@ GRID_STEPS = 4         # RK4 correction steps allowed on the requested grid
 
 @dataclass(frozen=True)
 class AprioriBounds:
-    """Phase window [alpha0, alpha1] with its metric and coefficient bounds."""
+    """Metric and coefficient bounds of a phase window [alpha0, alpha1]."""
 
-    alpha0: float
-    alpha1: float
     metric_bound: float
     coefficient_bound: float
 
@@ -78,9 +76,9 @@ class BvpSolution:
     trajectory: GeodesicTrajectory
     residual_norm: float            # max_j |th_j(1) - beta_j| on the RK4 grid
     jacobian_condition: float       # of the exact time-1 shooting Jacobian
-    continuation_steps: int         # always 0: the solve has no continuation
     newton_residuals: tuple         # residual norms of the exact-map Newton solve
     grid_residuals: tuple = ()      # RK4 residuals of the grid correction, if it ran
+    continuation_steps: int = 0     # always 0: the solve has no continuation
 
 
 def apriori_bounds(phi0: float, phi1: float) -> AprioriBounds:
@@ -97,8 +95,6 @@ def apriori_bounds(phi0: float, phi1: float) -> AprioriBounds:
     except OverflowError:  # phi1 within ~4e-3 of pi/2: no finite bound
         metric_bound = math.inf
     return AprioriBounds(
-        alpha0=phi0,
-        alpha1=phi1,
         metric_bound=metric_bound,
         coefficient_bound=0.5 * metric_bound * (phi1 - phi0) if phi1 > phi0 else 0.0,
     )
@@ -277,7 +273,7 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
         a, traj, residual = trajectory([])
         return BvpSolution(spectrum=spectrum, coefficients=a, trajectory=traj,
                            residual_norm=residual, jacobian_condition=1.0,
-                           continuation_steps=0, newton_residuals=(0.0,))
+                           newton_residuals=(0.0,))
 
     beta_block = _block_average(spectrum.beta, blocks)
     mult = np.array([len(b) for b in blocks], dtype=float)
@@ -314,7 +310,6 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
         trajectory=traj,
         residual_norm=residual,
         jacobian_condition=float(np.linalg.cond(jac1)),
-        continuation_steps=0,
         newton_residuals=tuple(history),
         grid_residuals=tuple(grid) if len(grid) > 1 else (),
     )

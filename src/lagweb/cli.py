@@ -6,7 +6,10 @@ pair-analyze  angles, phases, Maslov index and transversality of two frames
 geodesic      solve the two-frame boundary value problem, emit solution JSON
               and a trajectory CSV
 webbing       build level-set cylinder meshes from a solution and verify them
-verify        re-check an emitted mesh CSV against the trajectory/solution
+verify        re-check an emitted mesh CSV and trajectory CSV against the solution
+
+webbing and verify rebuild the trajectory from the solution JSON alone, as the
+solver made it; verify requires each trajectory CSV column to equal it bitwise.
 
 All outputs are deterministic: JSON keys are sorted, floats carry 17
 significant digits, and the only randomness (quasi-random sphere sampling
@@ -121,13 +124,7 @@ def run_geodesic(args) -> int:
     sol = bvpsolve.solve_bvp_maslov0(l0, l1, args.tol, IntegratorConfig(args.steps))
     spectrum, traj = sol.spectrum, sol.trajectory
 
-    if reversed_roles:
-        # rows run in reversed time: the plane at row time tau is the solved
-        # trajectory's plane at 1 - tau
-        out_traj = geoflow.GeodesicTrajectory(spec=traj.spec, times=1.0 - traj.times[::-1],
-                                              g=traj.g[::-1], theta=traj.theta[::-1])
-    else:
-        out_traj = traj
+    out_traj = geoflow.time_reversed(traj) if reversed_roles else traj
     geoflow.write_trajectory_csv(out_traj, os.path.join(args.out, "trajectory.csv"))
 
     base = traj.spec.base
@@ -156,22 +153,27 @@ def run_geodesic(args) -> int:
 
 
 def _load_trajectory(solution_path: str):
-    """The solved trajectory: frame data from the solution JSON, samples from its CSV."""
+    """The solver's integration of the stored a from the stored phase0 (not
+    the re-made frame's, see GeodesicSpec) over the stored steps."""
     with open(solution_path, "r", encoding="utf-8") as fh:
         solution = json.load(fh)
     try:
-        frame = laggrass.frame_from_json_dict(solution["frame0"])
+        steps, reverse, phase0 = solution["steps"], solution["reversed"], solution["phase0"]
+        # exact JSON types: a bool is an int to Python, and float() takes "0.5"
+        if not (type(steps) is int and steps >= 1 and type(reverse) is bool
+                and type(phase0) in (int, float) and math.isfinite(phase0)):
+            raise ValueError("malformed solution JSON: need an integer steps >= 1, a bool "
+                             "reversed and a finite number phase0")
         spec = geoflow.GeodesicSpec(
-            base=frame,
+            base=laggrass.frame_from_json_dict(solution["frame0"]),
             adapted_basis=np.asarray(solution["adapted_basis"], dtype=float),
             coefficients=np.asarray(solution["a"], dtype=float),
-            phase0=frame.phase,
+            phase0=float(phase0),
         )
-        csv_path = os.path.join(os.path.dirname(solution_path) or ".", solution["trajectory_csv"])
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed solution JSON: {type(exc).__name__} {exc}") from exc
-    times, g, theta, _ = geoflow.read_trajectory_csv(csv_path)
-    return geoflow.GeodesicTrajectory(spec=spec, times=times, g=g, theta=theta)
+    traj = geoflow.geodesic_ivp(spec, IntegratorConfig(steps))
+    return geoflow.time_reversed(traj) if reverse else traj
 
 
 def _mesh_report(mesh) -> dict:
@@ -184,11 +186,7 @@ def _mesh_report(mesh) -> dict:
         "orientation": slag.orientation,
         "min_euler_angle": webbing.euler_transversality(mesh),
         "boundary_defect": mesh.boundary_defect,
-        "harmonic_residual": (
-            webbing.harmonic_residual(mesh)
-            if mesh.n == 2 and mesh.sphere.kind == "circle"
-            else None
-        ),
+        "harmonic_residual": webbing.harmonic_residual(mesh) if mesh.n == 2 else None,
     }
 
 
@@ -241,14 +239,15 @@ def run_verify(args) -> int:
         os.path.dirname(args.mesh) or ".", "solution.json"
     )
     traj = _load_trajectory(solution_path)
+    stored = geoflow.read_trajectory_csv(args.trajectory)
+    for name, column, rebuilt in zip(("t", "g_j", "theta_j", "phase"), stored,
+                                     (traj.times, traj.g, traj.theta, traj.phases)):
+        if not np.array_equal(column, rebuilt):
+            raise ValueError("trajectory CSV samples disagree with the solution's trajectory "
+                             f"(column {name})")
     params, times, points = webbing.read_mesh_csv(args.mesh)
-    csv_times, csv_g, csv_theta, _ = geoflow.read_trajectory_csv(args.trajectory)
-    if not np.array_equal(csv_times, traj.times):
-        raise ValueError("trajectory CSV grid does not match the solution's trajectory")
     if not np.array_equal(times, traj.times):
         raise ValueError("mesh CSV time grid does not match the trajectory")
-    if not (np.array_equal(csv_g, traj.g) and np.array_equal(csv_theta, traj.theta)):
-        raise ValueError("trajectory CSV samples disagree with the solution's trajectory")
 
     # rebuild the immersion with analytic tangents on the stored grid
     level = webbing.slice_level(traj, points[0])
@@ -353,8 +352,8 @@ def run(args) -> int:
                   else f" (smallest residual: {exc.best_residual:.3e})")
         print(f"solver failure: {exc}{detail}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ValueError, OSError, MemoryError, LagwebError) as exc:
-        # MemoryError: --steps or --sphere-res too large to allocate
+    except (ValueError, OSError, MemoryError, OverflowError, LagwebError) as exc:
+        # MemoryError, OverflowError: a step or sphere count too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

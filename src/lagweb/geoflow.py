@@ -17,6 +17,8 @@ u_j the adapted basis pushed into C^n, with the flow factors
 
 the rates read from the flow equations at each sample
 (``GeodesicTrajectory.flow_factors``, the one place they are computed).
+With every a_j <= 0 the phase rises; along samples in reversed time
+(``time_reversed``, for Maslov index n) it falls, and the rates change sign.
 
 ``frame_ode_oracle`` integrates the full matrix evolution
 
@@ -43,7 +45,8 @@ METRIC_FLOOR = 1e-9   # g_j below this signals bad input
 
 @dataclass(frozen=True, eq=False)
 class GeodesicSpec:
-    """Initial plane, adapted basis, Hamiltonian coefficients, base phase."""
+    """Initial plane, adapted basis, Hamiltonian coefficients, base phase; phase0 is
+    not read off ``base``, whose phase can differ in the last bits once re-made from JSON."""
 
     base: LagrangianFrame
     adapted_basis: np.ndarray  # (n, n) real orthogonal
@@ -102,11 +105,13 @@ class GeodesicTrajectory:
         return i
 
     def flow_factors(self):
-        """(w, dw/dt) per sample and direction, each (m+1, n) complex."""
-        a = self.spec.coefficients
+        """(w, dw/dt) per sample and direction, each (m+1, n) complex; the
+        rates are negated where the phase falls, in reversed time."""
+        a, phases = self.spec.coefficients, self.phases
+        sign = -1.0 if phases[-1] < phases[0] else 1.0
         sqrt_g, rotation = np.sqrt(self.g), np.exp(1j * self.theta)
-        dg = -4.0 * np.tan(self.phases)[:, np.newaxis] * a[np.newaxis, :]
-        dtheta = -2.0 * a[np.newaxis, :] / self.g
+        dg = -4.0 * sign * np.tan(phases)[:, np.newaxis] * a[np.newaxis, :]
+        dtheta = -2.0 * sign * a[np.newaxis, :] / self.g
         return sqrt_g * rotation, (dg / (2.0 * sqrt_g) + 1j * sqrt_g * dtheta) * rotation
 
 
@@ -141,6 +146,12 @@ def geodesic_ivp(spec: GeodesicSpec, config: IntegratorConfig = IntegratorConfig
         i = int(np.argmax(np.abs(phases)))
         raise PhaseBlowup(f"phase reached {phases[i]:.6f}")
     return traj
+
+
+def time_reversed(traj: GeodesicTrajectory) -> GeodesicTrajectory:
+    """The same planes in reversed time: the sample at t is traj's at 1 - t."""
+    return GeodesicTrajectory(spec=traj.spec, times=1.0 - traj.times[::-1],
+                              g=traj.g[::-1], theta=traj.theta[::-1])
 
 
 def horizontal_frame(traj: GeodesicTrajectory, t: float) -> LagrangianFrame:
@@ -250,10 +261,7 @@ def write_trajectory_csv(traj: GeodesicTrajectory, path) -> None:
 
 
 def read_trajectory_csv(path):
-    """Returns (times, g, theta, phase) arrays from a trajectory CSV.
-
-    Raises ValueError on a non-finite sample.
-    """
+    """(times, g, theta, phase) arrays from a trajectory CSV; ValueError on a non-finite sample."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)

@@ -247,14 +247,13 @@ def span_angle(fa: np.ndarray, fb: np.ndarray) -> float:
     return float(np.arcsin(min(1.0, float(s.max()))))
 
 
-def intersection_is_trivial(a: LagrangianFrame, b: LagrangianFrame,
-                            tol: float = 1e-8) -> bool:
+def intersection_is_trivial(a: LagrangianFrame, b: LagrangianFrame) -> bool:
     """Rank test for Lambda_a cap Lambda_b = 0 over the reals."""
     qa = np.vstack([a.columns.real, a.columns.imag])
     qb = np.vstack([b.columns.real, b.columns.imag])
     stacked = np.hstack([qa, -qb])
     s = np.linalg.svd(stacked, compute_uv=False)
-    return bool(s.min() > tol)
+    return bool(s.min() > IDENTITY_TOL)
 
 
 # --- JSON frame format (consumed by the CLI) ---

@@ -294,19 +294,17 @@ def euler_transversality(mesh: CylinderMesh) -> float:
     return float(min_angle)
 
 
-def webbing_family(traj: GeodesicTrajectory, levels, sphere_resolution=None,
-                   seed: int = 0):
+def webbing_family(traj: GeodesicTrajectory, levels, sphere_resolution=None):
     """Cylinder meshes at the requested negative levels, outermost first.
 
     Degree-2 homogeneity of the Hamiltonian makes the mesh at level c equal
     the mesh at level c / s^2 rescaled by s, node for node.
     """
     levels = sorted(float(c) for c in levels)  # ascending = |c| decreasing
-    return [cylinder_mesh(traj, c, sphere_resolution, seed) for c in levels]
+    return [cylinder_mesh(traj, c, sphere_resolution) for c in levels]
 
 
-def relflux(traj: GeodesicTrajectory, b0: float, b1: float,
-            sphere_resolution=None, seed: int = 0) -> FluxReport:
+def relflux(traj: GeodesicTrajectory, b0: float, b1: float) -> FluxReport:
     """Integrated boundary value of the level-family deformation primitive.
 
     For each level c, the deformation field v = d Phi_c / dc is paired with
@@ -322,7 +320,7 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float,
     if not (b0 <= b1 < 0.0):
         raise SignError("need b0 <= b1 < 0")
     chart = level_set_chart(traj.spec.coefficients, -1.0)
-    kappa = sphere_grid(traj.spec.n, sphere_resolution, seed).points * chart.semi_axes
+    kappa = sphere_grid(traj.spec.n).points * chart.semi_axes
     w, dw = traj.flow_factors()
     rates = np.trapezoid((w.conj() * dw).imag, traj.times, axis=0)    # (n,)
     u_top = (kappa**2 @ rates) / (2.0 * chart.level)

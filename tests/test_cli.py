@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagweb
-from lagweb.cli import DEFAULT_THRESHOLDS, _check_thresholds, build_parser, config_from_args, run
+from lagweb.cli import (DEFAULT_THRESHOLDS, _check_thresholds, _load_trajectory, build_parser,
+                        config_from_args, run)
 from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame, random_maslov_zero_pair
 from lagweb.cli import main, write_json
+from lagweb.webbing import cylinder_mesh
 
 
 def write_frame(path, raw):
@@ -271,12 +273,13 @@ class TestNonFiniteTrajectory:
         csv.write_text("\n".join(lines) + "\n")
         return tmp_path
 
-    def test_webbing_rejects_it(self, nan_run, capsys):
+    def test_webbing_ignores_it(self, nan_run):
+        # webbing rebuilds the samples from the solution JSON
         code = cli("webbing", "--solution", str(nan_run / "run" / "solution.json"),
                    "--levels=-1", "--sphere-res", "8", "--out", str(nan_run / "web2"))
-        assert code == 2
-        assert "non-finite sample" in capsys.readouterr().err
-        assert not (nan_run / "web2" / "webbing_report.json").exists()
+        assert code == 0
+        assert ((nan_run / "web2" / "mesh_0.csv").read_bytes()
+                == (nan_run / "web" / "mesh_0.csv").read_bytes())
 
     def test_verify_rejects_it(self, nan_run, capsys):
         code = cli("verify", "--mesh", str(nan_run / "web" / "mesh_0.csv"),
@@ -286,6 +289,101 @@ class TestNonFiniteTrajectory:
         assert code == 2
         assert "non-finite sample" in capsys.readouterr().err
         assert not (nan_run / "ver" / "verify_report.json").exists()
+
+
+def _other_pair_csv(lines, tmp_path):
+    """The trajectory CSV of random_maslov_zero_pair(default_rng(7), 2) on the same steps."""
+    l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(7), 2)
+    write_json(tmp_path / "o0.json", frame_to_json_dict(l0))
+    write_json(tmp_path / "o1.json", frame_to_json_dict(l1))
+    assert cli("geodesic", "--lambda0", str(tmp_path / "o0.json"), "--lambda1",
+               str(tmp_path / "o1.json"), "--steps", str(len(lines) - 2),
+               "--out", str(tmp_path / "other")) == 0
+    return (tmp_path / "other" / "trajectory.csv").read_text().splitlines()
+
+
+def _set_cell(lines, rows, col, value):
+    for row in rows:
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
+    return lines
+
+
+# edits of the README pair's 400-step trajectory CSV; lines[0] is the header
+TRAJECTORY_EDITS = {
+    "another-pair": _other_pair_csv,
+    "one-row": lambda lines, _: lines[:2],
+    "first-201-rows": lambda lines, _: lines[:202],
+    "t-row-6": lambda lines, _: _set_cell(lines, [6], 0, "0.0126"),
+    "n-1-columns": lambda lines, _: [",".join(c for k, c in enumerate(line.split(","))
+                                              if k not in (2, 4)) for line in lines],
+    "g1-row-101-negative": lambda lines, _: _set_cell(lines, [101], 1, "-1"),
+    "phase-0.5": lambda lines, _: _set_cell(lines, range(1, len(lines)), -1, "0.5"),
+}
+
+
+class TestTrajectoryFromSolution:
+    """webbing rebuilds the trajectory from the solution JSON and never reads
+    its CSV; verify requires every CSV column to equal that rebuild."""
+
+    @pytest.fixture(scope="class")
+    def readme_400(self, tmp_path_factory):
+        """README pair at 400 steps: (run dir, mesh CSV at --sphere-res 16)."""
+        base = tmp_path_factory.mktemp("readme400")
+        write_frame(base / "l0.json", np.eye(2, dtype=complex))
+        write_frame(base / "l1.json", np.diag(np.exp(1j * np.array([math.pi / 6, math.pi / 4]))))
+        assert cli("geodesic", "--lambda0", str(base / "l0.json"), "--lambda1",
+                   str(base / "l1.json"), "--steps", "400", "--out", str(base / "run")) == 0
+        assert cli("webbing", "--solution", str(base / "run" / "solution.json"), "--levels=-1",
+                   "--sphere-res", "16", "--out", str(base / "web")) == 0
+        return base / "run", base / "web" / "mesh_0.csv"
+
+    @pytest.mark.parametrize("edit", sorted(TRAJECTORY_EDITS))
+    def test_edited_csv(self, tmp_path, readme_400, capsys, edit):
+        run_dir, mesh = readme_400
+        lines = TRAJECTORY_EDITS[edit]((run_dir / "trajectory.csv").read_text().splitlines(),
+                                       tmp_path)
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        (edited / "solution.json").write_bytes((run_dir / "solution.json").read_bytes())
+        (edited / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        assert cli("webbing", "--solution", str(edited / "solution.json"), "--levels=-1",
+                   "--sphere-res", "16", "--out", str(tmp_path / "web")) == 0
+        assert (tmp_path / "web" / "mesh_0.csv").read_bytes() == mesh.read_bytes()
+        capsys.readouterr()
+        assert cli("verify", "--mesh", str(mesh), "--trajectory", str(edited / "trajectory.csv"),
+                   "--solution", str(edited / "solution.json"), "--out", str(tmp_path / "v")) == 2
+        assert capsys.readouterr().err.startswith("error: trajectory CSV samples disagree")
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    def test_webbing_without_csv(self, tmp_path, readme_400):
+        run_dir, mesh = readme_400
+        (tmp_path / "solution.json").write_bytes((run_dir / "solution.json").read_bytes())
+        assert cli("webbing", "--solution", str(tmp_path / "solution.json"), "--levels=-1",
+                   "--sphere-res", "16", "--out", str(tmp_path / "web")) == 0
+        assert not (tmp_path / "trajectory.csv").exists()
+        assert (tmp_path / "web" / "mesh_0.csv").read_bytes() == mesh.read_bytes()
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", True), ("steps", 400.0), ("steps", 0), ("steps", "400"), ("steps", 10**400),
+        ("reversed", 0), ("reversed", "false"), ("reversed", None),
+        ("phase0", "0.0"), ("phase0", False), ("phase0", math.nan), ("phase0", math.inf),
+        ("phase0", 10**400),
+    ], ids=lambda v: repr(v)[:10])
+    def test_malformed_field_exit_2(self, tmp_path, readme_400, capsys, key, value):
+        run_dir, mesh = readme_400
+        doc = json.loads((run_dir / "solution.json").read_text())
+        doc[key] = value
+        (tmp_path / "solution.json").write_text(json.dumps(doc))
+        (tmp_path / "trajectory.csv").write_bytes((run_dir / "trajectory.csv").read_bytes())
+        for argv in (["webbing", "--levels=-1", "--sphere-res", "16"],
+                     ["verify", "--mesh", str(mesh), "--trajectory",
+                      str(run_dir / "trajectory.csv")]):
+            assert exit_code(*argv, "--solution", str(tmp_path / "solution.json"),
+                             "--out", str(tmp_path / "out")) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 class TestVerify:
@@ -366,6 +464,11 @@ class TestVerify:
                    "--solution", str(rev / "solution.json"),
                    "--out", str(tmp_path / "revver"))
         assert code == 0
+        # the time tangents point along reversed time, as the nodes move
+        traj = _load_trajectory(str(rev / "solution.json"))
+        mesh = cylinder_mesh(traj, -1.0, 24)
+        differenced = np.gradient(mesh.points, traj.times, axis=0, edge_order=2)
+        assert np.max(np.abs(differenced - mesh.time_tangents)) < 1e-4
 
     def test_trajectory_of_another_dimension_rejected(self, tmp_path, solved_dir, capsys):
         # an n = 2 trajectory CSV on the same time grid as an n = 3 solution
@@ -467,6 +570,13 @@ class TestNonFiniteAndHugeInput:
                   else ["--solution", str(solved_dir / "solution.json")])
         assert exit_code(stage, *source, flag, str(10**15), "--out", str(tmp_path / "big")) == 2
         assert "Unable to allocate" in capsys.readouterr().err
+
+    def test_step_count_beyond_float(self, tmp_path, pair_files, capsys):
+        # 1 / 10**400 is no float: this ended in an OverflowError traceback
+        f0, f1 = pair_files
+        assert exit_code("geodesic", "--lambda0", f0, "--lambda1", f1, "--steps", str(10**400),
+                         "--out", str(tmp_path / "g")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("entry, message", [
         ("NaN", "frame has a non-finite entry"),

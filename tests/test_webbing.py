@@ -307,7 +307,7 @@ class TestRelflux:
         with pytest.raises(SignError):
             cylinder_mesh(traj, -1.0, 16)
         with pytest.raises(SignError):
-            relflux(traj, -2.0, -1.0, sphere_resolution=16)
+            relflux(traj, -2.0, -1.0)
 
 
 def reference_relflux(traj, b0, b1, level_count):
