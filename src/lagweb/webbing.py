@@ -23,16 +23,19 @@ Verification quantities per mesh: sup |omega| over tangent pairs, sup |Re
 Omega| and inf Im Omega over oriented tangent n-frames (the calibration
 residuals), the minimum angle to the radial direction, boundary containment
 defects, and for surfaces the discrete Laplace-Beltrami residual of the time
-coordinate (which the continuum immersion makes harmonic).  The
-boundary-flux check uses the exact level-family deformation field
-Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
-pairing with the time tangent is sum_j kappa_j^2 Im(conj(w_j) dw_j/dt), so
-it reads the flow factors and builds no cylinder.
-scipy is imported only by the quasi-random sphere of n >= 4.
+coordinate (which the continuum immersion makes harmonic).  The calibration
+and Euler checks are numpy vector algebra over the nodes of a time chunk, one
+vector per frame entry: a Gram matrix, a Laplace-expanded determinant, and a
+Cholesky solve whose residual is formed directly.  The boundary-flux check
+uses the exact level-family deformation field Phi_c / (2c), as Phi_c =
+sqrt|c| Phi_-1; with the u_j orthonormal its pairing with the time tangent is
+sum_j kappa_j^2 Im(conj(w_j) dw_j/dt), so it reads the flow factors and builds
+no cylinder.  scipy is imported only by the quasi-random sphere of n >= 4.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +53,7 @@ from .geoflow import GeodesicTrajectory
 
 BOUNDARY_TOL = 1e-8
 FLUX_SPREAD_TOL = 1e-4
-TIME_CHUNK = 64  # node sweeps run in time blocks to bound peak memory
+TIME_CHUNK = 16  # node sweeps run in time blocks to bound peak memory
 MIN_SPHERE_RESOLUTION = 4
 
 
@@ -235,41 +238,61 @@ def boundary_containment(mesh: CylinderMesh, frame, end: int) -> float:
 
 
 def _frame_chunks(mesh: CylinderMesh):
-    """(slice, (T_chunk, P, n, n) sphere tangents then time tangent) per TIME_CHUNK samples."""
+    """(slice, v) per TIME_CHUNK samples; v[k, i], coordinate i of tangent k
+    (sphere tangents, then time), is an (N,) vector over the chunk's nodes."""
     for start in range(0, mesh.points.shape[0], TIME_CHUNK):
         sl = slice(start, start + TIME_CHUNK)
-        tangents = [mesh.sphere_tangents[sl], mesh.time_tangents[sl, :, np.newaxis]]
-        yield sl, np.concatenate(tangents, axis=2)
+        sphere = mesh.sphere_tangents[sl]
+        v = np.empty((mesh.n, mesh.n) + sphere.shape[:2], dtype=complex)
+        v[:-1] = sphere.transpose(2, 3, 0, 1)
+        v[-1] = mesh.time_tangents[sl].transpose(2, 0, 1)
+        yield sl, v.reshape(mesh.n, mesh.n, -1)
+
+
+def _dot(x, y):
+    """sum_i conj(x_i) y_i of batch-last vectors, node by node."""
+    return np.einsum("i...,i...->...", x.conj(), y)
+
+
+def _det(v):
+    """det v by Laplace expansion along the rows: the minors of rows 0..r on
+    each column subset reuse those of rows 0..r-1 (n 2^(n-1) products)."""
+    n = v.shape[0]
+    minors = {(c,): v[0, c] for c in range(n)}
+    for row in range(1, n):
+        minors = {cols: sum((-1) ** (row + k) * v[row, c] * minors[cols[:k] + cols[k + 1:]]
+                            for k, c in enumerate(cols))
+                  for cols in itertools.combinations(range(n), row + 1)}
+    return minors[tuple(range(n))]
 
 
 def verify_slag(mesh: CylinderMesh) -> SlagReport:
     """Calibration residuals over every node; no thresholding here.
 
-    omega is evaluated on all tangent pairs, Omega as the determinant of the
-    (sphere..., time)-ordered tangent frame; the orientation sign is chosen
-    so that Im Omega is predominantly positive and reported alongside.
-    Re Omega cannot see a wrong theta history (module docstring).  The chunk
-    folds use np.maximum and np.minimum, so a NaN anywhere reaches the report.
+    With V the (sphere..., time)-ordered tangent frame, omega is Im of the Gram
+    matrix V^H V, from its n(n+1)/2 vector products, and Omega = det V by
+    Laplace expansion; the orientation sign makes Im Omega predominantly
+    positive and is reported alongside.  Re Omega cannot see a wrong theta
+    history (module docstring).  The chunk folds use np.maximum and
+    np.minimum, so a NaN anywhere reaches the report.
     """
-    max_omega = 0.0
-    max_re = 0.0
-    im_values_min = math.inf
-    im_values_max = -math.inf
-    min_rank_ratio = math.inf
+    max_omega = max_re = 0.0
+    im_values_min, im_values_max, min_rank_ratio = math.inf, -math.inf, math.inf
     for _, v in _frame_chunks(mesh):
-        pair = np.einsum("tpai,tpbi->tpab", v.conj(), v).imag
-        max_omega = np.maximum(max_omega, np.max(np.abs(pair)))
-        det = np.linalg.det(v)
+        hadamard = 1.0  # multiply norms, not squares: a product of squares underflows sooner
+        for a in range(mesh.n):
+            hadamard = hadamard * np.sqrt(_dot(v[a], v[a]).real)
+            for b in range(a + 1, mesh.n):
+                max_omega = np.maximum(max_omega, np.max(np.abs(_dot(v[a], v[b]).imag)))
+        det = _det(v)
         max_re = np.maximum(max_re, np.max(np.abs(det.real)))
         im_values_min = np.minimum(im_values_min, det.imag.min())
         im_values_max = np.maximum(im_values_max, det.imag.max())
         # |Omega| against the Hadamard bound: scale-free rank test
-        hadamard = np.sqrt(np.einsum("tpki,tpki->tpk", v.conj(), v).real).prod(axis=2)
         min_rank_ratio = np.minimum(min_rank_ratio, np.min(np.abs(det) / hadamard))
     if min_rank_ratio < 1e-12:
-        raise DegenerateFrame(
-            f"tangent frame degenerates (|Omega| / Hadamard bound = {min_rank_ratio:.3e})"
-        )
+        raise DegenerateFrame("tangent frame degenerates "
+                              f"(|Omega| / Hadamard bound = {min_rank_ratio:.3e})")
     orientation = 1 if im_values_max + im_values_min > 0.0 else -1
     min_im = im_values_min if orientation == 1 else -im_values_max
     return SlagReport(max_omega=float(max_omega), max_re_omega=float(max_re),
@@ -277,19 +300,36 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
 
 
 def euler_transversality(mesh: CylinderMesh) -> float:
-    """Minimum angle between the radial direction and the tangent plane."""
+    """Minimum angle between the radial direction and the tangent plane.
+
+    The node e is projected onto the real span of the frame V by solving
+    G x = b, G = Re V^H V and b = Re V^H e, with a Cholesky factor G = L L^T
+    built column by column.  The sine is |r| / |e| for r = e - sum_k x_k v_k
+    formed directly: an error in x moves |r| only at second order, while
+    1 - b^T x / |e|^2 cancels to a floor near 1e-8 rad.  A pivot <= 0 means
+    a rank-deficient frame; a NaN pivot carries NaN to the angle.
+    """
     min_angle = math.inf
+    n = mesh.n
     for sl, v in _frame_chunks(mesh):
-        real_frames = np.concatenate([v.real, v.imag], axis=3)  # (.., n, 2n)
-        q, _ = np.linalg.qr(np.swapaxes(real_frames, 2, 3))     # (.., 2n, n)
-        pos = mesh.points[sl]
-        e = np.concatenate([pos.real, pos.imag], axis=2)        # (.., 2n)
-        norms = np.linalg.norm(e, axis=2)
+        e = mesh.points[sl].transpose(2, 0, 1).reshape(n, -1)
+        norms = np.sqrt(_dot(e, e).real)
         if norms.min() < 1e-12:
             raise OriginNode("mesh node at the origin")
-        coeff = np.einsum("tpkj,tpk->tpj", q, e)
-        resid = e - np.einsum("tpkj,tpj->tpk", q, coeff)
-        sin_angle = np.linalg.norm(resid, axis=2) / norms
+        low, y, x = {}, [], [None] * n  # L by (row, column); L y = b; L^T x = y
+        for j in range(n):
+            pivot = _dot(v[j], v[j]).real - sum(low[j, k] ** 2 for k in range(j))
+            if np.any(pivot <= 0.0):
+                raise DegenerateFrame("tangent frame degenerates (Gram pivot <= 0)")
+            low[j, j] = np.sqrt(pivot)
+            for i in range(j + 1, n):
+                gram = _dot(v[i], v[j]).real
+                low[i, j] = (gram - sum(low[i, k] * low[j, k] for k in range(j))) / low[j, j]
+            y.append((_dot(v[j], e).real - sum(low[j, k] * y[k] for k in range(j))) / low[j, j])
+        for j in reversed(range(n)):
+            x[j] = (y[j] - sum(low[k, j] * x[k] for k in range(j + 1, n))) / low[j, j]
+        resid = e - sum(x[k] * v[k] for k in range(n))
+        sin_angle = np.sqrt(_dot(resid, resid).real) / norms
         min_angle = np.minimum(min_angle, np.arcsin(np.clip(sin_angle, 0.0, 1.0)).min())
     return float(min_angle)
 

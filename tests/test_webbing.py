@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lagweb.bvpsolve import solve_bvp_maslov0
-from lagweb.errors import DegenerateMetric, OriginNode, SignError
-from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory
+from lagweb.errors import DegenerateFrame, DegenerateMetric, OriginNode, SignError
+from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory, time_reversed
 from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
 from lagweb import webbing
@@ -166,7 +166,6 @@ class TestVerifySlag:
         )
         assert verify_slag(tampered).max_re_omega > 1e-3
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_nan_in_a_later_chunk_reaches_the_report(self, solved):
         report = verify_slag(nan_tangent_mesh(solved[2].trajectory))
         assert math.isnan(report.max_omega)
@@ -178,6 +177,26 @@ class TestVerifySlag:
         assert report.max_omega < 1e-8
         assert report.max_re_omega < 1e-7
         assert report.min_im_omega > 0.0
+
+    def test_orientation_of_the_readme_pair(self, solved):
+        # the Laplace expansion's cofactor sign decides this; no other test
+        # reads it
+        traj = solved[2].trajectory
+        assert verify_slag(cylinder_mesh(traj, -1.0, 24)).orientation == -1
+        assert verify_slag(cylinder_mesh(time_reversed(traj), -1.0, 24)).orientation == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tiny_tangents_keep_orientation(self, n, solved):
+        traj = solved[2].trajectory if n == 2 else random_traj(3, 20, 33)
+        mesh = cylinder_mesh(traj, -1.0, 16)
+        tiny = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart, sphere=mesh.sphere,
+                            points=mesh.points, sphere_tangents=mesh.sphere_tangents * 1e-100,
+                            time_tangents=mesh.time_tangents * 1e-100,
+                            boundary_defect=mesh.boundary_defect)
+        assert verify_slag(tiny).orientation == verify_slag(mesh).orientation
+        assert euler_transversality(tiny) == pytest.approx(euler_transversality(mesh),
+                                                           rel=1e-12)
 
 
 def nan_tangent_mesh(traj):
@@ -227,6 +246,119 @@ class TestEulerTransversality:
                               boundary_defect=mesh.boundary_defect)
         with pytest.raises(OriginNode):
             euler_transversality(broken)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_known_tilt(self, n, eps):
+        # e leaves the real span of a random, non-orthonormal frame by
+        # exactly arcsin(eps); 1 - b^T G^-1 b / |e|^2 floors near 1.5e-8
+        rng = np.random.default_rng(10 * n)
+        shape = (TIME_CHUNK + 3, 4)
+        v = rng.standard_normal(shape + (n, 2 * n))           # real frames in R^2n
+        q, _ = np.linalg.qr(np.concatenate([np.swapaxes(v, -1, -2),
+                                            rng.standard_normal(shape + (2 * n, 1))], axis=-1))
+        inside = q[..., :n] @ rng.standard_normal(shape + (n, 1))
+        inside /= np.linalg.norm(inside, axis=-2, keepdims=True)
+        e = math.sqrt(1.0 - eps**2) * inside[..., 0] + eps * q[..., n]
+        mesh = frame_mesh(e[..., :n] + 1j * e[..., n:], v[..., :n] + 1j * v[..., n:])
+        assert euler_transversality(mesh) == pytest.approx(math.asin(eps), rel=1e-6)
+
+    def test_rank_deficient_frame_rejected(self):
+        rng = np.random.default_rng(4)
+        points, tangents = random_frames(3, (TIME_CHUNK + 3, 4), rng)
+        tangents[TIME_CHUNK + 1, 2, 2] = 0.0  # a zero time tangent
+        with pytest.raises(DegenerateFrame):
+            euler_transversality(frame_mesh(points, tangents))
+
+
+def frame_mesh(points, tangents):
+    """CylinderMesh holding given nodes (T, P, n) and frames (T, P, n, n),
+    sphere tangents then time tangent; the checks read only these arrays."""
+    return CylinderMesh(trajectory=None, chart=None, sphere=None, points=points,
+                        sphere_tangents=tangents[:, :, :-1], time_tangents=tangents[:, :, -1],
+                        boundary_defect=0.0)
+
+
+def random_frames(n, shape, rng):
+    def gauss(*dims):
+        return rng.standard_normal(shape + dims) + 1j * rng.standard_normal(shape + dims)
+    return gauss(n), gauss(n, n)
+
+
+def reference_frame_chunks(mesh):
+    for start in range(0, mesh.points.shape[0], TIME_CHUNK):
+        sl = slice(start, start + TIME_CHUNK)
+        tangents = [mesh.sphere_tangents[sl], mesh.time_tangents[sl, :, np.newaxis]]
+        yield sl, np.concatenate(tangents, axis=2)
+
+
+def reference_verify_slag(mesh):
+    """verify_slag with one LAPACK det per node frame: the reference values."""
+    max_omega = 0.0
+    max_re = 0.0
+    im_values_min = math.inf
+    im_values_max = -math.inf
+    min_rank_ratio = math.inf
+    for _, v in reference_frame_chunks(mesh):
+        pair = np.einsum("tpai,tpbi->tpab", v.conj(), v).imag
+        max_omega = np.maximum(max_omega, np.max(np.abs(pair)))
+        det = np.linalg.det(v)
+        max_re = np.maximum(max_re, np.max(np.abs(det.real)))
+        im_values_min = np.minimum(im_values_min, det.imag.min())
+        im_values_max = np.maximum(im_values_max, det.imag.max())
+        hadamard = np.sqrt(np.einsum("tpki,tpki->tpk", v.conj(), v).real).prod(axis=2)
+        min_rank_ratio = np.minimum(min_rank_ratio, np.min(np.abs(det) / hadamard))
+    if min_rank_ratio < 1e-12:
+        raise DegenerateFrame(f"|Omega| / Hadamard bound = {min_rank_ratio:.3e}")
+    orientation = 1 if im_values_max + im_values_min > 0.0 else -1
+    min_im = im_values_min if orientation == 1 else -im_values_max
+    return webbing.SlagReport(max_omega=float(max_omega), max_re_omega=float(max_re),
+                              min_im_omega=float(min_im), orientation=orientation)
+
+
+def reference_euler_transversality(mesh):
+    """euler_transversality with one QR per node frame: the reference angle."""
+    min_angle = math.inf
+    for sl, v in reference_frame_chunks(mesh):
+        real_frames = np.concatenate([v.real, v.imag], axis=3)  # (.., n, 2n)
+        q, _ = np.linalg.qr(np.swapaxes(real_frames, 2, 3))     # (.., 2n, n)
+        pos = mesh.points[sl]
+        e = np.concatenate([pos.real, pos.imag], axis=2)        # (.., 2n)
+        norms = np.linalg.norm(e, axis=2)
+        if norms.min() < 1e-12:
+            raise OriginNode("mesh node at the origin")
+        coeff = np.einsum("tpkj,tpk->tpj", q, e)
+        resid = e - np.einsum("tpkj,tpj->tpk", q, coeff)
+        sin_angle = np.linalg.norm(resid, axis=2) / norms
+        min_angle = np.minimum(min_angle, np.arcsin(np.clip(sin_angle, 0.0, 1.0)).min())
+    return float(min_angle)
+
+
+class TestAgainstPerFrameReference:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_frames(self, n, seed):
+        # arbitrary complex frames across a chunk boundary: the vector
+        # algebra must agree with LAPACK, orientation sign included
+        rng = np.random.default_rng(100 * n + seed)
+        mesh = frame_mesh(*random_frames(n, (TIME_CHUNK + 5, 7), rng))
+        report, reference = verify_slag(mesh), reference_verify_slag(mesh)
+        assert report.orientation == reference.orientation
+        for field in ("max_omega", "max_re_omega", "min_im_omega"):
+            assert getattr(report, field) == pytest.approx(getattr(reference, field),
+                                                           rel=1e-12, abs=1e-13)
+        assert euler_transversality(mesh) == pytest.approx(
+            reference_euler_transversality(mesh), rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("n,steps,res", [(2, 100, 16), (3, 20, 8), (4, 20, 64), (5, 20, 64)])
+    def test_solved_meshes(self, n, steps, res):
+        mesh = cylinder_mesh(random_traj(n, steps, 30 + n), -0.7, res)
+        report, reference = verify_slag(mesh), reference_verify_slag(mesh)
+        assert report.orientation == reference.orientation
+        assert report.min_im_omega == pytest.approx(reference.min_im_omega, rel=1e-12)
+        assert report.max_omega < 1e-13 and report.max_re_omega < 1e-13
+        assert euler_transversality(mesh) == pytest.approx(
+            reference_euler_transversality(mesh), rel=1e-12)
 
 
 class TestWebbingFamily:
