@@ -9,12 +9,12 @@ webbing       build level-set cylinder meshes from a solution and verify them
 verify        re-check an emitted mesh CSV and trajectory CSV against the solution
 
 webbing and verify rebuild the trajectory from the solution JSON alone, as the
-solver made it; verify requires each trajectory CSV column to equal it bitwise.
+solver made it.  verify rebuilds each mesh from the level and sphere resolution
+that webbing recorded for it, and requires each trajectory CSV column and each
+stored mesh node to equal its rebuild bitwise.
 
-All outputs are deterministic: JSON keys are sorted, floats carry 17
-significant digits, and the only randomness (quasi-random sphere sampling
-for n >= 4) is seeded by LAGWEB_SEED (default 0), which is recorded in every
-report.
+All outputs are deterministic: JSON keys are sorted and floats carry 17
+significant digits.
 
 Exit codes: 0 ok, 2 validation error, 3 solver non-convergence,
 4 verification threshold failure.
@@ -105,7 +105,6 @@ def run_pair_analyze(args) -> int:
         "integrality_defect": defect,
         "membership_defect": spectrum.membership_defect,
         "transverse": spectrum.transverse,
-        "seed": args.seed,
     }
     print(f"wrote {write_json(os.path.join(args.out, 'pair.json'), payload)}")
     return EXIT_OK
@@ -133,14 +132,12 @@ def run_geodesic(args) -> int:
         "beta": spectrum.beta,
         "residual": sol.residual_norm,
         "jacobian_condition": sol.jacobian_condition,
-        "trajectory_csv": "trajectory.csv",
         "n": base.n,
         "maslov": maslov,
         "phase0": spectrum.phase0,
         "phase1": spectrum.phase1,
         "steps": args.steps,
         "tolerance": args.tol,
-        "seed": args.seed,
         "reversed": reversed_roles,
         "frame0": laggrass.frame_to_json_dict(base),
         "adapted_basis": traj.spec.adapted_basis,
@@ -213,7 +210,7 @@ def run_webbing(args) -> int:
     meshes = []
     failures = []
     for k, level in enumerate(args.levels):
-        mesh = webbing.cylinder_mesh(traj, level, args.sphere_res, args.seed)
+        mesh = webbing.cylinder_mesh(traj, level, args.sphere_res)
         name = f"mesh_{k}.csv"
         webbing.write_mesh_csv(mesh, os.path.join(args.out, name))
         report = _mesh_report(mesh)
@@ -224,7 +221,6 @@ def run_webbing(args) -> int:
     payload = {
         "levels": args.levels,
         "sphere_resolution": args.sphere_res,
-        "seed": args.seed,
         "thresholds": args.thresholds,
         "meshes": meshes,
         "passed": not failures,
@@ -234,11 +230,31 @@ def run_webbing(args) -> int:
                          f" ({len(meshes)} meshes)")
 
 
+def _recorded_grid(report_path: str, name: str):
+    """(level, sphere resolution) that a webbing report records for the mesh
+    CSV called name."""
+    with open(report_path, "r", encoding="utf-8") as fh:
+        report = json.load(fh)
+    try:
+        entry = next((m for m in report["meshes"] if m["csv"] == name), None)
+        if entry is None:
+            raise ValueError(f"{report_path} holds no entry for {name}")
+        level, resolution = entry["level"], report["sphere_resolution"]
+        # exact JSON types, as for the solution: a bool is an int to Python
+        if not (type(level) in (int, float) and math.isfinite(level)
+                and (resolution is None or type(resolution) is int)):
+            raise ValueError("malformed webbing report: need a finite number level and an "
+                             "integer or null sphere_resolution")
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed webbing report: {type(exc).__name__} {exc}") from exc
+    return float(level), resolution
+
+
 def run_verify(args) -> int:
-    solution_path = args.solution or os.path.join(
-        os.path.dirname(args.mesh) or ".", "solution.json"
-    )
-    traj = _load_trajectory(solution_path)
+    mesh_dir = os.path.dirname(args.mesh) or "."
+    level, resolution = _recorded_grid(os.path.join(mesh_dir, "webbing_report.json"),
+                                       os.path.basename(args.mesh))
+    traj = _load_trajectory(args.solution or os.path.join(mesh_dir, "solution.json"))
     stored = geoflow.read_trajectory_csv(args.trajectory)
     for name, column, rebuilt in zip(("t", "g_j", "theta_j", "phase"), stored,
                                      (traj.times, traj.g, traj.theta, traj.phases)):
@@ -249,20 +265,16 @@ def run_verify(args) -> int:
     if not np.array_equal(times, traj.times):
         raise ValueError("mesh CSV time grid does not match the trajectory")
 
-    # rebuild the immersion with analytic tangents on the stored grid
-    level = webbing.slice_level(traj, points[0])
-    resolution = webbing.grid_resolution(traj.spec.n, params)
-    mesh = webbing.cylinder_mesh(traj, level, resolution, args.seed)
+    # rebuild the immersion with analytic tangents as webbing built it
+    mesh = webbing.cylinder_mesh(traj, level, resolution)
     if not np.array_equal(params, mesh.sphere.params):
         raise ValueError("mesh CSV sphere parameters (s_ columns) differ from the rebuilt grid")
-    rebuild_defect = float(np.max(np.abs(mesh.points - points)))
+    if not np.array_equal(points, mesh.points):
+        raise ValueError("stored mesh nodes differ from the rebuild")
     del points  # the checks read the rebuild only
-    if not rebuild_defect <= 1e-9:
-        raise ValueError(f"stored mesh nodes deviate from the rebuild by {rebuild_defect:.3e}")
     report = _mesh_report(mesh)
-    report["rebuild_defect"] = rebuild_defect
+    report["rebuild_defect"] = 0.0  # the nodes equal the rebuild bitwise
     report["mesh_csv"] = os.path.basename(args.mesh)
-    report["seed"] = args.seed
     failures = _check_thresholds(report, args.thresholds)
     report["passed"] = not failures
     report["failures"] = failures
@@ -318,9 +330,8 @@ def _add_threshold_args(sub) -> None:
 
 
 def config_from_args(args) -> argparse.Namespace:
-    """Check the parsed arguments and complete them in place: the seed from
-    LAGWEB_SEED, the levels as sorted floats and the threshold dict."""
-    args.seed = int(os.environ.get("LAGWEB_SEED", "0"))
+    """Check the parsed arguments and complete them in place: the levels as
+    sorted floats and the threshold dict."""
     if hasattr(args, "tol"):
         if args.tol <= 0:
             raise ValueError("tolerance must be positive")

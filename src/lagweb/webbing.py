@@ -86,14 +86,15 @@ class SphereGrid:
     tangents: np.ndarray  # (P, n-1, n) orthonormal tangent directions
 
 
-def sphere_grid(n: int, resolution=None, seed: int = 0) -> SphereGrid:
+def sphere_grid(n: int, resolution=None) -> SphereGrid:
     """Build the sampling grid used for cylinders in dimension n >= 2.
 
     n == 2 uses ``resolution`` uniform angles (default 128); n == 3 a
     latitude-longitude grid resolution x resolution/2 with latitudes offset
     from the poles (default 64 x 32); n >= 4 falls back to ``resolution``
     quasi-random unit vectors (default 4096) with Householder-completed
-    tangent bases.
+    tangent bases.  The quasi-random points come from a Halton sequence with
+    the fixed seed 0, so every grid is a function of (n, resolution) alone.
     """
     if n < 2:
         raise ValueError("cylinders need n >= 2 (S^0 cross sections are not supported)")
@@ -124,7 +125,7 @@ def sphere_grid(n: int, resolution=None, seed: int = 0) -> SphereGrid:
     from scipy.stats import qmc
 
     m = 4096 if resolution is None else int(resolution)
-    sampler = qmc.Halton(d=n, seed=seed)
+    sampler = qmc.Halton(d=n, seed=0)
     gauss = ndtri(np.clip(sampler.random(m), 1e-12, 1.0 - 1e-12))
     points = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     # reflection sending p to -sign(p_0) e_0; its remaining columns span p-perp
@@ -141,32 +142,6 @@ def sphere_grid(n: int, resolution=None, seed: int = 0) -> SphereGrid:
     # is positively oriented and the calibration form keeps a single sign
     tangents[:, 0, :] *= sign[:, np.newaxis]
     return SphereGrid("quasirandom", points, points, tangents)
-
-
-def grid_resolution(n: int, params: np.ndarray) -> int:
-    """The ``sphere_grid`` resolution whose chart coordinates are ``params``."""
-    if n == 3:
-        return int(round(math.sqrt(2 * params.shape[0])))  # latlong grid m x m/2
-    return params.shape[0]
-
-
-def slice_level(traj: GeodesicTrajectory, slice_points: np.ndarray) -> float:
-    """The level c of mesh nodes stored for the trajectory's first sample.
-
-    The nodes are paired with the frame rotated and stretched to that sample
-    (a time-reversed trajectory's first sample is not the unit state); the
-    Hamiltonian sum a_j kappa_j^2 recovers the level.
-    """
-    rotated = traj.spec.frame_directions() * np.exp(1j * traj.theta[0])[np.newaxis, :]
-    prods = slice_points @ rotated.conj()
-    if np.max(np.abs(prods.imag)) > 1e-8:
-        raise ValueError("first slice of the stored mesh is not in its trajectory plane")
-    kappa = prods.real / np.sqrt(traj.g[0])[np.newaxis, :]
-    values = (kappa**2) @ traj.spec.coefficients
-    level = float(values.mean())
-    if float(values.max() - values.min()) > 1e-8 * abs(level):
-        raise ValueError("stored mesh nodes do not sit on a single level set")
-    return level
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +177,7 @@ class FluxReport:
 
 
 def cylinder_mesh(traj: GeodesicTrajectory, level: float,
-                  sphere_resolution=None, seed: int = 0) -> CylinderMesh:
+                  sphere_resolution=None) -> CylinderMesh:
     """Mesh the level-set cylinder of a trajectory with negative coefficients.
 
     The time grid is the trajectory grid; boundary containment in the two
@@ -210,7 +185,7 @@ def cylinder_mesh(traj: GeodesicTrajectory, level: float,
     flow equations at each sample, not from differences of the nodes.
     """
     chart = level_set_chart(traj.spec.coefficients, level)
-    grid = sphere_grid(traj.spec.n, sphere_resolution, seed)
+    grid = sphere_grid(traj.spec.n, sphere_resolution)
     directions = traj.spec.frame_directions()
     w, dw = traj.flow_factors()
 

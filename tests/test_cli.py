@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -115,7 +116,7 @@ class TestGeodesic:
         sol = json.loads((solved_dir / "solution.json").read_text())
         assert sol["maslov"] == 0
         assert sol["residual"] < 1e-10
-        assert sol["trajectory_csv"] == "trajectory.csv"
+        assert "trajectory_csv" not in sol and "seed" not in sol
         lines = (solved_dir / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,g_1,g_2,theta_1,theta_2,phase"
         assert len(lines) == 502
@@ -446,7 +447,7 @@ class TestVerify:
         redone = json.loads((out / "verify_report.json").read_text())
         for key in ("max_omega", "max_re_omega", "min_im_omega", "min_euler_angle",
                     "harmonic_residual", "boundary_defect"):
-            assert abs(redone[key] - embedded[key]) < 1e-12
+            assert redone[key] == embedded[key]
         assert redone["rebuild_defect"] == 0.0
 
     def test_reversed_solution_round_trip(self, tmp_path, pair_files):
@@ -505,6 +506,110 @@ class TestVerify:
                    "--solution", str(solved_dir / "solution.json"),
                    "--out", str(tmp_path / "ver2"))
         assert code == 2
+
+    def test_one_ulp_node_edit_rejected(self, tmp_path, readme_mesh, capsys):
+        # a stored node must equal the rebuild bitwise; a 1e-9 tolerance let
+        # this edit through
+        run_dir, mesh_path = readme_mesh
+        lines = mesh_path.read_text().splitlines()
+        cells = lines[40].split(",")
+        cells[3] = f"{np.nextafter(float(cells[3]), np.inf):.17g}"
+        lines[40] = ",".join(cells)
+        mesh_path.write_text("\n".join(lines) + "\n")
+        code = cli("verify", "--mesh", str(mesh_path),
+                   "--trajectory", str(run_dir / "trajectory.csv"),
+                   "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
+        assert code == 2
+        assert "stored mesh nodes differ from the rebuild" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
+
+def _pipeline(tmp_path, l0, l1, steps, *web_flags):
+    """geodesic and webbing on a pair; returns (run dir, web dir)."""
+    write_json(tmp_path / "l0.json", frame_to_json_dict(l0))
+    write_json(tmp_path / "l1.json", frame_to_json_dict(l1))
+    run_dir, web = tmp_path / "run", tmp_path / "web"
+    assert cli("geodesic", "--lambda0", str(tmp_path / "l0.json"), "--lambda1",
+               str(tmp_path / "l1.json"), "--steps", str(steps), "--out", str(run_dir)) == 0
+    assert cli("webbing", "--solution", str(run_dir / "solution.json"), *web_flags,
+               "--out", str(web)) == 0
+    return run_dir, web
+
+
+def _verify(run_dir, mesh, out):
+    return cli("verify", "--mesh", str(mesh), "--trajectory", str(run_dir / "trajectory.csv"),
+               "--solution", str(run_dir / "solution.json"), "--out", str(out))
+
+
+class TestRecordedGrid:
+    """verify rebuilds each mesh at the level and sphere resolution that
+    webbing recorded in the webbing_report.json next to it."""
+
+    @pytest.mark.parametrize("n, seed, level", [(2, 0, "-1"), (3, 0, "-3.7")])
+    def test_report_equals_webbing_entry(self, tmp_path, n, seed, level):
+        # a level fitted to the stored nodes read -1.0000000000000004 and
+        # -3.7000000000000015 here, and moved every report value
+        l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(seed), n)
+        run_dir, web = _pipeline(tmp_path, l0, l1, 300, f"--levels={level}", "--sphere-res", "16")
+        assert _verify(run_dir, web / "mesh_0.csv", tmp_path / "ver") == 0
+        entry = json.loads((web / "webbing_report.json").read_text())["meshes"][0]
+        redone = json.loads((tmp_path / "ver" / "verify_report.json").read_text())
+        for key in ("level", "max_omega", "max_re_omega", "min_im_omega", "orientation",
+                    "min_euler_angle", "boundary_defect", "harmonic_residual"):
+            assert redone[key] == entry[key], key
+        assert redone["rebuild_defect"] == 0.0
+
+    def test_no_seed_from_the_environment(self, tmp_path, monkeypatch):
+        # the n >= 4 sphere grid once followed LAGWEB_SEED, so a mesh written
+        # under one value failed verify under another
+        l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(2), 4)
+        monkeypatch.setenv("LAGWEB_SEED", "1")
+        run_dir, web = _pipeline(tmp_path, l0, l1, 60, "--levels=-1", "--sphere-res", "32")
+        monkeypatch.delenv("LAGWEB_SEED")
+        assert _verify(run_dir, web / "mesh_0.csv", tmp_path / "ver") == 0
+
+    @pytest.fixture(scope="class")
+    def readme_web(self, tmp_path_factory):
+        """README pair at 100 steps, meshed at level -1 on 16 nodes."""
+        base = tmp_path_factory.mktemp("recorded")
+        l0 = make_frame(FlatCalabiYau(2), np.eye(2, dtype=complex))
+        l1 = make_frame(FlatCalabiYau(2), np.diag(np.exp(1j * np.array([math.pi / 6,
+                                                                         math.pi / 4]))))
+        return _pipeline(base, l0, l1, 100, "--levels=-1", "--sphere-res", "16")
+
+    def _rejected(self, tmp_path, readme_web, capsys, report_text, message):
+        run_dir, web = readme_web
+        copy = tmp_path / "web"
+        copy.mkdir()
+        (copy / "mesh_0.csv").write_bytes((web / "mesh_0.csv").read_bytes())
+        if report_text is not None:
+            (copy / "webbing_report.json").write_text(report_text)
+        capsys.readouterr()
+        assert exit_code("verify", "--mesh", str(copy / "mesh_0.csv"), "--trajectory",
+                         str(run_dir / "trajectory.csv"), "--solution",
+                         str(run_dir / "solution.json"), "--out", str(tmp_path / "v")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    def test_missing_report(self, tmp_path, readme_web, capsys):
+        self._rejected(tmp_path, readme_web, capsys, None, "webbing_report.json")
+
+    def test_no_entry_for_the_mesh(self, tmp_path, readme_web, capsys):
+        doc = json.loads((readme_web[1] / "webbing_report.json").read_text())
+        doc["meshes"][0]["csv"] = "mesh_1.csv"
+        self._rejected(tmp_path, readme_web, capsys, json.dumps(doc), "no entry for mesh_0.csv")
+
+    @pytest.mark.parametrize("key, value", [
+        ("level", '"-1"'), ("level", "true"), ("level", "NaN"), ("level", "1e400"),
+        ("sphere_resolution", '"16"'), ("sphere_resolution", "true"),
+        ("sphere_resolution", "16.5"),
+    ])
+    def test_malformed_field(self, tmp_path, readme_web, capsys, key, value):
+        doc = json.loads((readme_web[1] / "webbing_report.json").read_text())
+        (doc["meshes"][0] if key == "level" else doc)[key] = "@"
+        self._rejected(tmp_path, readme_web, capsys, json.dumps(doc).replace('"@"', value),
+                       "malformed webbing report")
 
 
 class TestDeterministicJson:
@@ -693,15 +798,39 @@ def _argv(draw, base, work):
         argv.append("--levels=" + ",".join(repr(c) for c in levels))
         res = draw(_SPHERE_RES)
         return argv + ([] if res is None else ["--sphere-res", str(res)])
-    return argv + ["--mesh", str(base / "web" / "mesh_0.csv"),
+    return argv + ["--mesh", os.path.join(_web_dir(draw, base, work), "mesh_0.csv"),
                    "--trajectory", str(base / "run" / "trajectory.csv")]
+
+
+def _web_dir(draw, base, work):
+    """The web directory, or a copy whose webbing_report.json has one key of
+    the report or of its mesh entry dropped (None) or replaced."""
+    web = base / "web"
+    doc = json.loads((web / "webbing_report.json").read_text())
+    targets = [(doc, key) for key in sorted(doc)]
+    targets += [(doc["meshes"][0], key) for key in sorted(doc["meshes"][0])]
+    edit = draw(st.none() | st.tuples(st.sampled_from(targets), st.none() | _JSON_DOC))
+    if edit is None:
+        return str(web)
+    (target, key), value = edit
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    copy = os.path.join(work, "web")
+    os.mkdir(copy)
+    shutil.copy(web / "mesh_0.csv", copy)
+    with open(os.path.join(copy, "webbing_report.json"), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return copy
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_exit_code_contract(contract_run, data):
-    # every stage, on malformed frames and solutions, non-finite and huge
-    # numbers and out-of-range counts, ends in one of the four exit codes
+    # every stage, on malformed frames, solutions and webbing reports,
+    # non-finite and huge numbers and out-of-range counts, ends in one of
+    # the four exit codes
     with tempfile.TemporaryDirectory() as work:
         argv = _argv(data.draw, contract_run, work)
         assert exit_code(*argv, "--out", os.path.join(work, "out")) in (0, 2, 3, 4), argv

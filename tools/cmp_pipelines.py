@@ -72,8 +72,7 @@ def extract_src(rev: str, dest: Path) -> None:
 def run_tree(src: Path, work: Path) -> dict:
     """Run every pipeline with the lagweb package under src; returns
     {command label: (exit code, stdout, stderr)}.  Outputs go under work."""
-    env = dict(os.environ, PYTHONPATH=str(src), LAGWEB_SEED="0",
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     results = {}
 
     def call(label, cwd, argv):
