@@ -10,8 +10,9 @@ verify        re-check an emitted mesh CSV and trajectory CSV against the soluti
 
 webbing and verify rebuild the trajectory from the solution JSON alone, as the
 solver made it.  verify rebuilds each mesh from the level and sphere resolution
-that webbing recorded for it, and requires each trajectory CSV column and each
-stored mesh node to equal its rebuild bitwise.
+that webbing recorded for it.  Each stored CSV must then hold exactly the header
+and rows that its writer makes from the rebuild, bit for bit; the mesh CSV is
+read one time chunk at a time.
 
 All outputs are deterministic: JSON keys are sorted and floats carry 17
 significant digits.
@@ -255,23 +256,10 @@ def run_verify(args) -> int:
     level, resolution = _recorded_grid(os.path.join(mesh_dir, "webbing_report.json"),
                                        os.path.basename(args.mesh))
     traj = _load_trajectory(args.solution or os.path.join(mesh_dir, "solution.json"))
-    stored = geoflow.read_trajectory_csv(args.trajectory)
-    for name, column, rebuilt in zip(("t", "g_j", "theta_j", "phase"), stored,
-                                     (traj.times, traj.g, traj.theta, traj.phases)):
-        if not np.array_equal(column, rebuilt):
-            raise ValueError("trajectory CSV samples disagree with the solution's trajectory "
-                             f"(column {name})")
-    params, times, points = webbing.read_mesh_csv(args.mesh)
-    if not np.array_equal(times, traj.times):
-        raise ValueError("mesh CSV time grid does not match the trajectory")
-
+    geoflow.read_trajectory_csv(args.trajectory, traj)
     # rebuild the immersion with analytic tangents as webbing built it
     mesh = webbing.cylinder_mesh(traj, level, resolution)
-    if not np.array_equal(params, mesh.sphere.params):
-        raise ValueError("mesh CSV sphere parameters (s_ columns) differ from the rebuilt grid")
-    if not np.array_equal(points, mesh.points):
-        raise ValueError("stored mesh nodes differ from the rebuild")
-    del points  # the checks read the rebuild only
+    webbing.read_mesh_csv(args.mesh, mesh)
     report = _mesh_report(mesh)
     report["rebuild_defect"] = 0.0  # the nodes equal the rebuild bitwise
     report["mesh_csv"] = os.path.basename(args.mesh)

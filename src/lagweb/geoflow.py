@@ -30,6 +30,7 @@ and exists to cross-check it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -248,25 +249,45 @@ def two_route_deviation(spec: GeodesicSpec, config: IntegratorConfig = Integrato
 
 # --- trajectory CSV (t, g_1..g_n, theta_1..theta_n, phase) ---
 
+def _trajectory_table(traj: GeodesicTrajectory):
+    """The trajectory CSV's header and (m+1, 2n+2) rows."""
+    names = [f"{name}_{j + 1}" for name in ("g", "theta") for j in range(traj.spec.n)]
+    return ["t", *names, "phase"], np.column_stack([traj.times, traj.g, traj.theta, traj.phases])
+
+
 def write_trajectory_csv(traj: GeodesicTrajectory, path) -> None:
     """One row per sample, 17 significant digits."""
-    n = traj.spec.n
-    header = (["t"] + [f"g_{j + 1}" for j in range(n)]
-              + [f"theta_{j + 1}" for j in range(n)] + ["phase"])
-    row = ",".join(["%.17g"] * (2 * n + 2)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for values in np.column_stack([traj.times, traj.g, traj.theta, traj.phases]).tolist():
-            fh.write(row % tuple(values))
+    header, table = _trajectory_table(traj)
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
-def read_trajectory_csv(path):
-    """(times, g, theta, phase) arrays from a trajectory CSV; ValueError on a non-finite sample."""
+def _check_csv_rows(fh, header, blocks, what: str) -> None:
+    """Require the open CSV fh to hold exactly header, then each float block's
+    rows, then end of file.  A block is parsed by one np.loadtxt call and
+    compared bit for bit, so -0 is not 0.  A ValueError starts with what and
+    names the file, the first differing column and data row (from 1)."""
+    if fh.readline() != ",".join(header) + "\n":
+        raise ValueError(f"{what}: {fh.name} header is not {','.join(header)}")
+    done = 0
+    for block in blocks:
+        lines = list(itertools.islice(fh, len(block)))
+        data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, 0))
+        if data.shape != block.shape:
+            raise ValueError(f"{what}: {fh.name} data rows {done + 1}-{done + len(block)} are "
+                             f"not {len(block)} rows of {block.shape[1]} values")
+        row, col = np.nonzero(data.view(np.uint64) != block.view(np.uint64))
+        if row.size:
+            raise ValueError(f"{what}: {fh.name} column {header[col[0]]} differs in data row "
+                             f"{done + row[0] + 1}")
+        done += len(block)
+    if fh.readline():
+        raise ValueError(f"{what}: {fh.name} has more than {done} data rows")
+
+
+def read_trajectory_csv(path, traj: GeodesicTrajectory) -> None:
+    """Require the trajectory CSV at path to hold exactly write_trajectory_csv's
+    header and rows of traj, bit for bit; ValueError if not."""
+    header, table = _trajectory_table(traj)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if not np.all(np.isfinite(data)):
-        row = int(np.argmin(np.all(np.isfinite(data), axis=1)))
-        raise ValueError(f"trajectory CSV {path} has a non-finite sample in data row {row + 1}")
-    n = (len(header) - 2) // 2
-    return data[:, 0], data[:, 1:1 + n], data[:, 1 + n:1 + 2 * n], data[:, -1]
+        _check_csv_rows(fh, header, [table],
+                        "trajectory CSV samples disagree with the solution's trajectory")

@@ -127,6 +127,9 @@ def make_frame(ambient: FlatCalabiYau, raw) -> LagrangianFrame:
     if not np.all(np.isfinite(raw)):
         raise ValueError("frame has a non-finite entry")
     norms = np.sqrt(np.einsum("ij,ij->j", raw.conj(), raw).real)
+    if not np.all(np.isfinite(norms)):
+        j = int(np.argmin(np.isfinite(norms)))
+        raise ValueError(f"frame column {j + 1} has a norm too large for a float")
     if np.any(norms < 1e-12):
         raise ValueError("columns are real-linearly dependent")
     unit = raw / norms
@@ -192,12 +195,9 @@ def pair_decomposition(l0: LagrangianFrame, l1: LagrangianFrame) -> PairSpectrum
     if np.linalg.det(o) < 0.0:
         o[:, -1] = -o[:, -1]
 
-    sorted_blocks = []
-    start = 0
-    for j in range(1, n + 1):
-        if j == n or beta[j] != beta[start]:
-            sorted_blocks.append(tuple(range(start, j)))
-            start = j
+    # beta is sorted and constant inside a block: blocks end where it steps
+    ends = [0, *(np.flatnonzero(np.diff(beta)) + 1).tolist(), n]
+    sorted_blocks = [tuple(range(start, end)) for start, end in zip(ends, ends[1:])]
 
     rotated = l0.columns @ o * np.exp(1j * beta)[np.newaxis, :]
     defect = float(np.max(np.abs((l1.columns.conj().T @ rotated).imag)))

@@ -53,11 +53,8 @@ def jacobi_eigh(a: np.ndarray):
     v = np.eye(n)
     if n == 1:
         return a.diagonal().copy(), v
-    converged = False
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.max(np.abs(a - np.diag(a.diagonal())))
-        if off < JACOBI_TOL:
-            converged = True
+        if np.max(np.abs(a - np.diag(a.diagonal()))) < JACOBI_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -73,7 +70,7 @@ def jacobi_eigh(a: np.ndarray):
                 a[[p, q], :] = jt @ a[[p, q], :]
                 a[:, [p, q]] = a[:, [p, q]] @ jt.T
                 v[:, [p, q]] = v[:, [p, q]] @ jt.T
-    if not converged and np.max(np.abs(a - np.diag(a.diagonal()))) >= JACOBI_TOL:
+    if np.max(np.abs(a - np.diag(a.diagonal()))) >= JACOBI_TOL:
         raise NoConvergence("Jacobi sweeps did not reach tolerance")
     # clean up rounding asymmetry accumulated by the two-sided updates
     a = 0.5 * (a + a.T)

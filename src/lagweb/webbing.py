@@ -49,7 +49,7 @@ from .errors import (
     OriginNode,
     SignError,
 )
-from .geoflow import GeodesicTrajectory
+from .geoflow import GeodesicTrajectory, _check_csv_rows
 
 BOUNDARY_TOL = 1e-8
 FLUX_SPREAD_TOL = 1e-4
@@ -393,46 +393,38 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
 
 # --- mesh CSV (sphere_param_coords..., t, re/im of each coordinate) ---
 
+def _mesh_header(mesh: CylinderMesh):
+    return ([f"s_{i + 1}" for i in range(mesh.sphere.params.shape[1])] + ["t"]
+            + [f"{part}_z{j + 1}" for j in range(mesh.n) for part in ("re", "im")])
+
+
 def write_mesh_csv(mesh: CylinderMesh, path) -> None:
     """One row per node, time-major, 17 significant digits.
 
     Each node's parameter prefix is formatted once; each time slice is then
     a single ``%`` call over its re/im columns, written as it is formatted.
     """
-    n = mesh.n
-    k = mesh.sphere.params.shape[1]
-    header = [f"s_{i + 1}" for i in range(k)] + ["t"]
-    for j in range(n):
-        header += [f"re_z{j + 1}", f"im_z{j + 1}"]
     heads = ["".join(f"{v:.17g}," for v in row) for row in mesh.sphere.params.tolist()]
-    columns = ",%.17g" * (2 * n) + "\n"
+    columns = ",%.17g" * (2 * mesh.n) + "\n"
     # (T, P, n) complex viewed as (T, P * 2n) floats: re_z1, im_z1, re_z2, ...
-    values = np.ascontiguousarray(mesh.points).view(np.float64)
-    values = values.reshape(values.shape[0], -1)
+    values = np.ascontiguousarray(mesh.points).view(np.float64).reshape(len(mesh.points), -1)
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_mesh_header(mesh)) + "\n")
         for t, row in zip(mesh.trajectory.times.tolist(), values):
             tail = f"{t:.17g}{columns}"  # row p of the slice is heads[p] + tail
             fh.write((tail.join(heads) + tail) % tuple(row.tolist()))
 
 
-def read_mesh_csv(path):
-    """Returns (params, times, points) with points shaped (T, P, n), as copies
-    that do not keep the parse alive.  Each time slice must repeat the first
-    slice's parameters, and carry one time."""
+def read_mesh_csv(path, mesh: CylinderMesh) -> None:
+    """Require the mesh CSV at path to hold exactly write_mesh_csv's header and
+    rows of mesh, bit for bit; ValueError if not.  Rows are parsed and
+    compared TIME_CHUNK slices at a time."""
+    params, times = mesh.sphere.params, mesh.trajectory.times
+    chunks = (slice(start, start + TIME_CHUNK) for start in range(0, len(times), TIME_CHUNK))
+    blocks = (np.column_stack([np.tile(params, (len(times[sl]), 1)),
+                               np.repeat(times[sl], len(params)),
+                               np.ascontiguousarray(mesh.points[sl]).view(np.float64)
+                               .reshape(-1, 2 * mesh.n)]) for sl in chunks)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    k = header.index("t")
-    if data.size == 0 or data.shape[1] != len(header):
-        raise ValueError("mesh CSV rows do not match its header")
-    p_count = int(np.argmax(data[:, k] != data[0, k])) or data.shape[0]  # rows at t[0]
-    if data.shape[0] % p_count:
-        raise ValueError("mesh CSV rows do not fill whole time slices")
-    blocks = data.reshape(-1, p_count, data.shape[1])  # (T, P, columns)
-    for col, name in enumerate(header[:k + 1]):
-        if np.any(blocks[:, :, col] != (blocks[:, :1, col] if col == k else blocks[:1, :, col])):
-            raise ValueError(f"mesh CSV column {name} is not constant along its grid axis")
-    points = np.ascontiguousarray(blocks[:, :, k + 1:]).view(np.complex128)
-    return blocks[0, :, :k].copy(), blocks[:, 0, k].copy(), points
+        _check_csv_rows(fh, _mesh_header(mesh), blocks, "mesh CSV rows differ from the rebuild")

@@ -288,7 +288,7 @@ class TestNonFiniteTrajectory:
                    "--solution", str(nan_run / "run" / "solution.json"),
                    "--out", str(nan_run / "ver"))
         assert code == 2
-        assert "non-finite sample" in capsys.readouterr().err
+        assert "column g_1 differs in data row 7" in capsys.readouterr().err
         assert not (nan_run / "ver" / "verify_report.json").exists()
 
 
@@ -358,6 +358,28 @@ class TestTrajectoryFromSolution:
         assert capsys.readouterr().err.startswith("error: trajectory CSV samples disagree")
         assert not (tmp_path / "v" / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("csv, column", [("mesh_0.csv", "im_z1"),
+                                             ("trajectory.csv", "theta_1")])
+    def test_negative_zero_rejected(self, tmp_path, readme_400, capsys, csv, column):
+        # -0 == 0 as floats, so an array comparison let this edit through
+        run_dir, mesh = readme_400
+        web = tmp_path / "web"
+        web.mkdir()
+        for src in (mesh, mesh.parent / "webbing_report.json", run_dir / "trajectory.csv"):
+            (web / src.name).write_bytes(src.read_bytes())
+        path = web / csv
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index(column)
+        assert lines[1].split(",")[col] == "0"
+        _set_cell(lines, [1], col, "-0")
+        path.write_text("\n".join(lines) + "\n")
+        code = cli("verify", "--mesh", str(web / "mesh_0.csv"),
+                   "--trajectory", str(web / "trajectory.csv"),
+                   "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
+        assert code == 2
+        assert f"column {column} differs in data row 1\n" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
     def test_webbing_without_csv(self, tmp_path, readme_400):
         run_dir, mesh = readme_400
         (tmp_path / "solution.json").write_bytes((run_dir / "solution.json").read_bytes())
@@ -424,14 +446,14 @@ class TestVerify:
         assert not (tmp_path / "v" / "verify_report.json").exists()
 
     def test_parameters_must_match_the_rebuilt_grid(self, tmp_path, readme_mesh, capsys):
-        # the same wrong angle in every slice passes the reader's grid checks
+        # the same wrong angle in every slice keeps each slice's grid consistent
         run_dir, mesh_path = readme_mesh
         self.tamper(mesh_path, range(3, 201 * 16, 16), "s_1", "9.5")
         code = cli("verify", "--mesh", str(mesh_path),
                    "--trajectory", str(run_dir / "trajectory.csv"),
                    "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
         assert code == 2
-        assert "sphere parameters (s_ columns)" in capsys.readouterr().err
+        assert "column s_1 differs in data row 4" in capsys.readouterr().err
 
     def test_pipeline_consistency(self, tmp_path, solved_dir):
         web = tmp_path / "web"
@@ -520,7 +542,9 @@ class TestVerify:
                    "--trajectory", str(run_dir / "trajectory.csv"),
                    "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
         assert code == 2
-        assert "stored mesh nodes differ from the rebuild" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: mesh CSV rows differ from the rebuild: ")
+        assert err.endswith(" column im_z1 differs in data row 40\n")
         assert not (tmp_path / "v" / "verify_report.json").exists()
 
 
@@ -694,6 +718,22 @@ class TestNonFiniteAndHugeInput:
         assert exit_code("pair-analyze", "--lambda0", str(frame), "--lambda1", str(frame),
                          "--out", str(tmp_path / "p")) == 2
         assert message in capsys.readouterr().err
+
+    def test_frame_norm_beyond_float(self, tmp_path):
+        # |1e300 + 1e300 i|^2 overflows: Gram-Schmidt divided by inf and the
+        # run ended in "cannot convert float NaN to integer", after two
+        # RuntimeWarnings that -W error turned into a traceback
+        frame = tmp_path / "huge.json"
+        frame.write_text('{"n": 1, "columns": [[{"re": 1e300, "im": 1e300}]]}')
+        one = tmp_path / "one.json"
+        one.write_text('{"n": 1, "columns": [[{"re": 1, "im": 0}]]}')
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lagweb.__file__)))
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lagweb.cli",
+                               "pair-analyze", "--lambda0", str(one), "--lambda1", str(frame),
+                               "--out", str(tmp_path / "p")],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr == "error: frame column 1 has a norm too large for a float\n"
 
 
 # --- property test of the exit-code contract ---

@@ -6,6 +6,7 @@ import pytest
 from lagweb.errors import PhaseBlowup
 from lagweb.geoflow import (
     GeodesicSpec,
+    GeodesicTrajectory,
     frame_ode_oracle,
     geodesic_ivp,
     horizontal_frame,
@@ -195,8 +196,12 @@ class TestTrajectoryCsv:
         traj = geodesic_ivp(spec, IntegratorConfig(64))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
-        ts, g, theta, phi = read_trajectory_csv(path)
-        np.testing.assert_array_equal(ts, traj.times)
-        np.testing.assert_array_equal(g, traj.g)
-        np.testing.assert_array_equal(theta, traj.theta)
-        np.testing.assert_array_equal(phi, traj.phases)
+        read_trajectory_csv(path, traj)  # raises on any difference
+        # one ulp in one sample is a different trajectory
+        g = traj.g.copy()
+        g[10, 1] = np.nextafter(g[10, 1], np.inf)
+        other = GeodesicTrajectory(spec=traj.spec, times=traj.times, g=g, theta=traj.theta)
+        with pytest.raises(ValueError, match="^trajectory CSV samples disagree with the "
+                                             "solution's trajectory: .* column g_2 differs in "
+                                             "data row 11$"):
+            read_trajectory_csv(path, other)

@@ -578,10 +578,7 @@ class TestMeshCsv:
         mesh = cylinder_mesh(thin_trajectory(sol.trajectory, 100), -1.0, 16)
         path = tmp_path / "mesh.csv"
         write_mesh_csv(mesh, path)
-        params, times, points = read_mesh_csv(path)
-        np.testing.assert_array_equal(params, mesh.sphere.params)
-        np.testing.assert_array_equal(times, mesh.trajectory.times)
-        np.testing.assert_array_equal(points, mesh.points)
+        read_mesh_csv(path, mesh)  # raises on any difference
 
     def test_round_trip_keeps_negative_zeros(self, symmetric_traj, tmp_path):
         mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
@@ -595,40 +592,77 @@ class TestMeshCsv:
                            boundary_defect=mesh.boundary_defect)
         path = tmp_path / "mesh.csv"
         write_mesh_csv(odd, path)
-        _, _, stored = read_mesh_csv(path)
-        assert stored.dtype == np.complex128
-        np.testing.assert_array_equal(np.signbit(stored.real), np.signbit(points.real))
-        np.testing.assert_array_equal(np.signbit(stored.imag), np.signbit(points.imag))
-        np.testing.assert_array_equal(stored, points)
+        read_mesh_csv(path, odd)
+        # the same nodes with +0 in place of each -0 (-0 + 0 is +0) compare
+        # equal as floats, but not bitwise; the first -0 is re_z1 of data row 1
+        plus = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart, sphere=mesh.sphere,
+                            points=points + 0.0, sphere_tangents=mesh.sphere_tangents,
+                            time_tangents=mesh.time_tangents,
+                            boundary_defect=mesh.boundary_defect)
+        assert np.array_equal(plus.points, points)
+        with pytest.raises(ValueError, match="column re_z1 differs in data row 1$"):
+            read_mesh_csv(path, plus)
 
-    def test_params_do_not_keep_the_parse_alive(self, symmetric_traj, tmp_path):
-        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+    def test_parses_one_time_chunk_at_a_time(self, symmetric_traj, tmp_path, monkeypatch):
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)  # 41 slices
         path = tmp_path / "mesh.csv"
         write_mesh_csv(mesh, path)
-        params, times, points = read_mesh_csv(path)
-        for array in (params, times):
-            assert array.base is None
-        assert points.base is not None and points.base.base is None
-        assert points.base.nbytes == points.nbytes
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def counted(lines, *args, **kwargs):
+            parsed.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        read_mesh_csv(path, mesh)
+        assert parsed == [TIME_CHUNK * 8, TIME_CHUNK * 8, (41 - 2 * TIME_CHUNK) * 8]
+
+    @staticmethod
+    def edited(mesh, tmp_path, edit):
+        """Write mesh, pass its lines (header first) through edit, rewrite."""
+        path = tmp_path / "mesh.csv"
+        write_mesh_csv(mesh, path)
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+        return path
 
     @pytest.mark.parametrize("row, column, value", [(3, 0, 9.5), (20, 1, 0.01)])
     def test_grid_columns_checked(self, symmetric_traj, tmp_path, row, column, value):
         mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
-        path = tmp_path / "mesh.csv"
-        write_mesh_csv(mesh, path)
-        lines = path.read_text().splitlines()
-        cells = lines[1 + row].split(",")
-        cells[column] = repr(value)
-        lines[1 + row] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
-        name = lines[0].split(",")[column]
-        with pytest.raises(ValueError, match=f"column {name} "):
-            read_mesh_csv(path)
 
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
-    def test_header_only_file_rejected(self, tmp_path):
+        def edit(lines):
+            cells = lines[1 + row].split(",")
+            cells[column] = repr(value)
+            lines[1 + row] = ",".join(cells)
+            return lines
+
+        name = ["s_1", "t"][column]
+        with pytest.raises(ValueError, match=f"column {name} differs in data row {row + 1}$"):
+            read_mesh_csv(self.edited(mesh, tmp_path, edit), mesh)
+
+    @pytest.mark.parametrize("edit, message", [
+        # one missing row shortens the last chunk (slices 32..40, data rows 257-328)
+        (lambda lines: lines[:-1], "data rows 257-328 are not 72 rows of 6 values"),
+        (lambda lines: lines + lines[-1:], "has more than 328 data rows"),
+        # loadtxt skips a blank line, so its chunk comes up one row short
+        (lambda lines: lines[:100] + [""] + lines[100:], "data rows 1-128 are not 128 rows"),
+        # rows 10 and 11 share one time slice and differ in s_1
+        (lambda lines: lines[:10] + [lines[11], lines[10]] + lines[12:],
+         "column s_1 differs in data row 10$"),
+        (lambda lines: [lines[0].replace("im_z2", "im_z3")] + lines[1:],
+         "header is not s_1,t,re_z1,im_z1,re_z2,im_z2$"),
+        (lambda lines: lines[:1], "data rows 1-128 are not 128 rows"),
+    ], ids=["missing-row", "extra-row", "blank-line", "swapped-rows", "renamed-column",
+            "header-only"])
+    def test_rows_must_be_the_writers(self, symmetric_traj, tmp_path, edit, message):
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+        with pytest.raises(ValueError, match=f"^mesh CSV rows differ from the rebuild: .*{message}"):
+            read_mesh_csv(self.edited(mesh, tmp_path, edit), mesh)
+
+    def test_header_only_file_rejected(self, symmetric_traj, tmp_path):
         # used to end in an IndexError, outside the CLI's exit-code contract
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
         path = tmp_path / "mesh.csv"
         path.write_text("s_1,t,re_z1,im_z1,re_z2,im_z2\n")
-        with pytest.raises(ValueError, match="do not match its header"):
-            read_mesh_csv(path)
+        with pytest.raises(ValueError, match="data rows 1-128 are not 128 rows of 6 values"):
+            read_mesh_csv(path, mesh)
