@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPhaseWindow, MaslovNonzero, NoConvergence, NonFiniteState, PhaseBlowup
+from .errors import LagwebError, NoConvergence
 from .geoflow import GeodesicSpec, GeodesicTrajectory, _scalar_rhs, geodesic_ivp
 from .laggrass import LagrangianFrame, PairSpectrum, pair_decomposition
 from .numkernel import IntegratorConfig, integrate_rk4
@@ -89,7 +89,7 @@ def apriori_bounds(phi0: float, phi1: float) -> AprioriBounds:
     """
     half_pi = 0.5 * math.pi
     if not (-half_pi < phi0 <= phi1 < half_pi):
-        raise BadPhaseWindow(f"need -pi/2 < phi0 <= phi1 < pi/2, got ({phi0}, {phi1})")
+        raise ValueError(f"need -pi/2 < phi0 <= phi1 < pi/2, got ({phi0}, {phi1})")
     try:
         metric_bound = 1.0 if phi1 <= 0.0 else math.exp(math.pi * math.tan(phi1))
     except OverflowError:  # phi1 within ~4e-3 of pi/2: no finite bound
@@ -252,9 +252,9 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
     when the requested RK4 grid cannot be corrected to the tolerance.
     """
     spectrum = pair_decomposition(l0, l1)
-    index = int(round(spectrum.maslov_quotient))
+    index, _ = spectrum.maslov_index()
     if index != 0:
-        raise MaslovNonzero(f"pair has Maslov index {index}, need 0")
+        raise ValueError(f"pair has Maslov index {index}, need 0")
 
     n = spectrum.n
     blocks = [b for b in spectrum.blocks if spectrum.beta[b[0]] > 0.0]
@@ -294,7 +294,7 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
                 break
             a, traj, residual = trajectory(v)
             grid.append(residual)
-    except (PhaseBlowup, NonFiniteState, np.linalg.LinAlgError) as exc:
+    except (LagwebError, np.linalg.LinAlgError) as exc:
         if not grid:
             raise NoConvergence(f"RK4 grid of {config.step_count} steps fails at the exact "
                                 f"root ({exc})", best_residual=math.inf) from exc

@@ -17,8 +17,9 @@ read one time chunk at a time.
 All outputs are deterministic: JSON keys are sorted and floats carry 17
 significant digits.
 
-Exit codes: 0 ok, 2 validation error, 3 solver non-convergence,
-4 verification threshold failure.
+Exit codes: 0 ok; 2 bad input or files (ValueError, OSError) or a failed
+computation or check (LagwebError), printed as "error: <message>"; 3 solver
+non-convergence (NoConvergence); 4 verification threshold failure.
 """
 
 from __future__ import annotations
@@ -32,14 +33,7 @@ import sys
 import numpy as np
 
 from . import bvpsolve, geoflow, laggrass, webbing
-from .errors import (
-    LagwebError,
-    MaslovNonzero,
-    NoConvergence,
-    NotInteger,
-    NotLagrangian,
-    NotPositive,
-)
+from .errors import LagwebError, NoConvergence
 from .numkernel import IntegratorConfig
 
 EXIT_OK = 0
@@ -97,7 +91,7 @@ def _load_pair(args):
 def run_pair_analyze(args) -> int:
     l0, l1 = _load_pair(args)
     spectrum = laggrass.pair_decomposition(l0, l1)
-    maslov, defect = laggrass.maslov_index(l0, l1)
+    maslov, defect = spectrum.maslov_index()
     payload = {
         "beta": spectrum.beta,
         "blocks": [list(b) for b in spectrum.blocks],
@@ -115,8 +109,8 @@ def run_geodesic(args) -> int:
     l0, l1 = _load_pair(args)
     maslov, _ = laggrass.maslov_index(l0, l1)
     if maslov not in (0, l0.n):
-        raise MaslovNonzero(f"Maslov index {maslov} is not 0 or n = {l0.n}; "
-                            "the geodesic is solved for those two only")
+        raise ValueError(f"Maslov index {maslov} is not 0 or n = {l0.n}; "
+                         "the geodesic is solved for those two only")
     # index-n pairs: swap roles, solve at index zero, reverse time below
     reversed_roles = maslov != 0
     if reversed_roles:
@@ -343,9 +337,6 @@ def run(args) -> int:
             pass
         os.remove(probe)
         return args.handler(args)
-    except (NotLagrangian, NotPositive, NotInteger, MaslovNonzero) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except NoConvergence as exc:
         detail = ("" if exc.best_residual is None
                   else f" (smallest residual: {exc.best_residual:.3e})")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentityDefect, NonFiniteState, PhaseBlowup
+from .errors import LagwebError
 from .laggrass import LagrangianFrame, make_frame, span_angle
 from .numkernel import IntegratorConfig, integrate_rk4
 
@@ -69,11 +69,9 @@ class GeodesicSpec:
         object.__setattr__(self, "adapted_basis", basis)
 
     @classmethod
-    def from_frame(cls, base: LagrangianFrame, coefficients,
-                   adapted_basis=None) -> "GeodesicSpec":
-        n = base.n
-        basis = np.eye(n) if adapted_basis is None else np.asarray(adapted_basis, float)
-        return cls(base=base, adapted_basis=basis,
+    def from_frame(cls, base: LagrangianFrame, coefficients) -> "GeodesicSpec":
+        """The spec in the frame's own basis (the identity), from its phase."""
+        return cls(base=base, adapted_basis=np.eye(base.n),
                    coefficients=np.asarray(coefficients, float), phase0=base.phase)
 
     @property
@@ -123,9 +121,9 @@ def _scalar_rhs(a: np.ndarray, phase0: float):
         g = y[:n]
         phi = phase0 + y[n:].sum()
         if abs(phi) >= 0.5 * math.pi - PHASE_MARGIN:
-            raise PhaseBlowup(f"phase reached {phi:.6f} at t = {t:.4f}")
+            raise LagwebError(f"phase reached {phi:.6f} at t = {t:.4f}")
         if g.min() < METRIC_FLOOR:
-            raise NonFiniteState(f"metric coefficient collapsed at t = {t:.4f}")
+            raise LagwebError(f"metric coefficient collapsed at t = {t:.4f}")
         out = np.empty(2 * n)
         out[:n] = (-4.0 * math.tan(phi)) * a
         out[n:] = (-2.0) * a / g
@@ -142,10 +140,10 @@ def geodesic_ivp(spec: GeodesicSpec, config: IntegratorConfig = IntegratorConfig
     traj = GeodesicTrajectory(spec=spec, times=ts, g=ys[:, :n], theta=ys[:, n:])
     phases = traj.phases
     if traj.g.min() <= 0.0:
-        raise NonFiniteState("metric coefficient lost positivity")
+        raise LagwebError("metric coefficient lost positivity")
     if np.max(np.abs(phases)) >= 0.5 * math.pi - PHASE_MARGIN:
         i = int(np.argmax(np.abs(phases)))
-        raise PhaseBlowup(f"phase reached {phases[i]:.6f}")
+        raise LagwebError(f"phase reached {phases[i]:.6f}")
     return traj
 
 
@@ -166,9 +164,7 @@ def horizontal_frame(traj: GeodesicTrajectory, t: float) -> LagrangianFrame:
     frame = make_frame(traj.spec.base.ambient, traj.spec.frame_directions() * w[np.newaxis, :])
     expected = traj.spec.phase0 + traj.theta[i].sum()
     if abs(frame.phase - expected) > 1e-8:
-        raise IdentityDefect(
-            f"frame phase {frame.phase:.12f} != reconstructed {expected:.12f}"
-        )
+        raise LagwebError(f"frame phase {frame.phase:.12f} != reconstructed {expected:.12f}")
     return frame
 
 
@@ -198,12 +194,12 @@ def _frame_rhs(a: np.ndarray, n: int):
         det = complex(np.linalg.det(psi))
         phi = math.atan2(det.imag, det.real)
         if abs(phi) >= 0.5 * math.pi - PHASE_MARGIN:
-            raise PhaseBlowup(f"oracle phase reached {phi:.6f} at t = {t:.4f}")
+            raise LagwebError(f"oracle phase reached {phi:.6f} at t = {t:.4f}")
         gram = (psi.conj().T @ psi).real
         try:
             ginv = np.linalg.inv(gram)
         except np.linalg.LinAlgError as exc:
-            raise NonFiniteState(f"oracle Gram matrix singular at t = {t:.4f}") from exc
+            raise LagwebError(f"oracle Gram matrix singular at t = {t:.4f}") from exc
         dpsi = (-2.0 * (1j + math.tan(phi))) * ((psi @ ginv) * a[np.newaxis, :])
         return np.concatenate([dpsi.real.ravel(), dpsi.imag.ravel()])
 
@@ -265,16 +261,21 @@ def _check_csv_rows(fh, header, blocks, what: str) -> None:
     """Require the open CSV fh to hold exactly header, then each float block's
     rows, then end of file.  A block is parsed by one np.loadtxt call and
     compared bit for bit, so -0 is not 0.  A ValueError starts with what and
-    names the file, the first differing column and data row (from 1)."""
+    names the file, the first differing column and data row (from 1), or the
+    block's data rows where one does not parse."""
     if fh.readline() != ",".join(header) + "\n":
         raise ValueError(f"{what}: {fh.name} header is not {','.join(header)}")
     done = 0
     for block in blocks:
+        rows = f"{fh.name} data rows {done + 1}-{done + len(block)}"
         lines = list(itertools.islice(fh, len(block)))
-        data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, 0))
+        try:
+            data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, 0))
+        except ValueError as exc:
+            raise ValueError(f"{what}: {rows} do not parse ({exc})") from exc
         if data.shape != block.shape:
-            raise ValueError(f"{what}: {fh.name} data rows {done + 1}-{done + len(block)} are "
-                             f"not {len(block)} rows of {block.shape[1]} values")
+            raise ValueError(f"{what}: {rows} are not {len(block)} rows of "
+                             f"{block.shape[1]} values")
         row, col = np.nonzero(data.view(np.uint64) != block.view(np.uint64))
         if row.size:
             raise ValueError(f"{what}: {fh.name} column {header[col[0]]} differs in data row "

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInteger, NotLagrangian, NotPositive
 from .numkernel import ARC_CLUSTER_TOL, TWO_PI, joint_diagonalize_symmetric_unitary
 
 CONSTRUCTION_TOL = 1e-10
 IDENTITY_TOL = 1e-8
 INTEGER_TOL = 1e-6
+# random_maslov_zero_pair: smallest angle and largest target phase
+SAMPLE_MIN_ANGLE = 0.02
+SAMPLE_MAX_PHASE = 1.40
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,16 @@ class PairSpectrum:
     def n(self) -> int:
         return len(self.beta)
 
-    @property
-    def maslov_quotient(self) -> float:
-        """(sum beta + phase0 - phase1) / pi, an integer for consistent frames."""
-        return (float(self.beta.sum()) + self.phase0 - self.phase1) / math.pi
+    def maslov_index(self):
+        """(m, defect): the integer m nearest (sum beta + phase0 - phase1) / pi
+        and the quotient's distance from it.  Raises ValueError when that is
+        INTEGER_TOL or more, which signals inconsistent input frames."""
+        raw = (float(self.beta.sum()) + self.phase0 - self.phase1) / math.pi
+        m = int(round(raw))
+        defect = abs(raw - m)
+        if defect >= INTEGER_TOL:
+            raise ValueError(f"Maslov quotient {raw:.9f} is {defect:.3e} from an integer")
+        return m, defect
 
 
 def real_gram_schmidt(columns: np.ndarray) -> np.ndarray:
@@ -136,18 +144,14 @@ def make_frame(ambient: FlatCalabiYau, raw) -> LagrangianFrame:
     pairings = np.abs((unit.conj().T @ unit).imag)
     worst = float(pairings.max())
     if worst > IDENTITY_TOL:
-        raise NotLagrangian(
-            f"omega pairing of input columns reaches {worst:.3e} > {IDENTITY_TOL:.0e}"
-        )
+        raise ValueError(f"omega pairing of input columns reaches {worst:.3e} > {IDENTITY_TOL:.0e}")
     f = real_gram_schmidt(raw)
     unitary_defect = float(np.max(np.abs(f.conj().T @ f - np.eye(n))))
     if unitary_defect > CONSTRUCTION_TOL:
-        raise NotLagrangian(
-            f"orthonormalized frame is not unitary (defect {unitary_defect:.3e})"
-        )
+        raise ValueError(f"orthonormalized frame is not unitary (defect {unitary_defect:.3e})")
     det = complex(np.linalg.det(f))
     if abs(det.real) < CONSTRUCTION_TOL:
-        raise NotPositive(
+        raise ValueError(
             f"frame determinant {det:.6e} lies on the imaginary axis within {CONSTRUCTION_TOL:.0e}"
         )
     if det.real < 0.0:
@@ -216,17 +220,8 @@ def pair_decomposition(l0: LagrangianFrame, l1: LagrangianFrame) -> PairSpectrum
 
 
 def maslov_index(l0: LagrangianFrame, l1: LagrangianFrame):
-    """Integer pairing (sum beta + phase0 - phase1) / pi, with its defect.
-
-    Raises NotInteger when the quotient strays more than 1e-6 from the
-    nearest integer, which signals inconsistent input frames.
-    """
-    raw = pair_decomposition(l0, l1).maslov_quotient
-    m = int(round(raw))
-    defect = abs(raw - m)
-    if defect >= INTEGER_TOL:
-        raise NotInteger(f"Maslov quotient {raw:.9f} is {defect:.3e} from an integer")
-    return m, defect
+    """(m, defect) of the pair: see PairSpectrum.maslov_index."""
+    return pair_decomposition(l0, l1).maslov_index()
 
 
 def principal_angle_distance(a: LagrangianFrame, b: LagrangianFrame) -> float:
@@ -313,8 +308,7 @@ def random_positive_frame(rng: np.random.Generator, n: int,
     return make_frame(FlatCalabiYau(n), g)
 
 
-def random_maslov_zero_pair(rng: np.random.Generator, n: int,
-                            min_angle: float = 0.02, max_phase: float = 1.40):
+def random_maslov_zero_pair(rng: np.random.Generator, n: int):
     """Transverse Maslov-zero pair with known ground-truth spectrum.
 
     Returns (l0, l1, beta_true, basis_true): l1 is built by rotating an
@@ -322,12 +316,12 @@ def random_maslov_zero_pair(rng: np.random.Generator, n: int,
     pair's spectrum is known exactly for oracle comparisons.
     """
     l0 = random_positive_frame(rng, n, phase_range=(-1.2, 0.9))
-    lo = l0.phase + max(n * 2.5 * min_angle, 0.08)
-    gap = rng.uniform(lo, max_phase) - l0.phase
+    lo = l0.phase + max(n * 2.5 * SAMPLE_MIN_ANGLE, 0.08)
+    gap = rng.uniform(lo, SAMPLE_MAX_PHASE) - l0.phase
     w = rng.uniform(0.3, 1.0, size=n)
     beta = gap * w / w.sum()
-    if beta.min() < min_angle:  # rare with these weights; rescale the runt
-        beta = beta + (min_angle - beta.min())
+    if beta.min() < SAMPLE_MIN_ANGLE:  # rare with these weights; rescale the runt
+        beta = beta + (SAMPLE_MIN_ANGLE - beta.min())
         beta *= gap / beta.sum()
     r, _ = np.linalg.qr(rng.standard_normal((n, n)))
     if np.linalg.det(r) < 0.0:

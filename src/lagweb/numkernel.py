@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, NoConvergence, NotSymmetricUnitary
+from .errors import LagwebError, NoConvergence
 
 TWO_PI = 2.0 * np.pi
 
@@ -106,17 +106,13 @@ def joint_diagonalize_symmetric_unitary(s):
     s = np.asarray(s, dtype=complex)
     n = s.shape[0]
     if s.shape != (n, n):
-        raise NotSymmetricUnitary("matrix is not square")
+        raise ValueError("matrix is not square")
     sym_defect = float(np.max(np.abs(s - s.T)))
     if sym_defect > SYM_UNITARY_TOL:
-        raise NotSymmetricUnitary(
-            f"symmetry defect {sym_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}"
-        )
+        raise ValueError(f"symmetry defect {sym_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}")
     unit_defect = float(np.max(np.abs(s.conj().T @ s - np.eye(n))))
     if unit_defect > SYM_UNITARY_TOL:
-        raise NotSymmetricUnitary(
-            f"unitarity defect {unit_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}"
-        )
+        raise ValueError(f"unitarity defect {unit_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}")
     s = 0.5 * (s + s.T)
 
     # stage 1: diagonalize Re(s); its eigenspaces are Im(s)-invariant
@@ -154,7 +150,7 @@ def integrate_rk4(vector_field, y0, t0: float, t1: float, config: IntegratorConf
     derivative.  Returns (times, states) with ``step_count + 1`` samples
     including both endpoints; states has shape (step_count + 1, len(y0)).
 
-    Raises NonFiniteState as soon as a step produces NaN or Inf.
+    Raises LagwebError as soon as a step produces NaN or Inf.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -173,6 +169,6 @@ def integrate_rk4(vector_field, y0, t0: float, t1: float, config: IntegratorConf
         k4 = np.asarray(vector_field(t + h, y + h * k3))
         y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"state became non-finite at t = {ts[i + 1]:.6g}")
+            raise LagwebError(f"state became non-finite at t = {ts[i + 1]:.6g}")
         ys[i + 1] = y
     return ts, ys

@@ -41,14 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateFrame,
-    DegenerateMetric,
-    IdentityDefect,
-    InconsistentBoundary,
-    OriginNode,
-    SignError,
-)
+from .errors import LagwebError
 from .geoflow import GeodesicTrajectory, _check_csv_rows
 
 BOUNDARY_TOL = 1e-8
@@ -68,11 +61,11 @@ class LevelSetChart:
 def level_set_chart(coefficients, level: float) -> LevelSetChart:
     a = np.asarray(coefficients, dtype=float)
     if np.any(a >= 0.0):
-        raise SignError("all coefficients must be negative")
+        raise ValueError("all coefficients must be negative")
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
     if level >= 0.0:
-        raise SignError("level must be negative")
+        raise ValueError("level must be negative")
     return LevelSetChart(level=float(level), semi_axes=np.sqrt(level / a))
 
 
@@ -200,7 +193,7 @@ def cylinder_mesh(traj: GeodesicTrajectory, level: float,
         plane = directions * np.exp(1j * traj.theta[idx])[np.newaxis, :]
         defect = max(defect, float(np.max(np.abs((points[idx] @ plane.conj()).imag))))
     if defect > BOUNDARY_TOL:
-        raise IdentityDefect(f"boundary slice left its plane (defect {defect:.3e})")
+        raise LagwebError(f"boundary slice left its plane (defect {defect:.3e})")
     return CylinderMesh(trajectory=traj, chart=chart, sphere=grid, points=points,
                         sphere_tangents=sphere_tangents, time_tangents=time_tangents,
                         boundary_defect=defect)
@@ -266,8 +259,8 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
         # |Omega| against the Hadamard bound: scale-free rank test
         min_rank_ratio = np.minimum(min_rank_ratio, np.min(np.abs(det) / hadamard))
     if min_rank_ratio < 1e-12:
-        raise DegenerateFrame("tangent frame degenerates "
-                              f"(|Omega| / Hadamard bound = {min_rank_ratio:.3e})")
+        raise LagwebError("tangent frame degenerates "
+                          f"(|Omega| / Hadamard bound = {min_rank_ratio:.3e})")
     orientation = 1 if im_values_max + im_values_min > 0.0 else -1
     min_im = im_values_min if orientation == 1 else -im_values_max
     return SlagReport(max_omega=float(max_omega), max_re_omega=float(max_re),
@@ -290,12 +283,12 @@ def euler_transversality(mesh: CylinderMesh) -> float:
         e = mesh.points[sl].transpose(2, 0, 1).reshape(n, -1)
         norms = np.sqrt(_dot(e, e).real)
         if norms.min() < 1e-12:
-            raise OriginNode("mesh node at the origin")
+            raise LagwebError("mesh node at the origin")
         low, y, x = {}, [], [None] * n  # L by (row, column); L y = b; L^T x = y
         for j in range(n):
             pivot = _dot(v[j], v[j]).real - sum(low[j, k] ** 2 for k in range(j))
             if np.any(pivot <= 0.0):
-                raise DegenerateFrame("tangent frame degenerates (Gram pivot <= 0)")
+                raise LagwebError("tangent frame degenerates (Gram pivot <= 0)")
             low[j, j] = np.sqrt(pivot)
             for i in range(j + 1, n):
                 gram = _dot(v[i], v[j]).real
@@ -333,7 +326,7 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float) -> FluxReport:
     are held.
     """
     if not (b0 <= b1 < 0.0):
-        raise SignError("need b0 <= b1 < 0")
+        raise ValueError("need b0 <= b1 < 0")
     chart = level_set_chart(traj.spec.coefficients, -1.0)
     kappa = sphere_grid(traj.spec.n).points * chart.semi_axes
     w, dw = traj.flow_factors()
@@ -341,7 +334,7 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float) -> FluxReport:
     u_top = (kappa**2 @ rates) / (2.0 * chart.level)
     spread = float(u_top.max() - u_top.min())
     if spread > FLUX_SPREAD_TOL:
-        raise InconsistentBoundary(f"primitive varies by {spread:.3e} on the top boundary")
+        raise LagwebError(f"primitive varies by {spread:.3e} on the top boundary")
     boundary_value = float(u_top.mean())
     return FluxReport(boundary_value=boundary_value, spread=spread,
                       relflux=-float(b1 - b0) * boundary_value)
@@ -365,7 +358,7 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
     g = np.einsum("tpi,tpi->tp", phi_t.conj(), phi_t).real
     det = e * g - f * f
     if det.min() < 1e-14:
-        raise DegenerateMetric(f"induced metric degenerates (EG - F^2 = {det.min():.3e})")
+        raise LagwebError(f"induced metric degenerates (EG - F^2 = {det.min():.3e})")
     root = np.sqrt(det)
 
     times = mesh.trajectory.times

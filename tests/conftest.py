@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from lagweb.errors import PhaseBlowup
+from lagweb.errors import LagwebError
 from lagweb.geoflow import GeodesicSpec, geodesic_ivp
 from lagweb.laggrass import random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
@@ -22,7 +22,7 @@ def random_flow_spec(rng, n, amin=-2.0, amax=-0.05):
         spec = GeodesicSpec(base=l0, adapted_basis=basis, coefficients=a, phase0=l0.phase)
         try:
             traj = geodesic_ivp(spec, IntegratorConfig(200))
-        except PhaseBlowup:
+        except LagwebError:  # the flow left the chart
             a = 0.5 * a
             continue
         if traj.phases[-1] > 0.5 * math.pi - 0.1:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from lagweb.bvpsolve import (
     shooting_residual,
     solve_bvp_maslov0,
 )
-from lagweb.errors import BadPhaseWindow, MaslovNonzero, NoConvergence
+from lagweb.errors import NoConvergence
 from lagweb.geoflow import horizontal_frame
 from lagweb.laggrass import (
     FlatCalabiYau,
@@ -52,11 +53,11 @@ class TestAprioriBounds:
         assert apriori_bounds(1.568, 1.568).coefficient_bound == 0.0
 
     def test_rejects_bad_windows(self):
-        with pytest.raises(BadPhaseWindow):
+        with pytest.raises(ValueError, match="need -pi/2 < phi0 <= phi1 < pi/2"):
             apriori_bounds(0.5, 0.1)
-        with pytest.raises(BadPhaseWindow):
+        with pytest.raises(ValueError, match="need -pi/2 < phi0 <= phi1 < pi/2"):
             apriori_bounds(-2.0, 0.1)
-        with pytest.raises(BadPhaseWindow):
+        with pytest.raises(ValueError, match="need -pi/2 < phi0 <= phi1 < pi/2"):
             apriori_bounds(0.0, math.pi / 2)
 
 
@@ -115,8 +116,21 @@ class TestSolver:
     def test_maslov_nonzero_rejected(self):
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
         l1 = diag_frame(math.pi / 6, math.pi / 4)
-        with pytest.raises(MaslovNonzero):
+        with pytest.raises(ValueError, match="pair has Maslov index 2, need 0"):
             solve_bvp_maslov0(l1, l0, 1e-10, CFG)
+
+    def test_non_integer_maslov_quotient_rejected(self, monkeypatch):
+        # rounding the quotient used to read 0.4 as index 0 and solve
+        def shifted(l0, l1):
+            spectrum = pair_decomposition(l0, l1)
+            phase1 = spectrum.phase0 + float(spectrum.beta.sum()) - 0.4 * math.pi
+            return dataclasses.replace(spectrum, phase1=phase1)
+
+        monkeypatch.setattr(bvpsolve, "pair_decomposition", shifted)
+        with pytest.raises(ValueError, match=r"^Maslov quotient 0\.400000000 is 4\.000e-01 from "
+                                             r"an integer$"):
+            solve_bvp_maslov0(make_frame(FlatCalabiYau(2), np.eye(2)),
+                              diag_frame(math.pi / 6, math.pi / 4), 1e-10, CFG)
 
     def test_degenerate_block_gets_equal_coefficients(self):
         rng = np.random.default_rng(21)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagweb
+from lagweb import laggrass
 from lagweb.cli import (DEFAULT_THRESHOLDS, _check_thresholds, _load_trajectory, build_parser,
                         config_from_args, run)
 from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame, random_maslov_zero_pair
@@ -75,6 +76,30 @@ class TestPairAnalyze:
         code = cli("pair-analyze", "--lambda0", str(f0), "--lambda1", str(f1),
                    "--out", str(tmp_path))
         assert code == 2
+
+    def test_not_lagrangian_exit_2(self, tmp_path, capsys):
+        f0 = tmp_path / "l0.json"
+        f1 = tmp_path / "l1.json"
+        write_frame(f0, np.eye(2, dtype=complex))
+        write_frame_raw(f1, np.array([[1.0, 1j], [0.0, 0.0]]))
+        code = cli("pair-analyze", "--lambda0", str(f0), "--lambda1", str(f1),
+                   "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == ("error: omega pairing of input columns reaches "
+                                           "1.000e+00 > 1e-08\n")
+
+    def test_one_decomposition(self, tmp_path, pair_files, monkeypatch):
+        calls = []
+        decompose = laggrass.pair_decomposition
+
+        def counted(l0, l1):
+            calls.append((l0, l1))
+            return decompose(l0, l1)
+
+        monkeypatch.setattr(laggrass, "pair_decomposition", counted)
+        f0, f1 = pair_files
+        assert cli("pair-analyze", "--lambda0", f0, "--lambda1", f1, "--out", str(tmp_path)) == 0
+        assert len(calls) == 1
 
     def test_missing_file_exit_2(self, tmp_path):
         f0 = tmp_path / "l0.json"
@@ -378,6 +403,26 @@ class TestTrajectoryFromSolution:
                    "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
         assert code == 2
         assert f"column {column} differs in data row 1\n" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    def test_unparseable_mesh_cell_names_the_file(self, tmp_path, readme_400, capsys):
+        # numpy's message counts rows inside the parsed block and names no file
+        run_dir, mesh = readme_400
+        web = tmp_path / "web"
+        web.mkdir()
+        for src in (mesh, mesh.parent / "webbing_report.json"):
+            (web / src.name).write_bytes(src.read_bytes())
+        lines = (web / "mesh_0.csv").read_text().splitlines()
+        _set_cell(lines, [39], 1, "abc")
+        (web / "mesh_0.csv").write_text("\n".join(lines) + "\n")
+        code = cli("verify", "--mesh", str(web / "mesh_0.csv"),
+                   "--trajectory", str(run_dir / "trajectory.csv"),
+                   "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: mesh CSV rows differ from the rebuild: {web / 'mesh_0.csv'} "
+                              "data rows 1-256 do not parse (")
+        assert "'abc'" in err
         assert not (tmp_path / "v" / "verify_report.json").exists()
 
     def test_webbing_without_csv(self, tmp_path, readme_400):

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lagweb.errors import PhaseBlowup
+from lagweb.errors import LagwebError
 from lagweb.geoflow import (
     GeodesicSpec,
     GeodesicTrajectory,
@@ -78,7 +79,7 @@ class TestScalarFlow:
     def test_phase_blowup(self):
         # base phase already inside the pi/2 guard band: first step aborts
         spec = GeodesicSpec.from_frame(real_line(0.5 * math.pi - 1e-7), [-0.5])
-        with pytest.raises(PhaseBlowup):
+        with pytest.raises(LagwebError, match="phase reached 1.570796 at t = 0.0000"):
             geodesic_ivp(spec, IntegratorConfig(100))
 
     def test_apriori_metric_bound(self):
@@ -205,3 +206,15 @@ class TestTrajectoryCsv:
                                              "solution's trajectory: .* column g_2 differs in "
                                              "data row 11$"):
             read_trajectory_csv(path, other)
+
+    def test_unparseable_cell_names_the_file(self, tmp_path):
+        traj = geodesic_ivp(random_spec(np.random.default_rng(16), 2), IntegratorConfig(64))
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().splitlines()
+        lines[40] = "abc" + lines[40][lines[40].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^trajectory CSV samples disagree with the "
+                                             f"solution's trajectory: {re.escape(str(path))} "
+                                             r"data rows 1-65 do not parse \(.*'abc'"):
+            read_trajectory_csv(path, traj)

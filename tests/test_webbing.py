@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagweb.bvpsolve import solve_bvp_maslov0
-from lagweb.errors import DegenerateFrame, DegenerateMetric, OriginNode, SignError
+from lagweb.errors import LagwebError
 from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory, time_reversed
 from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
@@ -63,10 +63,12 @@ class TestLevelSetChart:
         )
 
     def test_sign_errors(self):
-        with pytest.raises(SignError):
+        with pytest.raises(ValueError, match="all coefficients must be negative"):
             level_set_chart([-1.0, 0.5], -1.0)
-        with pytest.raises(SignError):
+        with pytest.raises(ValueError, match="level must be negative"):
             level_set_chart([-1.0, -1.0], 1.0)
+        with pytest.raises(ValueError, match="level must be finite, got nan"):
+            level_set_chart([-1.0, -1.0], math.nan)
 
 
 class TestSphereGrid:
@@ -244,7 +246,7 @@ class TestEulerTransversality:
                               sphere_tangents=mesh.sphere_tangents,
                               time_tangents=mesh.time_tangents,
                               boundary_defect=mesh.boundary_defect)
-        with pytest.raises(OriginNode):
+        with pytest.raises(LagwebError, match="mesh node at the origin"):
             euler_transversality(broken)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
@@ -267,7 +269,7 @@ class TestEulerTransversality:
         rng = np.random.default_rng(4)
         points, tangents = random_frames(3, (TIME_CHUNK + 3, 4), rng)
         tangents[TIME_CHUNK + 1, 2, 2] = 0.0  # a zero time tangent
-        with pytest.raises(DegenerateFrame):
+        with pytest.raises(LagwebError, match=r"tangent frame degenerates \(Gram pivot <= 0\)"):
             euler_transversality(frame_mesh(points, tangents))
 
 
@@ -309,7 +311,7 @@ def reference_verify_slag(mesh):
         hadamard = np.sqrt(np.einsum("tpki,tpki->tpk", v.conj(), v).real).prod(axis=2)
         min_rank_ratio = np.minimum(min_rank_ratio, np.min(np.abs(det) / hadamard))
     if min_rank_ratio < 1e-12:
-        raise DegenerateFrame(f"|Omega| / Hadamard bound = {min_rank_ratio:.3e}")
+        raise LagwebError(f"|Omega| / Hadamard bound = {min_rank_ratio:.3e}")
     orientation = 1 if im_values_max + im_values_min > 0.0 else -1
     min_im = im_values_min if orientation == 1 else -im_values_max
     return webbing.SlagReport(max_omega=float(max_omega), max_re_omega=float(max_re),
@@ -326,7 +328,7 @@ def reference_euler_transversality(mesh):
         e = np.concatenate([pos.real, pos.imag], axis=2)        # (.., 2n)
         norms = np.linalg.norm(e, axis=2)
         if norms.min() < 1e-12:
-            raise OriginNode("mesh node at the origin")
+            raise LagwebError("mesh node at the origin")
         coeff = np.einsum("tpkj,tpk->tpj", q, e)
         resid = e - np.einsum("tpkj,tpj->tpk", q, coeff)
         sin_angle = np.linalg.norm(resid, axis=2) / norms
@@ -436,9 +438,9 @@ class TestRelflux:
         # a frozen direction has no level-set ellipsoid, as in cylinder_mesh
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
         traj = geodesic_ivp(GeodesicSpec.from_frame(l0, [0.0, -0.3]), IntegratorConfig(200))
-        with pytest.raises(SignError):
+        with pytest.raises(ValueError, match="all coefficients must be negative"):
             cylinder_mesh(traj, -1.0, 16)
-        with pytest.raises(SignError):
+        with pytest.raises(ValueError, match="all coefficients must be negative"):
             relflux(traj, -2.0, -1.0)
 
 
@@ -517,7 +519,8 @@ class TestHarmonicResidual:
                               sphere_tangents=mesh.sphere_tangents,
                               time_tangents=np.zeros_like(mesh.time_tangents),
                               boundary_defect=mesh.boundary_defect)
-        with pytest.raises(DegenerateMetric):
+        with pytest.raises(LagwebError,
+                           match=r"induced metric degenerates \(EG - F\^2 = 0\.000e\+00\)"):
             harmonic_residual(broken)
 
 
