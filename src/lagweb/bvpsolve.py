@@ -243,15 +243,19 @@ def solve_exact_map(beta_block, mult, phase0, tolerance):
 
 def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
                       tolerance: float = 1e-10,
-                      config: IntegratorConfig = IntegratorConfig()) -> BvpSolution:
+                      config: IntegratorConfig = IntegratorConfig(),
+                      spectrum: PairSpectrum | None = None) -> BvpSolution:
     """Coefficients carrying l0 to l1 in unit time, with their RK4 trajectory.
 
     Requires Maslov index 0; transverse directions get strictly negative
-    coefficients, zero-angle blocks are frozen.  Raises NoConvergence, with
-    the smallest residual reached, when the exact-map Newton solve fails or
-    when the requested RK4 grid cannot be corrected to the tolerance.
+    coefficients, zero-angle blocks are frozen.  spectrum, if given, must be
+    pair_decomposition(l0, l1), which is then not made again.  Raises
+    NoConvergence, with the smallest residual reached, when the exact-map
+    Newton solve fails or when the requested RK4 grid cannot be corrected to
+    the tolerance.
     """
-    spectrum = pair_decomposition(l0, l1)
+    if spectrum is None:
+        spectrum = pair_decomposition(l0, l1)
     index, _ = spectrum.maslov_index()
     if index != 0:
         raise ValueError(f"pair has Maslov index {index}, need 0")

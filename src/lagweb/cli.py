@@ -10,9 +10,9 @@ verify        re-check an emitted mesh CSV and trajectory CSV against the soluti
 
 webbing and verify rebuild the trajectory from the solution JSON alone, as the
 solver made it.  verify rebuilds each mesh from the level and sphere resolution
-that webbing recorded for it.  Each stored CSV must then hold exactly the header
-and rows that its writer makes from the rebuild, bit for bit; the mesh CSV is
-read one time chunk at a time.
+that webbing recorded for it.  Each stored CSV must then hold exactly the bytes
+that its writer makes from the rebuild; the mesh CSV is read one block of time
+slices at a time.
 
 All outputs are deterministic: JSON keys are sorted and floats carry 17
 significant digits.
@@ -107,15 +107,18 @@ def run_pair_analyze(args) -> int:
 
 def run_geodesic(args) -> int:
     l0, l1 = _load_pair(args)
-    maslov, _ = laggrass.maslov_index(l0, l1)
+    spectrum = laggrass.pair_decomposition(l0, l1)
+    maslov, _ = spectrum.maslov_index()
     if maslov not in (0, l0.n):
         raise ValueError(f"Maslov index {maslov} is not 0 or n = {l0.n}; "
                          "the geodesic is solved for those two only")
-    # index-n pairs: swap roles, solve at index zero, reverse time below
+    # index-n pairs: swap roles, solve at index zero, reverse time below;
+    # the swapped pair is decomposed anew
     reversed_roles = maslov != 0
     if reversed_roles:
-        l0, l1 = l1, l0
-    sol = bvpsolve.solve_bvp_maslov0(l0, l1, args.tol, IntegratorConfig(args.steps))
+        l0, l1, spectrum = l1, l0, None
+    sol = bvpsolve.solve_bvp_maslov0(l0, l1, args.tol, IntegratorConfig(args.steps),
+                                     spectrum=spectrum)
     spectrum, traj = sol.spectrum, sol.trajectory
 
     out_traj = geoflow.time_reversed(traj) if reversed_roles else traj

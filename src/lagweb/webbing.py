@@ -30,7 +30,8 @@ Cholesky solve whose residual is formed directly.  The boundary-flux check
 uses the exact level-family deformation field Phi_c / (2c), as Phi_c =
 sqrt|c| Phi_-1; with the u_j orthonormal its pairing with the time tangent is
 sum_j kappa_j^2 Im(conj(w_j) dw_j/dt), so it reads the flow factors and builds
-no cylinder.  scipy is imported only by the quasi-random sphere of n >= 4.
+no cylinder.  scipy.special is imported only by the quasi-random sphere of
+n >= 4.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagwebError
-from .geoflow import GeodesicTrajectory, _check_csv_rows
+from .geoflow import CSV_BLOCK, GeodesicTrajectory, _check_csv, _csv_rows, _write_csv
 
 BOUNDARY_TOL = 1e-8
 FLUX_SPREAD_TOL = 1e-4
@@ -79,6 +80,32 @@ class SphereGrid:
     tangents: np.ndarray  # (P, n-1, n) orthonormal tangent directions
 
 
+def _halton(m: int, d: int) -> np.ndarray:
+    """The (m, d) points that scipy.stats.qmc.Halton(d=d, seed=0).random(m)
+    draws, bit for bit: per dimension, the van der Corput sequence in the next
+    prime base with each digit permuted (Owen's scrambling), the permutations
+    shuffled in turn by default_rng(0).  Made here because importing
+    scipy.stats would add about 0.7 s and 45 MB resident, beyond
+    scipy.special, to the first n >= 4 sphere."""
+    rng = np.random.default_rng(0)
+    primes = (k for k in itertools.count(2) if all(k % p for p in range(2, math.isqrt(k) + 1)))
+    columns = []
+    for base in itertools.islice(primes, d):
+        # one permutation per digit that still changes a double: base**-k > 2**-54
+        perms = np.repeat(np.arange(base)[np.newaxis], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        index = np.arange(m)
+        column = np.zeros(m)
+        weight = 1.0 / base
+        for perm in perms:
+            column += perm[index % base] * weight
+            index //= base
+            weight /= base
+        columns.append(column)
+    return np.stack(columns, axis=1)
+
+
 def sphere_grid(n: int, resolution=None) -> SphereGrid:
     """Build the sampling grid used for cylinders in dimension n >= 2.
 
@@ -112,14 +139,12 @@ def sphere_grid(n: int, resolution=None) -> SphereGrid:
         d_lon = np.stack([-np.sin(ll), np.cos(ll), np.zeros_like(ll)], axis=1)
         tangents = np.stack([d_lat, d_lon], axis=1)
         return SphereGrid("latlong", np.stack([ll, tt], axis=1), points, tangents)
-    # scipy is needed only here; importing it lazily keeps ~1 s of
-    # scipy.stats start-up out of every CLI call that never samples n >= 4
+    # scipy.special is needed only here; importing it lazily keeps its
+    # start-up out of every CLI call that never samples n >= 4
     from scipy.special import ndtri
-    from scipy.stats import qmc
 
     m = 4096 if resolution is None else int(resolution)
-    sampler = qmc.Halton(d=n, seed=0)
-    gauss = ndtri(np.clip(sampler.random(m), 1e-12, 1.0 - 1e-12))
+    gauss = ndtri(np.clip(_halton(m, n), 1e-12, 1.0 - 1e-12))
     points = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     # reflection sending p to -sign(p_0) e_0; its remaining columns span p-perp
     sign = np.where(points[:, 0] >= 0.0, 1.0, -1.0)
@@ -391,33 +416,34 @@ def _mesh_header(mesh: CylinderMesh):
             + [f"{part}_z{j + 1}" for j in range(mesh.n) for part in ("re", "im")])
 
 
+def _mesh_rows(mesh: CylinderMesh):
+    """The mesh CSV's data rows as bytes, in blocks of whole time slices of
+    about CSV_BLOCK values.  Each node's s_ cells and each slice's t cell are
+    formatted once."""
+    params, times = mesh.sphere.params, mesh.trajectory.times
+    heads = np.array(["".join(f"{v:.17g}," for v in row).encode() for row in params.tolist()])
+    heads = heads.view(np.uint8).reshape(len(params), -1)
+    width = heads.shape[1]
+    step = max(1, CSV_BLOCK // (len(params) * 2 * mesh.n))
+    for start in range(0, len(times), step):
+        sl = slice(start, start + step)
+        stamps = np.array([f"{t:.17g},".encode() for t in times[sl].tolist()])
+        stamps = stamps.view(np.uint8).reshape(len(stamps), -1)
+        prefix = np.empty((len(stamps), len(heads), width + stamps.shape[1]), np.uint8)
+        prefix[:, :, :width] = heads
+        prefix[:, :, width:] = stamps[:, np.newaxis]
+        # (T, P, n) complex viewed as (T * P, 2n) floats: re_z1, im_z1, re_z2, ...
+        values = np.ascontiguousarray(mesh.points[sl]).view(np.float64).reshape(-1, 2 * mesh.n)
+        yield _csv_rows(values, prefix.reshape(len(values), -1))
+
+
 def write_mesh_csv(mesh: CylinderMesh, path) -> None:
-    """One row per node, time-major, 17 significant digits.
-
-    Each node's parameter prefix is formatted once; each time slice is then
-    a single ``%`` call over its re/im columns, written as it is formatted.
-    """
-    heads = ["".join(f"{v:.17g}," for v in row) for row in mesh.sphere.params.tolist()]
-    columns = ",%.17g" * (2 * mesh.n) + "\n"
-    # (T, P, n) complex viewed as (T, P * 2n) floats: re_z1, im_z1, re_z2, ...
-    values = np.ascontiguousarray(mesh.points).view(np.float64).reshape(len(mesh.points), -1)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_mesh_header(mesh)) + "\n")
-        for t, row in zip(mesh.trajectory.times.tolist(), values):
-            tail = f"{t:.17g}{columns}"  # row p of the slice is heads[p] + tail
-            fh.write((tail.join(heads) + tail) % tuple(row.tolist()))
+    """One row per node, time-major, 17 significant digits ('%.17g')."""
+    _write_csv(path, _mesh_header(mesh), _mesh_rows(mesh))
 
 
 def read_mesh_csv(path, mesh: CylinderMesh) -> None:
-    """Require the mesh CSV at path to hold exactly write_mesh_csv's header and
-    rows of mesh, bit for bit; ValueError if not.  Rows are parsed and
-    compared TIME_CHUNK slices at a time."""
-    params, times = mesh.sphere.params, mesh.trajectory.times
-    chunks = (slice(start, start + TIME_CHUNK) for start in range(0, len(times), TIME_CHUNK))
-    blocks = (np.column_stack([np.tile(params, (len(times[sl]), 1)),
-                               np.repeat(times[sl], len(params)),
-                               np.ascontiguousarray(mesh.points[sl]).view(np.float64)
-                               .reshape(-1, 2 * mesh.n)]) for sl in chunks)
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_csv_rows(fh, _mesh_header(mesh), blocks, "mesh CSV rows differ from the rebuild")
+    """Require the mesh CSV at path to hold exactly the bytes that
+    write_mesh_csv makes from mesh, compared one block of slices at a time;
+    ValueError if not."""
+    _check_csv(path, _mesh_header(mesh), _mesh_rows(mesh), "mesh CSV rows differ from the rebuild")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagweb
-from lagweb import laggrass
+from lagweb import bvpsolve, laggrass
 from lagweb.cli import (DEFAULT_THRESHOLDS, _check_thresholds, _load_trajectory, build_parser,
                         config_from_args, run)
 from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame, random_maslov_zero_pair
@@ -156,6 +156,24 @@ class TestGeodesic:
             outs.append(out)
         assert (outs[0] / "solution.json").read_bytes() == (outs[1] / "solution.json").read_bytes()
         assert (outs[0] / "trajectory.csv").read_bytes() == (outs[1] / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("reverse, decompositions", [(False, 1), (True, 2)])
+    def test_one_decomposition_per_pair(self, tmp_path, pair_files, monkeypatch, reverse,
+                                        decompositions):
+        # an index-n pair is solved as its swapped pair, which has its own
+        calls = []
+        decompose = laggrass.pair_decomposition
+
+        def counted(l0, l1):
+            calls.append((l0, l1))
+            return decompose(l0, l1)
+
+        monkeypatch.setattr(laggrass, "pair_decomposition", counted)
+        monkeypatch.setattr(bvpsolve, "pair_decomposition", counted)
+        f0, f1 = pair_files[::-1] if reverse else pair_files
+        assert cli("geodesic", "--lambda0", f0, "--lambda1", f1, "--steps", "300",
+                   "--out", str(tmp_path)) == 0
+        assert len(calls) == decompositions
 
     def test_maslov_n_role_reversal(self, tmp_path, pair_files):
         f0, f1 = pair_files
@@ -405,8 +423,34 @@ class TestTrajectoryFromSolution:
         assert f"column {column} differs in data row 1\n" in capsys.readouterr().err
         assert not (tmp_path / "v" / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("csv, edit, message", [
+        ("mesh_0.csv", lambda text: text.replace("\n0,0,", "\n0.0,0e0,", 1),
+         "column s_1 differs in data row 1"),
+        ("mesh_0.csv", lambda text: text.replace("\n", "\r\n"),
+         "header is not s_1,t,re_z1,im_z1,re_z2,im_z2"),
+        ("trajectory.csv", lambda text: text.replace("\n0,", "\n+0.000,", 1),
+         "column t differs in data row 1"),
+    ], ids=["mesh-zeros", "mesh-crlf", "trajectory-plus-zero"])
+    def test_same_values_in_other_text_rejected(self, tmp_path, readme_400, capsys, csv, edit,
+                                                message):
+        # each edit parses to the same floats: the README holds each CSV to
+        # exactly the bytes its writer makes
+        run_dir, mesh = readme_400
+        web = tmp_path / "web"
+        web.mkdir()
+        for src in (mesh, mesh.parent / "webbing_report.json", run_dir / "trajectory.csv"):
+            (web / src.name).write_bytes(src.read_bytes())
+        text = (web / csv).read_text()
+        assert edit(text) != text
+        (web / csv).write_bytes(edit(text).encode())
+        code = cli("verify", "--mesh", str(web / "mesh_0.csv"),
+                   "--trajectory", str(web / "trajectory.csv"),
+                   "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
+        assert code == 2
+        assert capsys.readouterr().err.endswith(f"{web / csv} {message}\n")
+        assert not (tmp_path / "v" / "verify_report.json").exists()
+
     def test_unparseable_mesh_cell_names_the_file(self, tmp_path, readme_400, capsys):
-        # numpy's message counts rows inside the parsed block and names no file
         run_dir, mesh = readme_400
         web = tmp_path / "web"
         web.mkdir()
@@ -419,10 +463,8 @@ class TestTrajectoryFromSolution:
                    "--trajectory", str(run_dir / "trajectory.csv"),
                    "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: mesh CSV rows differ from the rebuild: {web / 'mesh_0.csv'} "
-                              "data rows 1-256 do not parse (")
-        assert "'abc'" in err
+        assert capsys.readouterr().err == ("error: mesh CSV rows differ from the rebuild: "
+                                           f"{web / 'mesh_0.csv'} column t differs in data row 39\n")
         assert not (tmp_path / "v" / "verify_report.json").exists()
 
     def test_webbing_without_csv(self, tmp_path, readme_400):

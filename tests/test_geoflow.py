@@ -3,11 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from lagweb.errors import LagwebError
 from lagweb.geoflow import (
     GeodesicSpec,
     GeodesicTrajectory,
+    _csv_rows,
     frame_ode_oracle,
     geodesic_ivp,
     horizontal_frame,
@@ -216,5 +220,69 @@ class TestTrajectoryCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^trajectory CSV samples disagree with the "
                                              f"solution's trajectory: {re.escape(str(path))} "
-                                             r"data rows 1-65 do not parse \(.*'abc'"):
+                                             "column t differs in data row 40$"):
             read_trajectory_csv(path, traj)
+
+
+def printf_rows(table):
+    """CPython's '%.17g' of each value, comma separated, one line per row."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist()).encode()
+
+
+def finite_bits(rng, size, low, high):
+    """Random signs and mantissas with binary exponents in [low, high)."""
+    mantissa = rng.integers(0, 1 << 52, size, dtype=np.uint64)
+    exponent = rng.integers(low + 1023, high + 1023, size).astype(np.uint64)
+    sign = rng.integers(0, 2, size).astype(np.uint64)
+    return (sign << np.uint64(63) | exponent << np.uint64(52) | mantissa).view(np.float64)
+
+
+class TestCsvText:
+    """_csv_rows must make CPython's '%.17g' text byte for byte."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_any_float(self, table):
+        assert _csv_rows(table) == printf_rows(table)
+
+    def test_zeros_and_subnormals(self):
+        tiny = np.array([0.0, 5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308])
+        table = np.concatenate([tiny, -tiny]).reshape(2, -1)
+        assert _csv_rows(table) == printf_rows(table)
+        assert _csv_rows(table).startswith(b"0,4.9406564584124654e-324,")
+
+    def test_powers_of_ten_and_neighbours(self):
+        # log10 rounds onto the wrong exponent next to a power of ten, and a
+        # value just under one can round up to it in 17 digits
+        powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+        near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        table = np.column_stack([near, -near])
+        assert _csv_rows(table) == printf_rows(table)
+
+    def test_fast_path_edges(self):
+        edges = np.array([1e-4, 1e16])
+        near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        table = np.column_stack([near, -near])
+        assert _csv_rows(table) == printf_rows(table)
+
+    def test_exact_ties_round_to_even(self):
+        # m / 4 with m odd: ten times it ends in .5, a tie in the 17th digit
+        rng = np.random.default_rng(3)
+        m = 2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, 4000) + 1
+        table = (m / 4.0).reshape(-1, 8)
+        assert np.all(table * 4.0 == m.reshape(-1, 8))
+        assert _csv_rows(table) == printf_rows(table)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(4)
+        every = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
+        printed_plain = finite_bits(rng, 100000, -14, 54)  # about 6e-5 to 1.8e16
+        for values in (every, printed_plain):
+            table = values.reshape(-1, 10)
+            assert _csv_rows(table) == printf_rows(table)
+
+    def test_prefix_goes_before_each_row(self):
+        prefix = np.array([b"a,", b"bcd,", b""]).view(np.uint8).reshape(3, -1)
+        table = np.array([[1.5, -0.0], [1e22, 0.25], [np.nan, 7.0]])
+        assert _csv_rows(table, prefix) == b"a,1.5,-0\nbcd,1e+22,0.25\nnan,7\n"

@@ -1,4 +1,8 @@
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from lagweb.errors import LagwebError
 from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory, time_reversed
 from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
-from lagweb import webbing
+from lagweb import geoflow, webbing
 from lagweb.webbing import (
     TIME_CHUNK,
     CylinderMesh,
@@ -97,6 +101,25 @@ class TestSphereGrid:
         expected = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
         np.testing.assert_array_equal(grid.points, expected)
         np.testing.assert_array_equal(grid.params, expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7, 12])
+    def test_halton_is_scipys_bit_for_bit(self, d):
+        from scipy.stats import qmc
+
+        for m in (1, 5, 256, 4096, 20000):
+            expected = qmc.Halton(d=d, seed=0).random(m)
+            got = webbing._halton(m, d)
+            assert got.shape == expected.shape
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_quasirandom_sphere_leaves_scipy_stats_unloaded(self):
+        # importing scipy.stats would add ~0.7 s and ~45 MB to the first n >= 4 grid
+        src = os.path.dirname(os.path.dirname(os.path.abspath(webbing.__file__)))
+        code = ("import sys; from lagweb.webbing import sphere_grid; sphere_grid(4, 16); "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_resolution_below_minimum_rejected(self, n):
@@ -606,20 +629,38 @@ class TestMeshCsv:
         with pytest.raises(ValueError, match="column re_z1 differs in data row 1$"):
             read_mesh_csv(path, plus)
 
-    def test_parses_one_time_chunk_at_a_time(self, symmetric_traj, tmp_path, monkeypatch):
+    def test_reads_one_block_at_a_time(self, symmetric_traj, tmp_path, monkeypatch):
         mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)  # 41 slices
         path = tmp_path / "mesh.csv"
         write_mesh_csv(mesh, path)
-        parsed = []
-        loadtxt = np.loadtxt
+        lines = path.read_bytes().splitlines(keepends=True)
+        reads = []
 
-        def counted(lines, *args, **kwargs):
-            parsed.append(len(lines))
-            return loadtxt(lines, *args, **kwargs)
+        class Recorded:
+            def __init__(self, fh):
+                self.fh, self.name = fh, fh.name
 
-        monkeypatch.setattr(np, "loadtxt", counted)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def readline(self, size):
+                return self.fh.readline(size)
+
+            def read(self, size):
+                reads.append(size)
+                return self.fh.read(size)
+
+        # 100 values make blocks of three slices of 8 rows of 4 values
+        monkeypatch.setattr(webbing, "CSV_BLOCK", 100)
+        monkeypatch.setattr(geoflow, "open", lambda *args: Recorded(open(*args)), raising=False)
         read_mesh_csv(path, mesh)
-        assert parsed == [TIME_CHUNK * 8, TIME_CHUNK * 8, (41 - 2 * TIME_CHUNK) * 8]
+        blocks = [sum(map(len, lines[1 + 8 * start:1 + 8 * (start + 3)]))
+                  for start in range(0, 41, 3)]
+        assert reads == [*blocks, 1]  # then one byte, to find the end of the file
+        assert max(blocks) <= 3 * 8 * 6 * 25  # 25 bytes hold any '%.17g' value and its comma
 
     @staticmethod
     def edited(mesh, tmp_path, edit):
@@ -644,17 +685,15 @@ class TestMeshCsv:
             read_mesh_csv(self.edited(mesh, tmp_path, edit), mesh)
 
     @pytest.mark.parametrize("edit, message", [
-        # one missing row shortens the last chunk (slices 32..40, data rows 257-328)
-        (lambda lines: lines[:-1], "data rows 257-328 are not 72 rows of 6 values"),
-        (lambda lines: lines + lines[-1:], "has more than 328 data rows"),
-        # loadtxt skips a blank line, so its chunk comes up one row short
-        (lambda lines: lines[:100] + [""] + lines[100:], "data rows 1-128 are not 128 rows"),
+        (lambda lines: lines[:-1], "ends before data row 328$"),
+        (lambda lines: lines + lines[-1:], "has more than 328 data rows$"),
+        (lambda lines: lines[:100] + [""] + lines[100:], "column s_1 differs in data row 100$"),
         # rows 10 and 11 share one time slice and differ in s_1
         (lambda lines: lines[:10] + [lines[11], lines[10]] + lines[12:],
          "column s_1 differs in data row 10$"),
         (lambda lines: [lines[0].replace("im_z2", "im_z3")] + lines[1:],
          "header is not s_1,t,re_z1,im_z1,re_z2,im_z2$"),
-        (lambda lines: lines[:1], "data rows 1-128 are not 128 rows"),
+        (lambda lines: lines[:1], "ends before data row 1$"),
     ], ids=["missing-row", "extra-row", "blank-line", "swapped-rows", "renamed-column",
             "header-only"])
     def test_rows_must_be_the_writers(self, symmetric_traj, tmp_path, edit, message):
@@ -667,5 +706,13 @@ class TestMeshCsv:
         mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
         path = tmp_path / "mesh.csv"
         path.write_text("s_1,t,re_z1,im_z1,re_z2,im_z2\n")
-        with pytest.raises(ValueError, match="data rows 1-128 are not 128 rows of 6 values"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} ends before data row 1$"):
+            read_mesh_csv(path, mesh)
+
+    def test_file_cut_inside_a_row(self, symmetric_traj, tmp_path):
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+        path = tmp_path / "mesh.csv"
+        write_mesh_csv(mesh, path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} ends in data row 328$"):
             read_mesh_csv(path, mesh)
