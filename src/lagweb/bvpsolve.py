@@ -42,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagwebError, NoConvergence
-from .geoflow import GeodesicSpec, GeodesicTrajectory, _scalar_rhs, geodesic_ivp
+from .geoflow import GeodesicSpec, GeodesicTrajectory, _scalar_flow, geodesic_ivp
 from .laggrass import LagrangianFrame, PairSpectrum, pair_decomposition
-from .numkernel import IntegratorConfig, integrate_rk4
+from .numkernel import IntegratorConfig
 
 
 def _gauss_legendre(count: int):
@@ -109,11 +109,9 @@ def shooting_residual(spectrum: PairSpectrum, a, config: IntegratorConfig = Inte
     a = np.asarray(a, dtype=float)
     if np.any(a > 0.0):
         raise ValueError("shooting requires non-positive coefficients")
-    n = a.size
-    y0 = np.concatenate([np.ones(n), np.zeros(n)])
-    _, ys = integrate_rk4(_scalar_rhs(a, spectrum.phase0), y0, 0.0, 1.0, config)
+    _, _, theta = _scalar_flow(a, spectrum.phase0, config)
     sizes = [len(block) for block in spectrum.blocks]  # blocks partition range(n) in order
-    return np.repeat(_block_average(ys[-1, n:] - spectrum.beta, spectrum.blocks), sizes)
+    return np.repeat(_block_average(theta[-1] - spectrum.beta, spectrum.blocks), sizes)
 
 
 def _graded_panels(far: float, near: float) -> np.ndarray:

@@ -9,7 +9,10 @@ to the scalar system
     phi(t) = phase0 + sum_j th_j(t),
 
 where g_j is the squared stretch of the j-th frame direction and th_j its
-accumulated rotation angle.  The plane at time t is spanned by w_j u_j for
+accumulated rotation angle.  ``geodesic_ivp`` integrates it by fixed-step
+classical RK4 on Python floats (``_scalar_flow``): a step on 2n numbers is
+cheaper without numpy, and the samples are the bits that ``integrate_rk4``
+gives on the same equations.  The plane at time t is spanned by w_j u_j for
 u_j the adapted basis pushed into C^n, with the flow factors
 
     w_j = sqrt(g_j) e^{i th_j},
@@ -25,7 +28,7 @@ With every a_j <= 0 the phase rises; along samples in reversed time
     dPsi/dt = -2 (i + tan(phi)) Psi G^{-1} diag(a),    G = Re(Psi^H Psi),
 
 with phi read off as arg det Psi; it never assumes the diagonal reduction
-and exists to cross-check it.
+and exists to cross-check it.  It runs on ``integrate_rk4``.
 """
 
 from __future__ import annotations
@@ -114,30 +117,66 @@ class GeodesicTrajectory:
         return sqrt_g * rotation, (dg / (2.0 * sqrt_g) + 1j * sqrt_g * dtheta) * rotation
 
 
-def _scalar_rhs(a: np.ndarray, phase0: float):
+def _scalar_flow(a: np.ndarray, phase0: float, config: IntegratorConfig):
+    """Classical RK4 for y = (g, th) from (1, 0) on [0, 1], on Python floats.
+
+    The arithmetic is ``integrate_rk4``'s on the flow equations, operation
+    for operation, so the samples are the same bits without numpy's call
+    overhead on 2n entries.  The phase adds the angles in numpy's order:
+    left to right from 0.0 below 8 entries (not the builtin ``sum``, which
+    is compensated from Python 3.12), pairwise from 8 on.
+    Returns (times, g, th), the last two (m+1, n).
+    """
     n = a.size
+    a = a.tolist()
+    minus_2a = [(-2.0) * aj for aj in a]
+    edge = 0.5 * math.pi - PHASE_MARGIN
 
-    def rhs(t, y):
-        g = y[:n]
-        phi = phase0 + y[n:].sum()
-        if abs(phi) >= 0.5 * math.pi - PHASE_MARGIN:
+    def rates(t, y):
+        if n < 8:
+            total = 0.0
+            for thj in y[n:]:
+                total += thj
+        else:
+            total = float(np.add.reduce(y[n:]))
+        phi = phase0 + total
+        if abs(phi) >= edge:
             raise LagwebError(f"phase reached {phi:.6f} at t = {t:.4f}")
-        if g.min() < METRIC_FLOOR:
+        # NaN enters g only through a NaN phase, which makes all of g NaN;
+        # so min() decides as g.min() does
+        if min(y[:n]) < METRIC_FLOOR:
             raise LagwebError(f"metric coefficient collapsed at t = {t:.4f}")
-        out = np.empty(2 * n)
-        out[:n] = (-4.0 * math.tan(phi)) * a
-        out[n:] = (-2.0) * a / g
-        return out
+        c = -4.0 * math.tan(phi)
+        k = [c * aj for aj in a]
+        k += [b / gj for b, gj in zip(minus_2a, y)]
+        return k
 
-    return rhs
+    m = config.step_count
+    h = 1.0 / m
+    half, sixth = 0.5 * h, h / 6.0
+    ts = h * np.arange(m + 1)
+    ts[-1] = 1.0
+    y = [1.0] * n + [0.0] * n
+    ys = np.empty((m + 1, 2 * n))
+    ys[0] = y
+    for i in range(m):
+        t = h * i  # = ts[i]; only ts[m] differs, set to 1.0
+        k1 = rates(t, y)
+        k2 = rates(t + half, [yj + half * kj for yj, kj in zip(y, k1)])
+        k3 = rates(t + half, [yj + half * kj for yj, kj in zip(y, k2)])
+        k4 = rates(t + h, [yj + h * kj for yj, kj in zip(y, k3)])
+        y = [yj + sixth * (k1j + 2.0 * (k2j + k3j) + k4j)
+             for yj, k1j, k2j, k3j, k4j in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, y)):
+            raise LagwebError(f"state became non-finite at t = {ts[i + 1]:.6g}")
+        ys[i + 1] = y
+    return ts, ys[:, :n], ys[:, n:]
 
 
 def geodesic_ivp(spec: GeodesicSpec, config: IntegratorConfig = IntegratorConfig()) -> GeodesicTrajectory:
     """Integrate the scalar geodesic system from (g, theta) = (1, 0)."""
-    n = spec.n
-    y0 = np.concatenate([np.ones(n), np.zeros(n)])
-    ts, ys = integrate_rk4(_scalar_rhs(spec.coefficients, spec.phase0), y0, 0.0, 1.0, config)
-    traj = GeodesicTrajectory(spec=spec, times=ts, g=ys[:, :n], theta=ys[:, n:])
+    ts, g, theta = _scalar_flow(spec.coefficients, spec.phase0, config)
+    traj = GeodesicTrajectory(spec=spec, times=ts, g=g, theta=theta)
     phases = traj.phases
     if traj.g.min() <= 0.0:
         raise LagwebError("metric coefficient lost positivity")

@@ -1,4 +1,5 @@
-"""Dense kernel: structured eigendecomposition and fixed-step RK4.
+"""Dense kernel: structured eigendecomposition, and the fixed-step RK4 that
+integrates the full-frame oracle (``geoflow.frame_ode_oracle``).
 
 Everything here is pure-function over small dense arrays.  The only
 nontrivial algorithm is the two-stage Jacobi scheme for symmetric unitary

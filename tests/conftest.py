@@ -4,7 +4,7 @@ import numpy as np
 
 from lagweb.errors import LagwebError
 from lagweb.geoflow import GeodesicSpec, geodesic_ivp
-from lagweb.laggrass import random_maslov_zero_pair
+from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
 
 
@@ -29,3 +29,17 @@ def random_flow_spec(rng, n, amin=-2.0, amax=-0.05):
             a = 0.7 * a
             continue
         return spec
+
+
+def hard_pair(seed, phase1, fixed, weights):
+    """Maslov-zero pair reaching phase1: the fixed angles as given, the rest
+    of phase1 - phase0 shared by the weights, in a random rotated basis."""
+    rng = np.random.default_rng(seed)
+    n = len(fixed) + len(weights)
+    l0 = make_frame(FlatCalabiYau(n), np.diag(np.exp(1j * np.full(n, rng.uniform(-0.3, 0.3) / n))))
+    w = np.asarray(weights, dtype=float)
+    beta = np.concatenate([np.asarray(fixed, dtype=float),
+                           (phase1 - l0.phase - sum(fixed)) * w / w.sum()])
+    r, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    raw1 = ((l0.columns @ r) * np.exp(1j * beta)) @ r.T
+    return l0, make_frame(l0.ambient, raw1), np.sort(beta)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import hard_pair
 
 from lagweb import bvpsolve
 from lagweb.bvpsolve import (
@@ -341,20 +342,6 @@ class TestFormerlyUnsolvedPairs:
         assert sol.residual_norm < 1e-10
         np.testing.assert_allclose(sol.trajectory.theta[-1], beta, atol=1e-10)
         assert np.all(sol.coefficients < 0.0)
-
-
-def hard_pair(seed, phase1, fixed, weights):
-    """Maslov-zero pair reaching phase1: the fixed angles as given, the rest
-    of phase1 - phase0 shared by the weights, in a random rotated basis."""
-    rng = np.random.default_rng(seed)
-    n = len(fixed) + len(weights)
-    l0 = make_frame(FlatCalabiYau(n), np.diag(np.exp(1j * np.full(n, rng.uniform(-0.3, 0.3) / n))))
-    w = np.asarray(weights, dtype=float)
-    beta = np.concatenate([np.asarray(fixed, dtype=float),
-                           (phase1 - l0.phase - sum(fixed)) * w / w.sum()])
-    r, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    raw1 = ((l0.columns @ r) * np.exp(1j * beta)) @ r.T
-    return l0, make_frame(l0.ambient, raw1), np.sort(beta)
 
 
 # (phase1, fixed angles, weights): phases near pi/2, an angle of 1e-4,

@@ -1,14 +1,19 @@
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
+from conftest import hard_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from lagweb.bvpsolve import solve_bvp_maslov0
 from lagweb.errors import LagwebError
 from lagweb.geoflow import (
+    METRIC_FLOOR,
+    PHASE_MARGIN,
     GeodesicSpec,
     GeodesicTrajectory,
     _csv_rows,
@@ -24,8 +29,9 @@ from lagweb.laggrass import (
     FlatCalabiYau,
     make_frame,
     principal_angle_distance,
+    random_maslov_zero_pair,
 )
-from lagweb.numkernel import IntegratorConfig
+from lagweb.numkernel import IntegratorConfig, integrate_rk4
 
 CFG = IntegratorConfig(2000)
 
@@ -86,6 +92,21 @@ class TestScalarFlow:
         with pytest.raises(LagwebError, match="phase reached 1.570796 at t = 0.0000"):
             geodesic_ivp(spec, IntegratorConfig(100))
 
+    def test_metric_collapse(self):
+        # a > 0 at phase 1.5 shrinks g fast: a midpoint stage of step 2 dips below the floor
+        spec = GeodesicSpec.from_frame(real_line(1.5), [2.0])
+        with pytest.raises(LagwebError, match=r"^metric coefficient collapsed at t = 0\.0150$"):
+            geodesic_ivp(spec, IntegratorConfig(100))
+
+    def test_non_finite_state(self):
+        # -2 a_j overflows to +-inf: the angles cancel to a NaN phase, which no
+        # rate guard trips, and the first step ends non-finite
+        l0 = make_frame(FlatCalabiYau(2), np.eye(2))
+        spec = GeodesicSpec.from_frame(l0, [-1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LagwebError, match=r"^state became non-finite at t = 0\.01$"):
+                geodesic_ivp(spec, IntegratorConfig(100))
+
     def test_apriori_metric_bound(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
@@ -94,6 +115,66 @@ class TestScalarFlow:
             phi1 = traj.phases[-1]
             bound = math.exp(math.pi * math.tan(phi1)) if phi1 > 0 else 1.0
             assert traj.g.max() <= bound + 1e-6
+
+
+def numpy_scalar_rhs(a, phase0):
+    """The scalar flow as one numpy vector field, for ``integrate_rk4``."""
+    n = a.size
+
+    def rhs(t, y):
+        g = y[:n]
+        phi = phase0 + y[n:].sum()
+        if abs(phi) >= 0.5 * math.pi - PHASE_MARGIN:
+            raise LagwebError(f"phase reached {phi:.6f} at t = {t:.4f}")
+        if g.min() < METRIC_FLOOR:
+            raise LagwebError(f"metric coefficient collapsed at t = {t:.4f}")
+        out = np.empty(2 * n)
+        out[:n] = (-4.0 * math.tan(phi)) * a
+        out[n:] = (-2.0) * a / g
+        return out
+
+    return rhs
+
+
+@functools.cache
+def solved_spec(case):
+    """The spec of a solved pair: ("seeded", n) or ("hard", seed, phase1, fixed, weights)."""
+    if case[0] == "seeded":
+        l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(case[1]), case[1])
+    else:
+        l0, l1, _ = hard_pair(*case[1:])
+    return solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000)).trajectory.spec
+
+
+class TestScalarFlowBits:
+    """geodesic_ivp's float stepper against the numpy field through integrate_rk4.
+
+    n >= 8 takes numpy's pairwise phase sum; the hard pairs come within
+    0.016 of pi/2, and at one step both routes stop at the same phase guard.
+    """
+
+    CASES = [("seeded", n) for n in range(1, 11)] + [
+        ("hard", 0, 1.555, (), (1.0, 1.5)),
+        ("hard", 1, 1.565, (), (1.0, 2.0, 3.0)),
+    ]
+
+    @pytest.mark.parametrize("steps", [1, 7, 1000])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[:3])))
+    def test_same_bits_as_numpy_rk4(self, case, steps):
+        spec = solved_spec(case)
+        config = IntegratorConfig(steps)
+        y0 = np.concatenate([np.ones(spec.n), np.zeros(spec.n)])
+        try:
+            ts, ys = integrate_rk4(numpy_scalar_rhs(spec.coefficients, spec.phase0),
+                                   y0, 0.0, 1.0, config)
+        except LagwebError as exc:
+            with pytest.raises(LagwebError, match=f"^{re.escape(str(exc))}$"):
+                geodesic_ivp(spec, config)
+            return
+        traj = geodesic_ivp(spec, config)
+        for got, want in ((traj.times, ts), (traj.g, ys[:, :spec.n]), (traj.theta, ys[:, spec.n:])):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestHorizontalFrame:
