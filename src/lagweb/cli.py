@@ -210,8 +210,8 @@ def run_webbing(args) -> int:
     for k, level in enumerate(args.levels):
         mesh = webbing.cylinder_mesh(traj, level, args.sphere_res)
         name = f"mesh_{k}.csv"
+        report = _mesh_report(mesh)  # checked before any CSV of a mesh it rejects is written
         webbing.write_mesh_csv(mesh, os.path.join(args.out, name))
-        report = _mesh_report(mesh)
         report["csv"] = name
         failures += [f"level {level}: {msg}" for msg in _check_thresholds(report, args.thresholds)]
         meshes.append(report)

@@ -4,8 +4,8 @@ For a flow with coefficients a_j < 0, the level set {sum a_j x_j^2 = c},
 c < 0, is the ellipsoid with semi-axes sqrt(c / a_j).  Carrying it along the
 flow gives the immersion
 
-    Phi(p, t) = sum_j kappa_j(p) w_j(t) u_j,   w_j = sqrt(g_j) e^{i th_j},
-    kappa_j(p) = sqrt(c / a_j) p_j,   p in S^{n-1},
+    Phi(p, t) = sum_j kappa_j(p) w_j(t) u_j = U diag(w(t)) kappa(p),
+    w_j = sqrt(g_j) e^{i th_j},   kappa_j(p) = sqrt(c / a_j) p_j,   p in S^{n-1},
 
 whose slices t = 0, 1 sit inside the start and target planes.  All tangent
 data is analytic: sphere tangents push the chart differential through the
@@ -23,22 +23,35 @@ Verification quantities per mesh: sup |omega| over tangent pairs, sup |Re
 Omega| and inf Im Omega over oriented tangent n-frames (the calibration
 residuals), the minimum angle to the radial direction, boundary containment
 defects, and for surfaces the discrete Laplace-Beltrami residual of the time
-coordinate (which the continuum immersion makes harmonic).  The calibration
-and Euler checks are numpy vector algebra over the nodes of a time chunk, one
-vector per frame entry: a Gram matrix, a Laplace-expanded determinant, and a
-Cholesky solve whose residual is formed directly.  The boundary-flux check
-uses the exact level-family deformation field Phi_c / (2c), as Phi_c =
-sqrt|c| Phi_-1; with the u_j orthonormal its pairing with the time tangent is
-sum_j kappa_j^2 Im(conj(w_j) dw_j/dt), so it reads the flow factors and builds
-no cylinder.  scipy.special is imported only by the quasi-random sphere of
-n >= 4.
+coordinate (which the continuum immersion makes harmonic).
+
+A mesh holds its factors: the trajectory (so w and dw/dt), the chart and the
+sphere grid (so kappa and the sphere tangents kappa_tan), and U.  Its node
+and tangent arrays are formed only when read.  Every tangent is U diag(w)
+times a real vector in p, or times diag(dw/w) kappa for the time tangent,
+so each check is a sum over j of a factor in p times a factor in t: one
+(T x n)(n x P) product per quantity, taken one time chunk at a time, with no
+array of the mesh formed (the closed form).  A mesh given any array by its
+caller, such as tangents differenced from the nodes, is checked by the node
+sweep over those arrays instead, the oracle that the closed form is tested
+against: numpy vector algebra over the nodes of a time chunk, one vector per
+frame entry, with a Gram matrix, a Laplace-expanded determinant, and a
+Cholesky solve whose residual is formed directly.
+
+The boundary-flux check uses the exact level-family deformation field
+Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
+pairing with the time tangent is sum_j kappa_j^2 Im(conj(w_j) dw_j/dt), so
+it reads the flow factors and builds no cylinder.  scipy.special is
+imported only by the quasi-random sphere of n >= 4.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +60,7 @@ from .geoflow import CSV_BLOCK, GeodesicTrajectory, _check_csv, _csv_rows, _writ
 
 BOUNDARY_TOL = 1e-8
 FLUX_SPREAD_TOL = 1e-4
-TIME_CHUNK = 16  # node sweeps run in time blocks to bound peak memory
+TIME_CHUNK = 16  # the checks run in time blocks to bound peak memory
 MIN_SPHERE_RESOLUTION = 4
 
 
@@ -162,21 +175,88 @@ def sphere_grid(n: int, resolution=None) -> SphereGrid:
     return SphereGrid("quasirandom", points, points, tangents)
 
 
+class _Factors(NamedTuple):
+    """Phi(p, t) = U diag(w(t)) kappa(p), and its tangents, in factors."""
+
+    kappa: np.ndarray       # (P, n) real: the level set over the sphere grid
+    kappa_tan: np.ndarray   # (P, n-1, n) real: its sphere tangents
+    w: np.ndarray           # (T, n) complex flow factors
+    dw: np.ndarray          # (T, n) complex: their rates dw/dt
+    directions: np.ndarray  # (n, n) complex unitary U, column j = u_j
+
+
+class _Formed:
+    """A CylinderMesh array field.  It holds the array that the caller gave;
+    with none given (None), the einsum of the mesh's factors is formed on the
+    first read and kept."""
+
+    def __init__(self, subscripts: str, sphere_factor: str, time_factor: str):
+        self.subscripts, self.operands = subscripts, (sphere_factor, time_factor)
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, mesh, owner=None):
+        if mesh is None:
+            return None  # the field's default: no array given
+        if mesh.__dict__[self.name] is not None:
+            return mesh.__dict__[self.name]
+        key = "_formed_" + self.name
+        if key not in mesh.__dict__:
+            f = mesh.factors
+            mesh.__dict__[key] = np.einsum(self.subscripts,
+                                           *(getattr(f, k) for k in self.operands), f.directions)
+        return mesh.__dict__[key]
+
+    def __set__(self, mesh, value):
+        mesh.__dict__[self.name] = value
+
+
+_ARRAY_FIELDS = ("points", "sphere_tangents", "time_tangents")
+
+
 @dataclass(frozen=True, eq=False)
 class CylinderMesh:
-    """Discretized immersion S^{n-1} x [0, 1] -> C^n with analytic tangents."""
+    """Discretized immersion S^{n-1} x [0, 1] -> C^n with analytic tangents.
+
+    The arrays are formed from the factors (trajectory, chart and sphere)
+    only when read.  A mesh given none of them is checked in closed form
+    from the factors; one given any goes through the node sweep over its
+    arrays, the oracle."""
 
     trajectory: GeodesicTrajectory
     chart: LevelSetChart
     sphere: SphereGrid
-    points: np.ndarray           # (T, P, n) complex
-    sphere_tangents: np.ndarray  # (T, P, n-1, n) complex
-    time_tangents: np.ndarray    # (T, P, n) complex
     boundary_defect: float
+    points: np.ndarray = _Formed("pj,tj,ij->tpi", "kappa", "w")                 # (T, P, n)
+    sphere_tangents: np.ndarray = _Formed("pmj,tj,ij->tpmi", "kappa_tan", "w")  # (T, P, n-1, n)
+    time_tangents: np.ndarray = _Formed("pj,tj,ij->tpi", "kappa", "dw")         # (T, P, n)
 
     @property
     def n(self) -> int:
-        return self.points.shape[2]
+        return self.points.shape[2] if self.chart is None else len(self.chart.semi_axes)
+
+    @property
+    def factored(self) -> bool:
+        """True when the caller gave no array: the checks read the factors."""
+        return all(self.__dict__[name] is None for name in _ARRAY_FIELDS)
+
+    @functools.cached_property
+    def factors(self) -> _Factors:
+        return _mesh_factors(self.trajectory, self.chart, self.sphere)
+
+
+def _mesh_factors(traj: GeodesicTrajectory, chart: LevelSetChart, grid: SphereGrid) -> _Factors:
+    w, dw = traj.flow_factors()
+    return _Factors(kappa=grid.points * chart.semi_axes[np.newaxis, :],
+                    kappa_tan=grid.tangents * chart.semi_axes[np.newaxis, np.newaxis, :],
+                    w=w, dw=dw, directions=traj.spec.frame_directions())
+
+
+def _slice_points(f: _Factors, index) -> np.ndarray:
+    """The nodes of the time samples at index, by the einsum that forms
+    CylinderMesh.points, so bit for bit its rows."""
+    return np.einsum("pj,tj,ij->tpi", f.kappa, f.w[index], f.directions)
 
 
 @dataclass(frozen=True)
@@ -199,42 +279,41 @@ def cylinder_mesh(traj: GeodesicTrajectory, level: float,
     """Mesh the level-set cylinder of a trajectory with negative coefficients.
 
     The time grid is the trajectory grid; boundary containment in the two
-    endpoint planes is verified at build time.  Time tangents come from the
-    flow equations at each sample, not from differences of the nodes.
+    endpoint planes is verified at build time, on the two end slices alone.
+    Time tangents come from the flow equations at each sample, not from
+    differences of the nodes.  No array is formed here.
     """
     chart = level_set_chart(traj.spec.coefficients, level)
     grid = sphere_grid(traj.spec.n, sphere_resolution)
-    directions = traj.spec.frame_directions()
-    w, dw = traj.flow_factors()
-
-    kappa = grid.points * chart.semi_axes[np.newaxis, :]             # (P, n)
-    kappa_tan = grid.tangents * chart.semi_axes[np.newaxis, np.newaxis, :]
-    points = np.einsum("pj,tj,ij->tpi", kappa, w, directions)
-    sphere_tangents = np.einsum("pmj,tj,ij->tpmi", kappa_tan, w, directions)
-    time_tangents = np.einsum("pj,tj,ij->tpi", kappa, dw, directions)
-
+    f = _mesh_factors(traj, chart, grid)
     defect = 0.0
-    for idx in (0, -1):
-        plane = directions * np.exp(1j * traj.theta[idx])[np.newaxis, :]
-        defect = max(defect, float(np.max(np.abs((points[idx] @ plane.conj()).imag))))
+    for idx, points in zip((0, -1), _slice_points(f, [0, -1])):
+        plane = f.directions * np.exp(1j * traj.theta[idx])[np.newaxis, :]
+        defect = max(defect, float(np.max(np.abs((points @ plane.conj()).imag))))
     if defect > BOUNDARY_TOL:
         raise LagwebError(f"boundary slice left its plane (defect {defect:.3e})")
-    return CylinderMesh(trajectory=traj, chart=chart, sphere=grid, points=points,
-                        sphere_tangents=sphere_tangents, time_tangents=time_tangents,
-                        boundary_defect=defect)
+    return CylinderMesh(trajectory=traj, chart=chart, sphere=grid, boundary_defect=defect)
 
 
 def boundary_containment(mesh: CylinderMesh, frame, end: int) -> float:
     """sup |Im(F^H Phi)| over the t = end slice against a given plane frame."""
-    slice_points = mesh.points[0 if end == 0 else -1]
+    idx = 0 if end == 0 else -1
+    slice_points = _slice_points(mesh.factors, [idx])[0] if mesh.factored else mesh.points[idx]
     return float(np.max(np.abs((slice_points @ frame.columns.conj()).imag)))
+
+
+def _time_chunks(t_count: int):
+    return (slice(start, start + TIME_CHUNK) for start in range(0, t_count, TIME_CHUNK))
+
+
+def _abs2(z):
+    return (z.conj() * z).real
 
 
 def _frame_chunks(mesh: CylinderMesh):
     """(slice, v) per TIME_CHUNK samples; v[k, i], coordinate i of tangent k
     (sphere tangents, then time), is an (N,) vector over the chunk's nodes."""
-    for start in range(0, mesh.points.shape[0], TIME_CHUNK):
-        sl = slice(start, start + TIME_CHUNK)
+    for sl in _time_chunks(len(mesh.time_tangents)):
         sphere = mesh.sphere_tangents[sl]
         v = np.empty((mesh.n, mesh.n) + sphere.shape[:2], dtype=complex)
         v[:-1] = sphere.transpose(2, 3, 0, 1)
@@ -247,37 +326,84 @@ def _dot(x, y):
     return np.einsum("i...,i...->...", x.conj(), y)
 
 
-def _det(v):
-    """det v by Laplace expansion along the rows: the minors of rows 0..r on
+def _cofactors(v):
+    """C_j with det [v; y] = sum_j y_j C_j, for the n - 1 rows of v over n
+    columns, by Laplace expansion along the rows: the minors of rows 0..r on
     each column subset reuse those of rows 0..r-1 (n 2^(n-1) products)."""
-    n = v.shape[0]
+    n = v.shape[1]
     minors = {(c,): v[0, c] for c in range(n)}
-    for row in range(1, n):
+    for row in range(1, n - 1):
         minors = {cols: sum((-1) ** (row + k) * v[row, c] * minors[cols[:k] + cols[k + 1:]]
                             for k, c in enumerate(cols))
                   for cols in itertools.combinations(range(n), row + 1)}
-    return minors[tuple(range(n))]
+    return [(-1) ** (n - 1 + j) * minors[tuple(c for c in range(n) if c != j)] for j in range(n)]
+
+
+def _det(v):
+    """det v, expanded along its last row."""
+    return sum(v[-1, j] * cofactor for j, cofactor in enumerate(_cofactors(v[:-1])))
+
+
+def _normal(f: _Factors) -> np.ndarray:
+    """(P, n) cofactor normal N of the sphere tangents kappa_tan: the
+    factor in p of det [kappa_tan; y] = sum_j y_j N_j."""
+    return np.stack(_cofactors(f.kappa_tan.transpose(1, 2, 0)), axis=1)
+
+
+def _swept_calibration(mesh: CylinderMesh):
+    """(sup |omega|, Omega, Hadamard bound) per time chunk from the frame
+    arrays V: omega is Im of the Gram matrix V^H V, from its n(n+1)/2 vector
+    products, and Omega = det V by Laplace expansion."""
+    for _, v in _frame_chunks(mesh):
+        max_omega, hadamard = 0.0, 1.0  # multiply norms, not squares: squares underflow sooner
+        for a in range(mesh.n):
+            hadamard = hadamard * np.sqrt(_dot(v[a], v[a]).real)
+            for b in range(a + 1, mesh.n):
+                max_omega = np.maximum(max_omega, np.max(np.abs(_dot(v[a], v[b]).imag)))
+        yield max_omega, _det(v), hadamard
+
+
+def _closed_calibration(mesh: CylinderMesh):
+    """The same per time chunk from the factors, each a (T x n)(n x P)
+    product.  With c_j = kappa_j N_j and d = dw / w = conj(w) dw / |w|^2,
+    Omega = det U prod_j w_j sum_j d_j c_j.  omega is Im of a real sum on two
+    sphere tangents, so 0, and sum_j kappa_tan,aj kappa_j Im(conj(w_j) dw_j)
+    on sphere tangent a and the time tangent.  The tangent norms are
+    sum_j kappa_tan,aj^2 |w_j|^2 and sum_j kappa_j^2 |dw_j|^2."""
+    f, m = mesh.factors, mesh.n - 1
+    c = (f.kappa * _normal(f)).T                                     # (n, P)
+    det_u = np.linalg.det(f.directions)
+    pairs = (f.kappa_tan * f.kappa[:, np.newaxis, :]).reshape(-1, m + 1).T  # (n, P m)
+    sphere_sq = (f.kappa_tan**2).reshape(-1, m + 1).T
+    kappa_sq = (f.kappa**2).T
+    for sl in _time_chunks(len(f.w)):
+        w, dw = f.w[sl], f.dw[sl]
+        g, rate = _abs2(w), w.conj() * dw
+        max_omega = np.max(np.abs(rate.imag @ pairs))
+        det = (det_u * np.prod(w, axis=1))[:, np.newaxis] * ((rate * (1.0 / g)) @ c)
+        hadamard = np.sqrt(_abs2(dw) @ kappa_sq)
+        sphere = np.sqrt(g @ sphere_sq).reshape(len(w), -1, m)
+        for a in range(m):
+            hadamard = hadamard * sphere[:, :, a]
+        yield max_omega, det, hadamard
 
 
 def verify_slag(mesh: CylinderMesh) -> SlagReport:
     """Calibration residuals over every node; no thresholding here.
 
-    With V the (sphere..., time)-ordered tangent frame, omega is Im of the Gram
-    matrix V^H V, from its n(n+1)/2 vector products, and Omega = det V by
-    Laplace expansion; the orientation sign makes Im Omega predominantly
-    positive and is reported alongside.  Re Omega cannot see a wrong theta
-    history (module docstring).  The chunk folds use np.maximum and
-    np.minimum, so a NaN anywhere reaches the report.
+    With V the (sphere..., time)-ordered tangent frame: sup |omega| over
+    tangent pairs, sup |Re Omega| and inf Im Omega for Omega = det V, in
+    closed form from the factors, or by the node sweep over a mesh's given
+    arrays.  The orientation sign makes Im Omega predominantly positive and
+    is reported alongside.  Re Omega cannot see a wrong theta history (module
+    docstring).  The chunk folds use np.maximum and np.minimum, so a NaN
+    anywhere reaches the report.
     """
+    chunks = _closed_calibration(mesh) if mesh.factored else _swept_calibration(mesh)
     max_omega = max_re = 0.0
     im_values_min, im_values_max, min_rank_ratio = math.inf, -math.inf, math.inf
-    for _, v in _frame_chunks(mesh):
-        hadamard = 1.0  # multiply norms, not squares: a product of squares underflows sooner
-        for a in range(mesh.n):
-            hadamard = hadamard * np.sqrt(_dot(v[a], v[a]).real)
-            for b in range(a + 1, mesh.n):
-                max_omega = np.maximum(max_omega, np.max(np.abs(_dot(v[a], v[b]).imag)))
-        det = _det(v)
+    for omega, det, hadamard in chunks:
+        max_omega = np.maximum(max_omega, omega)
         max_re = np.maximum(max_re, np.max(np.abs(det.real)))
         im_values_min = np.minimum(im_values_min, det.imag.min())
         im_values_max = np.maximum(im_values_max, det.imag.max())
@@ -292,8 +418,8 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
                       min_im_omega=float(min_im), orientation=orientation)
 
 
-def euler_transversality(mesh: CylinderMesh) -> float:
-    """Minimum angle between the radial direction and the tangent plane.
+def _swept_sines(mesh: CylinderMesh):
+    """sin of the radial angle per node of each time chunk, from the arrays.
 
     The node e is projected onto the real span of the frame V by solving
     G x = b, G = Re V^H V and b = Re V^H e, with a Cholesky factor G = L L^T
@@ -302,7 +428,6 @@ def euler_transversality(mesh: CylinderMesh) -> float:
     1 - b^T x / |e|^2 cancels to a floor near 1e-8 rad.  A pivot <= 0 means
     a rank-deficient frame; a NaN pivot carries NaN to the angle.
     """
-    min_angle = math.inf
     n = mesh.n
     for sl, v in _frame_chunks(mesh):
         e = mesh.points[sl].transpose(2, 0, 1).reshape(n, -1)
@@ -322,8 +447,40 @@ def euler_transversality(mesh: CylinderMesh) -> float:
         for j in reversed(range(n)):
             x[j] = (y[j] - sum(low[k, j] * x[k] for k in range(j + 1, n))) / low[j, j]
         resid = e - sum(x[k] * v[k] for k in range(n))
-        sin_angle = np.sqrt(_dot(resid, resid).real) / norms
-        min_angle = np.minimum(min_angle, np.arcsin(np.clip(sin_angle, 0.0, 1.0)).min())
+        yield np.sqrt(_dot(resid, resid).real) / norms
+
+
+def _closed_sines(mesh: CylinderMesh):
+    """The same sines from the factors.  U and the phases e^{i theta} are
+    isometries, so the node becomes the real vector sqrt(g) kappa, the sphere
+    tangents sqrt(g) kappa_tan and the time tangent sqrt(g) d kappa.  Their
+    real span has sin^2 = Delta^2 Q / (E (R^2 + B Q)) to the node, with
+    Delta = sum c_j, R = sum c_j Re d_j, B = sum N_j^2 / g_j,
+    Q = sum kappa_j^2 g_j (Im d_j)^2 and E = sum kappa_j^2 g_j = |Phi|^2,
+    taken as |Delta| sqrt(Q) / (|Phi| hypot(R, sqrt(B) sqrt(Q))) so that no
+    square overflows.  A NaN in g or theta carries NaN to the sine."""
+    f = mesh.factors
+    normal = _normal(f)
+    c = f.kappa * normal
+    delta = np.abs(c.sum(axis=1))
+    c, normal_sq, kappa_sq = c.T, (normal**2).T, (f.kappa**2).T
+    for sl in _time_chunks(len(f.w)):
+        g, rate = _abs2(f.w[sl]), f.w[sl].conj() * f.dw[sl]  # g d = rate
+        norms = np.sqrt(g @ kappa_sq)
+        if norms.min() < 1e-12:
+            raise LagwebError("mesh node at the origin")
+        root_q = np.sqrt((rate.imag**2 / g) @ kappa_sq)
+        yield delta * root_q / (norms * np.hypot((rate.real / g) @ c,
+                                                 np.sqrt((1.0 / g) @ normal_sq) * root_q))
+
+
+def euler_transversality(mesh: CylinderMesh) -> float:
+    """Minimum angle between the radial direction and the real span of the
+    tangent frame, in closed form from the factors, or by the node sweep
+    over a mesh's given arrays."""
+    min_angle = math.inf
+    for sines in _closed_sines(mesh) if mesh.factored else _swept_sines(mesh):
+        min_angle = np.minimum(min_angle, np.arcsin(np.clip(sines, 0.0, 1.0)).min())
     return float(min_angle)
 
 
@@ -349,6 +506,11 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float) -> FluxReport:
     sum_j kappa_j(p)^2 Im(conj(w_j) dw_j/dt), and the t-integral is taken
     per direction before the sum over j, so only (T, n) and (P, n) arrays
     are held.
+
+    The value is an identity of the flow equations, which no (g, theta)
+    history can fail: dw/dt comes from them, so Im(conj(w_j) dw_j/dt) =
+    g_j dtheta_j/dt = -2 a_j, the pairing is -2c at every node and time,
+    and relflux is b1 - b0 (run forward in time) whatever g and theta hold.
     """
     if not (b0 <= b1 < 0.0):
         raise ValueError("need b0 <= b1 < 0")
@@ -365,28 +527,42 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float) -> FluxReport:
                       relflux=-float(b1 - b0) * boundary_value)
 
 
+def _metric(mesh: CylinderMesh):
+    """E, F, G of the induced metric of an n = 2 mesh, each (T, P): from the
+    factors, sum_j kappa_tan,j^2 |w_j|^2, sum_j kappa_tan,j kappa_j
+    Re(conj(w_j) dw_j) and sum_j kappa_j^2 |dw_j|^2, or from the arrays."""
+    if mesh.factored:
+        f = mesh.factors
+        tangent = f.kappa_tan[:, 0, :]
+        return (_abs2(f.w) @ (tangent**2).T, (f.w.conj() * f.dw).real @ (tangent * f.kappa).T,
+                _abs2(f.dw) @ (f.kappa**2).T)
+    phi_s = mesh.sphere_tangents[:, :, 0, :]
+    phi_t = mesh.time_tangents
+    return (np.einsum("tpi,tpi->tp", phi_s.conj(), phi_s).real,
+            np.einsum("tpi,tpi->tp", phi_s.conj(), phi_t).real,
+            np.einsum("tpi,tpi->tp", phi_t.conj(), phi_t).real)
+
+
 def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
     """Interior sup-norm of the discrete Laplace-Beltrami of u (default u = t).
 
-    Surface case only (n == 2, uniform angle grid).  The operator is the
-    divergence-form one for the induced metric (E, F, G from the analytic
-    tangents), discretized with central differences: periodic in the angle,
-    one-sided second-order at the time edges, residual taken on interior
-    time rows.
+    Surface case only (n == 2, uniform angle grid, at least 3 time samples).
+    The operator is the divergence-form one for the induced metric (E, F, G
+    from the analytic tangents), discretized with central differences:
+    periodic in the angle, one-sided first-order at the time edges, residual taken on
+    interior time rows.
     """
     if mesh.n != 2 or mesh.sphere.kind != "circle":
         raise ValueError("harmonic residual needs the n = 2 angle x time grid")
-    phi_s = mesh.sphere_tangents[:, :, 0, :]
-    phi_t = mesh.time_tangents
-    e = np.einsum("tpi,tpi->tp", phi_s.conj(), phi_s).real
-    f = np.einsum("tpi,tpi->tp", phi_s.conj(), phi_t).real
-    g = np.einsum("tpi,tpi->tp", phi_t.conj(), phi_t).real
+    times = mesh.trajectory.times
+    if len(times) < 3:
+        raise ValueError(f"harmonic residual needs at least 3 time samples, got {len(times)}")
+    e, f, g = _metric(mesh)
     det = e * g - f * f
     if det.min() < 1e-14:
         raise LagwebError(f"induced metric degenerates (EG - F^2 = {det.min():.3e})")
     root = np.sqrt(det)
 
-    times = mesh.trajectory.times
     t_count, p_count = e.shape
     if u_values is None:
         u = np.broadcast_to(times[:, np.newaxis], (t_count, p_count))

@@ -287,6 +287,19 @@ class TestWebbing:
                    "--levels=-1", "--min-euler", "3.0", "--out", str(out))
         assert code == 4
 
+    def test_one_step_surface_rejected_before_any_csv(self, tmp_path, pair_files, capsys):
+        # two time samples leave the harmonic residual no interior row; this
+        # exited 2 with numpy's empty-reduction text after writing mesh_0.csv
+        f0, f1 = pair_files
+        assert exit_code("geodesic", "--lambda0", f0, "--lambda1", f1, "--steps", "1",
+                         "--tol", "0.01", "--out", str(tmp_path / "run")) == 0
+        capsys.readouterr()
+        assert exit_code("webbing", "--solution", str(tmp_path / "run" / "solution.json"),
+                         "--sphere-res", "16", "--out", str(tmp_path / "web")) == 2
+        assert capsys.readouterr().err == ("error: harmonic residual needs at least 3 time "
+                                           "samples, got 2\n")
+        assert list((tmp_path / "web").glob("*")) == []
+
 
 def test_nan_report_values_fail_every_threshold():
     report = {"max_omega": 0.0, "max_re_omega": 0.0, "min_im_omega": 1.0, "min_euler_angle": 1.0}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -384,6 +385,185 @@ class TestAgainstPerFrameReference:
         assert report.max_omega < 1e-13 and report.max_re_omega < 1e-13
         assert euler_transversality(mesh) == pytest.approx(
             reference_euler_transversality(mesh), rel=1e-12)
+
+
+def oracle_mesh(mesh):
+    """The same mesh given its lazily formed arrays, so the checks run the
+    node sweep over them."""
+    return CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart, sphere=mesh.sphere,
+                        boundary_defect=mesh.boundary_defect, points=mesh.points,
+                        sphere_tangents=mesh.sphere_tangents, time_tangents=mesh.time_tangents)
+
+
+def formed(mesh):
+    """The array fields that reading has formed from the mesh's factors."""
+    return {name for name in ("points", "sphere_tangents", "time_tangents")
+            if "_formed_" + name in vars(mesh)}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def closed_form_meshes(solved):
+    """Meshes whose time grids span at least two TIME_CHUNKs: seeded solved
+    pairs n = 2..6, the README pair at the three README levels, and the
+    mesh of the reversed README pair: its index is n, so it is solved with
+    the roles swapped, as the README pair, and run back in time."""
+    meshes = {f"seeded-n{n}": cylinder_mesh(random_traj(n, 2 * TIME_CHUNK + 7, 40 + n), -0.7,
+                                            {2: 16, 3: 8}.get(n, 64))
+              for n in range(2, 7)}
+    readme = thin_trajectory(solved[2].trajectory, 20)
+    for level in (-1.0, -0.25, -0.0625):
+        meshes[f"readme{level}"] = cylinder_mesh(readme, level, 24)
+    meshes["readme-reversed"] = cylinder_mesh(time_reversed(readme), -1.0, 24)
+    return meshes
+
+
+MESH_NAMES = ([f"seeded-n{n}" for n in range(2, 7)]
+              + [f"readme{level}" for level in (-1.0, -0.25, -0.0625)] + ["readme-reversed"])
+
+
+class TestClosedFormAgainstSweep:
+    @pytest.mark.parametrize("name", MESH_NAMES)
+    def test_checks_agree(self, closed_form_meshes, name):
+        mesh = closed_form_meshes[name]
+        assert len(mesh.trajectory.times) > 2 * TIME_CHUNK
+        assert mesh.factored
+        report, oracle = verify_slag(mesh), verify_slag(oracle_mesh(mesh))
+        assert report.orientation == oracle.orientation
+        assert report.min_im_omega == pytest.approx(oracle.min_im_omega, rel=1e-12)
+        assert report.max_omega == pytest.approx(oracle.max_omega, abs=1e-13)
+        assert report.max_re_omega == pytest.approx(oracle.max_re_omega, abs=1e-13)
+        assert euler_transversality(mesh) == pytest.approx(
+            euler_transversality(oracle_mesh(mesh)), rel=1e-12)
+        if mesh.n == 2:
+            for closed, swept in zip(webbing._metric(mesh), webbing._metric(oracle_mesh(mesh))):
+                np.testing.assert_allclose(closed, swept, rtol=1e-12, atol=1e-13)
+            assert harmonic_residual(mesh) == pytest.approx(
+                harmonic_residual(oracle_mesh(mesh)), rel=1e-12, abs=1e-13)
+
+    def test_reversed_mesh_has_the_opposite_orientation(self, closed_form_meshes):
+        assert verify_slag(closed_form_meshes["readme-reversed"]).orientation == 1
+        assert verify_slag(closed_form_meshes["readme-1.0"]).orientation == -1
+
+    @pytest.mark.parametrize("name", MESH_NAMES)
+    def test_formed_arrays_are_the_eager_einsums(self, closed_form_meshes, name):
+        mesh = closed_form_meshes[name]
+        traj, chart, grid = mesh.trajectory, mesh.chart, mesh.sphere
+        directions = traj.spec.frame_directions()
+        w, dw = traj.flow_factors()
+        kappa = grid.points * chart.semi_axes[np.newaxis, :]
+        kappa_tan = grid.tangents * chart.semi_axes[np.newaxis, np.newaxis, :]
+        points = np.einsum("pj,tj,ij->tpi", kappa, w, directions)
+        assert np.array_equal(bits(mesh.points), bits(points))
+        assert np.array_equal(bits(mesh.sphere_tangents),
+                              bits(np.einsum("pmj,tj,ij->tpmi", kappa_tan, w, directions)))
+        assert np.array_equal(bits(mesh.time_tangents),
+                              bits(np.einsum("pj,tj,ij->tpi", kappa, dw, directions)))
+        # the build-time defect, from the two end slices alone, as from the whole
+        defect = max(float(np.max(np.abs((points[idx] @ (directions * np.exp(
+            1j * traj.theta[idx])[np.newaxis, :]).conj()).imag))) for idx in (0, -1))
+        assert mesh.boundary_defect == defect
+
+    @pytest.mark.parametrize("kind, n, res, sign", [
+        ("circle", 2, 16, -1.0), ("latlong", 3, 8, 1.0),
+        ("quasirandom", 4, 64, -1.0), ("quasirandom", 5, 64, 1.0), ("quasirandom", 6, 64, -1.0),
+    ])
+    def test_cofactor_normal(self, kind, n, res, sign):
+        # c_j = kappa_j N_j reduces to sign * prod(semi-axes) * p_j^2, the
+        # sign being det [tangents..., p] of the grid's unit frames
+        grid = sphere_grid(n, res)
+        chart = level_set_chart(-0.3 * np.arange(1, n + 1), -0.7)
+        kappa_tan = grid.tangents * chart.semi_axes[np.newaxis, np.newaxis, :]
+        normal = np.stack(webbing._cofactors(kappa_tan.transpose(1, 2, 0)), axis=1)
+        assert grid.kind == kind
+        np.testing.assert_allclose(grid.points * chart.semi_axes * normal,
+                                   sign * np.prod(chart.semi_axes) * grid.points**2,
+                                   rtol=0, atol=1e-13)
+
+
+def edited_traj(traj, row, g=None, theta=None):
+    """A hand-built trajectory: traj with the g or theta of one sample replaced."""
+    g_values, theta_values = traj.g.copy(), traj.theta.copy()
+    if g is not None:
+        g_values[row] = g
+    if theta is not None:
+        theta_values[row] = theta
+    return geoflow.GeodesicTrajectory(spec=traj.spec, times=traj.times, g=g_values,
+                                      theta=theta_values)
+
+
+class TestClosedFormGuards:
+    @pytest.fixture(scope="class")
+    def traj3(self):
+        return random_traj(3, 2 * TIME_CHUNK + 7, 43)
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_degenerate_frame(self, traj3, oracle):
+        # two tiny g_j squeeze the sphere tangents onto one direction
+        mesh = cylinder_mesh(edited_traj(traj3, TIME_CHUNK + 3, g=[1.0, 1e-40, 1e-40]), -0.7, 8)
+        mesh = oracle_mesh(mesh) if oracle else mesh
+        with pytest.raises(LagwebError,
+                           match=r"tangent frame degenerates \(\|Omega\| / Hadamard bound = "):
+            verify_slag(mesh)
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_node_at_the_origin(self, traj3, oracle):
+        mesh = cylinder_mesh(edited_traj(traj3, TIME_CHUNK + 3, g=[1e-30] * 3), -0.7, 8)
+        with pytest.raises(LagwebError, match="mesh node at the origin"):
+            euler_transversality(oracle_mesh(mesh) if oracle else mesh)
+
+    # the last sample of the first time chunk and the first of the second
+    @pytest.mark.parametrize("row", [TIME_CHUNK - 1, TIME_CHUNK])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("edit", [dict(g=[1.0, math.nan]), dict(theta=[math.nan, 0.0])])
+    def test_nan_reaches_the_report(self, solved, traj3, n, edit, row):
+        traj = solved[2].trajectory if n == 2 else traj3
+        edit = {key: (value + [1.0] * (n - 2)) for key, value in edit.items()}
+        mesh = cylinder_mesh(edited_traj(traj, row, **edit), -0.7, 8)
+        report = verify_slag(mesh)
+        assert math.isnan(report.max_omega)
+        assert math.isnan(report.max_re_omega)
+        assert math.isnan(report.min_im_omega)
+        assert math.isnan(euler_transversality(mesh))
+        if n == 2:
+            assert math.isnan(harmonic_residual(mesh))
+
+
+class TestLazyArrays:
+    def test_checks_form_no_array(self, solved):
+        l0, l1, sol = solved
+        for n, traj in ((2, sol.trajectory), (3, random_traj(3, 40, 33))):
+            mesh = cylinder_mesh(traj, -1.0, 16)
+            assert mesh.n == n
+            verify_slag(mesh)
+            euler_transversality(mesh)
+            if n == 2:
+                harmonic_residual(mesh)
+                boundary_containment(mesh, l0, 0)
+            assert formed(mesh) == set()
+
+    def test_first_read_forms_and_keeps(self, solved):
+        mesh = cylinder_mesh(solved[2].trajectory, -1.0, 16)
+        points = mesh.points
+        assert formed(mesh) == {"points"}
+        assert mesh.points is points
+        assert mesh.factored
+        assert not oracle_mesh(mesh).factored
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.points = points
+        assert {f.name for f in dataclasses.fields(CylinderMesh)} >= {
+            "points", "sphere_tangents", "time_tangents"}
+
+    def test_given_array_is_kept(self, solved):
+        mesh = cylinder_mesh(solved[2].trajectory, -1.0, 16)
+        points = mesh.points.copy()
+        given = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart, sphere=mesh.sphere,
+                             boundary_defect=0.0, points=points)
+        assert given.points is points and not given.factored
+        assert np.array_equal(bits(given.time_tangents), bits(mesh.time_tangents))
 
 
 class TestWebbingFamily:
