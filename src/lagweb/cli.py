@@ -11,8 +11,9 @@ verify        re-check an emitted mesh CSV and trajectory CSV against the soluti
 webbing and verify rebuild the trajectory from the solution JSON alone, as the
 solver made it.  verify rebuilds each mesh from the level and sphere resolution
 that webbing recorded for it.  Each stored CSV must then hold exactly the bytes
-that its writer makes from the rebuild; the mesh CSV is read one block of time
-slices at a time.
+that its writer makes from the rebuild.  The mesh CSV is written and read one
+block of time slices at a time, and each block's nodes are formed from the
+mesh's factors only then, so peak memory does not grow with the mesh.
 
 All outputs are deterministic: JSON keys are sorted and floats carry 17
 significant digits.

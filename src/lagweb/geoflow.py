@@ -291,7 +291,7 @@ def two_route_deviation(spec: GeodesicSpec, config: IntegratorConfig = Integrato
 # bytes.translate per block removes them.
 
 CSV_CELL = 32
-CSV_BLOCK = 1 << 15     # values formatted per pass: bounds the temporaries
+CSV_BLOCK = 1 << 14     # values formatted per pass: bounds the temporaries (~150 B each)
 _SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter
 _POW10 = np.array([10.0 ** k for k in range(23)])   # exact in binary64
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
@@ -440,12 +440,13 @@ def _check_csv(path, header, blocks, what: str) -> None:
     """Require the file at path to hold exactly the header line, then each
     block of row bytes, then end of file; each read takes one block.  A
     ValueError starts with what and names the file, and the first differing
-    column and data row (from 1), or the row where the file ends."""
+    column and data row (from 1), or the row where the file ends.  Rows are
+    counted only then, over the bytes that matched."""
     with open(path, "rb") as fh:
         line = (",".join(header) + "\n").encode()
         if fh.readline(len(line)) != line:
             raise ValueError(f"{what}: {fh.name} header is not {','.join(header)}")
-        done = 0
+        done = len(line)  # bytes matched so far
         for block in blocks:
             data = fh.read(len(block))
             if data != block:
@@ -454,15 +455,30 @@ def _check_csv(path, header, blocks, what: str) -> None:
                 if not same.all():
                     at = int(np.argmin(same))
                 start = block.rfind(b"\n", 0, at) + 1
-                row = done + block.count(b"\n", 0, at) + 1
+                row = _newlines(fh, len(line), done) + block.count(b"\n", 0, at) + 1
                 if at == len(data):
                     raise ValueError(f"{what}: {fh.name} ends {'before' if at == start else 'in'} "
                                      f"data row {row}")
                 raise ValueError(f"{what}: {fh.name} column {header[block.count(b',', start, at)]} "
                                  f"differs in data row {row}")
-            done += block.count(b"\n")
+            done += len(block)
         if fh.read(1):
-            raise ValueError(f"{what}: {fh.name} has more than {done} data rows")
+            raise ValueError(f"{what}: {fh.name} has more than {_newlines(fh, len(line), done)} "
+                             "data rows")
+
+
+def _newlines(fh, start: int, stop: int) -> int:
+    """The newlines in bytes start .. stop of the open file fh, read one
+    piece of at most 1 MiB at a time."""
+    fh.seek(start)
+    count = 0
+    while start < stop:
+        piece = fh.read(min(stop - start, 1 << 20))
+        if not piece:
+            break
+        count += piece.count(b"\n")
+        start += len(piece)
+    return count
 
 
 # --- trajectory CSV (t, g_1..g_n, theta_1..theta_n, phase) ---

@@ -36,7 +36,11 @@ caller, such as tangents differenced from the nodes, is checked by the node
 sweep over those arrays instead, the oracle that the closed form is tested
 against: numpy vector algebra over the nodes of a time chunk, one vector per
 frame entry, with a Gram matrix, a Laplace-expanded determinant, and a
-Cholesky solve whose residual is formed directly.
+Cholesky solve whose residual is formed directly.  The mesh CSV writer and
+reader form a factored mesh's nodes one CSV block of time slices at a time,
+and the harmonic residual reads the metric one time chunk at a time with a
+two-row halo, so writing, checking and reporting a factored mesh holds no
+array of the whole mesh: peak memory is set by one block, not by T x P.
 
 The boundary-flux check uses the exact level-family deformation field
 Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
@@ -527,17 +531,18 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float) -> FluxReport:
                       relflux=-float(b1 - b0) * boundary_value)
 
 
-def _metric(mesh: CylinderMesh):
-    """E, F, G of the induced metric of an n = 2 mesh, each (T, P): from the
-    factors, sum_j kappa_tan,j^2 |w_j|^2, sum_j kappa_tan,j kappa_j
-    Re(conj(w_j) dw_j) and sum_j kappa_j^2 |dw_j|^2, or from the arrays."""
+def _metric(mesh: CylinderMesh, rows: slice):
+    """E, F, G of the induced metric of an n = 2 mesh on the time rows, each
+    (rows, P): from the factors, sum_j kappa_tan,j^2 |w_j|^2,
+    sum_j kappa_tan,j kappa_j Re(conj(w_j) dw_j) and sum_j kappa_j^2 |dw_j|^2,
+    or from the arrays."""
     if mesh.factored:
         f = mesh.factors
-        tangent = f.kappa_tan[:, 0, :]
-        return (_abs2(f.w) @ (tangent**2).T, (f.w.conj() * f.dw).real @ (tangent * f.kappa).T,
-                _abs2(f.dw) @ (f.kappa**2).T)
-    phi_s = mesh.sphere_tangents[:, :, 0, :]
-    phi_t = mesh.time_tangents
+        w, dw, tangent = f.w[rows], f.dw[rows], f.kappa_tan[:, 0, :]
+        return (_abs2(w) @ (tangent**2).T, (w.conj() * dw).real @ (tangent * f.kappa).T,
+                _abs2(dw) @ (f.kappa**2).T)
+    phi_s = mesh.sphere_tangents[rows, :, 0, :]
+    phi_t = mesh.time_tangents[rows]
     return (np.einsum("tpi,tpi->tp", phi_s.conj(), phi_s).real,
             np.einsum("tpi,tpi->tp", phi_s.conj(), phi_t).real,
             np.einsum("tpi,tpi->tp", phi_t.conj(), phi_t).real)
@@ -550,39 +555,54 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
     The operator is the divergence-form one for the induced metric (E, F, G
     from the analytic tangents), discretized with central differences:
     periodic in the angle, one-sided first-order at the time edges, residual taken on
-    interior time rows.
+    interior time rows.  The rows run in blocks of TIME_CHUNK, each with a
+    halo of two rows per side: a residual row reads the time fluxes of rows
+    r - 1 .. r + 1, and those read u of rows r - 2 .. r + 2.  So one-sided
+    differences fall only on the grid's first and last rows, and every
+    residual keeps the bits of the whole-grid stencil.  No (T, P) array is
+    formed.
     """
     if mesh.n != 2 or mesh.sphere.kind != "circle":
         raise ValueError("harmonic residual needs the n = 2 angle x time grid")
     times = mesh.trajectory.times
-    if len(times) < 3:
-        raise ValueError(f"harmonic residual needs at least 3 time samples, got {len(times)}")
-    e, f, g = _metric(mesh)
-    det = e * g - f * f
-    if det.min() < 1e-14:
-        raise LagwebError(f"induced metric degenerates (EG - F^2 = {det.min():.3e})")
-    root = np.sqrt(det)
-
-    t_count, p_count = e.shape
-    if u_values is None:
-        u = np.broadcast_to(times[:, np.newaxis], (t_count, p_count))
-    else:
-        u = np.asarray(u_values, dtype=float)
-        if u.shape != e.shape:
-            raise ValueError(f"u grid must have shape {e.shape}")
+    t_count, p_count = len(times), len(mesh.sphere.params)
+    if t_count < 3:
+        raise ValueError(f"harmonic residual needs at least 3 time samples, got {t_count}")
+    if u_values is not None:
+        u_values = np.asarray(u_values, dtype=float)
+        if u_values.shape != (t_count, p_count):
+            raise ValueError(f"u grid must have shape {(t_count, p_count)}")
     hs = 2.0 * np.pi / p_count
     ht = times[1] - times[0]
 
     def d_angle(z):
         return (np.roll(z, -1, axis=1) - np.roll(z, 1, axis=1)) / (2.0 * hs)
 
-    u_s = d_angle(u)
-    u_t = np.gradient(u, ht, axis=0)
-    flux_s = (g * u_s - f * u_t) / root
-    flux_t = (e * u_t - f * u_s) / root
-    div = d_angle(flux_s) + np.gradient(flux_t, ht, axis=0)
-    residual = div / root
-    return float(np.max(np.abs(residual[1:-1, :])))
+    min_det, worst = math.inf, 0.0
+    for start in range(1, t_count - 1, TIME_CHUNK):
+        stop = min(start + TIME_CHUNK, t_count - 1)
+        lo, hi = max(start - 2, 0), min(stop + 2, t_count)
+        e, f, g = _metric(mesh, slice(lo, hi))
+        det = e * g - f * f
+        lowest = det.min()
+        min_det = np.minimum(min_det, lowest)
+        if lowest < 1e-14:
+            continue  # raised below, naming the smallest EG - F^2 of the grid
+        root = np.sqrt(det)
+        if u_values is None:
+            u = np.broadcast_to(times[lo:hi, np.newaxis], e.shape)
+        else:
+            u = u_values[lo:hi]
+        u_s = d_angle(u)
+        u_t = np.gradient(u, ht, axis=0)
+        flux_s = (g * u_s - f * u_t) / root
+        flux_t = (e * u_t - f * u_s) / root
+        div = d_angle(flux_s) + np.gradient(flux_t, ht, axis=0)
+        residual = div[start - lo:stop - lo] / root[start - lo:stop - lo]
+        worst = np.maximum(worst, np.max(np.abs(residual)))
+    if min_det < 1e-14:
+        raise LagwebError(f"induced metric degenerates (EG - F^2 = {min_det:.3e})")
+    return float(worst)
 
 
 # --- mesh CSV (sphere_param_coords..., t, re/im of each coordinate) ---
@@ -595,7 +615,9 @@ def _mesh_header(mesh: CylinderMesh):
 def _mesh_rows(mesh: CylinderMesh):
     """The mesh CSV's data rows as bytes, in blocks of whole time slices of
     about CSV_BLOCK values.  Each node's s_ cells and each slice's t cell are
-    formatted once."""
+    formatted once.  A factored mesh's nodes are formed one block at a time
+    from its factors, bit for bit the rows of CylinderMesh.points, so no
+    whole-mesh array is held; a mesh given arrays prints its own points."""
     params, times = mesh.sphere.params, mesh.trajectory.times
     heads = np.array(["".join(f"{v:.17g}," for v in row).encode() for row in params.tolist()])
     heads = heads.view(np.uint8).reshape(len(params), -1)
@@ -608,8 +630,9 @@ def _mesh_rows(mesh: CylinderMesh):
         prefix = np.empty((len(stamps), len(heads), width + stamps.shape[1]), np.uint8)
         prefix[:, :, :width] = heads
         prefix[:, :, width:] = stamps[:, np.newaxis]
+        points = _slice_points(mesh.factors, sl) if mesh.factored else mesh.points[sl]
         # (T, P, n) complex viewed as (T * P, 2n) floats: re_z1, im_z1, re_z2, ...
-        values = np.ascontiguousarray(mesh.points[sl]).view(np.float64).reshape(-1, 2 * mesh.n)
+        values = np.ascontiguousarray(points).view(np.float64).reshape(-1, 2 * mesh.n)
         yield _csv_rows(values, prefix.reshape(len(values), -1))
 
 

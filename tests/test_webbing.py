@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,7 +440,9 @@ class TestClosedFormAgainstSweep:
         assert euler_transversality(mesh) == pytest.approx(
             euler_transversality(oracle_mesh(mesh)), rel=1e-12)
         if mesh.n == 2:
-            for closed, swept in zip(webbing._metric(mesh), webbing._metric(oracle_mesh(mesh))):
+            every = slice(None)
+            for closed, swept in zip(webbing._metric(mesh, every),
+                                     webbing._metric(oracle_mesh(mesh), every)):
                 np.testing.assert_allclose(closed, swept, rtol=1e-12, atol=1e-13)
             assert harmonic_residual(mesh) == pytest.approx(
                 harmonic_residual(oracle_mesh(mesh)), rel=1e-12, abs=1e-13)
@@ -515,12 +518,14 @@ class TestClosedFormGuards:
         with pytest.raises(LagwebError, match="mesh node at the origin"):
             euler_transversality(oracle_mesh(mesh) if oracle else mesh)
 
-    # the last sample of the first time chunk and the first of the second
-    @pytest.mark.parametrize("row", [TIME_CHUNK - 1, TIME_CHUNK])
+    # the last sample of the first time chunk, the first of the second, and
+    # the last interior sample, in the last of at least three time blocks
+    @pytest.mark.parametrize("row", [TIME_CHUNK - 1, TIME_CHUNK, pytest.param(-2, id="last-block")])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("edit", [dict(g=[1.0, math.nan]), dict(theta=[math.nan, 0.0])])
     def test_nan_reaches_the_report(self, solved, traj3, n, edit, row):
         traj = solved[2].trajectory if n == 2 else traj3
+        assert len(traj.times) > 2 * TIME_CHUNK + 2  # at least three blocks of residual rows
         edit = {key: (value + [1.0] * (n - 2)) for key, value in edit.items()}
         mesh = cylinder_mesh(edited_traj(traj, row, **edit), -0.7, 8)
         report = verify_slag(mesh)
@@ -544,6 +549,30 @@ class TestLazyArrays:
                 harmonic_residual(mesh)
                 boundary_containment(mesh, l0, 0)
             assert formed(mesh) == set()
+
+    def test_csv_io_forms_no_array(self, solved, tmp_path):
+        for n, traj in ((2, thin_trajectory(solved[2].trajectory, 20)), (3, random_traj(3, 40, 33))):
+            mesh = cylinder_mesh(traj, -1.0, 16)
+            assert mesh.n == n
+            write_mesh_csv(mesh, tmp_path / f"mesh{n}.csv")
+            read_mesh_csv(tmp_path / f"mesh{n}.csv", mesh)
+            assert formed(mesh) == set()
+
+    def test_csv_io_peak_is_a_block(self, tmp_path):
+        # the nodes are formed one CSV block at a time: writing and checking
+        # the mesh holds far less than its (T, P, n) node array
+        mesh = cylinder_mesh(random_traj(3, 200, 33), -1.0, 64)
+        node_bytes = len(mesh.trajectory.times) * len(mesh.sphere.points) * 3 * 16
+        assert node_bytes > 19e6
+        mesh.factors, geoflow._csv_tables()  # made once per mesh and per process
+        tracemalloc.start()
+        try:
+            write_mesh_csv(mesh, tmp_path / "mesh.csv")
+            read_mesh_csv(tmp_path / "mesh.csv", mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < node_bytes / 4
 
     def test_first_read_forms_and_keeps(self, solved):
         mesh = cylinder_mesh(solved[2].trajectory, -1.0, 16)
@@ -715,6 +744,42 @@ class TestHarmonicResidual:
             u = np.broadcast_to((times**2)[:, np.newaxis], mesh.points.shape[:2])
             assert harmonic_residual(mesh, u) > 0.1
 
+    @pytest.mark.parametrize("t_count", [3, 4, TIME_CHUNK + 1, TIME_CHUNK + 2, 2 * TIME_CHUNK + 3])
+    @pytest.mark.parametrize("oracle", [False, True], ids=["factored", "oracle"])
+    @pytest.mark.parametrize("given_u", [False, True], ids=["u=t", "random-u"])
+    def test_blocks_equal_one_block(self, solved, monkeypatch, t_count, oracle, given_u):
+        # each block's two-row halo gives every residual row the whole-grid
+        # stencil, so the sup-norm keeps its bits at any block size; the
+        # random u is 0 on the two rows at each end, so that the one-sided
+        # rows there do not hold the sup
+        traj = geodesic_ivp(solved[2].trajectory.spec, IntegratorConfig(t_count - 1))
+        mesh = cylinder_mesh(traj, -1.0, 12)
+        mesh = oracle_mesh(mesh) if oracle else mesh
+        u = None
+        if given_u:
+            u = np.random.default_rng(t_count).standard_normal((t_count, 12))
+            u[:2] = u[-2:] = 0.0
+        blocked = {}
+        for block in (1, 2, 3, TIME_CHUNK):
+            monkeypatch.setattr(webbing, "TIME_CHUNK", block)
+            blocked[block] = harmonic_residual(mesh, u).hex()
+        monkeypatch.setattr(webbing, "TIME_CHUNK", t_count)
+        assert blocked == dict.fromkeys(blocked, harmonic_residual(mesh, u).hex())
+
+    def test_degenerate_metric_in_a_later_block(self, symmetric_traj):
+        # the message names the smallest EG - F^2 of the whole grid
+        mesh = cylinder_mesh(symmetric_traj, -1.0, 16)
+        time_tangents = mesh.time_tangents.copy()
+        time_tangents[5 * TIME_CHUNK + 3] *= 1e-9
+        time_tangents[9 * TIME_CHUNK] = 0.0
+        broken = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart,
+                              sphere=mesh.sphere, points=mesh.points,
+                              sphere_tangents=mesh.sphere_tangents,
+                              time_tangents=time_tangents, boundary_defect=mesh.boundary_defect)
+        with pytest.raises(LagwebError,
+                           match=r"induced metric degenerates \(EG - F\^2 = 0\.000e\+00\)"):
+            harmonic_residual(broken)
+
     def test_degenerate_metric_rejected(self, symmetric_traj):
         mesh = cylinder_mesh(symmetric_traj, -1.0, 16)
         broken = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart,
@@ -752,6 +817,21 @@ def random_traj(n, steps, seed):
     return solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(steps)).trajectory
 
 
+ROW_EDITS = [
+    (lambda lines: lines[:-1], "ends before data row 328$"),
+    (lambda lines: lines + lines[-1:], "has more than 328 data rows$"),
+    (lambda lines: lines[:100] + [""] + lines[100:], "column s_1 differs in data row 100$"),
+    # rows 10 and 11 share one time slice and differ in s_1
+    (lambda lines: lines[:10] + [lines[11], lines[10]] + lines[12:],
+     "column s_1 differs in data row 10$"),
+    (lambda lines: [lines[0].replace("im_z2", "im_z3")] + lines[1:],
+     "header is not s_1,t,re_z1,im_z1,re_z2,im_z2$"),
+    (lambda lines: lines[:1], "ends before data row 1$"),
+]
+ROW_EDIT_IDS = ["missing-row", "extra-row", "blank-line", "swapped-rows", "renamed-column",
+                "header-only"]
+
+
 class TestMeshCsv:
     @pytest.mark.parametrize("n,steps,res", [(2, 40, 16), (3, 20, 8), (4, 20, 64)])
     def test_bytes_match_row_formatter(self, n, steps, res, tmp_path):
@@ -759,6 +839,18 @@ class TestMeshCsv:
         assert mesh.sphere.kind == {2: "circle", 3: "latlong", 4: "quasirandom"}[n]
         path = tmp_path / "mesh.csv"
         write_mesh_csv(mesh, path)
+        assert path.read_bytes() == reference_mesh_csv(mesh)
+
+    @pytest.mark.parametrize("slices", [1, 2, 3, 16])
+    @pytest.mark.parametrize("n,steps,res", [(2, 40, 16), (3, 20, 8), (4, 20, 64)])
+    def test_blocks_of_slices_match_row_formatter(self, n, steps, res, slices, tmp_path,
+                                                  monkeypatch):
+        # nodes formed one block of slices at a time are the whole mesh's, bit for bit
+        mesh = cylinder_mesh(random_traj(n, steps, 30 + n), -0.7, res)
+        monkeypatch.setattr(webbing, "CSV_BLOCK", slices * len(mesh.sphere.points) * 2 * n)
+        path = tmp_path / "mesh.csv"
+        write_mesh_csv(mesh, path)
+        assert mesh.factored and formed(mesh) == set()
         assert path.read_bytes() == reference_mesh_csv(mesh)
 
     def test_negative_zero_and_specials_match(self, symmetric_traj, tmp_path):
@@ -864,20 +956,19 @@ class TestMeshCsv:
         with pytest.raises(ValueError, match=f"column {name} differs in data row {row + 1}$"):
             read_mesh_csv(self.edited(mesh, tmp_path, edit), mesh)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda lines: lines[:-1], "ends before data row 328$"),
-        (lambda lines: lines + lines[-1:], "has more than 328 data rows$"),
-        (lambda lines: lines[:100] + [""] + lines[100:], "column s_1 differs in data row 100$"),
-        # rows 10 and 11 share one time slice and differ in s_1
-        (lambda lines: lines[:10] + [lines[11], lines[10]] + lines[12:],
-         "column s_1 differs in data row 10$"),
-        (lambda lines: [lines[0].replace("im_z2", "im_z3")] + lines[1:],
-         "header is not s_1,t,re_z1,im_z1,re_z2,im_z2$"),
-        (lambda lines: lines[:1], "ends before data row 1$"),
-    ], ids=["missing-row", "extra-row", "blank-line", "swapped-rows", "renamed-column",
-            "header-only"])
+    @pytest.mark.parametrize("edit, message", ROW_EDITS, ids=ROW_EDIT_IDS)
     def test_rows_must_be_the_writers(self, symmetric_traj, tmp_path, edit, message):
         mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+        with pytest.raises(ValueError, match=f"^mesh CSV rows differ from the rebuild: .*{message}"):
+            read_mesh_csv(self.edited(mesh, tmp_path, edit), mesh)
+
+    @pytest.mark.parametrize("edit, message", ROW_EDITS, ids=ROW_EDIT_IDS)
+    def test_rows_numbered_across_blocks(self, symmetric_traj, tmp_path, monkeypatch, edit,
+                                         message):
+        # blocks of one slice (8 rows): every message counts the rows of the
+        # blocks that matched before it
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+        monkeypatch.setattr(webbing, "CSV_BLOCK", 8 * 4)
         with pytest.raises(ValueError, match=f"^mesh CSV rows differ from the rebuild: .*{message}"):
             read_mesh_csv(self.edited(mesh, tmp_path, edit), mesh)
 

@@ -29,6 +29,10 @@ REPO = Path(__file__).resolve().parents[1]
 WEB = "src/lagweb/webbing.py"
 CLOSED = "tests/test_webbing.py::TestClosedFormAgainstSweep::test_checks_agree"
 NAN = "tests/test_webbing.py::TestClosedFormGuards::test_nan_reaches_the_report"
+CSV_BYTES = "tests/test_webbing.py::TestMeshCsv::test_bytes_match_row_formatter"
+CSV_BLOCKS = "tests/test_webbing.py::TestMeshCsv::test_blocks_of_slices_match_row_formatter"
+HALO = "tests/test_webbing.py::TestHarmonicResidual::test_blocks_equal_one_block"
+ROW_NUMBERS = "tests/test_webbing.py::TestMeshCsv::test_rows_numbered_across_blocks"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -70,6 +74,33 @@ MUTANTS = {
         "sign = 1.0",
         ["tests/test_cli.py::TestVerify::test_reversed_solution_round_trip",
          "tests/test_webbing.py::TestVerifySlag::test_orientation_of_the_readme_pair"],
+    ),
+    "mesh CSV nodes formed one block late": (
+        WEB,
+        "_slice_points(mesh.factors, sl) if mesh.factored",
+        "_slice_points(mesh.factors, slice(start + step, start + 2 * step)) if mesh.factored",
+        [f"{CSV_BYTES}[2-40-16]", f"{CSV_BYTES}[3-20-8]", f"{CSV_BLOCKS}[3-20-8-2]",
+         f"{CSV_BLOCKS}[4-20-64-1]"],
+    ),
+    "harmonic halo one row short": (
+        WEB,
+        "lo, hi = max(start - 2, 0)",
+        "lo, hi = max(start - 1, 0)",
+        [f"{HALO}[random-u-factored-17]", f"{HALO}[random-u-factored-35]",
+         f"{HALO}[random-u-oracle-35]"],
+    ),
+    "harmonic blocks combined with Python's max, which drops a later NaN": (
+        WEB,
+        "worst = np.maximum(worst, np.max(np.abs(residual)))",
+        "worst = max(worst, float(np.max(np.abs(residual))))",
+        [f"{NAN}[edit0-2-last-block]", f"{NAN}[edit1-2-last-block]"],
+    ),
+    "CSV error rows leave out the earlier blocks": (
+        "src/lagweb/geoflow.py",
+        "row = _newlines(fh, len(line), done) + ",
+        "row = ",
+        [f"{ROW_NUMBERS}[missing-row]", f"{ROW_NUMBERS}[blank-line]",
+         f"{ROW_NUMBERS}[swapped-rows]"],
     ),
 }
 
