@@ -329,6 +329,10 @@ def config_from_args(args) -> argparse.Namespace:
         # argparse stores --max-omega-tol as max_omega_tol
         args.thresholds = {key: default if flag is None else vars(args)[flag[2:].replace("-", "_")]
                            for key, flag, default, _ in THRESHOLDS}
+        for key, flag, _, _ in THRESHOLDS:
+            # a non-finite limit would reach the report as a token no JSON parser reads
+            if not math.isfinite(args.thresholds[key]):
+                raise ValueError(f"{flag} must be finite, got {args.thresholds[key]}")
     return args
 
 

@@ -10,10 +10,12 @@ to the scalar system
 
 where g_j is the squared stretch of the j-th frame direction and th_j its
 accumulated rotation angle.  ``geodesic_ivp`` integrates it by fixed-step
-classical RK4 on Python floats (``_scalar_flow``): a step on 2n numbers is
-cheaper without numpy, and the samples are the bits that ``integrate_rk4``
-gives on the same equations.  The plane at time t is spanned by w_j u_j for
-u_j the adapted basis pushed into C^n, with the flow factors
+classical RK4 on Python floats (``_scalar_flow``), in one straight-line
+stepper per dimension, generated from n and compiled once (``_stepper``): a
+step on 2n numbers is cheaper without numpy and without lists, and the
+samples are the bits that ``integrate_rk4`` gives on the same equations.
+The plane at time t is spanned by w_j u_j for u_j the adapted basis pushed
+into C^n, with the flow factors
 
     w_j = sqrt(g_j) e^{i th_j},
     w_j' = (g_j' / (2 sqrt(g_j)) + i sqrt(g_j) th_j') e^{i th_j},
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,9 @@ class GeodesicSpec:
 
     def __post_init__(self):
         a = np.array(self.coefficients, dtype=float)
+        if a.shape != (self.base.n,):
+            raise ValueError(f"coefficients must be {self.base.n} numbers, one per direction, "
+                             f"got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("coefficients must be finite")
         a.setflags(write=False)
@@ -120,57 +126,97 @@ class GeodesicTrajectory:
 def _scalar_flow(a: np.ndarray, phase0: float, config: IntegratorConfig):
     """Classical RK4 for y = (g, th) from (1, 0) on [0, 1], on Python floats.
 
-    The arithmetic is ``integrate_rk4``'s on the flow equations, operation
-    for operation, so the samples are the same bits without numpy's call
-    overhead on 2n entries.  The phase adds the angles in numpy's order:
-    left to right from 0.0 below 8 entries (not the builtin ``sum``, which
-    is compensated from Python 3.12), pairwise from 8 on.
+    The steps run in ``_stepper(n)``, straight-line code with every entry a
+    local float.  The arithmetic is ``integrate_rk4``'s on the flow
+    equations, operation for operation, so the samples are the same bits
+    without numpy's call overhead on 2n entries.
     Returns (times, g, th), the last two (m+1, n).
     """
-    n = a.size
-    a = a.tolist()
-    minus_2a = [(-2.0) * aj for aj in a]
-    edge = 0.5 * math.pi - PHASE_MARGIN
-
-    def rates(t, y):
-        if n < 8:
-            total = 0.0
-            for thj in y[n:]:
-                total += thj
-        else:
-            total = float(np.add.reduce(y[n:]))
-        phi = phase0 + total
-        if abs(phi) >= edge:
-            raise LagwebError(f"phase reached {phi:.6f} at t = {t:.4f}")
-        # NaN enters g only through a NaN phase, which makes all of g NaN;
-        # so min() decides as g.min() does
-        if min(y[:n]) < METRIC_FLOOR:
-            raise LagwebError(f"metric coefficient collapsed at t = {t:.4f}")
-        c = -4.0 * math.tan(phi)
-        k = [c * aj for aj in a]
-        k += [b / gj for b, gj in zip(minus_2a, y)]
-        return k
-
-    m = config.step_count
+    n, m = a.size, config.step_count
     h = 1.0 / m
-    half, sixth = 0.5 * h, h / 6.0
     ts = h * np.arange(m + 1)
     ts[-1] = 1.0
-    y = [1.0] * n + [0.0] * n
-    ys = np.empty((m + 1, 2 * n))
-    ys[0] = y
-    for i in range(m):
-        t = h * i  # = ts[i]; only ts[m] differs, set to 1.0
-        k1 = rates(t, y)
-        k2 = rates(t + half, [yj + half * kj for yj, kj in zip(y, k1)])
-        k3 = rates(t + half, [yj + half * kj for yj, kj in zip(y, k2)])
-        k4 = rates(t + h, [yj + h * kj for yj, kj in zip(y, k3)])
-        y = [yj + sixth * (k1j + 2.0 * (k2j + k3j) + k4j)
-             for yj, k1j, k2j, k3j, k4j in zip(y, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, y)):
-            raise LagwebError(f"state became non-finite at t = {ts[i + 1]:.6g}")
-        ys[i + 1] = y
+    ys = np.frombuffer(_stepper(n)(a.tolist(), phase0, m, ts)).reshape(m + 1, 2 * n)
     return ts, ys[:, :n], ys[:, n:]
+
+
+@functools.cache
+def _stepper(n: int):
+    """The RK4 loop of the scalar flow in dimension n >= 1, as Python source
+    built from n alone and compiled once (as ``dataclasses`` builds
+    ``__init__``): g_j, th_j, the stage values G_j, T_j and the rates
+    k{1..4}g_j, k{1..4}t_j are all local floats.
+
+    The returned ``flow(a, phase0, m, ts)`` takes the coefficients as a
+    list and returns the m + 1 states (g, th) flat, in an ``array`` of
+    doubles that holds no float object; ts only names the time in the
+    non-finite message.  Each stage guards as the numpy field does.  The
+    phase adds the angles in numpy's order: left to right from 0.0 below 8
+    entries (not the builtin ``sum``, which is compensated from Python
+    3.12), by ``np.add.reduce``, which sums pairwise, from 8 on.
+    """
+    g, th = [f"g{j}" for j in range(n)], [f"th{j}" for j in range(n)]
+    stage_g, stage_th = [f"G{j}" for j in range(n)], [f"T{j}" for j in range(n)]
+
+    def listed(names):
+        return ", ".join(names) + ","   # a tuple or target list, one name too
+
+    def rates(k, gs, ths, t):
+        """The k-th rates at state (gs, ths) and time t, behind the guards."""
+        total = " + ".join(["0.0", *ths]) if n < 8 else f"float(add_reduce(({listed(ths)})))"
+        return [
+            f"phi = phase0 + ({total})",
+            "if abs(phi) >= edge:",
+            f"    raise LagwebError(f'phase reached {{phi:.6f}} at t = {{{t}:.4f}}')",
+            # the builtin min's own scan: a NaN is kept or passed over as
+            # min() would, and min() decides as g.min() does, since NaN
+            # enters g only through a NaN phase, which makes all of g NaN
+            f"low = {gs[0]}",
+            *[f"if {x} < low: low = {x}" for x in gs[1:]],
+            "if low < floor:",
+            f"    raise LagwebError(f'metric coefficient collapsed at t = {{{t}:.4f}}')",
+            "c = -4.0 * tan(phi)",
+            *[f"k{k}g{j} = c * a{j}" for j in range(n)],
+            *[f"k{k}t{j} = b{j} / {gs[j]}" for j in range(n)],
+        ]
+
+    def stage(k, step):
+        """The stage state y + step * k_k."""
+        return ([f"G{j} = g{j} + {step} * k{k}g{j}" for j in range(n)]
+                + [f"T{j} = th{j} + {step} * k{k}t{j}" for j in range(n)])
+
+    body = [
+        *rates(1, g, th, "h * i"), *stage(1, "half"),
+        *rates(2, stage_g, stage_th, "h * i + half"), *stage(2, "half"),
+        *rates(3, stage_g, stage_th, "h * i + half"), *stage(3, "h"),
+        *rates(4, stage_g, stage_th, "h * i + h"),
+        *[f"{y}{j} = {y}{j} + sixth * (k1{r}{j} + 2.0 * (k2{r}{j} + k3{r}{j}) + k4{r}{j})"
+          for y, r in (("g", "g"), ("th", "t")) for j in range(n)],
+        # x - x is 0.0 exactly when x is finite, NaN otherwise
+        f"if {' + '.join(f'({y} - {y})' for y in g + th)} != 0.0:",
+        "    raise LagwebError(f'state became non-finite at t = {ts[i + 1]:.6g}')",
+        f"store(({listed(g + th)}))",
+    ]
+    source = "\n".join([
+        "def flow(a, phase0, m, ts):",
+        f"    {listed(f'a{j}' for j in range(n))} = a",
+        *[f"    b{j} = -2.0 * a{j}" for j in range(n)],
+        "    h = 1.0 / m",
+        "    half, sixth = 0.5 * h, h / 6.0",
+        "    edge, floor, tan = EDGE, FLOOR, TAN",
+        f"    {' = '.join(g)} = 1.0",
+        f"    {' = '.join(th)} = 0.0",
+        f"    states = array('d', ({listed(g + th)}))",
+        "    store = states.extend",
+        "    for i in range(m):",
+        *[f"        {line}" for line in body],
+        "    return states",
+    ])
+    namespace = {"LagwebError": LagwebError, "EDGE": 0.5 * math.pi - PHASE_MARGIN,
+                 "FLOOR": METRIC_FLOOR, "TAN": math.tan, "add_reduce": np.add.reduce,
+                 "array": array}
+    exec(compile(source, f"<scalar flow, n = {n}>", "exec"), namespace)
+    return namespace["flow"]
 
 
 def geodesic_ivp(spec: GeodesicSpec, config: IntegratorConfig = IntegratorConfig()) -> GeodesicTrajectory:

@@ -508,6 +508,23 @@ class TestTrajectoryFromSolution:
             assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("a", [[], [-0.1], [-0.1] * 3, [[-0.1, -0.1]]], ids=repr)
+    def test_one_coefficient_per_direction(self, tmp_path, readme_400, capsys, a):
+        # an `a` of another length ran the flow in len(a) directions and
+        # failed later, in a shape error of the mesh build or, for [], in
+        # min() of an empty sequence
+        run_dir, mesh = readme_400
+        doc = json.loads((run_dir / "solution.json").read_text())
+        doc["a"] = a
+        (tmp_path / "solution.json").write_text(json.dumps(doc))
+        for argv in (["webbing", "--levels=-1", "--sphere-res", "16"],
+                     ["verify", "--mesh", str(mesh), "--trajectory",
+                      str(run_dir / "trajectory.csv")]):
+            assert exit_code(*argv, "--solution", str(tmp_path / "solution.json"),
+                             "--out", str(tmp_path / "out")) == 2
+            assert capsys.readouterr().err == ("error: coefficients must be 2 numbers, one per "
+                                               f"direction, got shape {np.shape(a)}\n")
+
 
 class TestVerify:
     @pytest.fixture()
@@ -788,6 +805,20 @@ class TestNonFiniteAndHugeInput:
                          "--steps", "100", "--out", str(tmp_path / "g")) == 2
         assert capsys.readouterr().err == f"error: tolerance must be finite, got {tol}\n"
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--max-omega-tol", "--max-re-omega-tol", "--min-euler"])
+    @pytest.mark.parametrize("stage", ["webbing", "verify"])
+    def test_thresholds(self, tmp_path, contract_run, capsys, stage, flag, value):
+        # a non-finite limit was written into the report as a bare inf or
+        # nan, which no JSON parser reads, and verify then failed on it
+        source = ["--solution", str(contract_run / "run" / "solution.json")]
+        if stage == "verify":
+            source += ["--mesh", str(contract_run / "web" / "mesh_0.csv"),
+                       "--trajectory", str(contract_run / "run" / "trajectory.csv")]
+        assert exit_code(stage, *source, f"{flag}={value}", "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("stage, flag", [("geodesic", "--steps"), ("webbing", "--sphere-res")])
     def test_counts_too_large_to_allocate(self, tmp_path, pair_files, solved_dir, capsys,

@@ -40,6 +40,11 @@ def real_line(angle=0.0):
     return make_frame(FlatCalabiYau(1), np.array([[np.exp(1j * angle)]]))
 
 
+def diagonal_frame(n, last_angle):
+    """The real n-plane with its last axis turned by last_angle: phase last_angle."""
+    return make_frame(FlatCalabiYau(n), np.diag(np.exp(1j * np.eye(n)[-1] * last_angle)))
+
+
 def spec_1d(beta, phase0=0.0):
     # closed form: theta(t) = arctan(t tan beta), g(t) = 1 + t^2 tan^2 beta
     return GeodesicSpec.from_frame(real_line(phase0), [-math.tan(beta) / 2.0])
@@ -103,6 +108,32 @@ class TestScalarFlow:
         # rate guard trips, and the first step ends non-finite
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
         spec = GeodesicSpec.from_frame(l0, [-1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LagwebError, match=r"^state became non-finite at t = 0\.01$"):
+                geodesic_ivp(spec, IntegratorConfig(100))
+
+    @pytest.mark.parametrize("n, message", [
+        (8, "phase reached 1.572527 at t = 0.0650"),
+        (11, "phase reached 1.571307 at t = 0.0400"),
+    ])
+    def test_phase_guard_pairwise(self, n, message):
+        # n >= 8 sums the phase pairwise; the phase rises through the band
+        # at a midpoint stage
+        spec = GeodesicSpec.from_frame(diagonal_frame(n, 1.5), -np.linspace(0.01, 0.2, n))
+        with pytest.raises(LagwebError, match=f"^{re.escape(message)}$"):
+            geodesic_ivp(spec, IntegratorConfig(100))
+
+    @pytest.mark.parametrize("n", [8, 11])
+    def test_metric_guard_pairwise(self, n):
+        # test_metric_collapse's line as the last of n directions: the
+        # guard scans every g_j, and the pairwise phase is the 1-d one
+        spec = GeodesicSpec.from_frame(diagonal_frame(n, 1.5), [0.0] * (n - 1) + [2.0])
+        with pytest.raises(LagwebError, match=r"^metric coefficient collapsed at t = 0\.0150$"):
+            geodesic_ivp(spec, IntegratorConfig(100))
+
+    @pytest.mark.parametrize("n", [8, 11])
+    def test_non_finite_guard_pairwise(self, n):
+        spec = GeodesicSpec.from_frame(diagonal_frame(n, 0.0), [0.0] * (n - 2) + [-1e308, 1e308])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LagwebError, match=r"^state became non-finite at t = 0\.01$"):
                 geodesic_ivp(spec, IntegratorConfig(100))

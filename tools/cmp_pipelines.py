@@ -14,6 +14,9 @@ fresh interpreter (``python -m lagweb.cli``):
             --sphere-res 24
   n4        random_maslov_zero_pair(default_rng(2), 4), --steps 300,
             --sphere-res 256
+  n9        random_maslov_zero_pair(default_rng(3), 9), --steps 300,
+            --levels=-1, --sphere-res 64: the flow sums its phase pairwise
+            from n = 8 on
 
 Each pipeline writes its frames, then runs pair-analyze, geodesic, webbing
 and verify on every mesh.  Every output file, exit code, stdout and stderr
@@ -59,6 +62,8 @@ PIPELINES = (
     ("reversed", README_PAIR + "l0, l1 = l1, l0", 400, ["--sphere-res", "24"]),
     ("n4", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(2), 4)", 300,
      ["--sphere-res", "256"]),
+    ("n9", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(3), 9)", 300,
+     ["--levels=-1", "--sphere-res", "64"]),
 )
 
 

@@ -33,6 +33,9 @@ CSV_BYTES = "tests/test_webbing.py::TestMeshCsv::test_bytes_match_row_formatter"
 CSV_BLOCKS = "tests/test_webbing.py::TestMeshCsv::test_blocks_of_slices_match_row_formatter"
 HALO = "tests/test_webbing.py::TestHarmonicResidual::test_blocks_equal_one_block"
 ROW_NUMBERS = "tests/test_webbing.py::TestMeshCsv::test_rows_numbered_across_blocks"
+FLOW = "src/lagweb/geoflow.py"
+FLOW_BITS = "tests/test_geoflow.py::TestScalarFlowBits::test_same_bits_as_numpy_rk4"
+CSV_TEXT = "tests/test_geoflow.py::TestCsvText"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -69,7 +72,7 @@ MUTANTS = {
         [f"{NAN}[edit0-2-16]", f"{NAN}[edit1-3-16]"],
     ),
     "reversed-time rates keep their forward sign": (
-        "src/lagweb/geoflow.py",
+        FLOW,
         "sign = -1.0 if phases[-1] < phases[0] else 1.0",
         "sign = 1.0",
         ["tests/test_cli.py::TestVerify::test_reversed_solution_round_trip",
@@ -96,11 +99,36 @@ MUTANTS = {
         [f"{NAN}[edit0-2-last-block]", f"{NAN}[edit1-2-last-block]"],
     ),
     "CSV error rows leave out the earlier blocks": (
-        "src/lagweb/geoflow.py",
+        FLOW,
         "row = _newlines(fh, len(line), done) + ",
         "row = ",
         [f"{ROW_NUMBERS}[missing-row]", f"{ROW_NUMBERS}[blank-line]",
          f"{ROW_NUMBERS}[swapped-rows]"],
+    ),
+    "RK4 stepper weighs k2 and k3 apart, 2 k2 + 2 k3": (
+        FLOW,
+        "2.0 * (k2{r}{j} + k3{r}{j})",
+        "2.0 * k2{r}{j} + 2.0 * k3{r}{j}",
+        [f"{FLOW_BITS}[seeded-1-1000]", f"{FLOW_BITS}[seeded-4-1]", f"{FLOW_BITS}[seeded-9-7]",
+         f"{FLOW_BITS}[hard-1-1.565-1000]"],
+    ),
+    "RK4 stepper sums the phase of n >= 8 left to right": (
+        FLOW,
+        "if n < 8 else",
+        "if True else",
+        [f"{FLOW_BITS}[seeded-8-7]", f"{FLOW_BITS}[seeded-8-1000]", f"{FLOW_BITS}[seeded-9-1000]"],
+    ),
+    "CSV digits without the lo term of the exact product": (
+        FLOW,
+        "return hi.astype(np.int64) + np.rint(lo).astype(np.int64)",
+        "return hi.astype(np.int64)",
+        [f"{CSV_TEXT}::test_exact_ties_round_to_even", f"{CSV_TEXT}::test_random_bit_patterns"],
+    ),
+    "CSV digits without the +-1 exponent correction": (
+        FLOW,
+        "    if off.size:",
+        "    if False:",
+        [f"{CSV_TEXT}::test_powers_of_ten_and_neighbours", f"{CSV_TEXT}::test_fast_path_edges"],
     ),
 }
 
