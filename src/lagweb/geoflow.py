@@ -70,6 +70,11 @@ class GeodesicSpec:
         a.setflags(write=False)
         object.__setattr__(self, "coefficients", a)
         basis = np.array(self.adapted_basis, dtype=float)
+        if basis.shape != (self.base.n, self.base.n):
+            raise ValueError(f"adapted basis must be {self.base.n} x {self.base.n}, one column "
+                             f"per direction, got shape {basis.shape}")
+        if not np.all(np.isfinite(basis)):
+            raise ValueError("adapted basis must be finite")
         if np.max(np.abs(basis.T @ basis - np.eye(basis.shape[0]))) > 1e-8:
             raise ValueError("adapted basis must be orthogonal")
         if np.linalg.det(basis) < 0.0:

@@ -34,9 +34,10 @@ so each check is a sum over j of a factor in p times a factor in t: one
 array of the mesh formed (the closed form).  A mesh given any array by its
 caller, such as tangents differenced from the nodes, is checked by the node
 sweep over those arrays instead, the oracle that the closed form is tested
-against: numpy vector algebra over the nodes of a time chunk, one vector per
-frame entry, with a Gram matrix, a Laplace-expanded determinant, and a
-Cholesky solve whose residual is formed directly.  The mesh CSV writer and
+against: LAPACK per node frame, with det for Omega, the Gram matrix for omega
+and the Hadamard bound, and a QR factor for the radial projection, whose
+residual is formed directly.  It shares no code with the closed form, so a
+wrong cofactor there shows as a disagreement.  The mesh CSV writer and
 reader form a factored mesh's nodes one CSV block of time slices at a time,
 and the harmonic residual reads the metric one time chunk at a time with a
 two-row halo, so writing, checking and reporting a factored mesh holds no
@@ -315,19 +316,11 @@ def _abs2(z):
 
 
 def _frame_chunks(mesh: CylinderMesh):
-    """(slice, v) per TIME_CHUNK samples; v[k, i], coordinate i of tangent k
-    (sphere tangents, then time), is an (N,) vector over the chunk's nodes."""
+    """(slice, V) per TIME_CHUNK samples; V[t, p] is the (n, n) frame of
+    node p at sample t, its rows the sphere tangents, then the time tangent."""
     for sl in _time_chunks(len(mesh.time_tangents)):
-        sphere = mesh.sphere_tangents[sl]
-        v = np.empty((mesh.n, mesh.n) + sphere.shape[:2], dtype=complex)
-        v[:-1] = sphere.transpose(2, 3, 0, 1)
-        v[-1] = mesh.time_tangents[sl].transpose(2, 0, 1)
-        yield sl, v.reshape(mesh.n, mesh.n, -1)
-
-
-def _dot(x, y):
-    """sum_i conj(x_i) y_i of batch-last vectors, node by node."""
-    return np.einsum("i...,i...->...", x.conj(), y)
+        yield sl, np.concatenate([mesh.sphere_tangents[sl],
+                                  mesh.time_tangents[sl, :, np.newaxis]], axis=2)
 
 
 def _cofactors(v):
@@ -343,11 +336,6 @@ def _cofactors(v):
     return [(-1) ** (n - 1 + j) * minors[tuple(c for c in range(n) if c != j)] for j in range(n)]
 
 
-def _det(v):
-    """det v, expanded along its last row."""
-    return sum(v[-1, j] * cofactor for j, cofactor in enumerate(_cofactors(v[:-1])))
-
-
 def _normal(f: _Factors) -> np.ndarray:
     """(P, n) cofactor normal N of the sphere tangents kappa_tan: the
     factor in p of det [kappa_tan; y] = sum_j y_j N_j."""
@@ -356,15 +344,18 @@ def _normal(f: _Factors) -> np.ndarray:
 
 def _swept_calibration(mesh: CylinderMesh):
     """(sup |omega|, Omega, Hadamard bound) per time chunk from the frame
-    arrays V: omega is Im of the Gram matrix V^H V, from its n(n+1)/2 vector
-    products, and Omega = det V by Laplace expansion."""
+    arrays, one LAPACK call per frame: omega is Im of the Gram matrix V V^H
+    off its diagonal, Omega = det V, and the bound is the product of the
+    tangent norms on that diagonal (norms, not squares: squares underflow
+    sooner).  det sets the invalid flag on a NaN frame, whose NaN goes on to
+    the report."""
+    upper = np.triu_indices(mesh.n, 1)
     for _, v in _frame_chunks(mesh):
-        max_omega, hadamard = 0.0, 1.0  # multiply norms, not squares: squares underflow sooner
-        for a in range(mesh.n):
-            hadamard = hadamard * np.sqrt(_dot(v[a], v[a]).real)
-            for b in range(a + 1, mesh.n):
-                max_omega = np.maximum(max_omega, np.max(np.abs(_dot(v[a], v[b]).imag)))
-        yield max_omega, _det(v), hadamard
+        gram = v @ v.conj().swapaxes(-1, -2)
+        with np.errstate(invalid="ignore"):
+            det = np.linalg.det(v)
+        hadamard = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1).real).prod(axis=-1)
+        yield np.max(np.abs(gram.imag[..., upper[0], upper[1]])), det, hadamard
 
 
 def _closed_calibration(mesh: CylinderMesh):
@@ -411,8 +402,11 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
         max_re = np.maximum(max_re, np.max(np.abs(det.real)))
         im_values_min = np.minimum(im_values_min, det.imag.min())
         im_values_max = np.maximum(im_values_max, det.imag.max())
-        # |Omega| against the Hadamard bound: scale-free rank test
-        min_rank_ratio = np.minimum(min_rank_ratio, np.min(np.abs(det) / hadamard))
+        # |Omega| against the Hadamard bound: scale-free rank test; a frame
+        # with a zero tangent has bound 0 and counts as ratio 0, not 0 / 0
+        ratio = np.divide(np.abs(det), hadamard, out=np.zeros_like(hadamard),
+                          where=hadamard != 0.0)
+        min_rank_ratio = np.minimum(min_rank_ratio, np.min(ratio))
     if min_rank_ratio < 1e-12:
         raise LagwebError("tangent frame degenerates "
                           f"(|Omega| / Hadamard bound = {min_rank_ratio:.3e})")
@@ -425,33 +419,27 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
 def _swept_sines(mesh: CylinderMesh):
     """sin of the radial angle per node of each time chunk, from the arrays.
 
-    The node e is projected onto the real span of the frame V by solving
-    G x = b, G = Re V^H V and b = Re V^H e, with a Cholesky factor G = L L^T
-    built column by column.  The sine is |r| / |e| for r = e - sum_k x_k v_k
-    formed directly: an error in x moves |r| only at second order, while
-    1 - b^T x / |e|^2 cancels to a floor near 1e-8 rad.  A pivot <= 0 means
-    a rank-deficient frame; a NaN pivot carries NaN to the angle.
+    Each frame, as n columns a_k in R^2n (real parts over imaginary parts),
+    is factored A = Q R by one LAPACK QR per frame.  The sine is |r| / |e|
+    for the node e and r = e - Q Q^T e formed directly.  |R_kk| is the
+    distance of a_k from the span of the columns before it, so a frame with
+    |R_kk| <= 1e-12 |a_k| is rank-deficient, whatever its scale: for a_k in
+    that span, rounding leaves R_kk near 1e-16 |a_k|, not 0.  A NaN R_kk
+    fails the test and carries NaN to the angle.
     """
-    n = mesh.n
     for sl, v in _frame_chunks(mesh):
-        e = mesh.points[sl].transpose(2, 0, 1).reshape(n, -1)
-        norms = np.sqrt(_dot(e, e).real)
+        points = mesh.points[sl]
+        e = np.concatenate([points.real, points.imag], axis=-1)[..., np.newaxis]
+        norms = np.linalg.norm(e[..., 0], axis=-1)
         if norms.min() < 1e-12:
             raise LagwebError("mesh node at the origin")
-        low, y, x = {}, [], [None] * n  # L by (row, column); L y = b; L^T x = y
-        for j in range(n):
-            pivot = _dot(v[j], v[j]).real - sum(low[j, k] ** 2 for k in range(j))
-            if np.any(pivot <= 0.0):
-                raise LagwebError("tangent frame degenerates (Gram pivot <= 0)")
-            low[j, j] = np.sqrt(pivot)
-            for i in range(j + 1, n):
-                gram = _dot(v[i], v[j]).real
-                low[i, j] = (gram - sum(low[i, k] * low[j, k] for k in range(j))) / low[j, j]
-            y.append((_dot(v[j], e).real - sum(low[j, k] * y[k] for k in range(j))) / low[j, j])
-        for j in reversed(range(n)):
-            x[j] = (y[j] - sum(low[k, j] * x[k] for k in range(j + 1, n))) / low[j, j]
-        resid = e - sum(x[k] * v[k] for k in range(n))
-        yield np.sqrt(_dot(resid, resid).real) / norms
+        frames = np.concatenate([v.real, v.imag], axis=-1).swapaxes(-1, -2)
+        q, r = np.linalg.qr(frames)
+        pivots = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        if np.any(pivots <= 1e-12 * np.linalg.norm(frames, axis=-2)):
+            raise LagwebError("tangent frame degenerates (QR pivot <= 1e-12 |tangent|)")
+        resid = e - q @ (q.swapaxes(-1, -2) @ e)
+        yield np.linalg.norm(resid[..., 0], axis=-1) / norms
 
 
 def _closed_sines(mesh: CylinderMesh):

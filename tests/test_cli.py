@@ -525,6 +525,28 @@ class TestTrajectoryFromSolution:
             assert capsys.readouterr().err == ("error: coefficients must be 2 numbers, one per "
                                                f"direction, got shape {np.shape(a)}\n")
 
+    @pytest.mark.parametrize("basis, message", [
+        ([[math.nan, 0.0], [0.0, 1.0]], "adapted basis must be finite"),
+        ([[math.inf, 0.0], [0.0, 1.0]], "adapted basis must be finite"),
+        (np.eye(3).tolist(), "adapted basis must be 2 x 2, one column per direction, "
+                             "got shape (3, 3)"),
+        ([1.0, 0.0], "adapted basis must be 2 x 2, one column per direction, got shape (2,)"),
+    ], ids=["nan", "inf", "3x3", "1-d"])
+    def test_adapted_basis_checked(self, tmp_path, readme_400, capsys, basis, message):
+        # a NaN basis passed the orthogonality test (NaN > 1e-8 is False) and
+        # wrote NaN into the report; a 3 x 3 one failed in a matmul
+        run_dir, mesh = readme_400
+        doc = json.loads((run_dir / "solution.json").read_text())
+        doc["adapted_basis"] = basis
+        (tmp_path / "solution.json").write_text(json.dumps(doc))
+        for argv in (["webbing", "--levels=-1", "--sphere-res", "16"],
+                     ["verify", "--mesh", str(mesh), "--trajectory",
+                      str(run_dir / "trajectory.csv")]):
+            assert exit_code(*argv, "--solution", str(tmp_path / "solution.json"),
+                             "--out", str(tmp_path / "out")) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
 
 class TestVerify:
     @pytest.fixture()

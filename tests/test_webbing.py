@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -206,8 +207,8 @@ class TestVerifySlag:
         assert report.min_im_omega > 0.0
 
     def test_orientation_of_the_readme_pair(self, solved):
-        # the Laplace expansion's cofactor sign decides this; no other test
-        # reads it
+        # the closed form's cofactor sign decides this; test_checks_agree holds
+        # it to the LAPACK sweep on the same pair, thinned to 20 steps
         traj = solved[2].trajectory
         assert verify_slag(cylinder_mesh(traj, -1.0, 24)).orientation == -1
         assert verify_slag(cylinder_mesh(time_reversed(traj), -1.0, 24)).orientation == 1
@@ -291,11 +292,20 @@ class TestEulerTransversality:
         assert euler_transversality(mesh) == pytest.approx(math.asin(eps), rel=1e-6)
 
     def test_rank_deficient_frame_rejected(self):
-        rng = np.random.default_rng(4)
-        points, tangents = random_frames(3, (TIME_CHUNK + 3, 4), rng)
-        tangents[TIME_CHUNK + 1, 2, 2] = 0.0  # a zero time tangent
-        with pytest.raises(LagwebError, match=r"tangent frame degenerates \(Gram pivot <= 0\)"):
-            euler_transversality(frame_mesh(points, tangents))
+        # in the second time chunk, the first sphere tangent or the time
+        # tangent is zero, or half the tangent before it (cyclically): the
+        # QR pivot and the Hadamard bound see it; a zero tangent's bound is 0
+        for n, row, scale in itertools.product(range(2, 7), (0, -1), (0.0, 0.5)):
+            points, tangents = random_frames(n, (TIME_CHUNK + 3, 4), np.random.default_rng(4))
+            tangents[TIME_CHUNK + 1, 2, row] = scale * tangents[TIME_CHUNK + 1, 2, row - 1]
+            mesh = frame_mesh(points, tangents)
+            with pytest.raises(LagwebError, match=r"tangent frame degenerates "
+                                                  r"\(QR pivot <= 1e-12 \|tangent\|\)"):
+                euler_transversality(mesh)
+            ratio = r"0\.000e\+00\)" if scale == 0.0 else ""
+            with pytest.raises(LagwebError, match=r"tangent frame degenerates "
+                                                  r"\(\|Omega\| / Hadamard bound = " + ratio):
+                verify_slag(mesh)
 
 
 def frame_mesh(points, tangents):
@@ -312,80 +322,49 @@ def random_frames(n, shape, rng):
     return gauss(n), gauss(n, n)
 
 
-def reference_frame_chunks(mesh):
-    for start in range(0, mesh.points.shape[0], TIME_CHUNK):
-        sl = slice(start, start + TIME_CHUNK)
-        tangents = [mesh.sphere_tangents[sl], mesh.time_tangents[sl, :, np.newaxis]]
-        yield sl, np.concatenate(tangents, axis=2)
-
-
-def reference_verify_slag(mesh):
-    """verify_slag with one LAPACK det per node frame: the reference values."""
-    max_omega = 0.0
-    max_re = 0.0
-    im_values_min = math.inf
-    im_values_max = -math.inf
-    min_rank_ratio = math.inf
-    for _, v in reference_frame_chunks(mesh):
-        pair = np.einsum("tpai,tpbi->tpab", v.conj(), v).imag
-        max_omega = np.maximum(max_omega, np.max(np.abs(pair)))
-        det = np.linalg.det(v)
-        max_re = np.maximum(max_re, np.max(np.abs(det.real)))
-        im_values_min = np.minimum(im_values_min, det.imag.min())
-        im_values_max = np.maximum(im_values_max, det.imag.max())
-        hadamard = np.sqrt(np.einsum("tpki,tpki->tpk", v.conj(), v).real).prod(axis=2)
-        min_rank_ratio = np.minimum(min_rank_ratio, np.min(np.abs(det) / hadamard))
-    if min_rank_ratio < 1e-12:
-        raise LagwebError(f"|Omega| / Hadamard bound = {min_rank_ratio:.3e}")
-    orientation = 1 if im_values_max + im_values_min > 0.0 else -1
-    min_im = im_values_min if orientation == 1 else -im_values_max
-    return webbing.SlagReport(max_omega=float(max_omega), max_re_omega=float(max_re),
-                              min_im_omega=float(min_im), orientation=orientation)
-
-
-def reference_euler_transversality(mesh):
-    """euler_transversality with one QR per node frame: the reference angle."""
-    min_angle = math.inf
-    for sl, v in reference_frame_chunks(mesh):
-        real_frames = np.concatenate([v.real, v.imag], axis=3)  # (.., n, 2n)
-        q, _ = np.linalg.qr(np.swapaxes(real_frames, 2, 3))     # (.., 2n, n)
-        pos = mesh.points[sl]
-        e = np.concatenate([pos.real, pos.imag], axis=2)        # (.., 2n)
-        norms = np.linalg.norm(e, axis=2)
-        if norms.min() < 1e-12:
-            raise LagwebError("mesh node at the origin")
-        coeff = np.einsum("tpkj,tpk->tpj", q, e)
-        resid = e - np.einsum("tpkj,tpj->tpk", q, coeff)
-        sin_angle = np.linalg.norm(resid, axis=2) / norms
-        min_angle = np.minimum(min_angle, np.arcsin(np.clip(sin_angle, 0.0, 1.0)).min())
-    return float(min_angle)
+def laplace_det(frames):
+    """det of each (n, n) frame by Laplace expansion along its last row, on
+    the cofactors that the closed form's normal uses: no LAPACK call."""
+    v = np.moveaxis(frames, (-2, -1), (0, 1))
+    return sum(v[-1, j] * cofactor for j, cofactor in enumerate(webbing._cofactors(v[:-1])))
 
 
 class TestAgainstPerFrameReference:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_random_frames(self, n, seed):
-        # arbitrary complex frames across a chunk boundary: the vector
-        # algebra must agree with LAPACK, orientation sign included
+        # arbitrary complex frames across a chunk boundary: the LAPACK sweep
+        # must agree with the Laplace determinant, orientation sign included,
+        # with Im <v_a, v_b> pair by pair, and with a least-squares projection
         rng = np.random.default_rng(100 * n + seed)
-        mesh = frame_mesh(*random_frames(n, (TIME_CHUNK + 5, 7), rng))
-        report, reference = verify_slag(mesh), reference_verify_slag(mesh)
-        assert report.orientation == reference.orientation
-        for field in ("max_omega", "max_re_omega", "min_im_omega"):
-            assert getattr(report, field) == pytest.approx(getattr(reference, field),
+        points, frames = random_frames(n, (TIME_CHUNK + 5, 7), rng)
+        mesh = frame_mesh(points, frames)
+        report = verify_slag(mesh)
+        det = laplace_det(frames)
+        orientation = 1 if det.imag.max() + det.imag.min() > 0.0 else -1
+        assert report.orientation == orientation
+        assert report.min_im_omega == pytest.approx(
+            det.imag.min() if orientation == 1 else -det.imag.max(), rel=1e-12)
+        assert report.max_re_omega == pytest.approx(np.abs(det.real).max(), rel=1e-12)
+        pairs = [np.einsum("...i,...i->...", frames[..., a, :].conj(), frames[..., b, :]).imag
+                 for a in range(n) for b in range(a + 1, n)]
+        assert report.max_omega == pytest.approx(np.abs(pairs).max(), rel=1e-12)
+        real = np.concatenate([frames.real, frames.imag], axis=-1).swapaxes(-1, -2)
+        e = np.concatenate([points.real, points.imag], axis=-1)[..., np.newaxis]
+        resid = e - real @ (np.linalg.pinv(real) @ e)
+        sines = np.linalg.norm(resid, axis=(-2, -1)) / np.linalg.norm(e, axis=(-2, -1))
+        assert euler_transversality(mesh) == pytest.approx(np.arcsin(sines).min(),
                                                            rel=1e-12, abs=1e-13)
-        assert euler_transversality(mesh) == pytest.approx(
-            reference_euler_transversality(mesh), rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("n,steps,res", [(2, 100, 16), (3, 20, 8), (4, 20, 64), (5, 20, 64)])
     def test_solved_meshes(self, n, steps, res):
         mesh = cylinder_mesh(random_traj(n, steps, 30 + n), -0.7, res)
-        report, reference = verify_slag(mesh), reference_verify_slag(mesh)
-        assert report.orientation == reference.orientation
-        assert report.min_im_omega == pytest.approx(reference.min_im_omega, rel=1e-12)
+        report, oracle = verify_slag(mesh), verify_slag(oracle_mesh(mesh))
+        assert report.orientation == oracle.orientation
+        assert report.min_im_omega == pytest.approx(oracle.min_im_omega, rel=1e-12)
         assert report.max_omega < 1e-13 and report.max_re_omega < 1e-13
         assert euler_transversality(mesh) == pytest.approx(
-            reference_euler_transversality(mesh), rel=1e-12)
+            euler_transversality(oracle_mesh(mesh)), rel=1e-12)
 
 
 def oracle_mesh(mesh):

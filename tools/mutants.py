@@ -36,6 +36,9 @@ ROW_NUMBERS = "tests/test_webbing.py::TestMeshCsv::test_rows_numbered_across_blo
 FLOW = "src/lagweb/geoflow.py"
 FLOW_BITS = "tests/test_geoflow.py::TestScalarFlowBits::test_same_bits_as_numpy_rk4"
 CSV_TEXT = "tests/test_geoflow.py::TestCsvText"
+CLI = "src/lagweb/cli.py"
+ROWS = "tests/test_webbing.py::TestMeshCsv::test_rows_must_be_the_writers"
+HALTON = "tests/test_webbing.py::TestSphereGrid::test_halton_is_scipys_bit_for_bit"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -58,6 +61,25 @@ MUTANTS = {
         "np.hypot((rate.real / g) @ c,",
         "np.hypot((rate.imag / g) @ c,",
         [f"{CLOSED}[readme-0.25]", f"{CLOSED}[seeded-n3]", f"{CLOSED}[seeded-n6]"],
+    ),
+    "cofactors with the row-2 minors of the wrong sign": (
+        WEB,
+        "(-1) ** (row + k)",
+        "(-1) ** (row + k + (row == 2))",
+        [f"{CLOSED}[seeded-n4]", f"{CLOSED}[seeded-n5]", f"{CLOSED}[seeded-n6]",
+         "tests/test_webbing.py::TestAgainstPerFrameReference::test_random_frames[4-0]"],
+    ),
+    "sweep's QR pivot test never fires": (
+        WEB,
+        "if np.any(pivots <= 1e-12 * np.linalg.norm(frames, axis=-2)):",
+        "if False:",
+        ["tests/test_webbing.py::TestEulerTransversality::test_rank_deficient_frame_rejected"],
+    ),
+    "sweep's QR pivot test only for an exactly zero pivot": (
+        WEB,
+        "pivots <= 1e-12 * np.linalg.norm(frames, axis=-2)",
+        "pivots <= 0.0 * np.linalg.norm(frames, axis=-2)",
+        ["tests/test_webbing.py::TestEulerTransversality::test_rank_deficient_frame_rejected"],
     ),
     "time chunk one sample short": (
         WEB,
@@ -129,6 +151,24 @@ MUTANTS = {
         "    if off.size:",
         "    if False:",
         [f"{CSV_TEXT}::test_powers_of_ten_and_neighbours", f"{CSV_TEXT}::test_fast_path_edges"],
+    ),
+    "recorded level type tested by isinstance, so a bool passes": (
+        CLI,
+        "type(level) in (int, float)",
+        "isinstance(level, (int, float))",
+        ["tests/test_cli.py::TestRecordedGrid::test_malformed_field[level-true]"],
+    ),
+    "CSV check without the end-of-file test": (
+        FLOW,
+        "if fh.read(1):",
+        "if False:",
+        [f"{ROWS}[extra-row]", f"{ROW_NUMBERS}[extra-row]"],
+    ),
+    "Halton with one permutation digit fewer": (
+        WEB,
+        "math.ceil(54 / math.log2(base)) - 1",
+        "math.ceil(54 / math.log2(base)) - 2",
+        [f"{HALTON}[1]", f"{HALTON}[2]", f"{HALTON}[7]"],
     ),
 }
 
