@@ -8,6 +8,7 @@ Module map:
     bvpsolve  -- Newton on the exact phase-parametrised shooting map, then
                  one RK4 trajectory, for the two-frame boundary value problem
     webbing   -- level-set cylinders, calibration verification, flux
+    cephes    -- the normal quantile ndtri of the n >= 4 sphere, scipy's bits
     cli       -- command line pipeline and its JSON emitter
 """
 

@@ -46,8 +46,9 @@ array of the whole mesh: peak memory is set by one block, not by T x P.
 The boundary-flux check uses the exact level-family deformation field
 Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
 pairing with the time tangent is sum_j kappa_j^2 Im(conj(w_j) dw_j/dt), so
-it reads the flow factors and builds no cylinder.  scipy.special is
-imported only by the quasi-random sphere of n >= 4.
+it reads the flow factors and builds no cylinder.  The quasi-random sphere
+of n >= 4 makes its Halton points here and its normal quantiles in
+``cephes``, bit for bit scipy's, so no lagweb process imports scipy.
 """
 
 from __future__ import annotations
@@ -80,7 +81,14 @@ class LevelSetChart:
 def level_set_chart(coefficients, level: float) -> LevelSetChart:
     a = np.asarray(coefficients, dtype=float)
     if np.any(a >= 0.0):
-        raise ValueError("all coefficients must be negative")
+        message = "all coefficients must be negative"
+        # the solver freezes each direction where the pair is not transverse at a_j = 0
+        frozen = [j + 1 for j in np.flatnonzero(a == 0.0)]
+        if frozen:
+            message += (f"; {''.join(f'a_{j} = ' for j in frozen)}0: the pair is not transverse "
+                        f"in direction{'s' if len(frozen) > 1 else ''} "
+                        f"{', '.join(map(str, frozen))}")
+        raise ValueError(message)
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
     if level >= 0.0:
@@ -103,8 +111,8 @@ def _halton(m: int, d: int) -> np.ndarray:
     draws, bit for bit: per dimension, the van der Corput sequence in the next
     prime base with each digit permuted (Owen's scrambling), the permutations
     shuffled in turn by default_rng(0).  Made here because importing
-    scipy.stats would add about 0.7 s and 45 MB resident, beyond
-    scipy.special, to the first n >= 4 sphere."""
+    scipy.stats would add about 0.7 s and 45 MB resident to the first
+    n >= 4 sphere."""
     rng = np.random.default_rng(0)
     primes = (k for k in itertools.count(2) if all(k % p for p in range(2, math.isqrt(k) + 1)))
     columns = []
@@ -131,8 +139,9 @@ def sphere_grid(n: int, resolution=None) -> SphereGrid:
     latitude-longitude grid resolution x resolution/2 with latitudes offset
     from the poles (default 64 x 32); n >= 4 falls back to ``resolution``
     quasi-random unit vectors (default 4096) with Householder-completed
-    tangent bases.  The quasi-random points come from a Halton sequence with
-    the fixed seed 0, so every grid is a function of (n, resolution) alone.
+    tangent bases.  The quasi-random points are the normal quantiles of a
+    Halton sequence with the fixed seed 0, so every grid is a function of
+    (n, resolution) alone.
     """
     if n < 2:
         raise ValueError("cylinders need n >= 2 (S^0 cross sections are not supported)")
@@ -157,12 +166,13 @@ def sphere_grid(n: int, resolution=None) -> SphereGrid:
         d_lon = np.stack([-np.sin(ll), np.cos(ll), np.zeros_like(ll)], axis=1)
         tangents = np.stack([d_lat, d_lon], axis=1)
         return SphereGrid("latlong", np.stack([ll, tt], axis=1), points, tangents)
-    # scipy.special is needed only here; importing it lazily keeps its
-    # start-up out of every CLI call that never samples n >= 4
-    from scipy.special import ndtri
+    # imported here, so that no n <= 3 process compiles it (module docstring)
+    from .cephes import ndtri
 
     m = 4096 if resolution is None else int(resolution)
-    gauss = ndtri(np.clip(_halton(m, n), 1e-12, 1.0 - 1e-12))
+    # the clip keeps every coordinate inside (0, 1), where ndtri is defined
+    uniform = np.clip(_halton(m, n), 1e-12, 1.0 - 1e-12)
+    gauss = np.array([ndtri(y) for y in uniform.ravel().tolist()]).reshape(m, n)
     points = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     # reflection sending p to -sign(p_0) e_0; its remaining columns span p-perp
     sign = np.where(points[:, 0] >= 0.0, 1.0, -1.0)
@@ -392,7 +402,8 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
     arrays.  The orientation sign makes Im Omega predominantly positive and
     is reported alongside.  Re Omega cannot see a wrong theta history (module
     docstring).  The chunk folds use np.maximum and np.minimum, so a NaN
-    anywhere reaches the report.
+    anywhere reaches the report.  The rank ratio alone is folded with fmin,
+    which skips NaN, so a NaN frame cannot hide a degenerate one elsewhere.
     """
     chunks = _closed_calibration(mesh) if mesh.factored else _swept_calibration(mesh)
     max_omega = max_re = 0.0
@@ -406,7 +417,7 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
         # with a zero tangent has bound 0 and counts as ratio 0, not 0 / 0
         ratio = np.divide(np.abs(det), hadamard, out=np.zeros_like(hadamard),
                           where=hadamard != 0.0)
-        min_rank_ratio = np.minimum(min_rank_ratio, np.min(ratio))
+        min_rank_ratio = np.fmin(min_rank_ratio, np.fmin.reduce(ratio, axis=None))
     if min_rank_ratio < 1e-12:
         raise LagwebError("tangent frame degenerates "
                           f"(|Omega| / Hadamard bound = {min_rank_ratio:.3e})")

@@ -300,6 +300,24 @@ class TestWebbing:
                                            "samples, got 2\n")
         assert list((tmp_path / "web").glob("*")) == []
 
+    def test_non_transverse_pair_named(self, tmp_path, capsys):
+        # both planes turn the first direction by 0.2: geodesic freezes it at
+        # a_1 = 0 and exits 0, and webbing names that direction when it refuses
+        for name, angles in (("l0.json", [0.2, 0.3]), ("l1.json", [0.2, 0.9])):
+            write_frame(tmp_path / name, np.diag(np.exp(1j * np.array(angles))))
+        frames = ["--lambda0", str(tmp_path / "l0.json"), "--lambda1", str(tmp_path / "l1.json")]
+        run_dir = tmp_path / "run"
+        assert exit_code("pair-analyze", *frames, "--out", str(run_dir)) == 0
+        assert json.loads((run_dir / "pair.json").read_text())["transverse"] is False
+        assert exit_code("geodesic", *frames, "--steps", "200", "--out", str(run_dir)) == 0
+        assert json.loads((run_dir / "solution.json").read_text())["a"][0] == 0
+        capsys.readouterr()
+        assert exit_code("webbing", "--solution", str(run_dir / "solution.json"),
+                         "--sphere-res", "8", "--out", str(tmp_path / "web")) == 2
+        assert capsys.readouterr().err == ("error: all coefficients must be negative; a_1 = 0: "
+                                           "the pair is not transverse in direction 1\n")
+        assert list((tmp_path / "web").glob("*")) == []
+
 
 def test_nan_report_values_fail_every_threshold():
     report = {"max_omega": 0.0, "max_re_omega": 0.0, "min_im_omega": 1.0, "min_euler_angle": 1.0}
@@ -783,16 +801,45 @@ class TestDeterministicJson:
         assert text == '{"a":[1,true,null,"s"],"b":0.33333333333333331}\n'
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only by the n >= 4 sphere sampler; a top-level import
-    # anywhere in the package would add ~1 s to every CLI call
+def scipy_modules_after(code):
+    """The sorted names of the scipy modules loaded once ``code`` has run in
+    a fresh interpreter with this checkout's lagweb, as the last stdout line."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lagweb.__file__)))
-    code = ("import sys, lagweb.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # lagweb imports no scipy; scipy.special alone would add ~0.15 s and
+    # 22 MB to every CLI call, scipy.stats ~1 s
+    assert scipy_modules_after("import lagweb.cli") == "[]"
+
+
+def test_n4_webbing_leaves_scipy_unloaded(tmp_path):
+    # the n >= 4 quasi-random sphere makes its Halton points and normal
+    # quantiles itself, so a whole n = 4 webbing stage loads no scipy module
+    code = f"""
+import os
+import numpy as np
+from lagweb.cli import main, write_json
+from lagweb.laggrass import frame_to_json_dict, random_maslov_zero_pair
+os.chdir({str(tmp_path)!r})
+l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(2), 4)
+write_json("l0.json", frame_to_json_dict(l0))
+write_json("l1.json", frame_to_json_dict(l1))
+for argv in (["geodesic", "--lambda0", "l0.json", "--lambda1", "l1.json", "--steps", "50",
+              "--out", "run"],
+             ["webbing", "--solution", "run/solution.json", "--levels=-1", "--sphere-res", "16",
+              "--out", "web"]):
+    try:
+        main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, argv
+"""
+    assert scipy_modules_after(code) == "[]"
+    assert (tmp_path / "web" / "mesh_0.csv").exists()
 
 
 def exit_code(*argv):

@@ -15,7 +15,7 @@ from lagweb.errors import LagwebError
 from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory, time_reversed
 from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
-from lagweb import geoflow, webbing
+from lagweb import cephes, geoflow, webbing
 from lagweb.webbing import (
     TIME_CHUNK,
     CylinderMesh,
@@ -70,12 +70,24 @@ class TestLevelSetChart:
         )
 
     def test_sign_errors(self):
-        with pytest.raises(ValueError, match="all coefficients must be negative"):
+        with pytest.raises(ValueError, match="all coefficients must be negative$"):
             level_set_chart([-1.0, 0.5], -1.0)
         with pytest.raises(ValueError, match="level must be negative"):
             level_set_chart([-1.0, -1.0], 1.0)
         with pytest.raises(ValueError, match="level must be finite, got nan"):
             level_set_chart([-1.0, -1.0], math.nan)
+
+    @pytest.mark.parametrize("a, message", [
+        ([-1.0, 0.0], "a_2 = 0: the pair is not transverse in direction 2"),
+        ([-0.0, -1.0, 0.0], "a_1 = a_3 = 0: the pair is not transverse in directions 1, 3"),
+        ([0.0, 0.5], "a_1 = 0: the pair is not transverse in direction 1"),
+    ])
+    def test_frozen_directions_named(self, a, message):
+        # the solver freezes the directions where the pair is not transverse
+        # at a_j = 0, so a zero coefficient names its cause
+        with pytest.raises(ValueError) as exc:
+            level_set_chart(a, -1.0)
+        assert str(exc.value) == f"all coefficients must be negative; {message}"
 
 
 class TestSphereGrid:
@@ -115,14 +127,37 @@ class TestSphereGrid:
             assert got.shape == expected.shape
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
+    def test_ndtri_is_scipys_bit_for_bit(self):
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(7)
+        # each branch edge and the bits around it: 1 - e^-2 and e^-2 bound
+        # the central branch, and e^-32 is where z = sqrt(-2 ln y) passes 8
+        edges = [np.nextafter(edge, direction)
+                 for edge in (math.exp(-2), cephes.EXP_M2, 1.0 - cephes.EXP_M2,
+                              1.0 - math.exp(-2), math.exp(-32))
+                 for direction in (0.0, 1.0)]
+        edges = [edge + step * np.spacing(edge) for edge in edges for step in range(-3, 4)]
+        halton = [np.clip(webbing._halton(m, n), 1e-12, 1.0 - 1e-12).ravel()
+                  for n in (4, 5, 6, 8, 12) for m in (64, 256, 4096)]
+        y = np.concatenate([rng.uniform(0.0, 1.0, 20000),
+                            10.0 ** rng.uniform(-300.0, 0.0, 20000),
+                            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20000),
+                            edges, *halton])
+        assert np.all((y > 0.0) & (y < 1.0))
+        got = np.array([cephes.ndtri(value) for value in y.tolist()])
+        np.testing.assert_array_equal(got.view(np.uint64), ndtri(y).view(np.uint64))
+
     def test_quasirandom_sphere_leaves_scipy_stats_unloaded(self):
-        # importing scipy.stats would add ~0.7 s and ~45 MB to the first n >= 4 grid
+        # the n >= 4 grid imports no scipy module at all: scipy.special would
+        # add ~0.15 s and ~22 MB to the first n >= 4 grid, scipy.stats ~0.7 s
+        # and ~45 MB more
         src = os.path.dirname(os.path.dirname(os.path.abspath(webbing.__file__)))
         code = ("import sys; from lagweb.webbing import sphere_grid; sphere_grid(4, 16); "
-                "print('scipy.stats' in sys.modules)")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_resolution_below_minimum_rejected(self, n):
@@ -199,6 +234,20 @@ class TestVerifySlag:
         assert math.isnan(report.max_omega)
         assert math.isnan(report.max_re_omega)
         assert math.isnan(report.min_im_omega)
+
+    @pytest.mark.parametrize("nan_sample", [1, TIME_CHUNK])
+    def test_nan_frame_hides_no_degenerate_frame(self, nan_sample):
+        # a NaN frame in an earlier time chunk than a zero time tangent, or in
+        # the same chunk, must not switch off the rank test for the mesh
+        points, tangents = random_frames(3, (20, 4), np.random.default_rng(5))
+        tangents[nan_sample, 2, 0, 0] = np.nan
+        tangents[17, 1, -1] = 0.0
+        mesh = frame_mesh(points, tangents)
+        with pytest.raises(LagwebError, match="tangent frame degenerates"):
+            euler_transversality(mesh)
+        with pytest.raises(LagwebError, match=r"tangent frame degenerates "
+                                              r"\(\|Omega\| / Hadamard bound = 0\.000e\+00\)"):
+            verify_slag(mesh)
 
     def test_symmetric_mesh_calibration(self, symmetric_traj):
         report = verify_slag(cylinder_mesh(symmetric_traj, -1.0, 64))

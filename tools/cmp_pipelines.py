@@ -4,7 +4,7 @@
     python3 tools/cmp_pipelines.py <rev>
 
 The revision's src/ is extracted with ``git archive`` into a temporary
-directory.  Both trees then run the same four pipelines, each stage in a
+directory.  Both trees then run the same five pipelines, each stage in a
 fresh interpreter (``python -m lagweb.cli``):
 
   readme    the README pair, --steps 2000, --levels=-1,-0.25
@@ -13,7 +13,7 @@ fresh interpreter (``python -m lagweb.cli``):
   reversed  the README pair in reverse order (Maslov index n), --steps 400,
             --sphere-res 24
   n4        random_maslov_zero_pair(default_rng(2), 4), --steps 300,
-            --sphere-res 256
+            --sphere-res 256: n4 and n9 sample the quasi-random sphere
   n9        random_maslov_zero_pair(default_rng(3), 9), --steps 300,
             --levels=-1, --sphere-res 64: the flow sums its phase pairwise
             from n = 8 on
@@ -23,10 +23,12 @@ and verify on every mesh.  Every output file, exit code, stdout and stderr
 is compared, and so is ``--help`` of every stage.  One line is printed per
 difference; the exit code is 1 on any difference and 0 when there is none.
 Only the standard library is used, and only the temporary directory is
-written.  The stages run one at a time.  The n = 3 ones peak near 90 MB
-with the closed-form mesh checks (near 250 MB at revisions that built the
-whole tangent stack), and a whole comparison takes about 30 s on a 2-CPU
-host.
+written.  The stages run one at a time.  The peak resident memory of every
+pipeline stage, read with os.wait4, is printed to stderr for both trees;
+it is information only and never counts as a difference.  The n = 3 stages
+peak near 90 MB with the closed-form mesh checks (near 250 MB at revisions
+that built the whole tangent stack), and a whole comparison takes about
+30 s on a 2-CPU host.
 """
 
 import argparse
@@ -76,16 +78,25 @@ def extract_src(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
-def run_tree(src: Path, work: Path) -> dict:
+def run_tree(src: Path, work: Path):
     """Run every pipeline with the lagweb package under src; returns
-    {command label: (exit code, stdout, stderr)}.  Outputs go under work."""
+    {command label: (exit code, stdout, stderr)} and {command label: peak
+    resident MB}.  Outputs go under work."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    results = {}
+    results, peaks = {}, {}
 
     def call(label, cwd, argv):
-        done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
-        results[label] = (done.returncode, done.stdout, done.stderr)
-        return done.returncode
+        # output to files, so that the child is reaped by wait4 and its rusage read
+        with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+            proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=out,
+                                    stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            out.seek(0)
+            err.seek(0)
+            results[label] = (proc.returncode, out.read(), err.read())
+        peaks[label] = usage.ru_maxrss / 1024.0  # kB on Linux
+        return proc.returncode
 
     work.mkdir()
     for stage in STAGES:
@@ -108,7 +119,7 @@ def run_tree(src: Path, work: Path) -> dict:
                  ["-m", "lagweb.cli", "verify", "--mesh", f"web/{mesh.name}",
                   "--trajectory", "run/trajectory.csv", "--solution", "run/solution.json",
                   "--out", f"verify_{mesh.stem}"])
-    return results
+    return results, peaks
 
 
 def compare(base: dict, head: dict, base_dir: Path, head_dir: Path) -> list:
@@ -132,6 +143,14 @@ def compare(base: dict, head: dict, base_dir: Path, head_dir: Path) -> list:
     return diffs
 
 
+def print_peaks(base: dict, head: dict) -> None:
+    """One stderr line per pipeline stage: its peak resident MB, base -> head."""
+    for label in dict.fromkeys([*base, *head]):
+        if not label.endswith("--help"):
+            old, new = (f"{p[label]:7.1f}" if label in p else "      -" for p in (base, head))
+            print(f"peak RSS {old} -> {new} MB  {label}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision whose src/ is the reference")
@@ -140,9 +159,10 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         (tmp / "base").mkdir()
         extract_src(args.rev, tmp / "base")
-        base = run_tree(tmp / "base" / "src", tmp / "base_out")
-        head = run_tree(REPO / "src", tmp / "head_out")
+        base, base_peaks = run_tree(tmp / "base" / "src", tmp / "base_out")
+        head, head_peaks = run_tree(REPO / "src", tmp / "head_out")
         diffs = compare(base, head, tmp / "base_out", tmp / "head_out")
+    print_peaks(base_peaks, head_peaks)
     for line in diffs:
         print(line)
     return 1 if diffs else 0

@@ -39,6 +39,9 @@ CSV_TEXT = "tests/test_geoflow.py::TestCsvText"
 CLI = "src/lagweb/cli.py"
 ROWS = "tests/test_webbing.py::TestMeshCsv::test_rows_must_be_the_writers"
 HALTON = "tests/test_webbing.py::TestSphereGrid::test_halton_is_scipys_bit_for_bit"
+CEPHES = "src/lagweb/cephes.py"
+NDTRI = "tests/test_webbing.py::TestSphereGrid::test_ndtri_is_scipys_bit_for_bit"
+NAN_FRAME = "tests/test_webbing.py::TestVerifySlag::test_nan_frame_hides_no_degenerate_frame"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -169,6 +172,24 @@ MUTANTS = {
         "math.ceil(54 / math.log2(base)) - 1",
         "math.ceil(54 / math.log2(base)) - 2",
         [f"{HALTON}[1]", f"{HALTON}[2]", f"{HALTON}[7]"],
+    ),
+    "ndtri coefficient one digit off in the 15th place": (
+        CEPHES,
+        "4.40805073893200834700e1",
+        "4.40805073893200934700e1",
+        [NDTRI],
+    ),
+    "ndtri central branch edge two bits above e^-2": (
+        CEPHES,
+        "EXP_M2 = 0.13533528323661269189",
+        "EXP_M2 = 0.13533528323661276",
+        [NDTRI],
+    ),
+    "rank ratio folded with np.minimum, so a NaN frame hides a degenerate one": (
+        WEB,
+        "np.fmin(min_rank_ratio, np.fmin.reduce(ratio, axis=None))",
+        "np.minimum(min_rank_ratio, np.min(ratio))",
+        [f"{NAN_FRAME}[1]", f"{NAN_FRAME}[16]"],
     ),
 }
 
