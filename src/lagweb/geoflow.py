@@ -342,7 +342,9 @@ def two_route_deviation(spec: GeodesicSpec, config: IntegratorConfig = Integrato
 # bytes.translate per block removes them.
 
 CSV_CELL = 32
-CSV_BLOCK = 1 << 14     # values formatted per pass: bounds the temporaries (~150 B each)
+# values per streamed block: formatted per pass here, and in webbing the node-samples
+# of a mesh-check chunk and the values of a mesh CSV block, so it bounds all their temporaries
+CSV_BLOCK = 1 << 14
 _SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter
 _POW10 = np.array([10.0 ** k for k in range(23)])   # exact in binary64
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)

@@ -41,7 +41,11 @@ wrong cofactor there shows as a disagreement.  The mesh CSV writer and
 reader form a factored mesh's nodes one CSV block of time slices at a time,
 and the harmonic residual reads the metric one time chunk at a time with a
 two-row halo, so writing, checking and reporting a factored mesh holds no
-array of the whole mesh: peak memory is set by one block, not by T x P.
+array of the whole mesh.  Every such pass takes blocks of whole time rows
+of about CSV_BLOCK values (``_block_rows``), so a check chunk holds about
+CSV_BLOCK node-samples whatever the node count P: peak memory is set by that
+one budget, not by T x P.  The harmonic residual's blocks keep at least 16
+rows, so that at large P the halo does not outweigh the block.
 
 The boundary-flux check uses the exact level-family deformation field
 Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
@@ -66,7 +70,6 @@ from .geoflow import CSV_BLOCK, GeodesicTrajectory, _check_csv, _csv_rows, _writ
 
 BOUNDARY_TOL = 1e-8
 FLUX_SPREAD_TOL = 1e-4
-TIME_CHUNK = 16  # the checks run in time blocks to bound peak memory
 MIN_SPHERE_RESOLUTION = 4
 
 
@@ -317,8 +320,17 @@ def boundary_containment(mesh: CylinderMesh, frame, end: int) -> float:
     return float(np.max(np.abs((slice_points @ frame.columns.conj()).imag)))
 
 
-def _time_chunks(t_count: int):
-    return (slice(start, start + TIME_CHUNK) for start in range(0, t_count, TIME_CHUNK))
+def _block_rows(width: int, least: int = 1) -> int:
+    """Time rows per streamed block, for rows of width values: about
+    CSV_BLOCK values, and at least ``least`` rows."""
+    return max(least, CSV_BLOCK // width)
+
+
+def _time_chunks(t_count: int, p_count: int):
+    """The check chunks of a T x P grid: whole time rows of about
+    CSV_BLOCK node-samples each."""
+    rows = _block_rows(p_count)
+    return (slice(start, start + rows) for start in range(0, t_count, rows))
 
 
 def _abs2(z):
@@ -326,9 +338,9 @@ def _abs2(z):
 
 
 def _frame_chunks(mesh: CylinderMesh):
-    """(slice, V) per TIME_CHUNK samples; V[t, p] is the (n, n) frame of
-    node p at sample t, its rows the sphere tangents, then the time tangent."""
-    for sl in _time_chunks(len(mesh.time_tangents)):
+    """(slice, V) per time chunk; V[t, p] is the (n, n) frame of node p at
+    sample t, its rows the sphere tangents, then the time tangent."""
+    for sl in _time_chunks(*mesh.time_tangents.shape[:2]):
         yield sl, np.concatenate([mesh.sphere_tangents[sl],
                                   mesh.time_tangents[sl, :, np.newaxis]], axis=2)
 
@@ -381,7 +393,7 @@ def _closed_calibration(mesh: CylinderMesh):
     pairs = (f.kappa_tan * f.kappa[:, np.newaxis, :]).reshape(-1, m + 1).T  # (n, P m)
     sphere_sq = (f.kappa_tan**2).reshape(-1, m + 1).T
     kappa_sq = (f.kappa**2).T
-    for sl in _time_chunks(len(f.w)):
+    for sl in _time_chunks(len(f.w), len(f.kappa)):
         w, dw = f.w[sl], f.dw[sl]
         g, rate = _abs2(w), w.conj() * dw
         max_omega = np.max(np.abs(rate.imag @ pairs))
@@ -467,7 +479,7 @@ def _closed_sines(mesh: CylinderMesh):
     c = f.kappa * normal
     delta = np.abs(c.sum(axis=1))
     c, normal_sq, kappa_sq = c.T, (normal**2).T, (f.kappa**2).T
-    for sl in _time_chunks(len(f.w)):
+    for sl in _time_chunks(len(f.w), len(f.kappa)):
         g, rate = _abs2(f.w[sl]), f.w[sl].conj() * f.dw[sl]  # g d = rate
         norms = np.sqrt(g @ kappa_sq)
         if norms.min() < 1e-12:
@@ -554,12 +566,12 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
     The operator is the divergence-form one for the induced metric (E, F, G
     from the analytic tangents), discretized with central differences:
     periodic in the angle, one-sided first-order at the time edges, residual taken on
-    interior time rows.  The rows run in blocks of TIME_CHUNK, each with a
-    halo of two rows per side: a residual row reads the time fluxes of rows
-    r - 1 .. r + 1, and those read u of rows r - 2 .. r + 2.  So one-sided
-    differences fall only on the grid's first and last rows, and every
-    residual keeps the bits of the whole-grid stencil.  No (T, P) array is
-    formed.
+    interior time rows.  The rows run in blocks of about CSV_BLOCK
+    node-samples and at least 16 rows, each with a halo of two rows per
+    side: a residual row reads the time fluxes of rows r - 1 .. r + 1, and
+    those read u of rows r - 2 .. r + 2.  So one-sided differences fall only
+    on the grid's first and last rows, and every residual keeps the bits of
+    the whole-grid stencil.  No (T, P) array is formed.
     """
     if mesh.n != 2 or mesh.sphere.kind != "circle":
         raise ValueError("harmonic residual needs the n = 2 angle x time grid")
@@ -578,8 +590,9 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
         return (np.roll(z, -1, axis=1) - np.roll(z, 1, axis=1)) / (2.0 * hs)
 
     min_det, worst = math.inf, 0.0
-    for start in range(1, t_count - 1, TIME_CHUNK):
-        stop = min(start + TIME_CHUNK, t_count - 1)
+    rows = _block_rows(p_count, least=16)  # so the two-row halos add at most a quarter
+    for start in range(1, t_count - 1, rows):
+        stop = min(start + rows, t_count - 1)
         lo, hi = max(start - 2, 0), min(stop + 2, t_count)
         e, f, g = _metric(mesh, slice(lo, hi))
         det = e * g - f * f
@@ -621,7 +634,7 @@ def _mesh_rows(mesh: CylinderMesh):
     heads = np.array(["".join(f"{v:.17g}," for v in row).encode() for row in params.tolist()])
     heads = heads.view(np.uint8).reshape(len(params), -1)
     width = heads.shape[1]
-    step = max(1, CSV_BLOCK // (len(params) * 2 * mesh.n))
+    step = _block_rows(len(params) * 2 * mesh.n)
     for start in range(0, len(times), step):
         sl = slice(start, start + step)
         stamps = np.array([f"{t:.17g},".encode() for t in times[sl].tolist()])

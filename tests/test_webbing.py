@@ -17,7 +17,6 @@ from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
 from lagweb import cephes, geoflow, webbing
 from lagweb.webbing import (
-    TIME_CHUNK,
     CylinderMesh,
     SphereGrid,
     boundary_containment,
@@ -32,6 +31,21 @@ from lagweb.webbing import (
     webbing_family,
     write_mesh_csv,
 )
+
+
+CHUNK_ROWS = 16  # time rows per check chunk in the tests that cross chunk edges
+
+
+def shrink_chunks(monkeypatch, p_count, rows=CHUNK_ROWS):
+    """Set the block budget so that a check chunk of a P-node grid holds
+    the given number of time rows."""
+    monkeypatch.setattr(webbing, "CSV_BLOCK", rows * p_count)
+
+
+def fix_block_rows(monkeypatch, rows):
+    """Give every streamed block the given number of time rows, below the
+    harmonic residual's floor too."""
+    monkeypatch.setattr(webbing, "_block_rows", lambda width, least=1: rows)
 
 
 def diag_frame(*angles):
@@ -229,16 +243,17 @@ class TestVerifySlag:
         )
         assert verify_slag(tampered).max_re_omega > 1e-3
 
-    def test_nan_in_a_later_chunk_reaches_the_report(self, solved):
-        report = verify_slag(nan_tangent_mesh(solved[2].trajectory))
+    def test_nan_in_a_later_chunk_reaches_the_report(self, solved, monkeypatch):
+        report = verify_slag(nan_tangent_mesh(solved[2].trajectory, monkeypatch))
         assert math.isnan(report.max_omega)
         assert math.isnan(report.max_re_omega)
         assert math.isnan(report.min_im_omega)
 
-    @pytest.mark.parametrize("nan_sample", [1, TIME_CHUNK])
-    def test_nan_frame_hides_no_degenerate_frame(self, nan_sample):
+    @pytest.mark.parametrize("nan_sample", [1, CHUNK_ROWS])
+    def test_nan_frame_hides_no_degenerate_frame(self, nan_sample, monkeypatch):
         # a NaN frame in an earlier time chunk than a zero time tangent, or in
         # the same chunk, must not switch off the rank test for the mesh
+        shrink_chunks(monkeypatch, 4)
         points, tangents = random_frames(3, (20, 4), np.random.default_rng(5))
         tangents[nan_sample, 2, 0, 0] = np.nan
         tangents[17, 1, -1] = 0.0
@@ -276,11 +291,13 @@ class TestVerifySlag:
                                                            rel=1e-12)
 
 
-def nan_tangent_mesh(traj):
-    """Mesh with one NaN time tangent past the first TIME_CHUNK slices."""
+def nan_tangent_mesh(traj, monkeypatch):
+    """Mesh with one NaN time tangent past the first check chunk, the
+    chunks shrunk to CHUNK_ROWS slices."""
     mesh = cylinder_mesh(traj, -1.0, 16)
+    shrink_chunks(monkeypatch, 16)
     time_tangents = mesh.time_tangents.copy()
-    time_tangents[TIME_CHUNK + 3, 5, 0] = np.nan
+    time_tangents[CHUNK_ROWS + 3, 5, 0] = np.nan
     return CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart, sphere=mesh.sphere,
                         points=mesh.points, sphere_tangents=mesh.sphere_tangents,
                         time_tangents=time_tangents, boundary_defect=mesh.boundary_defect)
@@ -291,8 +308,9 @@ class TestEulerTransversality:
         _, _, sol = solved
         assert euler_transversality(cylinder_mesh(sol.trajectory, -1.0, 64)) > 0.01
 
-    def test_nan_in_a_later_chunk_reaches_the_angle(self, solved):
-        assert math.isnan(euler_transversality(nan_tangent_mesh(solved[2].trajectory)))
+    def test_nan_in_a_later_chunk_reaches_the_angle(self, solved, monkeypatch):
+        assert math.isnan(euler_transversality(nan_tangent_mesh(solved[2].trajectory,
+                                                                monkeypatch)))
 
     def test_radial_cone_control(self, symmetric_traj):
         mesh = cylinder_mesh(symmetric_traj, -1.0, 32)
@@ -326,11 +344,12 @@ class TestEulerTransversality:
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_known_tilt(self, n, eps):
+    def test_known_tilt(self, n, eps, monkeypatch):
         # e leaves the real span of a random, non-orthonormal frame by
         # exactly arcsin(eps); 1 - b^T G^-1 b / |e|^2 floors near 1.5e-8
+        shrink_chunks(monkeypatch, 4)
         rng = np.random.default_rng(10 * n)
-        shape = (TIME_CHUNK + 3, 4)
+        shape = (CHUNK_ROWS + 3, 4)
         v = rng.standard_normal(shape + (n, 2 * n))           # real frames in R^2n
         q, _ = np.linalg.qr(np.concatenate([np.swapaxes(v, -1, -2),
                                             rng.standard_normal(shape + (2 * n, 1))], axis=-1))
@@ -340,13 +359,14 @@ class TestEulerTransversality:
         mesh = frame_mesh(e[..., :n] + 1j * e[..., n:], v[..., :n] + 1j * v[..., n:])
         assert euler_transversality(mesh) == pytest.approx(math.asin(eps), rel=1e-6)
 
-    def test_rank_deficient_frame_rejected(self):
+    def test_rank_deficient_frame_rejected(self, monkeypatch):
         # in the second time chunk, the first sphere tangent or the time
         # tangent is zero, or half the tangent before it (cyclically): the
         # QR pivot and the Hadamard bound see it; a zero tangent's bound is 0
+        shrink_chunks(monkeypatch, 4)
         for n, row, scale in itertools.product(range(2, 7), (0, -1), (0.0, 0.5)):
-            points, tangents = random_frames(n, (TIME_CHUNK + 3, 4), np.random.default_rng(4))
-            tangents[TIME_CHUNK + 1, 2, row] = scale * tangents[TIME_CHUNK + 1, 2, row - 1]
+            points, tangents = random_frames(n, (CHUNK_ROWS + 3, 4), np.random.default_rng(4))
+            tangents[CHUNK_ROWS + 1, 2, row] = scale * tangents[CHUNK_ROWS + 1, 2, row - 1]
             mesh = frame_mesh(points, tangents)
             with pytest.raises(LagwebError, match=r"tangent frame degenerates "
                                                   r"\(QR pivot <= 1e-12 \|tangent\|\)"):
@@ -381,12 +401,13 @@ def laplace_det(frames):
 class TestAgainstPerFrameReference:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_random_frames(self, n, seed):
+    def test_random_frames(self, n, seed, monkeypatch):
         # arbitrary complex frames across a chunk boundary: the LAPACK sweep
         # must agree with the Laplace determinant, orientation sign included,
         # with Im <v_a, v_b> pair by pair, and with a least-squares projection
+        shrink_chunks(monkeypatch, 7)
         rng = np.random.default_rng(100 * n + seed)
-        points, frames = random_frames(n, (TIME_CHUNK + 5, 7), rng)
+        points, frames = random_frames(n, (CHUNK_ROWS + 5, 7), rng)
         mesh = frame_mesh(points, frames)
         report = verify_slag(mesh)
         det = laplace_det(frames)
@@ -436,11 +457,11 @@ def bits(a):
 
 @pytest.fixture(scope="module")
 def closed_form_meshes(solved):
-    """Meshes whose time grids span at least two TIME_CHUNKs: seeded solved
-    pairs n = 2..6, the README pair at the three README levels, and the
+    """Meshes whose time grids span three check chunks of CHUNK_ROWS rows:
+    seeded solved pairs n = 2..6, the README pair at the three README levels, and the
     mesh of the reversed README pair: its index is n, so it is solved with
     the roles swapped, as the README pair, and run back in time."""
-    meshes = {f"seeded-n{n}": cylinder_mesh(random_traj(n, 2 * TIME_CHUNK + 7, 40 + n), -0.7,
+    meshes = {f"seeded-n{n}": cylinder_mesh(random_traj(n, 2 * CHUNK_ROWS + 7, 40 + n), -0.7,
                                             {2: 16, 3: 8}.get(n, 64))
               for n in range(2, 7)}
     readme = thin_trajectory(solved[2].trajectory, 20)
@@ -456,9 +477,10 @@ MESH_NAMES = ([f"seeded-n{n}" for n in range(2, 7)]
 
 class TestClosedFormAgainstSweep:
     @pytest.mark.parametrize("name", MESH_NAMES)
-    def test_checks_agree(self, closed_form_meshes, name):
+    def test_checks_agree(self, closed_form_meshes, name, monkeypatch):
         mesh = closed_form_meshes[name]
-        assert len(mesh.trajectory.times) > 2 * TIME_CHUNK
+        shrink_chunks(monkeypatch, len(mesh.sphere.points))
+        assert len(mesh.trajectory.times) > 2 * webbing._block_rows(len(mesh.sphere.points))
         assert mesh.factored
         report, oracle = verify_slag(mesh), verify_slag(oracle_mesh(mesh))
         assert report.orientation == oracle.orientation
@@ -529,33 +551,36 @@ def edited_traj(traj, row, g=None, theta=None):
 class TestClosedFormGuards:
     @pytest.fixture(scope="class")
     def traj3(self):
-        return random_traj(3, 2 * TIME_CHUNK + 7, 43)
+        return random_traj(3, 2 * CHUNK_ROWS + 7, 43)
 
     @pytest.mark.parametrize("oracle", [False, True])
-    def test_degenerate_frame(self, traj3, oracle):
+    def test_degenerate_frame(self, traj3, oracle, monkeypatch):
         # two tiny g_j squeeze the sphere tangents onto one direction
-        mesh = cylinder_mesh(edited_traj(traj3, TIME_CHUNK + 3, g=[1.0, 1e-40, 1e-40]), -0.7, 8)
+        mesh = cylinder_mesh(edited_traj(traj3, CHUNK_ROWS + 3, g=[1.0, 1e-40, 1e-40]), -0.7, 8)
+        shrink_chunks(monkeypatch, len(mesh.sphere.points))
         mesh = oracle_mesh(mesh) if oracle else mesh
         with pytest.raises(LagwebError,
                            match=r"tangent frame degenerates \(\|Omega\| / Hadamard bound = "):
             verify_slag(mesh)
 
     @pytest.mark.parametrize("oracle", [False, True])
-    def test_node_at_the_origin(self, traj3, oracle):
-        mesh = cylinder_mesh(edited_traj(traj3, TIME_CHUNK + 3, g=[1e-30] * 3), -0.7, 8)
+    def test_node_at_the_origin(self, traj3, oracle, monkeypatch):
+        mesh = cylinder_mesh(edited_traj(traj3, CHUNK_ROWS + 3, g=[1e-30] * 3), -0.7, 8)
+        shrink_chunks(monkeypatch, len(mesh.sphere.points))
         with pytest.raises(LagwebError, match="mesh node at the origin"):
             euler_transversality(oracle_mesh(mesh) if oracle else mesh)
 
     # the last sample of the first time chunk, the first of the second, and
     # the last interior sample, in the last of at least three time blocks
-    @pytest.mark.parametrize("row", [TIME_CHUNK - 1, TIME_CHUNK, pytest.param(-2, id="last-block")])
+    @pytest.mark.parametrize("row", [CHUNK_ROWS - 1, CHUNK_ROWS, pytest.param(-2, id="last-block")])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("edit", [dict(g=[1.0, math.nan]), dict(theta=[math.nan, 0.0])])
-    def test_nan_reaches_the_report(self, solved, traj3, n, edit, row):
+    def test_nan_reaches_the_report(self, solved, traj3, n, edit, row, monkeypatch):
         traj = solved[2].trajectory if n == 2 else traj3
-        assert len(traj.times) > 2 * TIME_CHUNK + 2  # at least three blocks of residual rows
+        assert len(traj.times) > 2 * CHUNK_ROWS + 2  # at least three blocks of residual rows
         edit = {key: (value + [1.0] * (n - 2)) for key, value in edit.items()}
         mesh = cylinder_mesh(edited_traj(traj, row, **edit), -0.7, 8)
+        shrink_chunks(monkeypatch, len(mesh.sphere.points))
         report = verify_slag(mesh)
         assert math.isnan(report.max_omega)
         assert math.isnan(report.max_re_omega)
@@ -563,6 +588,45 @@ class TestClosedFormGuards:
         assert math.isnan(euler_transversality(mesh))
         if n == 2:
             assert math.isnan(harmonic_residual(mesh))
+
+
+class TestChunkBudget:
+    @pytest.mark.parametrize("p_count", [4, 128, 2048, 40000])
+    def test_chunks_hold_a_block_of_node_samples(self, p_count):
+        # each chunk holds as many whole time rows as fit in CSV_BLOCK
+        # node-samples, and at least one; together they cover each row once
+        for t_count in (1, 2, 3, 1000, 2001):
+            rows = [range(t_count)[sl] for sl in webbing._time_chunks(t_count, p_count)]
+            assert [t for chunk in rows for t in chunk] == list(range(t_count))
+            for chunk in rows:
+                assert len(chunk) * p_count <= webbing.CSV_BLOCK or len(chunk) == 1
+            for chunk in rows[:-1]:
+                assert (len(chunk) + 1) * p_count > webbing.CSV_BLOCK
+
+    @pytest.mark.parametrize("budget", ["one-row", "three-rows", "default", "whole-grid"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_values_hold_across_budgets(self, closed_form_meshes, monkeypatch, n, budget):
+        # the chunk's row count only sets BLAS's blocking of the closed form's
+        # products, so the values stay with the oracle whatever the budget,
+        # and the harmonic residual keeps its bits
+        mesh = closed_form_meshes[f"seeded-n{n}"]
+        t_count, p_count = len(mesh.trajectory.times), len(mesh.sphere.points)
+        oracle = verify_slag(oracle_mesh(mesh))
+        oracle_angle = euler_transversality(oracle_mesh(mesh))
+        residual = harmonic_residual(mesh).hex() if n == 2 else None
+        rows = {"one-row": 1, "three-rows": 3, "whole-grid": t_count}.get(budget)
+        if rows is not None:
+            shrink_chunks(monkeypatch, p_count, rows)
+        assert len(list(webbing._time_chunks(t_count, p_count))) == {
+            "one-row": t_count, "three-rows": -(-t_count // 3)}.get(budget, 1)
+        report = verify_slag(mesh)
+        assert report.orientation == oracle.orientation
+        assert report.min_im_omega == pytest.approx(oracle.min_im_omega, rel=1e-12)
+        assert report.max_omega == pytest.approx(oracle.max_omega, abs=1e-13)
+        assert report.max_re_omega == pytest.approx(oracle.max_re_omega, abs=1e-13)
+        assert euler_transversality(mesh) == pytest.approx(oracle_angle, rel=1e-12)
+        if n == 2:
+            assert harmonic_residual(mesh).hex() == residual
 
 
 class TestLazyArrays:
@@ -772,7 +836,7 @@ class TestHarmonicResidual:
             u = np.broadcast_to((times**2)[:, np.newaxis], mesh.points.shape[:2])
             assert harmonic_residual(mesh, u) > 0.1
 
-    @pytest.mark.parametrize("t_count", [3, 4, TIME_CHUNK + 1, TIME_CHUNK + 2, 2 * TIME_CHUNK + 3])
+    @pytest.mark.parametrize("t_count", [3, 4, CHUNK_ROWS + 1, CHUNK_ROWS + 2, 2 * CHUNK_ROWS + 3])
     @pytest.mark.parametrize("oracle", [False, True], ids=["factored", "oracle"])
     @pytest.mark.parametrize("given_u", [False, True], ids=["u=t", "random-u"])
     def test_blocks_equal_one_block(self, solved, monkeypatch, t_count, oracle, given_u):
@@ -788,18 +852,19 @@ class TestHarmonicResidual:
             u = np.random.default_rng(t_count).standard_normal((t_count, 12))
             u[:2] = u[-2:] = 0.0
         blocked = {}
-        for block in (1, 2, 3, TIME_CHUNK):
-            monkeypatch.setattr(webbing, "TIME_CHUNK", block)
+        for block in (1, 2, 3, CHUNK_ROWS):
+            fix_block_rows(monkeypatch, block)
             blocked[block] = harmonic_residual(mesh, u).hex()
-        monkeypatch.setattr(webbing, "TIME_CHUNK", t_count)
+        fix_block_rows(monkeypatch, t_count)
         assert blocked == dict.fromkeys(blocked, harmonic_residual(mesh, u).hex())
 
-    def test_degenerate_metric_in_a_later_block(self, symmetric_traj):
+    def test_degenerate_metric_in_a_later_block(self, symmetric_traj, monkeypatch):
         # the message names the smallest EG - F^2 of the whole grid
         mesh = cylinder_mesh(symmetric_traj, -1.0, 16)
+        shrink_chunks(monkeypatch, 16)
         time_tangents = mesh.time_tangents.copy()
-        time_tangents[5 * TIME_CHUNK + 3] *= 1e-9
-        time_tangents[9 * TIME_CHUNK] = 0.0
+        time_tangents[5 * CHUNK_ROWS + 3] *= 1e-9
+        time_tangents[9 * CHUNK_ROWS] = 0.0
         broken = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart,
                               sphere=mesh.sphere, points=mesh.points,
                               sphere_tangents=mesh.sphere_tangents,
@@ -807,6 +872,21 @@ class TestHarmonicResidual:
         with pytest.raises(LagwebError,
                            match=r"induced metric degenerates \(EG - F\^2 = 0\.000e\+00\)"):
             harmonic_residual(broken)
+
+    @pytest.mark.parametrize("p_count", [128, 2048, 8192, 40000])
+    def test_blocks_keep_sixteen_rows(self, symmetric_traj, monkeypatch, p_count):
+        # a block reads two halo rows per side, so it keeps at least 16 rows
+        # however many nodes a row has, and about CSV_BLOCK node-samples
+        mesh = cylinder_mesh(geodesic_ivp(symmetric_traj.spec, IntegratorConfig(60)), -1.0,
+                             p_count)
+        spans = []
+        metric = webbing._metric
+        monkeypatch.setattr(webbing, "_metric",
+                            lambda mesh, rows: spans.append(rows) or metric(mesh, rows))
+        harmonic_residual(mesh)
+        rows = max(16, webbing.CSV_BLOCK // p_count)
+        assert [(sl.start, sl.stop) for sl in spans] == [
+            (max(start - 2, 0), min(start + rows + 2, 61)) for start in range(1, 60, rows)]
 
     def test_degenerate_metric_rejected(self, symmetric_traj):
         mesh = cylinder_mesh(symmetric_traj, -1.0, 16)

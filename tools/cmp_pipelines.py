@@ -26,9 +26,9 @@ Only the standard library is used, and only the temporary directory is
 written.  The stages run one at a time.  The peak resident memory of every
 pipeline stage, read with os.wait4, is printed to stderr for both trees;
 it is information only and never counts as a difference.  The n = 3 stages
-peak near 90 MB with the closed-form mesh checks (near 250 MB at revisions
-that built the whole tangent stack), and a whole comparison takes about
-30 s on a 2-CPU host.
+peak near 37 MB with the closed-form checks streamed in chunks of about
+CSV_BLOCK node-samples (near 250 MB at revisions that built the whole
+tangent stack), and a whole comparison takes about 30 s on a 2-CPU host.
 """
 
 import argparse

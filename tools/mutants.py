@@ -32,6 +32,7 @@ NAN = "tests/test_webbing.py::TestClosedFormGuards::test_nan_reaches_the_report"
 CSV_BYTES = "tests/test_webbing.py::TestMeshCsv::test_bytes_match_row_formatter"
 CSV_BLOCKS = "tests/test_webbing.py::TestMeshCsv::test_blocks_of_slices_match_row_formatter"
 HALO = "tests/test_webbing.py::TestHarmonicResidual::test_blocks_equal_one_block"
+FLOOR = "tests/test_webbing.py::TestHarmonicResidual::test_blocks_keep_sixteen_rows"
 ROW_NUMBERS = "tests/test_webbing.py::TestMeshCsv::test_rows_numbered_across_blocks"
 FLOW = "src/lagweb/geoflow.py"
 FLOW_BITS = "tests/test_geoflow.py::TestScalarFlowBits::test_same_bits_as_numpy_rk4"
@@ -42,6 +43,7 @@ HALTON = "tests/test_webbing.py::TestSphereGrid::test_halton_is_scipys_bit_for_b
 CEPHES = "src/lagweb/cephes.py"
 NDTRI = "tests/test_webbing.py::TestSphereGrid::test_ndtri_is_scipys_bit_for_bit"
 NAN_FRAME = "tests/test_webbing.py::TestVerifySlag::test_nan_frame_hides_no_degenerate_frame"
+BUDGET = "tests/test_webbing.py::TestChunkBudget::test_chunks_hold_a_block_of_node_samples"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -86,15 +88,21 @@ MUTANTS = {
     ),
     "time chunk one sample short": (
         WEB,
-        "slice(start, start + TIME_CHUNK)",
-        "slice(start, start + TIME_CHUNK - 1)",
+        "slice(start, start + rows)",
+        "slice(start, start + rows - 1)",
         [f"{NAN}[edit0-2-15]", f"{NAN}[edit1-3-15]"],
     ),
     "time chunk starting one sample late": (
         WEB,
-        "slice(start, start + TIME_CHUNK)",
-        "slice(start + 1, start + TIME_CHUNK)",
+        "slice(start, start + rows)",
+        "slice(start + 1, start + rows)",
         [f"{NAN}[edit0-2-16]", f"{NAN}[edit1-3-16]"],
+    ),
+    "check chunk rows sized without the node count": (
+        WEB,
+        "rows = _block_rows(p_count)\n    return",
+        "rows = _block_rows(1)\n    return",
+        [f"{BUDGET}[128]", f"{BUDGET}[2048]", f"{BUDGET}[40000]"],
     ),
     "reversed-time rates keep their forward sign": (
         FLOW,
@@ -109,6 +117,12 @@ MUTANTS = {
         "_slice_points(mesh.factors, slice(start + step, start + 2 * step)) if mesh.factored",
         [f"{CSV_BYTES}[2-40-16]", f"{CSV_BYTES}[3-20-8]", f"{CSV_BLOCKS}[3-20-8-2]",
          f"{CSV_BLOCKS}[4-20-64-1]"],
+    ),
+    "harmonic blocks without their 16-row floor": (
+        WEB,
+        "rows = _block_rows(p_count, least=16)",
+        "rows = _block_rows(p_count)",
+        [f"{FLOOR}[8192]", f"{FLOOR}[40000]"],
     ),
     "harmonic halo one row short": (
         WEB,
