@@ -263,17 +263,19 @@ def frame_to_json_dict(frame: LagrangianFrame) -> dict:
 def frame_from_json_dict(data: dict) -> LagrangianFrame:
     """Frame from ``{"n": n, "columns": [[{"re": .., "im": ..}, ..], ..]}``.
 
-    Raises ValueError on any other shape, missing keys, scalar entries and
-    numbers too large for a float included.
+    Raises ValueError on any other shape or JSON type, missing keys, scalar
+    entries and numbers too large for a float included.
     """
     try:
-        n = int(data["n"])
-        cols = data["columns"]
+        n, cols = data["n"], data["columns"]
+        if type(n) is not int:  # exact JSON types: int() would take 1.9, "1" and true
+            raise ValueError("malformed frame JSON: n must be an integer")
         if len(cols) != n or any(len(c) != n for c in cols):
             raise ValueError("frame JSON must hold n columns of n entries")
-        raw = np.empty((n, n), dtype=complex)
-        for j, col in enumerate(cols):
-            raw[:, j] = [complex(e["re"], e["im"]) for e in col]
+        parts = [[(e["re"], e["im"]) for e in col] for col in cols]
+        if any(type(x) not in (int, float) for col in parts for part in col for x in part):
+            raise ValueError("malformed frame JSON: re and im must be numbers")  # a bool is an int
+        raw = np.array([[complex(*col[i]) for col in parts] for i in range(n)], complex).reshape(n, n)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed frame JSON: {type(exc).__name__} {exc}") from exc
     return make_frame(FlatCalabiYau(n), raw)

@@ -38,14 +38,13 @@ against: LAPACK per node frame, with det for Omega, the Gram matrix for omega
 and the Hadamard bound, and a QR factor for the radial projection, whose
 residual is formed directly.  It shares no code with the closed form, so a
 wrong cofactor there shows as a disagreement.  The mesh CSV writer and
-reader form a factored mesh's nodes one CSV block of time slices at a time,
-and the harmonic residual reads the metric one time chunk at a time with a
-two-row halo, so writing, checking and reporting a factored mesh holds no
-array of the whole mesh.  Every such pass takes blocks of whole time rows
-of about CSV_BLOCK values (``_block_rows``), so a check chunk holds about
-CSV_BLOCK node-samples whatever the node count P: peak memory is set by that
-one budget, not by T x P.  The harmonic residual's blocks keep at least 16
-rows, so that at large P the halo does not outweigh the block.
+reader form a factored mesh's nodes one block of time slices at a time, and
+the harmonic residual reads the metric one time chunk at a time with a
+two-row halo, so no pass holds an array of the whole mesh.  Every such block
+is whole time rows of about CSV_BLOCK values or node-samples, whatever the
+node count P (``csvtext.block_rows``; at least 16 rows for the harmonic
+halo), so peak memory is set by that one budget, not by T x P.  The mesh
+CSV's header and rows are made here, and ``csvtext`` owns their text.
 
 The boundary-flux check uses the exact level-family deformation field
 Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
@@ -65,8 +64,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import csvtext
 from .errors import LagwebError
-from .geoflow import CSV_BLOCK, GeodesicTrajectory, _check_csv, _csv_rows, _write_csv
+from .geoflow import GeodesicTrajectory
 
 BOUNDARY_TOL = 1e-8
 FLUX_SPREAD_TOL = 1e-4
@@ -310,7 +310,9 @@ def cylinder_mesh(traj: GeodesicTrajectory, level: float,
         defect = max(defect, float(np.max(np.abs((points @ plane.conj()).imag))))
     if defect > BOUNDARY_TOL:
         raise LagwebError(f"boundary slice left its plane (defect {defect:.3e})")
-    return CylinderMesh(trajectory=traj, chart=chart, sphere=grid, boundary_defect=defect)
+    mesh = CylinderMesh(trajectory=traj, chart=chart, sphere=grid, boundary_defect=defect)
+    mesh.__dict__["factors"] = f  # where the cached property keeps them: built once
+    return mesh
 
 
 def boundary_containment(mesh: CylinderMesh, frame, end: int) -> float:
@@ -320,16 +322,10 @@ def boundary_containment(mesh: CylinderMesh, frame, end: int) -> float:
     return float(np.max(np.abs((slice_points @ frame.columns.conj()).imag)))
 
 
-def _block_rows(width: int, least: int = 1) -> int:
-    """Time rows per streamed block, for rows of width values: about
-    CSV_BLOCK values, and at least ``least`` rows."""
-    return max(least, CSV_BLOCK // width)
-
-
 def _time_chunks(t_count: int, p_count: int):
     """The check chunks of a T x P grid: whole time rows of about
     CSV_BLOCK node-samples each."""
-    rows = _block_rows(p_count)
+    rows = csvtext.block_rows(p_count)
     return (slice(start, start + rows) for start in range(0, t_count, rows))
 
 
@@ -590,7 +586,7 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
         return (np.roll(z, -1, axis=1) - np.roll(z, 1, axis=1)) / (2.0 * hs)
 
     min_det, worst = math.inf, 0.0
-    rows = _block_rows(p_count, least=16)  # so the two-row halos add at most a quarter
+    rows = csvtext.block_rows(p_count, least=16)  # so the two-row halos add at most a quarter
     for start in range(1, t_count - 1, rows):
         stop = min(start + rows, t_count - 1)
         lo, hi = max(start - 2, 0), min(stop + 2, t_count)
@@ -626,35 +622,34 @@ def _mesh_header(mesh: CylinderMesh):
 
 def _mesh_rows(mesh: CylinderMesh):
     """The mesh CSV's data rows as bytes, in blocks of whole time slices of
-    about CSV_BLOCK values.  Each node's s_ cells and each slice's t cell are
-    formatted once.  A factored mesh's nodes are formed one block at a time
-    from its factors, bit for bit the rows of CylinderMesh.points, so no
-    whole-mesh array is held; a mesh given arrays prints its own points."""
+    about CSV_BLOCK values.  The s_ and t cells are formatted once, into one
+    block's prefix, whose t cells each block refills.  A factored mesh's
+    nodes are formed one block at a time from its factors, bit for bit the
+    rows of CylinderMesh.points; a mesh given arrays prints its own points."""
     params, times = mesh.sphere.params, mesh.trajectory.times
     heads = np.array(["".join(f"{v:.17g}," for v in row).encode() for row in params.tolist()])
-    heads = heads.view(np.uint8).reshape(len(params), -1)
-    width = heads.shape[1]
-    step = _block_rows(len(params) * 2 * mesh.n)
+    stamps = np.array([f"{t:.17g},".encode() for t in times.tolist()])
+    step = csvtext.block_rows(len(params) * 2 * mesh.n)
+    prefix = np.empty((len(times[:step]), len(params)), [("s", heads.dtype), ("t", stamps.dtype)])
+    prefix["s"] = heads
     for start in range(0, len(times), step):
         sl = slice(start, start + step)
-        stamps = np.array([f"{t:.17g},".encode() for t in times[sl].tolist()])
-        stamps = stamps.view(np.uint8).reshape(len(stamps), -1)
-        prefix = np.empty((len(stamps), len(heads), width + stamps.shape[1]), np.uint8)
-        prefix[:, :, :width] = heads
-        prefix[:, :, width:] = stamps[:, np.newaxis]
+        block = prefix[:len(times[sl])]
+        block["t"] = stamps[sl, np.newaxis]
         points = _slice_points(mesh.factors, sl) if mesh.factored else mesh.points[sl]
         # (T, P, n) complex viewed as (T * P, 2n) floats: re_z1, im_z1, re_z2, ...
         values = np.ascontiguousarray(points).view(np.float64).reshape(-1, 2 * mesh.n)
-        yield _csv_rows(values, prefix.reshape(len(values), -1))
+        yield csvtext.csv_rows(values, block.view(np.uint8).reshape(len(values), -1))
 
 
 def write_mesh_csv(mesh: CylinderMesh, path) -> None:
     """One row per node, time-major, 17 significant digits ('%.17g')."""
-    _write_csv(path, _mesh_header(mesh), _mesh_rows(mesh))
+    csvtext.write_csv(path, _mesh_header(mesh), _mesh_rows(mesh))
 
 
 def read_mesh_csv(path, mesh: CylinderMesh) -> None:
     """Require the mesh CSV at path to hold exactly the bytes that
     write_mesh_csv makes from mesh, compared one block of slices at a time;
     ValueError if not."""
-    _check_csv(path, _mesh_header(mesh), _mesh_rows(mesh), "mesh CSV rows differ from the rebuild")
+    csvtext.check_csv(path, _mesh_header(mesh), _mesh_rows(mesh),
+                      "mesh CSV rows differ from the rebuild")

@@ -919,6 +919,21 @@ class TestNonFiniteAndHugeInput:
                          "--out", str(tmp_path / "p")) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, entry, message", [
+        ("1.9", '{"re": 1, "im": 0}', "n must be an integer"),
+        ('"1"', '{"re": 1, "im": 0}', "n must be an integer"),
+        ("true", '{"re": 1, "im": 0}', "n must be an integer"),
+        ("1", '{"re": true, "im": 0}', "re and im must be numbers"),
+        ("1", '{"re": 1, "im": false}', "re and im must be numbers"),
+    ], ids=["n-float", "n-string", "n-bool", "re-bool", "im-bool"])
+    def test_frame_json_types(self, tmp_path, capsys, n, entry, message):
+        # int() and complex() took each of these, and the frame ran as 1 x 1
+        frame = tmp_path / "bad.json"
+        frame.write_text('{"n": %s, "columns": [[%s]]}' % (n, entry))
+        assert exit_code("pair-analyze", "--lambda0", str(frame), "--lambda1", str(frame),
+                         "--out", str(tmp_path / "p")) == 2
+        assert capsys.readouterr().err == f"error: malformed frame JSON: {message}\n"
+
     def test_frame_norm_beyond_float(self, tmp_path):
         # |1e300 + 1e300 i|^2 overflows: Gram-Schmidt divided by inf and the
         # run ended in "cannot convert float NaN to integer", after two

@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from lagweb import csvtext
 from lagweb.bvpsolve import solve_bvp_maslov0
+from lagweb.csvtext import csv_rows
 from lagweb.errors import LagwebError
 from lagweb.geoflow import (
     METRIC_FLOOR,
     PHASE_MARGIN,
     GeodesicSpec,
     GeodesicTrajectory,
-    _csv_rows,
     frame_ode_oracle,
     geodesic_ivp,
     horizontal_frame,
@@ -350,19 +351,19 @@ def finite_bits(rng, size, low, high):
 
 
 class TestCsvText:
-    """_csv_rows must make CPython's '%.17g' text byte for byte."""
+    """csv_rows must make CPython's '%.17g' text byte for byte."""
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
                   elements=st.floats(allow_nan=True, allow_infinity=True)))
     def test_any_float(self, table):
-        assert _csv_rows(table) == printf_rows(table)
+        assert csv_rows(table) == printf_rows(table)
 
     def test_zeros_and_subnormals(self):
         tiny = np.array([0.0, 5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308])
         table = np.concatenate([tiny, -tiny]).reshape(2, -1)
-        assert _csv_rows(table) == printf_rows(table)
-        assert _csv_rows(table).startswith(b"0,4.9406564584124654e-324,")
+        assert csv_rows(table) == printf_rows(table)
+        assert csv_rows(table).startswith(b"0,4.9406564584124654e-324,")
 
     def test_powers_of_ten_and_neighbours(self):
         # log10 rounds onto the wrong exponent next to a power of ten, and a
@@ -370,13 +371,13 @@ class TestCsvText:
         powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
         near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
         table = np.column_stack([near, -near])
-        assert _csv_rows(table) == printf_rows(table)
+        assert csv_rows(table) == printf_rows(table)
 
     def test_fast_path_edges(self):
         edges = np.array([1e-4, 1e16])
         near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
         table = np.column_stack([near, -near])
-        assert _csv_rows(table) == printf_rows(table)
+        assert csv_rows(table) == printf_rows(table)
 
     def test_exact_ties_round_to_even(self):
         # m / 4 with m odd: ten times it ends in .5, a tie in the 17th digit
@@ -384,7 +385,7 @@ class TestCsvText:
         m = 2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, 4000) + 1
         table = (m / 4.0).reshape(-1, 8)
         assert np.all(table * 4.0 == m.reshape(-1, 8))
-        assert _csv_rows(table) == printf_rows(table)
+        assert csv_rows(table) == printf_rows(table)
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(4)
@@ -392,9 +393,21 @@ class TestCsvText:
         printed_plain = finite_bits(rng, 100000, -14, 54)  # about 6e-5 to 1.8e16
         for values in (every, printed_plain):
             table = values.reshape(-1, 10)
-            assert _csv_rows(table) == printf_rows(table)
+            assert csv_rows(table) == printf_rows(table)
 
     def test_prefix_goes_before_each_row(self):
         prefix = np.array([b"a,", b"bcd,", b""]).view(np.uint8).reshape(3, -1)
         table = np.array([[1.5, -0.0], [1e22, 0.25], [np.nan, 7.0]])
-        assert _csv_rows(table, prefix) == b"a,1.5,-0\nbcd,1e+22,0.25\nnan,7\n"
+        assert csv_rows(table, prefix) == b"a,1.5,-0\nbcd,1e+22,0.25\nnan,7\n"
+
+    def test_rows_across_blocks_of_a_few_values(self, monkeypatch):
+        # 7-value blocks hold 7, 3, 2 and 1 rows of these widths, so row ends
+        # fall on every block edge, fast cells and '%.17g' cells alike
+        monkeypatch.setattr(csvtext, "CSV_BLOCK", 7)
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 3, 5):
+            table = rng.standard_normal((20, k)) * 10.0 ** rng.integers(-6, 18, (20, k))
+            table[::3, -1] = [0.0, np.nan, -np.inf, 1e300, -5e-324, 0.5, 7.0]
+            table[1::4, 0] = -0.0
+            assert len(table) > 2 * csvtext.block_rows(k)
+            assert csv_rows(table) == printf_rows(table)

@@ -15,7 +15,7 @@ from lagweb.errors import LagwebError
 from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory, time_reversed
 from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
-from lagweb import cephes, geoflow, webbing
+from lagweb import cephes, csvtext, geoflow, webbing
 from lagweb.webbing import (
     CylinderMesh,
     SphereGrid,
@@ -39,13 +39,13 @@ CHUNK_ROWS = 16  # time rows per check chunk in the tests that cross chunk edges
 def shrink_chunks(monkeypatch, p_count, rows=CHUNK_ROWS):
     """Set the block budget so that a check chunk of a P-node grid holds
     the given number of time rows."""
-    monkeypatch.setattr(webbing, "CSV_BLOCK", rows * p_count)
+    monkeypatch.setattr(csvtext, "CSV_BLOCK", rows * p_count)
 
 
 def fix_block_rows(monkeypatch, rows):
     """Give every streamed block the given number of time rows, below the
     harmonic residual's floor too."""
-    monkeypatch.setattr(webbing, "_block_rows", lambda width, least=1: rows)
+    monkeypatch.setattr(csvtext, "block_rows", lambda width, least=1: rows)
 
 
 def diag_frame(*angles):
@@ -480,7 +480,7 @@ class TestClosedFormAgainstSweep:
     def test_checks_agree(self, closed_form_meshes, name, monkeypatch):
         mesh = closed_form_meshes[name]
         shrink_chunks(monkeypatch, len(mesh.sphere.points))
-        assert len(mesh.trajectory.times) > 2 * webbing._block_rows(len(mesh.sphere.points))
+        assert len(mesh.trajectory.times) > 2 * csvtext.block_rows(len(mesh.sphere.points))
         assert mesh.factored
         report, oracle = verify_slag(mesh), verify_slag(oracle_mesh(mesh))
         assert report.orientation == oracle.orientation
@@ -599,9 +599,9 @@ class TestChunkBudget:
             rows = [range(t_count)[sl] for sl in webbing._time_chunks(t_count, p_count)]
             assert [t for chunk in rows for t in chunk] == list(range(t_count))
             for chunk in rows:
-                assert len(chunk) * p_count <= webbing.CSV_BLOCK or len(chunk) == 1
+                assert len(chunk) * p_count <= csvtext.CSV_BLOCK or len(chunk) == 1
             for chunk in rows[:-1]:
-                assert (len(chunk) + 1) * p_count > webbing.CSV_BLOCK
+                assert (len(chunk) + 1) * p_count > csvtext.CSV_BLOCK
 
     @pytest.mark.parametrize("budget", ["one-row", "three-rows", "default", "whole-grid"])
     @pytest.mark.parametrize("n", range(2, 7))
@@ -656,7 +656,7 @@ class TestLazyArrays:
         mesh = cylinder_mesh(random_traj(3, 200, 33), -1.0, 64)
         node_bytes = len(mesh.trajectory.times) * len(mesh.sphere.points) * 3 * 16
         assert node_bytes > 19e6
-        mesh.factors, geoflow._csv_tables()  # made once per mesh and per process
+        mesh.factors, csvtext._tables()  # made once per mesh and per process
         tracemalloc.start()
         try:
             write_mesh_csv(mesh, tmp_path / "mesh.csv")
@@ -685,6 +685,25 @@ class TestLazyArrays:
                              boundary_defect=0.0, points=points)
         assert given.points is points and not given.factored
         assert np.array_equal(bits(given.time_tangents), bits(mesh.time_tangents))
+
+    def test_factors_built_once(self, tmp_path, monkeypatch):
+        # cylinder_mesh hands the factors of its boundary check to the mesh
+        calls = []
+        build = webbing._mesh_factors
+        monkeypatch.setattr(webbing, "_mesh_factors",
+                            lambda *args: calls.append(args) or build(*args))
+        traj = random_traj(3, 40, 33)
+        mesh = cylinder_mesh(traj, -1.0, 16)
+        report, angle = verify_slag(mesh), euler_transversality(mesh)
+        write_mesh_csv(mesh, tmp_path / "mesh.csv")
+        assert len(calls) == 1
+        # the values and bytes of a mesh that builds its factors on first read
+        fresh = CylinderMesh(trajectory=traj, chart=mesh.chart, sphere=mesh.sphere,
+                             boundary_defect=mesh.boundary_defect)
+        assert verify_slag(fresh) == report and euler_transversality(fresh) == angle
+        write_mesh_csv(fresh, tmp_path / "fresh.csv")
+        assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "mesh.csv").read_bytes()
+        assert len(calls) == 2
 
 
 class TestWebbingFamily:
@@ -884,7 +903,7 @@ class TestHarmonicResidual:
         monkeypatch.setattr(webbing, "_metric",
                             lambda mesh, rows: spans.append(rows) or metric(mesh, rows))
         harmonic_residual(mesh)
-        rows = max(16, webbing.CSV_BLOCK // p_count)
+        rows = max(16, csvtext.CSV_BLOCK // p_count)
         assert [(sl.start, sl.stop) for sl in spans] == [
             (max(start - 2, 0), min(start + rows + 2, 61)) for start in range(1, 60, rows)]
 
@@ -955,7 +974,7 @@ class TestMeshCsv:
                                                   monkeypatch):
         # nodes formed one block of slices at a time are the whole mesh's, bit for bit
         mesh = cylinder_mesh(random_traj(n, steps, 30 + n), -0.7, res)
-        monkeypatch.setattr(webbing, "CSV_BLOCK", slices * len(mesh.sphere.points) * 2 * n)
+        monkeypatch.setattr(csvtext, "CSV_BLOCK", slices * len(mesh.sphere.points) * 2 * n)
         path = tmp_path / "mesh.csv"
         write_mesh_csv(mesh, path)
         assert mesh.factored and formed(mesh) == set()
@@ -1034,8 +1053,8 @@ class TestMeshCsv:
                 return self.fh.read(size)
 
         # 100 values make blocks of three slices of 8 rows of 4 values
-        monkeypatch.setattr(webbing, "CSV_BLOCK", 100)
-        monkeypatch.setattr(geoflow, "open", lambda *args: Recorded(open(*args)), raising=False)
+        monkeypatch.setattr(csvtext, "CSV_BLOCK", 100)
+        monkeypatch.setattr(csvtext, "open", lambda *args: Recorded(open(*args)), raising=False)
         read_mesh_csv(path, mesh)
         blocks = [sum(map(len, lines[1 + 8 * start:1 + 8 * (start + 3)]))
                   for start in range(0, 41, 3)]
@@ -1076,7 +1095,7 @@ class TestMeshCsv:
         # blocks of one slice (8 rows): every message counts the rows of the
         # blocks that matched before it
         mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
-        monkeypatch.setattr(webbing, "CSV_BLOCK", 8 * 4)
+        monkeypatch.setattr(csvtext, "CSV_BLOCK", 8 * 4)
         with pytest.raises(ValueError, match=f"^mesh CSV rows differ from the rebuild: .*{message}"):
             read_mesh_csv(self.edited(mesh, tmp_path, edit), mesh)
 

@@ -35,15 +35,18 @@ HALO = "tests/test_webbing.py::TestHarmonicResidual::test_blocks_equal_one_block
 FLOOR = "tests/test_webbing.py::TestHarmonicResidual::test_blocks_keep_sixteen_rows"
 ROW_NUMBERS = "tests/test_webbing.py::TestMeshCsv::test_rows_numbered_across_blocks"
 FLOW = "src/lagweb/geoflow.py"
+TEXT = "src/lagweb/csvtext.py"
 FLOW_BITS = "tests/test_geoflow.py::TestScalarFlowBits::test_same_bits_as_numpy_rk4"
 CSV_TEXT = "tests/test_geoflow.py::TestCsvText"
 CLI = "src/lagweb/cli.py"
+GRASS = "src/lagweb/laggrass.py"
 ROWS = "tests/test_webbing.py::TestMeshCsv::test_rows_must_be_the_writers"
 HALTON = "tests/test_webbing.py::TestSphereGrid::test_halton_is_scipys_bit_for_bit"
 CEPHES = "src/lagweb/cephes.py"
 NDTRI = "tests/test_webbing.py::TestSphereGrid::test_ndtri_is_scipys_bit_for_bit"
 NAN_FRAME = "tests/test_webbing.py::TestVerifySlag::test_nan_frame_hides_no_degenerate_frame"
 BUDGET = "tests/test_webbing.py::TestChunkBudget::test_chunks_hold_a_block_of_node_samples"
+FRAME_TYPES = "tests/test_cli.py::TestNonFiniteAndHugeInput::test_frame_json_types"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -100,8 +103,8 @@ MUTANTS = {
     ),
     "check chunk rows sized without the node count": (
         WEB,
-        "rows = _block_rows(p_count)\n    return",
-        "rows = _block_rows(1)\n    return",
+        "rows = csvtext.block_rows(p_count)\n    return",
+        "rows = csvtext.block_rows(1)\n    return",
         [f"{BUDGET}[128]", f"{BUDGET}[2048]", f"{BUDGET}[40000]"],
     ),
     "reversed-time rates keep their forward sign": (
@@ -120,8 +123,8 @@ MUTANTS = {
     ),
     "harmonic blocks without their 16-row floor": (
         WEB,
-        "rows = _block_rows(p_count, least=16)",
-        "rows = _block_rows(p_count)",
+        "rows = csvtext.block_rows(p_count, least=16)",
+        "rows = csvtext.block_rows(p_count)",
         [f"{FLOOR}[8192]", f"{FLOOR}[40000]"],
     ),
     "harmonic halo one row short": (
@@ -138,7 +141,7 @@ MUTANTS = {
         [f"{NAN}[edit0-2-last-block]", f"{NAN}[edit1-2-last-block]"],
     ),
     "CSV error rows leave out the earlier blocks": (
-        FLOW,
+        TEXT,
         "row = _newlines(fh, len(line), done) + ",
         "row = ",
         [f"{ROW_NUMBERS}[missing-row]", f"{ROW_NUMBERS}[blank-line]",
@@ -158,16 +161,35 @@ MUTANTS = {
         [f"{FLOW_BITS}[seeded-8-7]", f"{FLOW_BITS}[seeded-8-1000]", f"{FLOW_BITS}[seeded-9-1000]"],
     ),
     "CSV digits without the lo term of the exact product": (
-        FLOW,
+        TEXT,
         "return hi.astype(np.int64) + np.rint(lo).astype(np.int64)",
         "return hi.astype(np.int64)",
         [f"{CSV_TEXT}::test_exact_ties_round_to_even", f"{CSV_TEXT}::test_random_bit_patterns"],
     ),
     "CSV digits without the +-1 exponent correction": (
-        FLOW,
+        TEXT,
         "    if off.size:",
         "    if False:",
         [f"{CSV_TEXT}::test_powers_of_ten_and_neighbours", f"{CSV_TEXT}::test_fast_path_edges"],
+    ),
+    "CSV newline only after the last row of a block": (
+        TEXT,
+        'cells[:, -1] = ord("\\n")',
+        'cells[-1, -1] = ord("\\n")',
+        [f"{CSV_TEXT}::test_rows_across_blocks_of_a_few_values",
+         f"{CSV_TEXT}::test_random_bit_patterns"],
+    ),
+    "frame JSON n converted by int(), which takes 1.9, \"1\" and true": (
+        GRASS,
+        'n, cols = data["n"], data["columns"]',
+        'n, cols = int(data["n"]), data["columns"]',
+        [f"{FRAME_TYPES}[n-float]", f"{FRAME_TYPES}[n-string]", f"{FRAME_TYPES}[n-bool]"],
+    ),
+    "frame JSON re and im tested by isinstance, so a bool passes": (
+        GRASS,
+        "if any(type(x) not in (int, float) for col in parts for part in col for x in part):",
+        "if any(not isinstance(x, (int, float)) for col in parts for part in col for x in part):",
+        [f"{FRAME_TYPES}[re-bool]", f"{FRAME_TYPES}[im-bool]"],
     ),
     "recorded level type tested by isinstance, so a bool passes": (
         CLI,
@@ -176,7 +198,7 @@ MUTANTS = {
         ["tests/test_cli.py::TestRecordedGrid::test_malformed_field[level-true]"],
     ),
     "CSV check without the end-of-file test": (
-        FLOW,
+        TEXT,
         "if fh.read(1):",
         "if False:",
         [f"{ROWS}[extra-row]", f"{ROW_NUMBERS}[extra-row]"],
