@@ -11,9 +11,11 @@ verify        re-check an emitted mesh CSV and trajectory CSV against the soluti
 webbing and verify rebuild the trajectory from the solution JSON alone, as the
 solver made it.  verify rebuilds each mesh from the level and sphere resolution
 that webbing recorded for it.  Each stored CSV must then hold exactly the bytes
-that its writer makes from the rebuild.  The mesh CSV is written and read one
-block of time slices at a time, and each block's nodes are formed from the
-mesh's factors only then, so peak memory does not grow with the mesh.
+that its writer makes from the rebuild, and each check value that verify
+computes must equal the one webbing recorded for the mesh.  The mesh CSV is
+written and read one block of time slices at a time, and each block's nodes
+are formed from the mesh's factors only then, so peak memory does not grow
+with the mesh.
 
 All outputs are deterministic: JSON keys are sorted and floats carry 17
 significant digits.
@@ -230,8 +232,8 @@ def run_webbing(args) -> int:
 
 
 def _recorded_grid(report_path: str, name: str):
-    """(level, sphere resolution) that a webbing report records for the mesh
-    CSV called name."""
+    """(entry, level, sphere resolution) that a webbing report records for
+    the mesh CSV called name; entry is the report's dict for that mesh."""
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     try:
@@ -246,21 +248,37 @@ def _recorded_grid(report_path: str, name: str):
                              "integer or null sphere_resolution")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed webbing report: {type(exc).__name__} {exc}") from exc
-    return float(level), resolution
+    return entry, float(level), resolution
+
+
+def _check_recorded_values(entry: dict, report: dict, name: str) -> None:
+    """Require every check value that verify computed to equal, exactly, the
+    one that webbing recorded for the same mesh: the two run the same code
+    on the same rebuild, so any difference is a report that contradicts the
+    mesh.  ValueError naming the first key that differs."""
+    for key, value in report.items():
+        if key not in entry:
+            raise ValueError(f"webbing report records no {key} for {name}")
+        recorded = entry[key]
+        if type(recorded) is bool or recorded != value:  # JSON true would equal 1
+            raise ValueError(f"webbing report's {key} for {name} is {recorded!r}, but verify "
+                             f"computes {value!r}")
 
 
 def run_verify(args) -> int:
     mesh_dir = os.path.dirname(args.mesh) or "."
-    level, resolution = _recorded_grid(os.path.join(mesh_dir, "webbing_report.json"),
-                                       os.path.basename(args.mesh))
+    name = os.path.basename(args.mesh)
+    entry, level, resolution = _recorded_grid(os.path.join(mesh_dir, "webbing_report.json"),
+                                              name)
     traj = _load_trajectory(args.solution or os.path.join(mesh_dir, "solution.json"))
     geoflow.read_trajectory_csv(args.trajectory, traj)
     # rebuild the immersion with analytic tangents as webbing built it
     mesh = webbing.cylinder_mesh(traj, level, resolution)
     webbing.read_mesh_csv(args.mesh, mesh)
     report = _mesh_report(mesh)
+    _check_recorded_values(entry, report, name)
     report["rebuild_defect"] = 0.0  # the nodes equal the rebuild bitwise
-    report["mesh_csv"] = os.path.basename(args.mesh)
+    report["mesh_csv"] = name
     failures = _check_thresholds(report, args.thresholds)
     report["passed"] = not failures
     report["failures"] = failures
@@ -325,6 +343,8 @@ def config_from_args(args) -> argparse.Namespace:
             raise ValueError(f"tolerance must be finite, got {args.tol}")
     if hasattr(args, "levels"):
         args.levels = sorted(float(v) for v in args.levels.split(",") if v.strip())
+        if not args.levels:
+            raise ValueError("--levels needs at least one level")
     if hasattr(args, "max_omega_tol"):
         # argparse stores --max-omega-tol as max_omega_tol
         args.thresholds = {key: default if flag is None else vars(args)[flag[2:].replace("-", "_")]

@@ -46,6 +46,19 @@ node count P (``csvtext.block_rows``; at least 16 rows for the harmonic
 halo), so peak memory is set by that one budget, not by T x P.  The mesh
 CSV's header and rows are made here, and ``csvtext`` owns their text.
 
+The closed form screens, then evaluates exactly.  Only the smallest radial
+angle and the pass or fail of the rank test are reported, so each chunk is
+first screened on squares, with no hypot, arcsin or square root, and the
+reference expression runs only where it can decide the reported value: the
+sines of the nodes whose square lies within a relative 1e-11 of the chunk's
+smallest, and the Hadamard bound of a chunk with a frame that fails
+|Omega|^2 > 1e-24 (1 + 1e-9) x the product of its squared tangent norms.
+The screened and the reference forms round apart by a few ulps, far inside
+those margins, so every reported value and message keeps its bits.  The
+screens hold only where squares and products stay normal doubles: a chunk
+with a screened quantity outside its range, or a NaN, runs the reference
+expression on every node.
+
 The boundary-flux check uses the exact level-family deformation field
 Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
 pairing with the time tangent is sum_j kappa_j^2 Im(conj(w_j) dw_j/dt), so
@@ -69,6 +82,7 @@ from .errors import LagwebError
 from .geoflow import GeodesicTrajectory
 
 BOUNDARY_TOL = 1e-8
+RANK_TOL = 1e-12  # least |Omega| / Hadamard bound of a tangent frame
 FLUX_SPREAD_TOL = 1e-4
 MIN_SPHERE_RESOLUTION = 4
 
@@ -361,10 +375,10 @@ def _normal(f: _Factors) -> np.ndarray:
 
 
 def _swept_calibration(mesh: CylinderMesh):
-    """(sup |omega|, Omega, Hadamard bound) per time chunk from the frame
+    """(sup |omega|, Omega, min rank ratio) per time chunk from the frame
     arrays, one LAPACK call per frame: omega is Im of the Gram matrix V V^H
-    off its diagonal, Omega = det V, and the bound is the product of the
-    tangent norms on that diagonal (norms, not squares: squares underflow
+    off its diagonal, Omega = det V, and the Hadamard bound is the product of
+    the tangent norms on that diagonal (norms, not squares: squares underflow
     sooner).  det sets the invalid flag on a NaN frame, whose NaN goes on to
     the report."""
     upper = np.triu_indices(mesh.n, 1)
@@ -373,7 +387,49 @@ def _swept_calibration(mesh: CylinderMesh):
         with np.errstate(invalid="ignore"):
             det = np.linalg.det(v)
         hadamard = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1).real).prod(axis=-1)
-        yield np.max(np.abs(gram.imag[..., upper[0], upper[1]])), det, hadamard
+        yield np.max(np.abs(gram.imag[..., upper[0], upper[1]])), det, _rank_ratio(det, hadamard)
+
+
+def _rank_ratio(det, hadamard):
+    """The chunk's smallest |Omega| / Hadamard bound, the scale-free rank
+    test, folded with fmin, which skips NaN, so a NaN frame cannot hide a
+    degenerate one; a frame with a zero tangent has bound 0 and counts as
+    ratio 0, not 0 / 0."""
+    ratio = np.divide(np.abs(det), hadamard, out=np.zeros_like(hadamard), where=hadamard != 0.0)
+    return np.fmin.reduce(ratio, axis=None)
+
+
+def _in_range(*arrays, bits=500):
+    """True when every value lies in [2^-bits, 2^bits], so no NaN: with
+    bits = 500, a product of two such values is a normal double and keeps
+    its full relative precision, as does a square."""
+    lo, hi = 2.0**-bits, 2.0**bits
+    return all(lo <= a.min() and a.max() <= hi for a in arrays)
+
+
+def _screened_rank_ratio(det, time_sq, sphere_sq):
+    """_rank_ratio of a closed-form chunk from the squared tangent norms
+    E_t (T, P) and E_a (T, P, n - 1), or inf when every frame passes the
+    screen |Omega|^2 > 1e-24 (1 + 1e-9) E_t prod_a E_a and so has ratio
+    >= RANK_TOL.  The screen takes no square root and no |Omega|.  Its
+    margin of 1e-9 covers the (2n + 3) ulps by which the two forms may
+    round apart, for any n below 10^6.  With each of the n factors in
+    [2^(-500/n), 2^(500/n)], every partial product of the bound is normal,
+    and |Omega|^2 of a passing frame too; a chunk outside that range, or
+    with a NaN, or with a frame that fails the screen, takes the square
+    roots."""
+    n = sphere_sq.shape[-1] + 1
+    if _in_range(time_sq, sphere_sq, bits=500 // n):
+        bound = (RANK_TOL**2 * (1.0 + 1e-9)) * time_sq
+        for a in range(n - 1):
+            bound *= sphere_sq[..., a]
+        if np.all(_abs2(det) > bound):
+            return math.inf
+    hadamard = np.sqrt(time_sq)
+    sphere = np.sqrt(sphere_sq)
+    for a in range(n - 1):
+        hadamard = hadamard * sphere[..., a]
+    return _rank_ratio(det, hadamard)
 
 
 def _closed_calibration(mesh: CylinderMesh):
@@ -381,8 +437,10 @@ def _closed_calibration(mesh: CylinderMesh):
     product.  With c_j = kappa_j N_j and d = dw / w = conj(w) dw / |w|^2,
     Omega = det U prod_j w_j sum_j d_j c_j.  omega is Im of a real sum on two
     sphere tangents, so 0, and sum_j kappa_tan,aj kappa_j Im(conj(w_j) dw_j)
-    on sphere tangent a and the time tangent.  The tangent norms are
-    sum_j kappa_tan,aj^2 |w_j|^2 and sum_j kappa_j^2 |dw_j|^2."""
+    on sphere tangent a and the time tangent.  The squared tangent norms are
+    sum_j kappa_tan,aj^2 |w_j|^2 and sum_j kappa_j^2 |dw_j|^2; the rank test
+    screens on them and takes their roots, the Hadamard bound, only where
+    the screen cannot decide (_screened_rank_ratio)."""
     f, m = mesh.factors, mesh.n - 1
     c = (f.kappa * _normal(f)).T                                     # (n, P)
     det_u = np.linalg.det(f.directions)
@@ -394,11 +452,8 @@ def _closed_calibration(mesh: CylinderMesh):
         g, rate = _abs2(w), w.conj() * dw
         max_omega = np.max(np.abs(rate.imag @ pairs))
         det = (det_u * np.prod(w, axis=1))[:, np.newaxis] * ((rate * (1.0 / g)) @ c)
-        hadamard = np.sqrt(_abs2(dw) @ kappa_sq)
-        sphere = np.sqrt(g @ sphere_sq).reshape(len(w), -1, m)
-        for a in range(m):
-            hadamard = hadamard * sphere[:, :, a]
-        yield max_omega, det, hadamard
+        yield max_omega, det, _screened_rank_ratio(
+            det, _abs2(dw) @ kappa_sq, (g @ sphere_sq).reshape(len(w), -1, m))
 
 
 def verify_slag(mesh: CylinderMesh) -> SlagReport:
@@ -416,17 +471,13 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
     chunks = _closed_calibration(mesh) if mesh.factored else _swept_calibration(mesh)
     max_omega = max_re = 0.0
     im_values_min, im_values_max, min_rank_ratio = math.inf, -math.inf, math.inf
-    for omega, det, hadamard in chunks:
+    for omega, det, rank_ratio in chunks:
         max_omega = np.maximum(max_omega, omega)
         max_re = np.maximum(max_re, np.max(np.abs(det.real)))
         im_values_min = np.minimum(im_values_min, det.imag.min())
         im_values_max = np.maximum(im_values_max, det.imag.max())
-        # |Omega| against the Hadamard bound: scale-free rank test; a frame
-        # with a zero tangent has bound 0 and counts as ratio 0, not 0 / 0
-        ratio = np.divide(np.abs(det), hadamard, out=np.zeros_like(hadamard),
-                          where=hadamard != 0.0)
-        min_rank_ratio = np.fmin(min_rank_ratio, np.fmin.reduce(ratio, axis=None))
-    if min_rank_ratio < 1e-12:
+        min_rank_ratio = np.fmin(min_rank_ratio, rank_ratio)
+    if min_rank_ratio < RANK_TOL:
         raise LagwebError("tangent frame degenerates "
                           f"(|Omega| / Hadamard bound = {min_rank_ratio:.3e})")
     orientation = 1 if im_values_max + im_values_min > 0.0 else -1
@@ -461,34 +512,61 @@ def _swept_sines(mesh: CylinderMesh):
         yield np.linalg.norm(resid[..., 0], axis=-1) / norms
 
 
+def _sines(delta, q, e, r, b):
+    """sin = Delta sqrt(Q) / (|Phi| hypot(R, sqrt(B) sqrt(Q))) elementwise,
+    in the names of _closed_sines: no square overflows."""
+    root_q = np.sqrt(q)
+    return delta * root_q / (np.sqrt(e) * np.hypot(r, np.sqrt(b) * root_q))
+
+
 def _closed_sines(mesh: CylinderMesh):
     """The same sines from the factors.  U and the phases e^{i theta} are
     isometries, so the node becomes the real vector sqrt(g) kappa, the sphere
     tangents sqrt(g) kappa_tan and the time tangent sqrt(g) d kappa.  Their
     real span has sin^2 = Delta^2 Q / (E (R^2 + B Q)) to the node, with
-    Delta = sum c_j, R = sum c_j Re d_j, B = sum N_j^2 / g_j,
-    Q = sum kappa_j^2 g_j (Im d_j)^2 and E = sum kappa_j^2 g_j = |Phi|^2,
-    taken as |Delta| sqrt(Q) / (|Phi| hypot(R, sqrt(B) sqrt(Q))) so that no
-    square overflows.  A NaN in g or theta carries NaN to the sine."""
+    Delta = |sum c_j|, R = sum c_j Re d_j, B = sum N_j^2 / g_j,
+    Q = sum kappa_j^2 g_j (Im d_j)^2 and E = sum kappa_j^2 g_j = |Phi|^2.
+
+    Only the smallest sine is kept, so each chunk is screened on that
+    square, and the sine itself, with its libm hypot (_sines), is taken
+    only at the nodes whose square lies within a relative 1e-11 of the
+    chunk's smallest.  The two forms round apart by a few ulps, so the
+    node of the smallest sine is always among them; any arcsin within a few
+    ulps of monotone then gives euler_transversality the same minimum.  A
+    chunk takes the sines of every node instead when Delta^2, Q, E, B,
+    R^2 + B Q or the smallest square leaves [2^-500, 2^500], where the
+    squares and products keep full relative precision, so also when it
+    holds a NaN, which then reaches the sine."""
     f = mesh.factors
     normal = _normal(f)
     c = f.kappa * normal
     delta = np.abs(c.sum(axis=1))
+    delta_sq = delta**2
     c, normal_sq, kappa_sq = c.T, (normal**2).T, (f.kappa**2).T
     for sl in _time_chunks(len(f.w), len(f.kappa)):
         g, rate = _abs2(f.w[sl]), f.w[sl].conj() * f.dw[sl]  # g d = rate
-        norms = np.sqrt(g @ kappa_sq)
-        if norms.min() < 1e-12:
+        e = g @ kappa_sq
+        # the node guard on |Phi| = sqrt(E): a correctly rounded sqrt is monotone
+        if np.sqrt(e.min()) < 1e-12:
             raise LagwebError("mesh node at the origin")
-        root_q = np.sqrt((rate.imag**2 / g) @ kappa_sq)
-        yield delta * root_q / (norms * np.hypot((rate.real / g) @ c,
-                                                 np.sqrt((1.0 / g) @ normal_sq) * root_q))
+        q, r, b = (rate.imag**2 / g) @ kappa_sq, (rate.real / g) @ c, (1.0 / g) @ normal_sq
+        inner = r * r
+        inner += b * q
+        square = delta_sq * q
+        square /= e * inner
+        least = square.min()
+        if least >= 2.0**-500 and _in_range(delta_sq, q, e, b, inner):
+            near = np.flatnonzero(square <= least * (1.0 + 1e-11))
+            yield _sines(delta[near % len(delta)], *(x.ravel()[near] for x in (q, e, r, b)))
+        else:
+            yield _sines(delta, q, e, r, b)
 
 
 def euler_transversality(mesh: CylinderMesh) -> float:
     """Minimum angle between the radial direction and the real span of the
     tangent frame, in closed form from the factors, or by the node sweep
-    over a mesh's given arrays."""
+    over a mesh's given arrays.  The closed form yields the sines of only
+    the nodes that can hold the minimum (_closed_sines)."""
     min_angle = math.inf
     for sines in _closed_sines(mesh) if mesh.factored else _swept_sines(mesh):
         min_angle = np.minimum(min_angle, np.arcsin(np.clip(sines, 0.0, 1.0)).min())
@@ -567,7 +645,10 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
     side: a residual row reads the time fluxes of rows r - 1 .. r + 1, and
     those read u of rows r - 2 .. r + 2.  So one-sided differences fall only
     on the grid's first and last rows, and every residual keeps the bits of
-    the whole-grid stencil.  No (T, P) array is formed.
+    the whole-grid stencil.  No (T, P) array is formed.  Nor is a block of
+    the default u = t: its angle difference is exactly +0, kept as the
+    scalar 0.0 (so g * 0.0 still carries a NaN or inf of the metric), and
+    its time difference is one column for every node.
     """
     if mesh.n != 2 or mesh.sphere.kind != "circle":
         raise ValueError("harmonic residual needs the n = 2 angle x time grid")
@@ -583,7 +664,13 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
     ht = times[1] - times[0]
 
     def d_angle(z):
-        return (np.roll(z, -1, axis=1) - np.roll(z, 1, axis=1)) / (2.0 * hs)
+        # z[:, k + 1] - z[:, k - 1], the angle periodic
+        diff = np.empty_like(z)
+        np.subtract(z[:, 2:], z[:, :-2], out=diff[:, 1:-1])
+        np.subtract(z[:, 1], z[:, -1], out=diff[:, 0])
+        np.subtract(z[:, 0], z[:, -2], out=diff[:, -1])
+        diff /= 2.0 * hs
+        return diff
 
     min_det, worst = math.inf, 0.0
     rows = csvtext.block_rows(p_count, least=16)  # so the two-row halos add at most a quarter
@@ -598,11 +685,11 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
             continue  # raised below, naming the smallest EG - F^2 of the grid
         root = np.sqrt(det)
         if u_values is None:
-            u = np.broadcast_to(times[lo:hi, np.newaxis], e.shape)
+            # t - t = +0 exactly, and one time difference for every node
+            u_s, u_t = 0.0, np.gradient(times[lo:hi], ht)[:, np.newaxis]
         else:
             u = u_values[lo:hi]
-        u_s = d_angle(u)
-        u_t = np.gradient(u, ht, axis=0)
+            u_s, u_t = d_angle(u), np.gradient(u, ht, axis=0)
         flux_s = (g * u_s - f * u_t) / root
         flux_t = (e * u_t - f * u_s) / root
         div = d_angle(flux_s) + np.gradient(flux_t, ht, axis=0)

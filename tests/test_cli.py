@@ -258,13 +258,14 @@ class TestWebbing:
             assert m["min_euler_angle"] > 0.01
             assert m["harmonic_residual"] is not None
 
-    def test_empty_level_grid(self, tmp_path, solved_dir):
+    def test_empty_level_grid(self, tmp_path, solved_dir, capsys):
+        # a report of no meshes once passed, with exit code 0
         out = tmp_path / "web0"
-        code = cli("webbing", "--solution", str(solved_dir / "solution.json"),
-                   "--levels=", "--out", str(out))
-        assert code == 0
-        report = json.loads((out / "webbing_report.json").read_text())
-        assert report["meshes"] == []
+        for levels in ("--levels=,", "--levels=", "--levels= , "):
+            assert exit_code("webbing", "--solution", str(solved_dir / "solution.json"),
+                             levels, "--out", str(out)) == 2
+            assert capsys.readouterr().err == "error: --levels needs at least one level\n"
+            assert not out.exists()
 
     def test_unwritable_output_dir(self, tmp_path, solved_dir):
         # a regular file where the directory should be: creation must fail
@@ -780,6 +781,54 @@ class TestRecordedGrid:
         doc = json.loads((readme_web[1] / "webbing_report.json").read_text())
         doc["meshes"][0]["csv"] = "mesh_1.csv"
         self._rejected(tmp_path, readme_web, capsys, json.dumps(doc), "no entry for mesh_0.csv")
+
+    @pytest.mark.parametrize("key", ["max_omega", "max_re_omega", "min_im_omega",
+                                     "min_euler_angle", "boundary_defect", "harmonic_residual"])
+    def test_value_one_ulp_off(self, tmp_path, readme_web, capsys, key):
+        # verify runs the checks of webbing on the same rebuild, so the two
+        # agree to the last bit, and no tolerance is given
+        doc = json.loads((readme_web[1] / "webbing_report.json").read_text())
+        entry = doc["meshes"][0]
+        entry[key] = math.nextafter(entry[key], math.inf)
+        self._rejected(tmp_path, readme_web, capsys, json.dumps(doc),
+                       f"webbing report's {key} for mesh_0.csv is {entry[key]!r}, but verify "
+                       "computes ")
+
+    @pytest.mark.parametrize("edit, message", [
+        # once accepted with exit code 0: the report contradicted the mesh
+        (dict(min_im_omega=-5.0, max_omega=1.0), "max_omega for mesh_0.csv is 1.0,"),
+        (dict(min_im_omega=-5.0), "min_im_omega for mesh_0.csv is -5.0,"),
+        (dict(orientation=1), "orientation for mesh_0.csv is 1, but verify computes -1"),
+        (dict(orientation=None), "orientation for mesh_0.csv is None,"),
+        (dict(harmonic_residual=None), "harmonic_residual for mesh_0.csv is None,"),
+        (dict(min_euler_angle=None), "min_euler_angle for mesh_0.csv is None,"),
+    ], ids=["max_omega-and-min_im_omega", "min_im_omega", "orientation", "orientation-null",
+            "harmonic_residual-null", "min_euler_angle-null"])
+    def test_contradicting_report(self, tmp_path, readme_web, capsys, edit, message):
+        doc = json.loads((readme_web[1] / "webbing_report.json").read_text())
+        doc["meshes"][0].update(edit)
+        self._rejected(tmp_path, readme_web, capsys, json.dumps(doc), message)
+
+    def test_check_value_missing(self, tmp_path, readme_web, capsys):
+        doc = json.loads((readme_web[1] / "webbing_report.json").read_text())
+        del doc["meshes"][0]["max_re_omega"]
+        self._rejected(tmp_path, readme_web, capsys, json.dumps(doc),
+                       "webbing report records no max_re_omega for mesh_0.csv")
+
+    def test_bool_is_not_an_orientation(self, tmp_path, capsys):
+        # the reversed README pair has orientation 1, which JSON true equals
+        l0 = make_frame(FlatCalabiYau(2), np.eye(2, dtype=complex))
+        l1 = make_frame(FlatCalabiYau(2), np.diag(np.exp(1j * np.array([math.pi / 6,
+                                                                         math.pi / 4]))))
+        run_dir, web = _pipeline(tmp_path, l1, l0, 100, "--levels=-1", "--sphere-res", "16")
+        doc = json.loads((web / "webbing_report.json").read_text())
+        assert doc["meshes"][0]["orientation"] == 1
+        doc["meshes"][0]["orientation"] = True
+        (web / "webbing_report.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert _verify(run_dir, web / "mesh_0.csv", tmp_path / "ver") == 2
+        err = capsys.readouterr().err
+        assert "orientation for mesh_0.csv is True, but verify computes 1" in err
 
     @pytest.mark.parametrize("key, value", [
         ("level", '"-1"'), ("level", "true"), ("level", "NaN"), ("level", "1e400"),

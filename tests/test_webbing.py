@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -263,6 +264,17 @@ class TestVerifySlag:
         with pytest.raises(LagwebError, match=r"tangent frame degenerates "
                                               r"\(\|Omega\| / Hadamard bound = 0\.000e\+00\)"):
             verify_slag(mesh)
+
+    def test_nan_chunk_hides_no_degenerate_frame(self, monkeypatch):
+        # a chunk of NaN frames alone has a NaN ratio, which the fold across
+        # chunks must skip as the fold within a chunk does
+        shrink_chunks(monkeypatch, 4)
+        points, tangents = random_frames(3, (20, 4), np.random.default_rng(5))
+        tangents[:CHUNK_ROWS] = np.nan
+        tangents[17, 1, -1] = 0.0
+        with pytest.raises(LagwebError, match=r"tangent frame degenerates "
+                                              r"\(\|Omega\| / Hadamard bound = 0\.000e\+00\)"):
+            verify_slag(frame_mesh(points, tangents))
 
     def test_symmetric_mesh_calibration(self, symmetric_traj):
         report = verify_slag(cylinder_mesh(symmetric_traj, -1.0, 64))
@@ -588,6 +600,245 @@ class TestClosedFormGuards:
         assert math.isnan(euler_transversality(mesh))
         if n == 2:
             assert math.isnan(harmonic_residual(mesh))
+
+
+def reference_slag(mesh):
+    """verify_slag of a factored mesh by the unscreened closed form: the
+    Hadamard bound's square roots and |Omega| / bound at every node."""
+    f, m = mesh.factors, mesh.n - 1
+    c = (f.kappa * webbing._normal(f)).T
+    det_u = np.linalg.det(f.directions)
+    pairs = (f.kappa_tan * f.kappa[:, np.newaxis, :]).reshape(-1, m + 1).T
+    sphere_sq = (f.kappa_tan**2).reshape(-1, m + 1).T
+    kappa_sq = (f.kappa**2).T
+    max_omega = max_re = 0.0
+    im_min, im_max, min_ratio = math.inf, -math.inf, math.inf
+    for sl in webbing._time_chunks(len(f.w), len(f.kappa)):
+        w, dw = f.w[sl], f.dw[sl]
+        g, rate = (w.conj() * w).real, w.conj() * dw
+        max_omega = np.maximum(max_omega, np.max(np.abs(rate.imag @ pairs)))
+        det = (det_u * np.prod(w, axis=1))[:, np.newaxis] * ((rate * (1.0 / g)) @ c)
+        hadamard = np.sqrt((dw.conj() * dw).real @ kappa_sq)
+        sphere = np.sqrt(g @ sphere_sq).reshape(len(w), -1, m)
+        for a in range(m):
+            hadamard = hadamard * sphere[:, :, a]
+        max_re = np.maximum(max_re, np.max(np.abs(det.real)))
+        im_min = np.minimum(im_min, det.imag.min())
+        im_max = np.maximum(im_max, det.imag.max())
+        ratio = np.divide(np.abs(det), hadamard, out=np.zeros_like(hadamard),
+                          where=hadamard != 0.0)
+        min_ratio = np.fmin(min_ratio, np.fmin.reduce(ratio, axis=None))
+    if min_ratio < 1e-12:
+        raise LagwebError("tangent frame degenerates "
+                          f"(|Omega| / Hadamard bound = {min_ratio:.3e})")
+    orientation = 1 if im_max + im_min > 0.0 else -1
+    return webbing.SlagReport(max_omega=float(max_omega), max_re_omega=float(max_re),
+                              min_im_omega=float(im_min if orientation == 1 else -im_max),
+                              orientation=orientation)
+
+
+def reference_angle(mesh):
+    """euler_transversality of a factored mesh by the unscreened closed form:
+    hypot and arcsin at every node."""
+    f = mesh.factors
+    normal = webbing._normal(f)
+    c = f.kappa * normal
+    delta = np.abs(c.sum(axis=1))
+    c, normal_sq, kappa_sq = c.T, (normal**2).T, (f.kappa**2).T
+    angle = math.inf
+    for sl in webbing._time_chunks(len(f.w), len(f.kappa)):
+        w, dw = f.w[sl], f.dw[sl]
+        g, rate = (w.conj() * w).real, w.conj() * dw
+        norms = np.sqrt(g @ kappa_sq)
+        if norms.min() < 1e-12:
+            raise LagwebError("mesh node at the origin")
+        root_q = np.sqrt((rate.imag**2 / g) @ kappa_sq)
+        sines = delta * root_q / (norms * np.hypot((rate.real / g) @ c,
+                                                   np.sqrt((1.0 / g) @ normal_sq) * root_q))
+        angle = np.minimum(angle, np.arcsin(np.clip(sines, 0.0, 1.0)).min())
+    return float(angle)
+
+
+def reference_harmonic(mesh):
+    """harmonic_residual(mesh) of u = t with u formed on every node of each
+    block and both angle differences taken by np.roll."""
+    times = mesh.trajectory.times
+    t_count, p_count = len(times), len(mesh.sphere.params)
+    hs, ht = 2.0 * np.pi / p_count, times[1] - times[0]
+
+    def d_angle(z):
+        return (np.roll(z, -1, axis=1) - np.roll(z, 1, axis=1)) / (2.0 * hs)
+
+    min_det, worst = math.inf, 0.0
+    rows = csvtext.block_rows(p_count, least=16)
+    for start in range(1, t_count - 1, rows):
+        stop = min(start + rows, t_count - 1)
+        lo, hi = max(start - 2, 0), min(stop + 2, t_count)
+        e, f, g = webbing._metric(mesh, slice(lo, hi))
+        det = e * g - f * f
+        min_det = np.minimum(min_det, det.min())
+        if det.min() < 1e-14:
+            continue
+        root = np.sqrt(det)
+        u = np.broadcast_to(times[lo:hi, np.newaxis], e.shape)
+        u_s, u_t = d_angle(u), np.gradient(u, ht, axis=0)
+        flux_s = (g * u_s - f * u_t) / root
+        flux_t = (e * u_t - f * u_s) / root
+        div = d_angle(flux_s) + np.gradient(flux_t, ht, axis=0)
+        worst = np.maximum(worst, np.max(np.abs(div[start - lo:stop - lo]
+                                                / root[start - lo:stop - lo])))
+    if min_det < 1e-14:
+        raise LagwebError(f"induced metric degenerates (EG - F^2 = {min_det:.3e})")
+    return float(worst)
+
+
+def outcome(check, mesh):
+    """A check's value as exact bits, or the message that it raised."""
+    try:
+        value = check(mesh)
+    except LagwebError as exc:
+        return f"raised: {exc}"
+    if isinstance(value, webbing.SlagReport):
+        return tuple(float(v).hex() for v in dataclasses.astuple(value))
+    return float(value).hex()
+
+
+def assert_reference_bits(mesh):
+    checks = [(verify_slag, reference_slag), (euler_transversality, reference_angle)]
+    if mesh.n == 2:
+        checks.append((harmonic_residual, reference_harmonic))
+    for check, reference in checks:
+        assert outcome(check, mesh) == outcome(reference, mesh), check.__name__
+
+
+def screen_paths(monkeypatch):
+    """Counts of the closed-form chunks that each screen decided and of those
+    that took the full path: _sines gets 1-D arrays of the nodes near the
+    screened minimum, or a chunk's 2-D arrays, and only the rank test's
+    full path calls _rank_ratio."""
+    paths = collections.Counter()
+    sines, rank, screened = webbing._sines, webbing._rank_ratio, webbing._screened_rank_ratio
+
+    def spy_sines(delta, q, *rest):
+        paths["sines full" if q.ndim == 2 else "sines screened"] += 1
+        paths["most near nodes"] = max(paths["most near nodes"], q.size if q.ndim == 1 else 0)
+        return sines(delta, q, *rest)
+
+    def spy_rank(det, hadamard):
+        paths["rank full"] += 1
+        return rank(det, hadamard)
+
+    def spy_screened(*args):
+        paths["rank chunks"] += 1
+        return screened(*args)
+
+    monkeypatch.setattr(webbing, "_sines", spy_sines)
+    monkeypatch.setattr(webbing, "_rank_ratio", spy_rank)
+    monkeypatch.setattr(webbing, "_screened_rank_ratio", spy_screened)
+    return paths
+
+
+SCREEN_LEVELS = (-1e-12, -1e-6, -0.7, -1e6, -1e12)
+
+
+class TestScreenedChecks:
+    """The screened checks hold the bits and messages of the unscreened
+    closed form, kept here alone (reference_slag, reference_angle,
+    reference_harmonic)."""
+
+    @pytest.fixture(scope="class")
+    def trajs(self):
+        return {n: random_traj(n, 2 * CHUNK_ROWS + 7, 60 + n) for n in range(2, 7)}
+
+    @pytest.mark.parametrize("level", SCREEN_LEVELS)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_levels(self, trajs, n, level, monkeypatch):
+        # from -1e-12 to -1e12 the screens decide every chunk
+        mesh = cylinder_mesh(trajs[n], level, {2: 16, 3: 8}.get(n, 64))
+        shrink_chunks(monkeypatch, len(mesh.sphere.points))
+        paths = screen_paths(monkeypatch)
+        assert_reference_bits(mesh)
+        assert paths["sines full"] == paths["rank full"] == 0
+        assert paths["sines screened"] == paths["rank chunks"] == 3
+
+    @pytest.mark.parametrize("budget", [1, 3, None])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_budgets(self, trajs, n, budget, monkeypatch):
+        mesh = cylinder_mesh(trajs[n], -0.7, {2: 16, 3: 8}.get(n, 64))
+        if budget is not None:
+            shrink_chunks(monkeypatch, len(mesh.sphere.points), budget)
+        assert_reference_bits(mesh)
+
+    @pytest.mark.parametrize("level", [-1.0, -0.25, -0.0625])
+    def test_readme_pair(self, solved, level):
+        # the default chunks of a 2000-step mesh on the 128-node circle
+        assert_reference_bits(cylinder_mesh(solved[2].trajectory, level, 128))
+
+    @pytest.mark.parametrize("level", [-1.0, -1e-9, -1e9])
+    @pytest.mark.parametrize("res", [64, 128])
+    def test_tied_minima(self, symmetric_traj, res, level, monkeypatch):
+        # on the round circle every node of a time row has the same sine,
+        # but for rounding: many nodes come near the screened minimum, and
+        # the smallest sine may sit at any of them
+        paths = screen_paths(monkeypatch)
+        assert_reference_bits(cylinder_mesh(symmetric_traj, level, res))
+        assert paths["most near nodes"] > 1
+        assert paths["sines full"] == paths["rank full"] == 0
+
+    @pytest.mark.parametrize("edit, full", [
+        (dict(g=[1.0, math.nan]), ("rank full", "sines full")),
+        (dict(theta=[math.nan, 0.0]), ("rank full", "sines full")),
+        (dict(g=[1.0, 0.0]), ("rank full",)),
+        (dict(g=[1.0, 1e-40]), ()),
+    ], ids=["nan-g", "nan-theta", "zero-tangent", "tiny-g"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nan_and_zero_tangent(self, trajs, n, edit, full, monkeypatch):
+        # g_2 = 0 makes the first sphere tangent of the node at angle 0
+        # zero, and its dtheta_2 / dt infinite; 1e-40 only squeezes the
+        # frame.  A NaN or a zero sends the edited sample's chunk down the
+        # full path of each screen that it reaches (at n = 2 the zero also
+        # puts a node at the origin)
+        edit = {key: value + [1.0] * (n - 2) for key, value in edit.items()}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mesh = cylinder_mesh(edited_traj(trajs[n], CHUNK_ROWS + 3, **edit), -0.7, 8)
+            shrink_chunks(monkeypatch, len(mesh.sphere.points))
+            paths = screen_paths(monkeypatch)
+            assert_reference_bits(mesh)
+        assert all(paths[key] >= 1 for key in full)
+
+    def test_full_paths(self, monkeypatch):
+        # at n = 9 and level -1e-20, Delta^2 ~ |c|^9 and the bound's nine
+        # factors leave the screens' ranges: both take the full path
+        mesh = cylinder_mesh(random_traj(9, 40, 3), -1e-20, 64)
+        paths = screen_paths(monkeypatch)
+        assert_reference_bits(mesh)
+        assert paths["sines full"] >= 1 and paths["rank full"] >= 1
+        assert paths["sines screened"] == 0
+
+    def test_rank_screen_margin(self):
+        # frames whose |Omega| / Hadamard bound lies within a few ulps of
+        # RANK_TOL: the squared screen must never pass a frame whose ratio,
+        # by the square roots, falls below it
+        rng = np.random.default_rng(24)
+        below = 0
+        for n in (2, 3, 6):
+            for _ in range(300):
+                time_sq = rng.uniform(0.1, 10.0, (1, 1))
+                sphere_sq = rng.uniform(0.1, 10.0, (1, 1, n - 1))
+                hadamard = np.sqrt(time_sq)
+                for a in range(n - 1):
+                    hadamard = hadamard * np.sqrt(sphere_sq[..., a])
+                phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                for step in range(-4, 5):
+                    size = 1e-12 * hadamard + step * np.spacing(1e-12 * hadamard)
+                    det = size * phase
+                    ratio = np.abs(det[0, 0]) / hadamard[0, 0]
+                    got = webbing._screened_rank_ratio(det, time_sq, sphere_sq)
+                    assert (got < 1e-12) == (ratio < 1e-12)
+                    if ratio < 1e-12:
+                        below += 1
+                        assert got == ratio
+        assert below > 100
 
 
 class TestChunkBudget:

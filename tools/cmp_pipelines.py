@@ -4,7 +4,7 @@
     python3 tools/cmp_pipelines.py <rev>
 
 The revision's src/ is extracted with ``git archive`` into a temporary
-directory.  Both trees then run the same five pipelines, each stage in a
+directory.  Both trees then run the same six pipelines, each stage in a
 fresh interpreter (``python -m lagweb.cli``):
 
   readme    the README pair, --steps 2000, --levels=-1,-0.25
@@ -17,6 +17,9 @@ fresh interpreter (``python -m lagweb.cli``):
   n9        random_maslov_zero_pair(default_rng(3), 9), --steps 300,
             --levels=-1, --sphere-res 64: the flow sums its phase pairwise
             from n = 8 on
+  n9-tiny   the n9 pair at --levels=-1e-20: there Delta^2 ~ |c|^9 and the
+            Hadamard bound's nine factors leave the ranges of the mesh
+            checks' screens, which take their full paths
 
 Each pipeline writes its frames, then runs pair-analyze, geodesic, webbing
 and verify on every mesh.  Every output file, exit code, stdout and stderr
@@ -66,6 +69,8 @@ PIPELINES = (
      ["--sphere-res", "256"]),
     ("n9", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(3), 9)", 300,
      ["--levels=-1", "--sphere-res", "64"]),
+    ("n9-tiny", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(3), 9)", 300,
+     ["--levels=-1e-20", "--sphere-res", "64"]),
 )
 
 

@@ -47,6 +47,8 @@ NDTRI = "tests/test_webbing.py::TestSphereGrid::test_ndtri_is_scipys_bit_for_bit
 NAN_FRAME = "tests/test_webbing.py::TestVerifySlag::test_nan_frame_hides_no_degenerate_frame"
 BUDGET = "tests/test_webbing.py::TestChunkBudget::test_chunks_hold_a_block_of_node_samples"
 FRAME_TYPES = "tests/test_cli.py::TestNonFiniteAndHugeInput::test_frame_json_types"
+SCREENED = "tests/test_webbing.py::TestScreenedChecks"
+RECORDED = "tests/test_cli.py::TestRecordedGrid"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -66,8 +68,8 @@ MUTANTS = {
     ),
     "Re and Im swapped in R": (
         WEB,
-        "np.hypot((rate.real / g) @ c,",
-        "np.hypot((rate.imag / g) @ c,",
+        "(rate.real / g) @ c",
+        "(rate.imag / g) @ c",
         [f"{CLOSED}[readme-0.25]", f"{CLOSED}[seeded-n3]", f"{CLOSED}[seeded-n6]"],
     ),
     "cofactors with the row-2 minors of the wrong sign": (
@@ -221,11 +223,62 @@ MUTANTS = {
         "EXP_M2 = 0.13533528323661276",
         [NDTRI],
     ),
-    "rank ratio folded with np.minimum, so a NaN frame hides a degenerate one": (
+    "rank ratio folded across chunks with np.minimum, so a NaN frame hides a degenerate one": (
         WEB,
-        "np.fmin(min_rank_ratio, np.fmin.reduce(ratio, axis=None))",
-        "np.minimum(min_rank_ratio, np.min(ratio))",
-        [f"{NAN_FRAME}[1]", f"{NAN_FRAME}[16]"],
+        "min_rank_ratio = np.fmin(min_rank_ratio, rank_ratio)",
+        "min_rank_ratio = np.minimum(min_rank_ratio, rank_ratio)",
+        ["tests/test_webbing.py::TestVerifySlag::test_nan_chunk_hides_no_degenerate_frame"],
+    ),
+    "rank ratio folded within a chunk with np.min, so a NaN frame hides a degenerate one": (
+        WEB,
+        "return np.fmin.reduce(ratio, axis=None)",
+        "return np.min(ratio)",
+        [f"{NAN_FRAME}[16]"],
+    ),
+    "sine screen keeps only its argmin": (
+        WEB,
+        "near = np.flatnonzero(square <= least * (1.0 + 1e-11))",
+        "near = np.array([np.argmin(square)])",
+        [f"{SCREENED}::test_tied_minima[64--1.0]", f"{SCREENED}::test_tied_minima[128--1e-09]",
+         f"{SCREENED}::test_readme_pair[-0.25]"],
+    ),
+    "sine screen without its range guard": (
+        WEB,
+        " and _in_range(delta_sq, q, e, b, inner):",
+        ":",
+        [f"{SCREENED}::test_full_paths"],
+    ),
+    "rank screen without the range guard": (
+        WEB,
+        "if _in_range(time_sq, sphere_sq, bits=500 // n):",
+        "if True:",
+        [f"{SCREENED}::test_full_paths"],
+    ),
+    "rank screen without its margin": (
+        WEB,
+        "bound = (RANK_TOL**2 * (1.0 + 1e-9)) * time_sq",
+        "bound = (RANK_TOL**2) * time_sq",
+        [f"{SCREENED}::test_rank_screen_margin"],
+    ),
+    "harmonic angle difference of column 0 from the wrong neighbour": (
+        WEB,
+        "np.subtract(z[:, 1], z[:, -1], out=diff[:, 0])",
+        "np.subtract(z[:, 1], z[:, -2], out=diff[:, 0])",
+        [f"{SCREENED}::test_levels[2--0.7]", f"{SCREENED}::test_readme_pair[-1.0]"],
+    ),
+    "webbing accepts an empty level list": (
+        CLI,
+        "        if not args.levels:",
+        "        if False:",
+        ["tests/test_cli.py::TestWebbing::test_empty_level_grid"],
+    ),
+    "verify skips the comparison with the webbing report": (
+        CLI,
+        "    _check_recorded_values(entry, report, name)\n",
+        "",
+        [f"{RECORDED}::test_contradicting_report[max_omega-and-min_im_omega]",
+         f"{RECORDED}::test_value_one_ulp_off[min_euler_angle]",
+         f"{RECORDED}::test_bool_is_not_an_orientation"],
     ),
 }
 
