@@ -162,8 +162,21 @@ def _load_trajectory(solution_path: str):
                 and type(phase0) in (int, float) and math.isfinite(phase0)):
             raise ValueError("malformed solution JSON: need an integer steps >= 1, a bool "
                              "reversed and a finite number phase0")
+        base = laggrass.frame_from_json_dict(solution["frame0"])
+        # geodesic derives n, maslov and reversed from the pair: none may contradict it
+        n, maslov = solution["n"], solution["maslov"]
+        if not (type(n) is int and n == base.n):
+            raise ValueError(f"malformed solution JSON: n must be frame0's dimension {base.n}, "
+                             f"got {n!r}")
+        if not (type(maslov) is int and maslov in (0, n)):
+            raise ValueError(f"malformed solution JSON: maslov must be 0 or n = {n}, "
+                             f"got {maslov!r}")
+        if reverse != (maslov != 0):
+            raise ValueError(f"malformed solution JSON: reversed must be "
+                             f"{json.dumps(maslov != 0)} for maslov {maslov}, "
+                             f"got {json.dumps(reverse)}")
         spec = geoflow.GeodesicSpec(
-            base=laggrass.frame_from_json_dict(solution["frame0"]),
+            base=base,
             adapted_basis=np.asarray(solution["adapted_basis"], dtype=float),
             coefficients=np.asarray(solution["a"], dtype=float),
             phase0=float(phase0),

@@ -527,6 +527,27 @@ class TestTrajectoryFromSolution:
             assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 9, "n must be frame0's dimension 2, got 9"),
+        ("maslov", 7, "maslov must be 0 or n = 2, got 7"),
+        ("reversed", True, "reversed must be false for maslov 0, got true"),
+    ], ids=["n", "maslov", "reversed"])
+    def test_contradictory_field_exit_2(self, tmp_path, readme_400, capsys, key, value,
+                                        message):
+        # each edit passed both stages: webbing rebuilt the mesh from frame0
+        # alone, or ran the README pair back in time, and exited 0
+        run_dir, mesh = readme_400
+        doc = json.loads((run_dir / "solution.json").read_text())
+        doc[key] = value
+        (tmp_path / "solution.json").write_text(json.dumps(doc))
+        for argv in (["webbing", "--levels=-1", "--sphere-res", "16"],
+                     ["verify", "--mesh", str(mesh), "--trajectory",
+                      str(run_dir / "trajectory.csv")]):
+            assert exit_code(*argv, "--solution", str(tmp_path / "solution.json"),
+                             "--out", str(tmp_path / "out")) == 2
+            assert capsys.readouterr().err == f"error: malformed solution JSON: {message}\n"
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("a", [[], [-0.1], [-0.1] * 3, [[-0.1, -0.1]]], ids=repr)
     def test_one_coefficient_per_direction(self, tmp_path, readme_400, capsys, a):
         # an `a` of another length ran the flow in len(a) directions and

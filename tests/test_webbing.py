@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import fractions
 import itertools
 import math
 import os
@@ -715,9 +716,13 @@ def screen_paths(monkeypatch):
     """Counts of the closed-form chunks that each screen decided and of those
     that took the full path: _sines gets 1-D arrays of the nodes near the
     screened minimum, or a chunk's 2-D arrays, and only the rank test's
-    full path calls _rank_ratio."""
+    full path calls _rank_ratio.  "rank chunks" counts the rank tests, one
+    per chunk, of which the factors settle "rank factors" and the per-frame
+    screen runs on "rank screened"; "sines factors" counts the chunks whose
+    sine screen range the factor bounds settle."""
     paths = collections.Counter()
     sines, rank, screened = webbing._sines, webbing._rank_ratio, webbing._screened_rank_ratio
+    settled, sines_in_range = webbing._rank_settled, webbing._sines_in_range
 
     def spy_sines(delta, q, *rest):
         paths["sines full" if q.ndim == 2 else "sines screened"] += 1
@@ -729,12 +734,25 @@ def screen_paths(monkeypatch):
         return rank(det, hadamard)
 
     def spy_screened(*args):
-        paths["rank chunks"] += 1
+        paths["rank screened"] += 1
         return screened(*args)
+
+    def spy_settled(*args):
+        paths["rank chunks"] += 1
+        decided = settled(*args)
+        paths["rank factors"] += decided
+        return decided
+
+    def spy_sines_in_range(*args):
+        in_range = sines_in_range(*args)
+        paths["sines factors"] += int(np.count_nonzero(in_range))
+        return in_range
 
     monkeypatch.setattr(webbing, "_sines", spy_sines)
     monkeypatch.setattr(webbing, "_rank_ratio", spy_rank)
     monkeypatch.setattr(webbing, "_screened_rank_ratio", spy_screened)
+    monkeypatch.setattr(webbing, "_rank_settled", spy_settled)
+    monkeypatch.setattr(webbing, "_sines_in_range", spy_sines_in_range)
     return paths
 
 
@@ -815,6 +833,50 @@ class TestScreenedChecks:
         assert paths["sines full"] >= 1 and paths["rank full"] >= 1
         assert paths["sines screened"] == 0
 
+    @pytest.fixture(scope="class")
+    def checked_trajs(self, solved):
+        """The trajectories of a mesh-checks pass: the README pair at 2000
+        steps, a seeded n = 3 pair at 500 steps and an n = 4 pair at 2000."""
+        return {2: solved[2].trajectory, 3: random_traj(3, 500, 71), 4: random_traj(4, 2000, 72)}
+
+    @pytest.mark.parametrize("n, level, res", [
+        (2, -1.0, 128), (2, -0.25, 128), (2, -0.0625, 128), (3, -1.0, None), (4, -1.0, 256),
+    ])
+    def test_factors_settle_the_checked_meshes(self, checked_trajs, n, level, res,
+                                               monkeypatch):
+        # on the default chunks of the meshes that a mesh-checks pass runs,
+        # the factor bounds decide every rank test and every sine screen's
+        # range, and no (T, P) array of E_t, E_a or a range check is formed
+        mesh = cylinder_mesh(checked_trajs[n], level, res)
+        chunks = len(list(webbing._time_chunks(len(mesh.trajectory.times),
+                                               len(mesh.sphere.points))))
+        paths = screen_paths(monkeypatch)
+        assert_reference_bits(mesh)
+        assert paths["rank factors"] == paths["rank chunks"] == chunks
+        assert paths["sines factors"] == paths["sines screened"] == chunks
+        assert paths["rank screened"] == paths["sines full"] == 0
+
+    @pytest.mark.parametrize("edit", ["sign-change", "zero-tangent"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_factors_leave_a_chunk_open(self, trajs, n, edit, monkeypatch):
+        # pi added to theta_1 of one sample turns Omega of that time row
+        # around, so Im Omega changes sign in its chunk; g_2 = 0 gives a
+        # zero sphere tangent and NaN rates.  That chunk alone goes on to the
+        # per-frame rank screen, and the NaN also to the sines' array check
+        row = CHUNK_ROWS + 3
+        if edit == "sign-change":
+            edits = dict(theta=trajs[n].theta[row] + np.pi * (np.arange(n) == 0))
+        else:
+            edits = dict(g=[1.0, 0.0] + [1.0] * (n - 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mesh = cylinder_mesh(edited_traj(trajs[n], row, **edits), -0.7, 8)
+            shrink_chunks(monkeypatch, len(mesh.sphere.points))
+            paths = screen_paths(monkeypatch)
+            assert_reference_bits(mesh)
+        assert paths["rank chunks"] == 3
+        assert paths["rank factors"] == 2 and paths["rank screened"] == 1
+        assert paths["sines factors"] == (3 if edit == "sign-change" else 2)
+
     def test_rank_screen_margin(self):
         # frames whose |Omega| / Hadamard bound lies within a few ulps of
         # RANK_TOL: the squared screen must never pass a frame whose ratio,
@@ -839,6 +901,47 @@ class TestScreenedChecks:
                         below += 1
                         assert got == ratio
         assert below > 100
+
+
+def sums_in_orders(a, k):
+    """a . k of two non-negative vectors: the rounded products summed
+    forward, backward and by fsum, and the exact sum rounded once."""
+    products = [x * y for x, y in zip(a.tolist(), k.tolist())]
+    exact = sum(fractions.Fraction(x) * fractions.Fraction(y) for x, y in zip(a.tolist(), k.tolist()))
+    return [sum(products), sum(products[::-1]), math.fsum(products), float(exact)]
+
+
+class TestChunkBounds:
+    @pytest.mark.parametrize("n", [2, 3, 6, 9])
+    def test_every_summation_order_within_bounds(self, n):
+        # the first row of a chunk holds every column maximum of the time
+        # factor, and the first column of the sphere factor every row
+        # maximum, so a value of the product reaches the top bound but for
+        # rounding, and the second row and column reach the low one: no
+        # order of the sum may round past a bound
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            time_factor = np.exp(rng.uniform(-5.0, 5.0, (4, n)))
+            sphere_factor = np.exp(rng.uniform(-5.0, 5.0, (n, 3)))
+            time_factor[0] = time_factor.max(axis=0)
+            sphere_factor[:, 0] = sphere_factor.max(axis=1)
+            time_factor[1] = time_factor.min()
+            sphere_factor[:, 1] *= sphere_factor.sum(axis=0).min() / sphere_factor[:, 1].sum()
+            (low,), (top,) = webbing._chunk_bounds(time_factor, sphere_factor, [0])
+            assert max(sums_in_orders(time_factor[0], sphere_factor[:, 0])) <= top
+            assert min(sums_in_orders(time_factor[1], sphere_factor[:, 1])) >= low
+            assert low <= (time_factor @ sphere_factor).min()
+            assert (time_factor @ sphere_factor).max() <= top
+
+    def test_chunks_bounded_apart(self):
+        # each chunk's bounds come from its own rows alone
+        time_factor = np.array([[1.0, 2.0], [3.0, 1.0], [0.5, 0.25]])
+        sphere_factor = np.array([[1.0, 2.0], [4.0, 1.0]])
+        low, top = webbing._chunk_bounds(time_factor, sphere_factor, [0, 2])
+        slack = webbing.BOUND_SLACK
+        np.testing.assert_array_equal(top, np.array([3.0 * 2.0 + 2.0 * 4.0, 0.5 * 2.0 + 0.25 * 4.0])
+                                      * (1.0 + slack))
+        np.testing.assert_array_equal(low, np.array([1.0 * 3.0, 0.25 * 3.0]) * (1.0 - slack))
 
 
 class TestChunkBudget:

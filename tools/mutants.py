@@ -49,13 +49,16 @@ BUDGET = "tests/test_webbing.py::TestChunkBudget::test_chunks_hold_a_block_of_no
 FRAME_TYPES = "tests/test_cli.py::TestNonFiniteAndHugeInput::test_frame_json_types"
 SCREENED = "tests/test_webbing.py::TestScreenedChecks"
 RECORDED = "tests/test_cli.py::TestRecordedGrid"
+GUARDS = "tests/test_webbing.py::TestClosedFormGuards"
+BOUNDS = "tests/test_webbing.py::TestChunkBounds"
+SOLUTION_FIELDS = "tests/test_cli.py::TestTrajectoryFromSolution::test_contradictory_field_exit_2"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
     "closed-form Omega without det U": (
         WEB,
-        "det = (det_u * np.prod(w, axis=1))",
-        "det = (np.prod(w, axis=1))",
+        "scale = np.linalg.det(f.directions) * np.prod(f.w, axis=1)",
+        "scale = np.prod(f.w, axis=1)",
         [f"{CLOSED}[seeded-n3]", f"{CLOSED}[seeded-n5]"],
     ),
     "c_j of the wrong sign": (
@@ -68,8 +71,8 @@ MUTANTS = {
     ),
     "Re and Im swapped in R": (
         WEB,
-        "(rate.real / g) @ c",
-        "(rate.imag / g) @ c",
+        "r_time, b_time = rate.imag**2 / g, rate.real / g,",
+        "r_time, b_time = rate.imag**2 / g, rate.imag / g,",
         [f"{CLOSED}[readme-0.25]", f"{CLOSED}[seeded-n3]", f"{CLOSED}[seeded-n6]"],
     ),
     "cofactors with the row-2 minors of the wrong sign": (
@@ -244,8 +247,14 @@ MUTANTS = {
     ),
     "sine screen without its range guard": (
         WEB,
-        " and _in_range(delta_sq, q, e, b, inner):",
+        " and (in_range or _in_range(delta_sq, q, e, b, inner)):",
         ":",
+        [f"{SCREENED}::test_full_paths"],
+    ),
+    "sine screen range taken as settled without its factor bounds": (
+        WEB,
+        "(in_range or _in_range(delta_sq, q, e, b, inner))",
+        "(True or _in_range(delta_sq, q, e, b, inner))",
         [f"{SCREENED}::test_full_paths"],
     ),
     "rank screen without the range guard": (
@@ -256,9 +265,36 @@ MUTANTS = {
     ),
     "rank screen without its margin": (
         WEB,
-        "bound = (RANK_TOL**2 * (1.0 + 1e-9)) * time_sq",
-        "bound = (RANK_TOL**2) * time_sq",
+        "RANK_SCREEN = RANK_TOL**2 * (1.0 + 1e-9)",
+        "RANK_SCREEN = RANK_TOL**2",
         [f"{SCREENED}::test_rank_screen_margin"],
+    ),
+    "factor bound's top from the time factor's column minima": (
+        WEB,
+        "top = np.maximum.reduceat(time_factor, starts, axis=0)",
+        "top = np.minimum.reduceat(time_factor, starts, axis=0)",
+        [f"{GUARDS}::test_degenerate_frame[False]", f"{BOUNDS}::test_chunks_bounded_apart",
+         f"{BOUNDS}::test_every_summation_order_within_bounds[3]"],
+    ),
+    "factor bounds without their rounding slack": (
+        WEB,
+        "return low * (1.0 - BOUND_SLACK), top * (1.0 + BOUND_SLACK)",
+        "return low, top",
+        [f"{BOUNDS}::test_every_summation_order_within_bounds[6]",
+         f"{BOUNDS}::test_every_summation_order_within_bounds[9]"],
+    ),
+    "rank settled without the one-sign test on Im Omega": (
+        WEB,
+        "least = im_min if im_min > 0.0 else -im_max if im_max < 0.0 else 0.0",
+        "least = min(abs(im_min), abs(im_max))",
+        [f"{SCREENED}::test_factors_leave_a_chunk_open[2-sign-change]",
+         f"{SCREENED}::test_factors_leave_a_chunk_open[3-sign-change]"],
+    ),
+    "rank settled without its factor range guard": (
+        WEB,
+        "if not (lo <= time_low and lo <= sphere_low and time_top <= hi and sphere_top <= hi):",
+        "if False:",
+        [f"{SCREENED}::test_full_paths"],
     ),
     "harmonic angle difference of column 0 from the wrong neighbour": (
         WEB,
@@ -271,6 +307,24 @@ MUTANTS = {
         "        if not args.levels:",
         "        if False:",
         ["tests/test_cli.py::TestWebbing::test_empty_level_grid"],
+    ),
+    "solution n not held to frame0's dimension": (
+        CLI,
+        "type(n) is int and n == base.n",
+        "type(n) is int",
+        [f"{SOLUTION_FIELDS}[n]"],
+    ),
+    "solution maslov not held to 0 or n": (
+        CLI,
+        "type(maslov) is int and maslov in (0, n)",
+        "type(maslov) is int",
+        [f"{SOLUTION_FIELDS}[maslov]"],
+    ),
+    "solution reversed not held to maslov": (
+        CLI,
+        "if reverse != (maslov != 0):",
+        "if False:",
+        [f"{SOLUTION_FIELDS}[reversed]"],
     ),
     "verify skips the comparison with the webbing report": (
         CLI,
