@@ -10,6 +10,7 @@ Dropped characters are NUL, and one bytes.translate per block removes them.
 """
 
 import functools
+import os
 
 import numpy as np
 
@@ -155,11 +156,18 @@ def csv_rows(table, prefix=None) -> bytes:
 
 
 def write_csv(path, header, blocks) -> None:
-    """Write the header line, then each block of row bytes."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for block in blocks:
-            fh.write(block)
+    """Write the header line, then each block of row bytes.  An OSError of
+    a write or of the closing flush, such as a full disk or a file size
+    limit, names no file: it is raised naming path."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for block in blocks:
+                fh.write(block)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
 
 
 def check_csv(path, header, blocks, what: str) -> None:

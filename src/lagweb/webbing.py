@@ -46,27 +46,20 @@ node count P (``csvtext.block_rows``; at least 16 rows for the harmonic
 halo), so peak memory is set by that one budget, not by T x P.  The mesh
 CSV's header and rows are made here, and ``csvtext`` owns their text.
 
-The closed form decides from the factors, then screens, then evaluates
-exactly.  Only the smallest radial angle and the pass or fail of the rank
-test are reported, so each chunk is first screened on squares, with no
-hypot, arcsin or square root, and the reference expression runs only where
-it can decide the reported value: the sines of the nodes whose square lies
-within a relative 1e-11 of the chunk's smallest, and the Hadamard bound of
-a chunk with a frame that fails |Omega|^2 > 1e-24 (1 + 1e-9) x the product
-of its squared tangent norms.  The screened and the reference forms round
-apart by a few ulps, far inside those margins, so every reported value and
-message keeps its bits.  The screens hold only where squares and products
-stay normal doubles: a chunk with a screened quantity outside its range, or
-a NaN, runs the reference expression on every node.  Before either screen
-forms a (T, P) array, the chunk's scalars decide what they can.  Each
-squared norm and sine term is a sum of non-negative products, so the
-column maxima and minima of its (T x n) and (n x P) factors bound it
-(_chunk_bounds, with a relative 1e-9 rounding slack).  Those bounds settle
-the range guards, and with Im Omega of one sign in the chunk, its least
-|Im Omega| squared above the rank screen's bound on the largest norms
-passes every frame (_rank_settled).  Only a chunk that the factors leave
-open forms the arrays for the range check or the per-frame screen, so the
-scalars choose a path and never a value.
+The closed form takes one of two paths per check and time chunk: the
+chunk's scalars settle it, or it runs the reference expression on every
+node.  Each squared norm and sine term is a sum of non-negative products,
+so the column maxima and minima of its (T x n) and (n x P) factors bound
+it (_chunk_bounds, with a relative 1e-9 rounding slack).  With Im Omega of
+one sign in the chunk, its least |Im Omega| squared above 1e-24 (1 + 1e-9)
+x the product of the squared norms' top bounds passes every frame's rank
+test, with no E_t or E_a array (_rank_settled).  With bounds inside
+[2^-500, 2^500], where squares and products keep full precision, the sines
+are screened on their squares, and hypot runs only at the nodes within a
+relative 1e-11 of the chunk's smallest (_closed_sines).  The forms round
+apart by a few ulps, far inside those margins, so the scalars choose a
+path and never a value, and every reported value and message keeps its
+bits.
 
 The boundary-flux check uses the exact level-family deformation field
 Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
@@ -92,7 +85,7 @@ from .geoflow import GeodesicTrajectory
 
 BOUNDARY_TOL = 1e-8
 RANK_TOL = 1e-12  # least |Omega| / Hadamard bound of a tangent frame
-# the rank screen passes a frame with |Omega|^2 above this times its squared norms
+# a chunk passes the rank test if its least |Im Omega|^2 tops this x its top squared norms
 RANK_SCREEN = RANK_TOL**2 * (1.0 + 1e-9)
 FLUX_SPREAD_TOL = 1e-4
 MIN_SPHERE_RESOLUTION = 4
@@ -411,12 +404,11 @@ def _rank_ratio(det, hadamard):
     return np.fmin.reduce(ratio, axis=None)
 
 
-def _in_range(*arrays, bits=500):
-    """True when every value lies in [2^-bits, 2^bits], so no NaN: with
-    bits = 500, a product of two such values is a normal double and keeps
-    its full relative precision, as does a square."""
-    lo, hi = 2.0**-bits, 2.0**bits
-    return all(lo <= a.min() and a.max() <= hi for a in arrays)
+def _in_range(values):
+    """True when every value lies in [2^-500, 2^500], so no NaN: a product
+    of two such values is a normal double and keeps its full relative
+    precision, as does a square."""
+    return 2.0**-500 <= values.min() and values.max() <= 2.0**500
 
 
 def _sup_abs(x):
@@ -445,42 +437,19 @@ def _chunk_bounds(time_factor, sphere_factor, starts):
     return low * (1.0 - BOUND_SLACK), top * (1.0 + BOUND_SLACK)
 
 
-def _screened_rank_ratio(det, time_sq, sphere_sq):
-    """_rank_ratio of a closed-form chunk from the squared tangent norms
-    E_t (T, P) and E_a (T, P, n - 1), or inf when every frame passes the
-    screen |Omega|^2 > 1e-24 (1 + 1e-9) E_t prod_a E_a and so has ratio
-    >= RANK_TOL.  The screen takes no square root and no |Omega|.  Its
-    margin of 1e-9 covers the (2n + 3) ulps by which the two forms may
-    round apart, for any n below 10^6.  With each of the n factors in
-    [2^(-500/n), 2^(500/n)], every partial product of the bound is normal,
-    and |Omega|^2 of a passing frame too; a chunk outside that range, or
-    with a NaN, or with a frame that fails the screen, takes the square
-    roots.  It runs only on a chunk that _rank_settled leaves open."""
-    n = sphere_sq.shape[-1] + 1
-    if _in_range(time_sq, sphere_sq, bits=500 // n):
-        bound = RANK_SCREEN * time_sq
-        for a in range(n - 1):
-            bound *= sphere_sq[..., a]
-        if np.all(_abs2(det) > bound):
-            return math.inf
-    hadamard = np.sqrt(time_sq)
-    sphere = np.sqrt(sphere_sq)
-    for a in range(n - 1):
-        hadamard = hadamard * sphere[..., a]
-    return _rank_ratio(det, hadamard)
-
-
 def _rank_settled(im_min, im_max, time_low, time_top, sphere_low, sphere_top, n):
-    """True when a closed-form chunk's factors show that
-    _screened_rank_ratio would return inf for it, so that no E_t or E_a
-    array need be formed.  With E_t in [time_low, time_top] and every E_a
-    in [sphere_low, sphere_top] (_chunk_bounds), all inside
-    [2^(-500/n), 2^(500/n)], that screen's range guard holds.  Where Im
-    Omega keeps one sign in the chunk, |Omega|^2 >= |Im Omega|^2 >= least^2
-    for the least |Im Omega|, and rounding is monotone, so a frame's screen
-    bound, taken on its E_t and E_a, is at most the bound taken on the
-    tops, and the squares keep that order.  least^2 above the tops' bound
-    therefore passes every frame of the chunk."""
+    """True when a closed-form chunk's scalars show that every frame has
+    |Omega| / Hadamard bound >= RANK_TOL in _rank_ratio, so that no E_t or
+    E_a array need be formed.  E_t lies in [time_low, time_top] and every
+    E_a in [sphere_low, sphere_top] (_chunk_bounds); with all of them inside
+    [2^(-500/n), 2^(500/n)], every partial product below stays normal and
+    keeps its relative precision.  Where Im Omega keeps one sign in the
+    chunk, |Omega| >= least, its least |Im Omega|, and a frame's bound
+    sqrt(E_t) prod_a sqrt(E_a) is at most the root of time_top
+    sphere_top^(n - 1), within the 2n ulps of its roots and products.  So
+    least^2 > 1e-24 (1 + 1e-9) time_top sphere_top^(n - 1), as rounded
+    here, puts every ratio at least RANK_TOL (1 + 5e-10) less (3n + 4)
+    ulps, above RANK_TOL for any n below 10^6.  A NaN settles nothing."""
     lo, hi = 2.0 ** -(500 // n), 2.0 ** (500 // n)
     if not (lo <= time_low and lo <= sphere_low and time_top <= hi and sphere_top <= hi):
         return False
@@ -499,15 +468,14 @@ def _closed_calibration(mesh: CylinderMesh):
     on sphere tangent a and the time tangent.  The squared tangent norms are
     E_t = sum_j kappa_j^2 |dw_j|^2 and E_a = sum_j kappa_tan,aj^2 |w_j|^2.
 
-    The rank test is decided first from the chunk's Im Omega fold and the
-    column bounds of those two products (_rank_settled), with no (T, P)
-    array of E_t or E_a.  Only a chunk that this leaves open, because Im
-    Omega changes sign or is NaN in it, a bound leaves the screen's range,
-    or a frame may come near RANK_TOL, forms E_t and E_a for the per-frame
-    screen, which takes their roots, the Hadamard bound, only where it
-    cannot decide either (_screened_rank_ratio).  The time factors are
-    formed once per mesh.  c stays real: cast to complex once, it would
-    change the bits of a one-row chunk's product."""
+    The rank test is settled from the chunk's Im Omega fold and the column
+    bounds of those two products (_rank_settled), with no (T, P) array of
+    E_t or E_a.  A chunk that this leaves open, because Im Omega changes
+    sign or is NaN in it, a bound leaves the range, or a frame may come
+    near RANK_TOL, forms the Hadamard bound sqrt(E_t) prod_a sqrt(E_a) at
+    every node for _rank_ratio.  The time factors are formed once per mesh.
+    c stays real: cast to complex once, it would change the bits of a
+    one-row chunk's product."""
     f, m = mesh.factors, mesh.n - 1
     c = (f.kappa * _normal(f)).T                                     # (n, P)
     pairs = (f.kappa_tan * f.kappa[:, np.newaxis, :]).reshape(-1, m + 1).T  # (n, P m)
@@ -525,8 +493,11 @@ def _closed_calibration(mesh: CylinderMesh):
         if _rank_settled(im_min, im_max, *chunk_bounds, m + 1):
             ratio = math.inf
         else:
-            ratio = _screened_rank_ratio(det, dw_sq[sl] @ kappa_sq,
-                                         (g[sl] @ sphere_sq).reshape(len(det), -1, m))
+            hadamard = np.sqrt(dw_sq[sl] @ kappa_sq)
+            sphere = np.sqrt(g[sl] @ sphere_sq).reshape(len(det), -1, m)
+            for a in range(m):
+                hadamard = hadamard * sphere[..., a]
+            ratio = _rank_ratio(det, hadamard)
         yield _sup_abs(rate[sl].imag @ pairs), np.max(np.abs(det.real)), im_min, im_max, ratio
 
 
@@ -538,9 +509,9 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
     closed form from the factors, or by the node sweep over a mesh's given
     arrays.  The orientation sign makes Im Omega predominantly positive and
     is reported alongside.  Re Omega cannot see a wrong theta history (module
-    docstring).  The closed form settles the rank test of most chunks from
-    their Im Omega fold and factor bounds, and screens the rest frame by
-    frame (_closed_calibration).  The chunk folds use np.maximum and
+    docstring).  The closed form settles the rank test of a chunk from its
+    Im Omega fold and factor bounds, or forms the Hadamard bound at every
+    node of it (_closed_calibration).  The chunk folds use np.maximum and
     np.minimum, so a NaN anywhere reaches the report.  The rank ratio alone
     is folded with fmin, which skips NaN, so a NaN frame cannot hide a
     degenerate one elsewhere.
@@ -616,21 +587,20 @@ def _closed_sines(mesh: CylinderMesh):
     Delta = |sum c_j|, R = sum c_j Re d_j, B = sum N_j^2 / g_j,
     Q = sum kappa_j^2 g_j (Im d_j)^2 and E = sum kappa_j^2 g_j = |Phi|^2.
 
-    Only the smallest sine is kept, so each chunk is screened on that
-    square, and the sine itself, with its libm hypot (_sines), is taken
-    only at the nodes whose square lies within a relative 1e-11 of the
-    chunk's smallest.  The two forms round apart by a few ulps, so the
-    node of the smallest sine is always among them; any arcsin within a few
-    ulps of monotone then gives euler_transversality the same minimum.  The
-    screen needs Delta^2, Q, E, B, R^2 + B Q and the smallest square in
-    [2^-500, 2^500], where the squares and products keep full relative
-    precision.  Delta^2 is checked once per mesh, and Q, E, B and R^2 + B Q
-    per chunk from their factor bounds (_chunk_bounds; |R| <= sum_j
-    max |Re d_j| max |c_j|, and rounding is monotone on R^2 + B Q), with
-    no (T, P) array.  Only a chunk whose bounds leave that range checks
-    the arrays themselves, and a chunk whose arrays leave it too, or whose
-    smallest square does, so also one that holds a NaN, takes the sines of
-    every node, where the NaN then reaches the sine."""
+    Two paths per chunk.  Only the smallest sine is kept, so a chunk whose
+    scalars allow it is screened on that square, and the sine itself, with
+    its libm hypot (_sines), is taken only at the nodes whose square lies
+    within a relative 1e-11 of the chunk's smallest.  The two forms round
+    apart by a few ulps, so the node of the smallest sine is always among
+    them; any arcsin within a few ulps of monotone then gives
+    euler_transversality the same minimum.  The screen needs Delta^2, Q,
+    E, B, R^2 + B Q and the smallest square in [2^-500, 2^500], where the
+    squares and products keep full relative precision: Delta^2 is checked
+    once per mesh, and Q, E, B and R^2 + B Q per chunk from their factor
+    bounds (_chunk_bounds; |R| <= sum_j max |Re d_j| max |c_j|, and
+    rounding is monotone on R^2 + B Q), with no (T, P) array.  Any other
+    chunk, so also one that holds a NaN, takes the sines of every node,
+    where the NaN then reaches the sine."""
     f = mesh.factors
     normal = _normal(f)
     c = f.kappa * normal
@@ -654,7 +624,7 @@ def _closed_sines(mesh: CylinderMesh):
         square = delta_sq * q
         square /= e * inner
         least = square.min()
-        if least >= 2.0**-500 and (in_range or _in_range(delta_sq, q, e, b, inner)):
+        if in_range and least >= 2.0**-500:
             near = np.flatnonzero(square <= least * (1.0 + 1e-11))
             yield _sines(delta[near % len(delta)], *(x.ravel()[near] for x in (q, e, r, b)))
         else:

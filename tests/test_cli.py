@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -274,6 +275,23 @@ class TestWebbing:
         code = cli("webbing", "--solution", str(solved_dir / "solution.json"),
                    "--levels=-1", "--out", str(blocked))
         assert code == 2
+
+    def test_file_size_limit_names_the_file(self, tmp_path, solved_dir):
+        # a 1 MiB file size limit, in the child alone, stops the 6 MB mesh
+        # CSV: the write error said "[Errno 27] File too large" of no file
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lagweb.__file__)))
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+
+        done = subprocess.run([sys.executable, "-m", "lagweb.cli", "webbing", "--solution",
+                               str(solved_dir / "solution.json"), "--levels=-1",
+                               "--out", str(tmp_path / "web")],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, preexec_fn=limit_file_size)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: [Errno 27] File too large: ")
+        assert "mesh_0.csv" in done.stderr
 
     @pytest.mark.parametrize("res", ["0", "1", "-4"])
     def test_sphere_resolution_below_minimum_exit_2(self, tmp_path, solved_dir, capsys, res):

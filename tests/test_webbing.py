@@ -717,11 +717,10 @@ def screen_paths(monkeypatch):
     that took the full path: _sines gets 1-D arrays of the nodes near the
     screened minimum, or a chunk's 2-D arrays, and only the rank test's
     full path calls _rank_ratio.  "rank chunks" counts the rank tests, one
-    per chunk, of which the factors settle "rank factors" and the per-frame
-    screen runs on "rank screened"; "sines factors" counts the chunks whose
-    sine screen range the factor bounds settle."""
+    per chunk, of which the factors settle "rank factors"; "sines factors"
+    counts the chunks whose sine screen range the factor bounds settle."""
     paths = collections.Counter()
-    sines, rank, screened = webbing._sines, webbing._rank_ratio, webbing._screened_rank_ratio
+    sines, rank = webbing._sines, webbing._rank_ratio
     settled, sines_in_range = webbing._rank_settled, webbing._sines_in_range
 
     def spy_sines(delta, q, *rest):
@@ -732,10 +731,6 @@ def screen_paths(monkeypatch):
     def spy_rank(det, hadamard):
         paths["rank full"] += 1
         return rank(det, hadamard)
-
-    def spy_screened(*args):
-        paths["rank screened"] += 1
-        return screened(*args)
 
     def spy_settled(*args):
         paths["rank chunks"] += 1
@@ -750,7 +745,6 @@ def screen_paths(monkeypatch):
 
     monkeypatch.setattr(webbing, "_sines", spy_sines)
     monkeypatch.setattr(webbing, "_rank_ratio", spy_rank)
-    monkeypatch.setattr(webbing, "_screened_rank_ratio", spy_screened)
     monkeypatch.setattr(webbing, "_rank_settled", spy_settled)
     monkeypatch.setattr(webbing, "_sines_in_range", spy_sines_in_range)
     return paths
@@ -846,7 +840,7 @@ class TestScreenedChecks:
                                                monkeypatch):
         # on the default chunks of the meshes that a mesh-checks pass runs,
         # the factor bounds decide every rank test and every sine screen's
-        # range, and no (T, P) array of E_t, E_a or a range check is formed
+        # range, so no (T, P) array of E_t or E_a is formed
         mesh = cylinder_mesh(checked_trajs[n], level, res)
         chunks = len(list(webbing._time_chunks(len(mesh.trajectory.times),
                                                len(mesh.sphere.points))))
@@ -854,7 +848,7 @@ class TestScreenedChecks:
         assert_reference_bits(mesh)
         assert paths["rank factors"] == paths["rank chunks"] == chunks
         assert paths["sines factors"] == paths["sines screened"] == chunks
-        assert paths["rank screened"] == paths["sines full"] == 0
+        assert paths["rank full"] == paths["sines full"] == 0
 
     @pytest.mark.parametrize("edit", ["sign-change", "zero-tangent"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -862,7 +856,7 @@ class TestScreenedChecks:
         # pi added to theta_1 of one sample turns Omega of that time row
         # around, so Im Omega changes sign in its chunk; g_2 = 0 gives a
         # zero sphere tangent and NaN rates.  That chunk alone goes on to the
-        # per-frame rank screen, and the NaN also to the sines' array check
+        # Hadamard bound at every node, and the NaN also to every node's sine
         row = CHUNK_ROWS + 3
         if edit == "sign-change":
             edits = dict(theta=trajs[n].theta[row] + np.pi * (np.arange(n) == 0))
@@ -874,32 +868,30 @@ class TestScreenedChecks:
             paths = screen_paths(monkeypatch)
             assert_reference_bits(mesh)
         assert paths["rank chunks"] == 3
-        assert paths["rank factors"] == 2 and paths["rank screened"] == 1
+        assert paths["rank factors"] == 2 and paths["rank full"] == 1
         assert paths["sines factors"] == (3 if edit == "sign-change" else 2)
 
     def test_rank_screen_margin(self):
-        # frames whose |Omega| / Hadamard bound lies within a few ulps of
-        # RANK_TOL: the squared screen must never pass a frame whose ratio,
-        # by the square roots, falls below it
+        # one-frame chunks whose |Omega| / Hadamard bound lies within a few
+        # ulps of RANK_TOL, each bounded by its own E_t and E_a (all n - 1
+        # equal), with Omega purely imaginary: the factors must never settle
+        # a chunk whose ratio, by the square roots, falls below it
         rng = np.random.default_rng(24)
         below = 0
         for n in (2, 3, 6):
             for _ in range(300):
-                time_sq = rng.uniform(0.1, 10.0, (1, 1))
-                sphere_sq = rng.uniform(0.1, 10.0, (1, 1, n - 1))
-                hadamard = np.sqrt(time_sq)
-                for a in range(n - 1):
-                    hadamard = hadamard * np.sqrt(sphere_sq[..., a])
-                phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+                time_sq = rng.uniform(0.1, 10.0)
+                sphere_sq = rng.uniform(0.1, 10.0)
+                hadamard = math.sqrt(time_sq)
+                for _ in range(n - 1):
+                    hadamard *= math.sqrt(sphere_sq)
                 for step in range(-4, 5):
                     size = 1e-12 * hadamard + step * np.spacing(1e-12 * hadamard)
-                    det = size * phase
-                    ratio = np.abs(det[0, 0]) / hadamard[0, 0]
-                    got = webbing._screened_rank_ratio(det, time_sq, sphere_sq)
-                    assert (got < 1e-12) == (ratio < 1e-12)
-                    if ratio < 1e-12:
+                    ratio = webbing._rank_ratio(np.array([[1j * size]]), np.array([[hadamard]]))
+                    if ratio < webbing.RANK_TOL:
                         below += 1
-                        assert got == ratio
+                        assert not webbing._rank_settled(size, size, time_sq, time_sq,
+                                                         sphere_sq, sphere_sq, n)
         assert below > 100
 
 

@@ -18,8 +18,9 @@ fresh interpreter (``python -m lagweb.cli``):
             --levels=-1, --sphere-res 64: the flow sums its phase pairwise
             from n = 8 on
   n9-tiny   the n9 pair at --levels=-1e-20: there Delta^2 ~ |c|^9 and the
-            Hadamard bound's nine factors leave the ranges of the mesh
-            checks' screens, which take their full paths
+            Hadamard bound's nine factors leave the ranges where the
+            factors settle a chunk, so both mesh checks run the reference
+            expression on every node
 
 Each pipeline writes its frames, then runs pair-analyze, geodesic, webbing
 and verify on every mesh.  Every output file, exit code, stdout and stderr

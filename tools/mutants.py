@@ -247,20 +247,14 @@ MUTANTS = {
     ),
     "sine screen without its range guard": (
         WEB,
-        " and (in_range or _in_range(delta_sq, q, e, b, inner)):",
-        ":",
+        "if in_range and least >= 2.0**-500:",
+        "if True:",
         [f"{SCREENED}::test_full_paths"],
     ),
     "sine screen range taken as settled without its factor bounds": (
         WEB,
-        "(in_range or _in_range(delta_sq, q, e, b, inner))",
-        "(True or _in_range(delta_sq, q, e, b, inner))",
-        [f"{SCREENED}::test_full_paths"],
-    ),
-    "rank screen without the range guard": (
-        WEB,
-        "if _in_range(time_sq, sphere_sq, bits=500 // n):",
-        "if True:",
+        "if in_range and least",
+        "if True and least",
         [f"{SCREENED}::test_full_paths"],
     ),
     "rank screen without its margin": (
@@ -301,6 +295,12 @@ MUTANTS = {
         "np.subtract(z[:, 1], z[:, -1], out=diff[:, 0])",
         "np.subtract(z[:, 1], z[:, -2], out=diff[:, 0])",
         [f"{SCREENED}::test_levels[2--0.7]", f"{SCREENED}::test_readme_pair[-1.0]"],
+    ),
+    "CSV write error raised without its file": (
+        TEXT,
+        "exc.filename = os.fspath(path)",
+        "pass",
+        ["tests/test_cli.py::TestWebbing::test_file_size_limit_names_the_file"],
     ),
     "webbing accepts an empty level list": (
         CLI,
