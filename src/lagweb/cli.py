@@ -15,7 +15,10 @@ that its writer makes from the rebuild, and each check value that verify
 computes must equal the one webbing recorded for the mesh.  The mesh CSV is
 written and read one block of time slices at a time, and each block's nodes
 are formed from the mesh's factors only then, so peak memory does not grow
-with the mesh.
+with the mesh.  With two CPUs the blocks alternate between the stage and one
+forked helper process, which writes or checks its blocks at the offsets the
+stage passes it (csvtext); the bytes, messages and exit codes are those of
+one process, and no helper outlives its stage.
 
 All outputs are deterministic: JSON keys are sorted and floats carry 17
 significant digits.

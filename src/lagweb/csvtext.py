@@ -1,6 +1,11 @@
 """CSV text: each float as CPython's '%.17g' makes it, built by numpy; the
 one block budget of every streamed pass (``block_rows``); and the writer and
-byte check of a file.  ``geoflow`` and ``webbing`` make the tables.
+byte check of a file.  ``geoflow`` and ``webbing`` make the tables, and hand
+a file's rows over as blocks, each a callable that forms the block's bytes.
+The writer and the check share the blocks between this process and, with
+two CPUs and more than one block, one forked helper that forms, writes or
+checks every other block in lockstep with it (``_ring``).  A failed write
+leaves no partial file.
 
 A value is a cell of 32 bytes: an 8-byte head (sign, the "0." and zeros of a
 value below 1, the leading digit and a point after it), five 4-byte words of
@@ -9,10 +14,14 @@ and a comma, which ``csv_rows`` makes a newline after a row's last value.
 Dropped characters are NUL, and one bytes.translate per block removes them.
 """
 
+import contextlib
 import functools
 import os
+import signal
 
 import numpy as np
+
+from .errors import LagwebError
 
 CSV_CELL = 32
 CSV_BLOCK = 1 << 14
@@ -156,14 +165,18 @@ def csv_rows(table, prefix=None) -> bytes:
 
 
 def write_csv(path, header, blocks) -> None:
-    """Write the header line, then each block of row bytes.  An OSError of
-    a write or of the closing flush, such as a full disk or a file size
-    limit, names no file: it is raised naming path."""
+    """Write the header line, then the text of each block, a callable that
+    returns its row bytes, over the ring (``_ring``).  On any failure the
+    partial file is removed; an OSError that names no file, such as a full
+    disk or a file size limit met by either process, is raised naming path."""
     try:
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            for block in blocks:
-                fh.write(block)
+        with open(path, "wb", buffering=0) as fh:
+            try:
+                put = functools.partial(_put, fh.fileno())
+                _ring(blocks, put, put((",".join(header) + "\n").encode(), 0))
+            except BaseException:
+                os.unlink(path)
+                raise
     except OSError as exc:
         if exc.filename is None:
             exc.filename = os.fspath(path)
@@ -171,34 +184,190 @@ def write_csv(path, header, blocks) -> None:
 
 
 def check_csv(path, header, blocks, what: str) -> None:
-    """Require the file at path to hold exactly the header line, then each
-    block of row bytes, then end of file; each read takes one block.  A
-    ValueError starts with what and names the file, and the first differing
-    column and data row (from 1), or the row where the file ends.  Rows are
-    counted only then, over the bytes that matched."""
-    with open(path, "rb") as fh:
+    """Require the file at path to hold exactly the header line, then the
+    text of each block (as for write_csv), then end of file; the blocks are
+    compared over the ring, each with one read of its span.  A ValueError
+    starts with what and names the file, and the first differing column and
+    data row (from 1), or the row where the file ends.  Rows are counted only
+    then, over the bytes that matched."""
+    with open(path, "rb", buffering=0) as fh:
         line = (",".join(header) + "\n").encode()
-        if fh.readline(len(line)) != line:
+        if os.pread(fh.fileno(), len(line), 0) != line:
             raise ValueError(f"{what}: {fh.name} header is not {','.join(header)}")
-        done = len(line)  # bytes matched so far
-        for block in blocks:
-            data = fh.read(len(block))
-            if data != block:
-                at = len(data)
-                same = np.frombuffer(data, np.uint8) == np.frombuffer(block, np.uint8, at)
-                if not same.all():
-                    at = int(np.argmin(same))
-                start = block.rfind(b"\n", 0, at) + 1
-                row = _newlines(fh, len(line), done) + block.count(b"\n", 0, at) + 1
-                if at == len(data):
-                    raise ValueError(f"{what}: {fh.name} ends {'before' if at == start else 'in'} "
-                                     f"data row {row}")
-                raise ValueError(f"{what}: {fh.name} column {header[block.count(b',', start, at)]} "
-                                 f"differs in data row {row}")
-            done += len(block)
-        if fh.read(1):
-            raise ValueError(f"{what}: {fh.name} has more than {_newlines(fh, len(line), done)} "
+        try:
+            end = _ring(blocks, functools.partial(_same, fh.fileno()), len(line))
+        except _Differs as exc:
+            raise ValueError(f"{what}: {fh.name} {_difference(fh, header, len(line), *exc.args)}"
+                             ) from None
+        if os.pread(fh.fileno(), 1, end):
+            raise ValueError(f"{what}: {fh.name} has more than {_newlines(fh, len(line), end)} "
                              "data rows")
+
+
+class _Differs(Exception):
+    """The file differs from a block's text (args: the text, its offset)."""
+
+
+def _put(fd: int, text: bytes, offset: int) -> int:
+    """Write text at offset of the open file fd; the offset after it."""
+    view = memoryview(text)
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+    return offset
+
+
+def _same(fd: int, text: bytes, offset: int) -> int:
+    """Require the open file fd to hold text at offset; the offset after it."""
+    if os.pread(fd, len(text), offset) != text:
+        raise _Differs(text, offset)
+    return offset + len(text)
+
+
+def _difference(fh, header, rows_at: int, text: bytes, offset: int) -> str:
+    """Where the file fh departs from the block text at offset: its first
+    differing column and data row, or the row where the file ends; the data
+    rows start at byte rows_at, and the file matched up to offset."""
+    data = os.pread(fh.fileno(), len(text), offset)
+    at = len(data)
+    same = np.frombuffer(data, np.uint8) == np.frombuffer(text, np.uint8, at)
+    if not same.all():
+        at = int(np.argmin(same))
+    start = text.rfind(b"\n", 0, at) + 1
+    row = _newlines(fh, rows_at, offset) + text.count(b"\n", 0, at) + 1
+    if at == len(data):
+        return f"ends {'before' if at == start else 'in'} data row {row}"
+    return f"column {header[text.count(b',', start, at)]} differs in data row {row}"
+
+
+# --- the ring: blocks shared between this process and one forked helper ---
+
+_REDO = -1  # token: the sender's block failed; the stage runs it again itself
+
+
+def _ring(blocks, visit, offset: int) -> int:
+    """Run visit(text, its offset) on each block's text in file order, and
+    return the offset after the last; visit writes or checks one block at
+    the offset it is given and returns the offset after it.
+
+    The blocks go round a ring of min(2, CPUs this process may run on)
+    processes: this one (the stage) forms blocks 0, 2, 4, ... and a forked
+    helper forms blocks 1, 3, 5, ..., each process its own blocks' text,
+    while the other visits.  An 8-byte token passes round a pipe ring: the
+    offset where the next block starts, or a failure.  A process visits a
+    block only once it holds the token, so the blocks are visited in file
+    order and the first failure in file order is the one raised; each forms
+    at most one block ahead of the token, so a stage stopped by a signal
+    stops its helper within one block.  With one CPU or one block the ring
+    is this process alone, and nothing is forked.
+
+    A helper's OSError reaches the stage as its errno; on any other failure
+    the stage forms and visits that block again, and so raises the same
+    error itself.  On a failure the stage kills the helper, and it always
+    reaps it.  The helper leaves only through os._exit, and it ends when
+    its pipe from the stage closes.  It is forked, not spawned, so that it
+    forms its blocks from the stage's memory with nothing sent; a fork
+    copies no thread, and the blocks call no BLAS, whose threads the stage
+    may hold.  While the ring runs, the stage keeps to every other CPU that
+    it may run on and the helper to the rest, and the stage then gets all
+    of them back: left free, the two were measured on one CPU for a whole
+    file in about a quarter of the runs, each waking the other there.
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    workers = min(2, len(cpus), len(blocks))
+    ring = [os.pipe() for _ in range(workers)]  # ring[r]: the token's way into rank r
+    inbox, outbox = ring[0][0], ring[-1][1]
+    helper = os.fork() if workers > 1 else None
+    if helper == 0:
+        try:
+            _pin(cpus[1::2])
+            os.close(inbox)
+            os.close(outbox)
+            _help(blocks[1::2], visit, ring[1][0], ring[0][1])
+        finally:
+            os._exit(0)
+    if helper:
+        os.close(ring[1][0])
+        os.close(ring[0][1])
+        _pin(cpus[0::2])
+    try:
+        for k in range(0, len(blocks), workers):
+            text = blocks[k]()
+            if k:
+                offset = _stage_take(inbox, blocks[k - 1], visit, offset)
+            offset = visit(text, offset)
+            if k + 1 < len(blocks):
+                _give(outbox, offset)
+        if (len(blocks) - 1) % workers:  # the helper's block was the last
+            offset = _stage_take(inbox, blocks[-1], visit, offset)
+        return offset
+    except BaseException:
+        if helper:
+            os.kill(helper, signal.SIGKILL)
+        raise
+    finally:
+        for fd in {inbox, outbox}:
+            os.close(fd)
+        if helper:
+            os.waitpid(helper, 0)
+            _pin(cpus)
+
+
+def _pin(cpus) -> None:
+    """Keep this process to the given CPUs.  It only places the process, so
+    a refusal (a CPU gone offline) is ignored."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+def _help(blocks, visit, inbox: int, outbox: int) -> None:
+    """The helper's turns: form a block's text, wait for the token, visit
+    the block at the offset it holds, and pass on the offset after it, or
+    a failure, which ends the helper; so does a closed pipe."""
+    for block in blocks:
+        try:
+            text = block()
+        except Exception:
+            text = None  # the stage meets the error again when it forms the block
+        token = _take(inbox)
+        if token is None:
+            return
+        try:
+            token = _REDO if text is None else visit(text, token)
+        except OSError as exc:
+            token = -1 - exc.errno if exc.errno else _REDO
+        except Exception:
+            token = _REDO
+        _give(outbox, token)
+        if token < 0:
+            return
+
+
+def _stage_take(inbox: int, block, visit, sent: int) -> int:
+    """The token that the helper passes back after its block, which the
+    stage had passed the offset sent; raises the helper's failure."""
+    token = _take(inbox)
+    if token is None:
+        raise LagwebError("the CSV helper process ended before its block was done")
+    if token == _REDO:
+        visit(block(), sent)  # raises the helper's error here
+        raise LagwebError("the CSV helper process failed on a block that the stage "
+                          "forms and visits without fault")
+    if token < 0:
+        errno = -1 - token
+        raise OSError(errno, os.strerror(errno))
+    return token
+
+
+def _take(fd: int):
+    """The next token from the pipe fd, or None once it is closed; one write
+    of 8 bytes reaches the reader whole."""
+    data = os.read(fd, 8)
+    return int.from_bytes(data, "little", signed=True) if data else None
+
+
+def _give(fd: int, token: int) -> None:
+    os.write(fd, token.to_bytes(8, "little", signed=True))
 
 
 def _newlines(fh, start: int, stop: int) -> int:

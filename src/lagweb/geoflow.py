@@ -346,12 +346,12 @@ def _trajectory_table(traj: GeodesicTrajectory):
 def write_trajectory_csv(traj: GeodesicTrajectory, path) -> None:
     """One row per sample, 17 significant digits ('%.17g')."""
     header, table = _trajectory_table(traj)
-    write_csv(path, header, [csv_rows(table)])
+    write_csv(path, header, [functools.partial(csv_rows, table)])
 
 
 def read_trajectory_csv(path, traj: GeodesicTrajectory) -> None:
     """Require the trajectory CSV at path to hold exactly the bytes that
     write_trajectory_csv makes from traj; ValueError if not."""
     header, table = _trajectory_table(traj)
-    check_csv(path, header, [csv_rows(table)],
+    check_csv(path, header, [functools.partial(csv_rows, table)],
               "trajectory CSV samples disagree with the solution's trajectory")

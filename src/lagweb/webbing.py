@@ -44,7 +44,9 @@ two-row halo, so no pass holds an array of the whole mesh.  Every such block
 is whole time rows of about CSV_BLOCK values or node-samples, whatever the
 node count P (``csvtext.block_rows``; at least 16 rows for the harmonic
 halo), so peak memory is set by that one budget, not by T x P.  The mesh
-CSV's header and rows are made here, and ``csvtext`` owns their text.
+CSV's header and blocks are made here, each block a time-slice range whose
+nodes and text are formed only by the process that writes or checks it
+(``csvtext``, which owns the text), and by no BLAS call.
 
 The closed form takes one of two paths per check and time chunk: the
 chunk's scalars settle it, or it runs the reference expression on every
@@ -779,10 +781,12 @@ def _mesh_header(mesh: CylinderMesh):
             + [f"{part}_z{j + 1}" for j in range(mesh.n) for part in ("re", "im")])
 
 
-def _mesh_rows(mesh: CylinderMesh):
-    """The mesh CSV's data rows as bytes, in blocks of whole time slices of
-    about CSV_BLOCK values.  The s_ and t cells are formatted once, into one
-    block's prefix, whose t cells each block refills.  A factored mesh's
+def _mesh_blocks(mesh: CylinderMesh):
+    """The mesh CSV's data rows as blocks of whole time slices of about
+    CSV_BLOCK values, one callable per block, which forms the block's bytes
+    when called: csvtext's writer and byte check call each block in the
+    process that handles it.  The s_ and t cells are formatted once, into
+    one block's prefix, whose t cells each block refills.  A factored mesh's
     nodes are formed one block at a time from its factors, bit for bit the
     rows of CylinderMesh.points; a mesh given arrays prints its own points."""
     params, times = mesh.sphere.params, mesh.trajectory.times
@@ -791,24 +795,27 @@ def _mesh_rows(mesh: CylinderMesh):
     step = csvtext.block_rows(len(params) * 2 * mesh.n)
     prefix = np.empty((len(times[:step]), len(params)), [("s", heads.dtype), ("t", stamps.dtype)])
     prefix["s"] = heads
-    for start in range(0, len(times), step):
-        sl = slice(start, start + step)
+
+    def rows(sl: slice) -> bytes:
         block = prefix[:len(times[sl])]
         block["t"] = stamps[sl, np.newaxis]
         points = _slice_points(mesh.factors, sl) if mesh.factored else mesh.points[sl]
         # (T, P, n) complex viewed as (T * P, 2n) floats: re_z1, im_z1, re_z2, ...
         values = np.ascontiguousarray(points).view(np.float64).reshape(-1, 2 * mesh.n)
-        yield csvtext.csv_rows(values, block.view(np.uint8).reshape(len(values), -1))
+        return csvtext.csv_rows(values, block.view(np.uint8).reshape(len(values), -1))
+
+    return [functools.partial(rows, slice(start, start + step))
+            for start in range(0, len(times), step)]
 
 
 def write_mesh_csv(mesh: CylinderMesh, path) -> None:
     """One row per node, time-major, 17 significant digits ('%.17g')."""
-    csvtext.write_csv(path, _mesh_header(mesh), _mesh_rows(mesh))
+    csvtext.write_csv(path, _mesh_header(mesh), _mesh_blocks(mesh))
 
 
 def read_mesh_csv(path, mesh: CylinderMesh) -> None:
     """Require the mesh CSV at path to hold exactly the bytes that
     write_mesh_csv makes from mesh, compared one block of slices at a time;
     ValueError if not."""
-    csvtext.check_csv(path, _mesh_header(mesh), _mesh_rows(mesh),
+    csvtext.check_csv(path, _mesh_header(mesh), _mesh_blocks(mesh),
                       "mesh CSV rows differ from the rebuild")

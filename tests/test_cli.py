@@ -4,9 +4,11 @@ import os
 import re
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -292,6 +294,8 @@ class TestWebbing:
         assert done.returncode == 2
         assert done.stderr.startswith("error: [Errno 27] File too large: ")
         assert "mesh_0.csv" in done.stderr
+        # the partial file is removed: a 1 MiB mesh_0.csv stayed beside no report
+        assert sorted(os.listdir(tmp_path / "web")) == []
 
     @pytest.mark.parametrize("res", ["0", "1", "-4"])
     def test_sphere_resolution_below_minimum_exit_2(self, tmp_path, solved_dir, capsys, res):
@@ -516,6 +520,30 @@ class TestTrajectoryFromSolution:
         assert capsys.readouterr().err == ("error: mesh CSV rows differ from the rebuild: "
                                            f"{web / 'mesh_0.csv'} column t differs in data row 39\n")
         assert not (tmp_path / "v" / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("rows, named", [((40,), 40), ((5000,), 5000), ((40, 5000), 40)],
+                             ids=["stage-block", "helper-block", "both"])
+    def test_tampered_block_at_one_and_two_cpus(self, tmp_path, readme_400, capsys, monkeypatch,
+                                                cpus, rows, named):
+        # 401 slices of 16 nodes make two CSV blocks, data rows 1-4096 and
+        # 4097-6416: with two CPUs a helper checks the second
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        run_dir, mesh = readme_400
+        web = tmp_path / "web"
+        web.mkdir()
+        for src in (mesh, mesh.parent / "webbing_report.json"):
+            (web / src.name).write_bytes(src.read_bytes())
+        lines = (web / "mesh_0.csv").read_text().splitlines()
+        _set_cell(lines, rows, 2, "9.5")
+        (web / "mesh_0.csv").write_text("\n".join(lines) + "\n")
+        code = cli("verify", "--mesh", str(web / "mesh_0.csv"),
+                   "--trajectory", str(run_dir / "trajectory.csv"),
+                   "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v"))
+        assert code == 2
+        assert capsys.readouterr().err == ("error: mesh CSV rows differ from the rebuild: "
+                                           f"{web / 'mesh_0.csv'} column re_z1 differs in data "
+                                           f"row {named}\n")
 
     def test_webbing_without_csv(self, tmp_path, readme_400):
         run_dir, mesh = readme_400
@@ -1177,3 +1205,88 @@ def test_exit_code_contract(contract_run, data):
     with tempfile.TemporaryDirectory() as work:
         argv = _argv(data.draw, contract_run, work)
         assert exit_code(*argv, "--out", os.path.join(work, "out")) in (0, 2, 3, 4), argv
+
+
+def _live_group(pgid):
+    """The pids of the processes in process group pgid that have not ended
+    (zombies excluded), read from /proc."""
+    live = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # ended meanwhile
+            continue
+        state, _, group = stat[stat.rfind(")") + 2:].split()[:3]
+        if int(group) == pgid and state != "Z":
+            live.append(int(entry))
+    return live
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the process table in /proc")
+class TestNoProcessLeft:
+    """Each CLI stage runs as a subprocess in its own process group: when it
+    has ended, no process of that group may still run, and a CSV helper
+    whose stage is killed ends by itself."""
+
+    SRC = os.path.dirname(os.path.dirname(os.path.abspath(lagweb.__file__)))
+
+    def stage(self, *argv, **popen):
+        return subprocess.Popen([sys.executable, "-m", "lagweb.cli", *argv],
+                                env=dict(os.environ, PYTHONPATH=self.SRC), start_new_session=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen)
+
+    def finished(self, proc):
+        """(exit code, stderr) of a stage, once every process of its group
+        has closed the output pipes; then none of them may still run."""
+        _, err = proc.communicate(timeout=120)
+        assert _live_group(proc.pid) == []
+        return proc.returncode, err
+
+    def test_webbing_and_verify(self, tmp_path, solved_dir):
+        web = tmp_path / "web"
+        code, err = self.finished(self.stage("webbing", "--solution",
+                                             str(solved_dir / "solution.json"), "--levels=-1",
+                                             "--out", str(web)))
+        assert (code, err) == (0, "")
+        # 501 slices of the 128-node circle: blocks of 32 slices, 4096 rows;
+        # data row 5000 is in block 1, which the helper checks
+        lines = (web / "mesh_0.csv").read_text().splitlines()
+        _set_cell(lines, [5000], 3, "9.5")
+        (web / "mesh_0.csv").write_text("\n".join(lines) + "\n")
+        code, err = self.finished(self.stage("verify", "--mesh", str(web / "mesh_0.csv"),
+                                             "--trajectory", str(solved_dir / "trajectory.csv"),
+                                             "--solution", str(solved_dir / "solution.json"),
+                                             "--out", str(tmp_path / "v")))
+        assert code == 2
+        assert err.endswith("column im_z1 differs in data row 5000\n")
+
+    def test_file_size_limit(self, tmp_path, solved_dir):
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+
+        code, err = self.finished(self.stage("webbing", "--solution",
+                                             str(solved_dir / "solution.json"), "--levels=-1",
+                                             "--out", str(tmp_path / "web"),
+                                             preexec_fn=limit_file_size))
+        assert code == 2
+        assert err.startswith("error: [Errno 27] File too large: ")
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU forks no helper")
+    def test_helper_of_a_killed_stage_ends(self, tmp_path, solved_dir):
+        # 501 x 2048 nodes: a mesh CSV of about 100 MB, killed while written
+        proc = self.stage("webbing", "--solution", str(solved_dir / "solution.json"),
+                          "--levels=-1", "--sphere-res", "2048", "--out", str(tmp_path / "web"))
+        try:
+            deadline = time.monotonic() + 60
+            while len(_live_group(proc.pid)) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline, "no helper seen"
+                time.sleep(0.002)
+        finally:
+            proc.kill()
+        assert proc.wait() == -signal.SIGKILL
+        deadline = time.monotonic() + 10
+        while _live_group(proc.pid):
+            assert time.monotonic() < deadline, "the helper outlived its stage"
+            time.sleep(0.01)
+        proc.communicate(timeout=10)  # the helper held the pipes until it ended

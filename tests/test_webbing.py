@@ -1,10 +1,13 @@
 import collections
 import dataclasses
+import errno
 import fractions
+import functools
 import itertools
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -48,6 +51,28 @@ def fix_block_rows(monkeypatch, rows):
     """Give every streamed block the given number of time rows, below the
     harmonic residual's floor too."""
     monkeypatch.setattr(csvtext, "block_rows", lambda width, least=1: rows)
+
+
+def use_cpus(monkeypatch, count):
+    """Let the CSV ring see count CPUs: 1 runs it in this process alone, 2
+    forks one helper.  The ring's CPU placement is skipped, since these CPUs
+    need not exist."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+
+
+def spy_forks(monkeypatch):
+    """The pids of the helpers forked from here on."""
+    forks, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
 
 
 def diag_frame(*angles):
@@ -1380,32 +1405,21 @@ class TestMeshCsv:
         write_mesh_csv(mesh, path)
         lines = path.read_bytes().splitlines(keepends=True)
         reads = []
-
-        class Recorded:
-            def __init__(self, fh):
-                self.fh, self.name = fh, fh.name
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def readline(self, size):
-                return self.fh.readline(size)
-
-            def read(self, size):
-                reads.append(size)
-                return self.fh.read(size)
-
+        pread = os.pread
+        monkeypatch.setattr(os, "pread",
+                            lambda fd, size, at: reads.append(size) or pread(fd, size, at))
         # 100 values make blocks of three slices of 8 rows of 4 values
         monkeypatch.setattr(csvtext, "CSV_BLOCK", 100)
-        monkeypatch.setattr(csvtext, "open", lambda *args: Recorded(open(*args)), raising=False)
-        read_mesh_csv(path, mesh)
         blocks = [sum(map(len, lines[1 + 8 * start:1 + 8 * (start + 3)]))
                   for start in range(0, 41, 3)]
-        assert reads == [*blocks, 1]  # then one byte, to find the end of the file
         assert max(blocks) <= 3 * 8 * 6 * 25  # 25 bytes hold any '%.17g' value and its comma
+        # the header, each block, then one byte to find the end of the file;
+        # with a helper, this process reads the even blocks alone
+        for count, mine in ((1, blocks), (2, blocks[::2])):
+            use_cpus(monkeypatch, count)
+            reads.clear()
+            read_mesh_csv(path, mesh)
+            assert reads == [len(lines[0]), *mine, 1]
 
     @staticmethod
     def edited(mesh, tmp_path, edit):
@@ -1460,3 +1474,174 @@ class TestMeshCsv:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ValueError, match=f"{re.escape(str(path))} ends in data row 328$"):
             read_mesh_csv(path, mesh)
+
+
+def one_slice_blocks(monkeypatch, tmp_path, symmetric_traj, edit):
+    """The 41-slice, 8-node test mesh, written by one process; its lines
+    passed through edit; blocks of one slice, so data rows 8k + 1 to 8k + 8
+    are block k, which the stage visits for even k and a helper for odd k."""
+    mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+    monkeypatch.setattr(csvtext, "CSV_BLOCK", 8 * 4)
+    use_cpus(monkeypatch, 1)
+    return mesh, TestMeshCsv.edited(mesh, tmp_path, edit)
+
+
+def set_cells(rows, column, value):
+    """An edit that sets one column of the given data rows (from 1)."""
+    def edit(lines):
+        col = lines[0].split(",").index(column)
+        for row in rows:
+            cells = lines[row].split(",")
+            cells[col] = value
+            lines[row] = ",".join(cells)
+        return lines
+    return edit
+
+
+class TestCsvRing:
+    """The CSV text is formed, written and checked by the stage and, with
+    two CPUs and more than one block, one forked helper in lockstep."""
+
+    @pytest.mark.parametrize("slices", [None, 1, 2, 3, 16])
+    @pytest.mark.parametrize("n,steps,res", [(2, 40, 16), (3, 20, 8), (4, 20, 64)])
+    def test_same_bytes_at_one_and_two_cpus(self, n, steps, res, slices, tmp_path,
+                                            monkeypatch):
+        mesh = cylinder_mesh(random_traj(n, steps, 30 + n), -0.7, res)
+        if slices:
+            monkeypatch.setattr(csvtext, "CSV_BLOCK", slices * len(mesh.sphere.points) * 2 * n)
+        blocks = len(webbing._mesh_blocks(mesh))
+        expected = reference_mesh_csv(mesh)
+        for count in (1, 2):
+            use_cpus(monkeypatch, count)
+            forks = spy_forks(monkeypatch)
+            path = tmp_path / f"mesh{count}.csv"
+            write_mesh_csv(mesh, path)
+            read_mesh_csv(path, mesh)
+            assert path.read_bytes() == expected
+            # one CPU or one block: nothing is forked; else one helper per pass
+            assert len(forks) == (2 if count == 2 and blocks > 1 else 0)
+
+    def test_trajectory_csv_is_one_block(self, solved, tmp_path, monkeypatch):
+        traj = solved[2].trajectory
+        monkeypatch.setattr(csvtext, "CSV_BLOCK", 7)  # many text blocks, one CSV block
+        texts = []
+        for count in (1, 2):
+            use_cpus(monkeypatch, count)
+            forks = spy_forks(monkeypatch)
+            path = tmp_path / f"trajectory{count}.csv"
+            geoflow.write_trajectory_csv(traj, path)
+            geoflow.read_trajectory_csv(path, traj)
+            texts.append(path.read_bytes())
+            assert forks == []
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("rows, named", [((20,), 20), ((12,), 12), ((12, 20), 12),
+                                             ((4, 12), 4), ((328,), 328)],
+                             ids=["even", "odd", "odd-then-even", "even-then-odd", "last"])
+    def test_first_edit_in_file_order_is_named(self, symmetric_traj, tmp_path, monkeypatch,
+                                               count, rows, named):
+        mesh, path = one_slice_blocks(monkeypatch, tmp_path, symmetric_traj,
+                                      set_cells(rows, "re_z2", "9.5"))
+        use_cpus(monkeypatch, count)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} column re_z2 differs in "
+                                             f"data row {named}$"):
+            read_mesh_csv(path, mesh)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("edit, message", ROW_EDITS, ids=ROW_EDIT_IDS)
+    def test_row_edits_at_one_and_two_cpus(self, symmetric_traj, tmp_path, monkeypatch, count,
+                                           edit, message):
+        mesh, path = one_slice_blocks(monkeypatch, tmp_path, symmetric_traj, edit)
+        use_cpus(monkeypatch, count)
+        with pytest.raises(ValueError, match=f"^mesh CSV rows differ from the rebuild: .*{message}"):
+            read_mesh_csv(path, mesh)
+
+    def test_stage_kills_its_helper_on_failure(self, symmetric_traj, tmp_path, monkeypatch):
+        # the stage's block 0 differs while the helper still has blocks to go
+        mesh, path = one_slice_blocks(monkeypatch, tmp_path, symmetric_traj,
+                                      set_cells([4], "t", "9.5"))
+        use_cpus(monkeypatch, 2)
+        forks = spy_forks(monkeypatch)
+        reaped, waitpid = [], os.waitpid
+        monkeypatch.setattr(os, "waitpid",
+                            lambda pid, options: reaped.append(waitpid(pid, options)) or reaped[-1])
+        with pytest.raises(ValueError, match="column t differs in data row 4$"):
+            read_mesh_csv(path, mesh)
+        assert [pid for pid, _ in reaped] == forks
+        status = reaped[0][1]
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU forks no helper")
+    def test_stage_gets_its_cpus_back(self, symmetric_traj, tmp_path, monkeypatch):
+        # the stage keeps to every other CPU while its helper runs, then
+        # gets them all back, so the next file has a helper again
+        mesh = cylinder_mesh(thin_trajectory(symmetric_traj, 50), -1.0, 8)
+        monkeypatch.setattr(csvtext, "CSV_BLOCK", 8 * 4)
+        cpus = sorted(os.sched_getaffinity(0))
+        forks = spy_forks(monkeypatch)
+        pins, pin = [], os.sched_setaffinity
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, to: pins.append(sorted(to)) or pin(pid, to))
+        for name in ("a.csv", "b.csv"):
+            write_mesh_csv(mesh, tmp_path / name)
+        assert len(forks) == 2 and sorted(os.sched_getaffinity(0)) == cpus
+        assert pins == [cpus[0::2], cpus] * 2
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @staticmethod
+    def helper_fails(how):
+        """Four 3-byte blocks whose visit, in a helper alone, fails as how says."""
+        stage = os.getpid()
+
+        def visit(text, offset):
+            if os.getpid() != stage:
+                how()
+            return offset + len(text)
+
+        return [functools.partial(bytes, 3)] * 4, visit
+
+    def test_helper_oserror_keeps_its_errno(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        blocks, visit = self.helper_fails(lambda: os.pwrite(-1, b"x", 0))
+        with pytest.raises(OSError) as raised:
+            csvtext._ring(blocks, visit, 0)
+        assert type(raised.value) is OSError and raised.value.errno == errno.EBADF
+        assert str(raised.value) == f"[Errno {errno.EBADF}] {os.strerror(errno.EBADF)}"
+
+    def test_helper_only_failure_is_named(self, monkeypatch):
+        # the stage visits the helper's block again; here it passes
+        use_cpus(monkeypatch, 2)
+        blocks, visit = self.helper_fails(lambda: 1 / 0)
+        with pytest.raises(LagwebError, match="CSV helper process failed on a block"):
+            csvtext._ring(blocks, visit, 0)
+
+    def test_helper_that_ends_is_named(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        blocks, visit = self.helper_fails(lambda: os._exit(3))
+        with pytest.raises(LagwebError, match="CSV helper process ended before its block"):
+            csvtext._ring(blocks, visit, 0)
+
+    def test_blocks_call_no_blas(self):
+        # the helper forms its blocks after a fork, where BLAS threads are
+        # not safe: every numpy call on the factors is seen here
+        calls = []
+
+        class Seen(np.ndarray):
+            def __array_function__(self, func, types, args, kwargs):
+                calls.append((func.__module__, func.__name__, kwargs))
+                return super().__array_function__(func, types, args, kwargs)
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                calls.append(("ufunc", ufunc.__name__, kwargs))
+                inputs = [x.view(np.ndarray) if isinstance(x, Seen) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        mesh = cylinder_mesh(random_traj(3, 20, 33), -0.7, 8)
+        expected = reference_mesh_csv(mesh)
+        mesh.__dict__["factors"] = webbing._Factors(*(a.view(Seen) for a in mesh.factors))
+        text = b"".join(block() for block in webbing._mesh_blocks(mesh))
+        assert expected.endswith(text) and len(text) > len(expected) // 2
+        assert ("numpy", "einsum", {}) in calls
+        blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum_path", "linalg"}
+        assert not [c for c in calls if blas & {c[1], *c[0].split(".")} or c[2].get("optimize")]

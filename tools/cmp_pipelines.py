@@ -27,21 +27,27 @@ and verify on every mesh.  Every output file, exit code, stdout and stderr
 is compared, and so is ``--help`` of every stage.  One line is printed per
 difference; the exit code is 1 on any difference and 0 when there is none.
 Only the standard library is used, and only the temporary directory is
-written.  The stages run one at a time.  The peak resident memory of every
-pipeline stage, read with os.wait4, is printed to stderr for both trees;
-it is information only and never counts as a difference.  The n = 3 stages
-peak near 37 MB with the closed-form checks streamed in chunks of about
-CSV_BLOCK node-samples (near 250 MB at revisions that built the whole
-tangent stack), and a whole comparison takes about 30 s on a 2-CPU host.
+written.  The stages run one at a time.  For every pipeline stage, both
+trees' peak resident memory, CPU seconds and wall seconds are printed to
+stderr; they are information only and never count as a difference.  The
+peak and the CPU seconds (user + system) come from os.wait4, so they
+cover the stage and the CSV helper process that it forks and reaps: a
+stage whose CSV text is split between two processes shows more CPU than
+wall seconds.  The n = 3 stages peak near 37 MB with the closed-form
+checks streamed in chunks of about CSV_BLOCK node-samples (near 250 MB at
+revisions that built the whole tangent stack), and a whole comparison
+takes about 30 s on a 2-CPU host.
 """
 
 import argparse
 import filecmp
+import math
 import os
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -86,22 +92,25 @@ def extract_src(rev: str, dest: Path) -> None:
 
 def run_tree(src: Path, work: Path):
     """Run every pipeline with the lagweb package under src; returns
-    {command label: (exit code, stdout, stderr)} and {command label: peak
-    resident MB}.  Outputs go under work."""
+    {command label: (exit code, stdout, stderr)} and {command label: (peak
+    resident MB, CPU s, wall s)}.  Outputs go under work."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    results, peaks = {}, {}
+    results, usages = {}, {}
 
     def call(label, cwd, argv):
         # output to files, so that the child is reaped by wait4 and its rusage read
         with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+            start = time.perf_counter()
             proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=out,
                                     stderr=err)
             _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
             proc.returncode = os.waitstatus_to_exitcode(status)
             out.seek(0)
             err.seek(0)
             results[label] = (proc.returncode, out.read(), err.read())
-        peaks[label] = usage.ru_maxrss / 1024.0  # kB on Linux
+        usages[label] = (usage.ru_maxrss / 1024.0,  # kB on Linux
+                         usage.ru_utime + usage.ru_stime, wall)
         return proc.returncode
 
     work.mkdir()
@@ -125,7 +134,7 @@ def run_tree(src: Path, work: Path):
                  ["-m", "lagweb.cli", "verify", "--mesh", f"web/{mesh.name}",
                   "--trajectory", "run/trajectory.csv", "--solution", "run/solution.json",
                   "--out", f"verify_{mesh.stem}"])
-    return results, peaks
+    return results, usages
 
 
 def compare(base: dict, head: dict, base_dir: Path, head_dir: Path) -> list:
@@ -149,12 +158,15 @@ def compare(base: dict, head: dict, base_dir: Path, head_dir: Path) -> list:
     return diffs
 
 
-def print_peaks(base: dict, head: dict) -> None:
-    """One stderr line per pipeline stage: its peak resident MB, base -> head."""
+def print_usage(base: dict, head: dict) -> None:
+    """One stderr line per pipeline stage: its peak resident MB, CPU seconds
+    and wall seconds, each base -> head."""
     for label in dict.fromkeys([*base, *head]):
         if not label.endswith("--help"):
-            old, new = (f"{p[label]:7.1f}" if label in p else "      -" for p in (base, head))
-            print(f"peak RSS {old} -> {new} MB  {label}", file=sys.stderr)
+            old, new = (u.get(label, (math.nan,) * 3) for u in (base, head))  # nan: not run
+            print(f"peak RSS {old[0]:6.1f} -> {new[0]:6.1f} MB  CPU {old[1]:5.2f} -> "
+                  f"{new[1]:5.2f} s  wall {old[2]:5.2f} -> {new[2]:5.2f} s  {label}",
+                  file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -165,10 +177,10 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         (tmp / "base").mkdir()
         extract_src(args.rev, tmp / "base")
-        base, base_peaks = run_tree(tmp / "base" / "src", tmp / "base_out")
-        head, head_peaks = run_tree(REPO / "src", tmp / "head_out")
+        base, base_usage = run_tree(tmp / "base" / "src", tmp / "base_out")
+        head, head_usage = run_tree(REPO / "src", tmp / "head_out")
         diffs = compare(base, head, tmp / "base_out", tmp / "head_out")
-    print_peaks(base_peaks, head_peaks)
+    print_usage(base_usage, head_usage)
     for line in diffs:
         print(line)
     return 1 if diffs else 0

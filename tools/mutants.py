@@ -52,6 +52,9 @@ RECORDED = "tests/test_cli.py::TestRecordedGrid"
 GUARDS = "tests/test_webbing.py::TestClosedFormGuards"
 BOUNDS = "tests/test_webbing.py::TestChunkBounds"
 SOLUTION_FIELDS = "tests/test_cli.py::TestTrajectoryFromSolution::test_contradictory_field_exit_2"
+RING = "tests/test_webbing.py::TestCsvRing"
+RING_BYTES = f"{RING}::test_same_bytes_at_one_and_two_cpus"
+FILE_ORDER = f"{RING}::test_first_edit_in_file_order_is_named"
 
 # name: (file, old text, new text, test ids that must fail)
 MUTANTS = {
@@ -122,7 +125,7 @@ MUTANTS = {
     "mesh CSV nodes formed one block late": (
         WEB,
         "_slice_points(mesh.factors, sl) if mesh.factored",
-        "_slice_points(mesh.factors, slice(start + step, start + 2 * step)) if mesh.factored",
+        "_slice_points(mesh.factors, slice(sl.start + step, sl.stop + step)) if mesh.factored",
         [f"{CSV_BYTES}[2-40-16]", f"{CSV_BYTES}[3-20-8]", f"{CSV_BLOCKS}[3-20-8-2]",
          f"{CSV_BLOCKS}[4-20-64-1]"],
     ),
@@ -147,7 +150,7 @@ MUTANTS = {
     ),
     "CSV error rows leave out the earlier blocks": (
         TEXT,
-        "row = _newlines(fh, len(line), done) + ",
+        "row = _newlines(fh, rows_at, offset) + ",
         "row = ",
         [f"{ROW_NUMBERS}[missing-row]", f"{ROW_NUMBERS}[blank-line]",
          f"{ROW_NUMBERS}[swapped-rows]"],
@@ -204,7 +207,7 @@ MUTANTS = {
     ),
     "CSV check without the end-of-file test": (
         TEXT,
-        "if fh.read(1):",
+        "if os.pread(fh.fileno(), 1, end):",
         "if False:",
         [f"{ROWS}[extra-row]", f"{ROW_NUMBERS}[extra-row]"],
     ),
@@ -301,6 +304,48 @@ MUTANTS = {
         "exc.filename = os.fspath(path)",
         "pass",
         ["tests/test_cli.py::TestWebbing::test_file_size_limit_names_the_file"],
+    ),
+    "CSV write leaves its partial file": (
+        TEXT,
+        "os.unlink(path)",
+        "pass",
+        ["tests/test_cli.py::TestWebbing::test_file_size_limit_names_the_file"],
+    ),
+    "CSV helper compares nothing": (
+        TEXT,
+        "else visit(text, token)",
+        "else token + len(text)",
+        [f"{FILE_ORDER}[odd-2]", f"{FILE_ORDER}[odd-then-even-2]"],
+    ),
+    "CSV helper writes at its block index times its length, not the offset it is passed": (
+        TEXT,
+        "else visit(text, token)",
+        "else visit(text, (2 * blocks.index(block) + 1) * len(text))",
+        [f"{RING_BYTES}[2-40-16-1]", f"{RING_BYTES}[4-20-64-3]"],
+    ),
+    "CSV ring's worker count ignores the CPU affinity": (
+        TEXT,
+        "min(2, len(cpus), len(blocks))",
+        "min(2, len(blocks))",
+        [f"{RING_BYTES}[2-40-16-1]", f"{RING_BYTES}[3-20-8-2]"],
+    ),
+    "CSV stage leaves its helper unkilled on a failure": (
+        TEXT,
+        "os.kill(helper, signal.SIGKILL)",
+        "pass",
+        [f"{RING}::test_stage_kills_its_helper_on_failure"],
+    ),
+    "CSV stage keeps to half its CPUs after the ring": (
+        TEXT,
+        "os.waitpid(helper, 0)\n            _pin(cpus)",
+        "os.waitpid(helper, 0)",
+        [f"{RING}::test_stage_gets_its_cpus_back"],
+    ),
+    "mesh CSV nodes by an einsum that may call BLAS": (
+        WEB,
+        'np.einsum("pj,tj,ij->tpi", f.kappa, f.w[index], f.directions)',
+        'np.einsum("pj,tj,ij->tpi", f.kappa, f.w[index], f.directions, optimize=True)',
+        [f"{RING}::test_blocks_call_no_blas"],
     ),
     "webbing accepts an empty level list": (
         CLI,
