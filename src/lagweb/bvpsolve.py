@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagwebError, NoConvergence
-from .geoflow import GeodesicSpec, GeodesicTrajectory, _scalar_flow, geodesic_ivp
+from .geoflow import GeodesicSpec, GeodesicTrajectory, geodesic_ivp
 from .laggrass import LagrangianFrame, PairSpectrum, pair_decomposition
 from .numkernel import IntegratorConfig
 
@@ -102,16 +102,6 @@ def apriori_bounds(phi0: float, phi1: float) -> AprioriBounds:
 
 def _block_average(values: np.ndarray, blocks) -> np.ndarray:
     return np.array([values[list(block)].mean() for block in blocks])
-
-
-def shooting_residual(spectrum: PairSpectrum, a, config: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """(th_j(1; a) - beta_j)_j by RK4, with entries averaged inside each block."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a > 0.0):
-        raise ValueError("shooting requires non-positive coefficients")
-    _, _, theta = _scalar_flow(a, spectrum.phase0, config)
-    sizes = [len(block) for block in spectrum.blocks]  # blocks partition range(n) in order
-    return np.repeat(_block_average(theta[-1] - spectrum.beta, spectrum.blocks), sizes)
 
 
 def _graded_panels(far: float, near: float) -> np.ndarray:

@@ -55,7 +55,6 @@ THRESHOLDS = (
     ("min_im_omega", None, 0.0, False),
     ("min_euler_angle", "--min-euler", 0.01, False),
 )
-DEFAULT_THRESHOLDS = {key: default for key, _, default, _ in THRESHOLDS}
 
 
 # --- deterministic emitters ---

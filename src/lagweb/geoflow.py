@@ -84,12 +84,6 @@ class GeodesicSpec:
         basis.setflags(write=False)
         object.__setattr__(self, "adapted_basis", basis)
 
-    @classmethod
-    def from_frame(cls, base: LagrangianFrame, coefficients) -> "GeodesicSpec":
-        """The spec in the frame's own basis (the identity), from its phase."""
-        return cls(base=base, adapted_basis=np.eye(base.n),
-                   coefficients=np.asarray(coefficients, float), phase0=base.phase)
-
     @property
     def n(self) -> int:
         return self.base.n

@@ -46,13 +46,6 @@ class FlatCalabiYau:
         if self.n < 1:
             raise ValueError("complex dimension must be >= 1")
 
-    def omega(self, u, v) -> float:
-        return float(np.vdot(u, v).imag)
-
-    def holomorphic_volume(self, vectors) -> complex:
-        """Omega evaluated on n tangent vectors (columns)."""
-        return complex(np.linalg.det(np.column_stack(vectors)))
-
 
 @dataclass(frozen=True, eq=False)
 class LagrangianFrame:
@@ -240,15 +233,6 @@ def span_angle(fa: np.ndarray, fb: np.ndarray) -> float:
     resid = qb - qa @ (qa.T @ qb)
     s = np.linalg.svd(resid, compute_uv=False)
     return float(np.arcsin(min(1.0, float(s.max()))))
-
-
-def intersection_is_trivial(a: LagrangianFrame, b: LagrangianFrame) -> bool:
-    """Rank test for Lambda_a cap Lambda_b = 0 over the reals."""
-    qa = np.vstack([a.columns.real, a.columns.imag])
-    qb = np.vstack([b.columns.real, b.columns.imag])
-    stacked = np.hstack([qa, -qb])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    return bool(s.min() > IDENTITY_TOL)
 
 
 # --- JSON frame format (consumed by the CLI) ---

@@ -102,6 +102,9 @@ class LevelSetChart:
 
 
 def level_set_chart(coefficients, level: float) -> LevelSetChart:
+    """The level set of the flow Hamiltonian at a negative level.  ValueError
+    unless every coefficient is negative and the level negative and finite,
+    and for a level whose semi-axes sqrt(level / a_j) overflow a float."""
     a = np.asarray(coefficients, dtype=float)
     if np.any(a >= 0.0):
         message = "all coefficients must be negative"
@@ -116,7 +119,11 @@ def level_set_chart(coefficients, level: float) -> LevelSetChart:
         raise ValueError(f"level must be finite, got {level}")
     if level >= 0.0:
         raise ValueError("level must be negative")
-    return LevelSetChart(level=float(level), semi_axes=np.sqrt(level / a))
+    with np.errstate(over="ignore"):
+        semi_axes = np.sqrt(level / a)
+    if not np.all(np.isfinite(semi_axes)):
+        raise ValueError(f"level {float(level)!r} overflows a semi-axis sqrt(level / a_j)")
+    return LevelSetChart(level=float(level), semi_axes=semi_axes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,10 +334,10 @@ def cylinder_mesh(traj: GeodesicTrajectory, level: float,
     defect = 0.0
     for idx, points in zip((0, -1), _slice_points(f, [0, -1])):
         plane = f.directions * np.exp(1j * traj.theta[idx])[np.newaxis, :]
-        defect = max(defect, float(np.max(np.abs((points @ plane.conj()).imag))))
-    if defect > BOUNDARY_TOL:
+        defect = np.maximum(defect, np.max(np.abs((points @ plane.conj()).imag)))
+    if not defect <= BOUNDARY_TOL:  # so a NaN slice fails too
         raise LagwebError(f"boundary slice left its plane (defect {defect:.3e})")
-    mesh = CylinderMesh(trajectory=traj, chart=chart, sphere=grid, boundary_defect=defect)
+    mesh = CylinderMesh(trajectory=traj, chart=chart, sphere=grid, boundary_defect=float(defect))
     mesh.__dict__["factors"] = f  # where the cached property keeps them: built once
     return mesh
 

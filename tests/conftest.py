@@ -8,6 +8,13 @@ from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
 
 
+def frame_spec(base, coefficients):
+    """The flow spec in the frame's own basis (the identity), with phase0
+    read off the frame, which a frame made in this process carries exactly."""
+    return GeodesicSpec(base=base, adapted_basis=np.eye(base.n),
+                        coefficients=np.asarray(coefficients, float), phase0=base.phase)
+
+
 def random_flow_spec(rng, n, amin=-2.0, amax=-0.05):
     """Random negative-coefficient flow verified to stay inside the chart.
 

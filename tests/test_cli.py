@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import lagweb
 from lagweb import bvpsolve, laggrass
-from lagweb.cli import (DEFAULT_THRESHOLDS, _check_thresholds, _load_trajectory, build_parser,
+from lagweb.cli import (THRESHOLDS, _check_thresholds, _load_trajectory, build_parser,
                         config_from_args, run)
 from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame, random_maslov_zero_pair
 from lagweb.cli import main, write_json
@@ -344,9 +344,10 @@ class TestWebbing:
 
 def test_nan_report_values_fail_every_threshold():
     report = {"max_omega": 0.0, "max_re_omega": 0.0, "min_im_omega": 1.0, "min_euler_angle": 1.0}
-    assert _check_thresholds(report, DEFAULT_THRESHOLDS) == []
+    defaults = {key: default for key, _, default, _ in THRESHOLDS}
+    assert _check_thresholds(report, defaults) == []
     for key in report:
-        failures = _check_thresholds(dict(report, **{key: math.nan}), DEFAULT_THRESHOLDS)
+        failures = _check_thresholds(dict(report, **{key: math.nan}), defaults)
         assert len(failures) == 1 and failures[0].startswith(f"{key} nan")
 
 
@@ -972,6 +973,10 @@ class TestNonFiniteAndHugeInput:
     @pytest.mark.parametrize("level, message", [
         ("-1e20", "boundary slice left its plane"),
         ("-1e300", "boundary slice left its plane"),
+        # the semi-axes overflowed to inf and the nodes to NaN: the stage
+        # exited 4 with a mesh CSV of nan rows and a report of bare nan tokens
+        pytest.param("-1e308", "level -1e+308 overflows a semi-axis sqrt(level / a_j)",
+                     id="-1e308-overflow"),
         ("nan", "level must be finite, got nan"),
         ("-inf", "level must be finite, got -inf"),
     ])
@@ -981,7 +986,7 @@ class TestNonFiniteAndHugeInput:
                          "--out", str(tmp_path / "w")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert not (tmp_path / "w" / "webbing_report.json").exists()
+        assert list((tmp_path / "w").glob("*")) == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_tolerance(self, tmp_path, pair_files, capsys, tol):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import hard_pair
+from conftest import frame_spec, hard_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -16,7 +16,6 @@ from lagweb.errors import LagwebError
 from lagweb.geoflow import (
     METRIC_FLOOR,
     PHASE_MARGIN,
-    GeodesicSpec,
     GeodesicTrajectory,
     frame_ode_oracle,
     geodesic_ivp,
@@ -48,7 +47,7 @@ def diagonal_frame(n, last_angle):
 
 def spec_1d(beta, phase0=0.0):
     # closed form: theta(t) = arctan(t tan beta), g(t) = 1 + t^2 tan^2 beta
-    return GeodesicSpec.from_frame(real_line(phase0), [-math.tan(beta) / 2.0])
+    return frame_spec(real_line(phase0), [-math.tan(beta) / 2.0])
 
 
 def random_spec(rng, n, amin=-2.0, amax=-0.05):
@@ -59,7 +58,7 @@ def random_spec(rng, n, amin=-2.0, amax=-0.05):
 
 class TestScalarFlow:
     def test_zero_hamiltonian_is_constant(self):
-        spec = GeodesicSpec.from_frame(real_line(), [0.0])
+        spec = frame_spec(real_line(), [0.0])
         traj = geodesic_ivp(spec, IntegratorConfig(50))
         np.testing.assert_array_equal(traj.g, np.ones((51, 1)))
         np.testing.assert_array_equal(traj.theta, np.zeros((51, 1)))
@@ -75,14 +74,14 @@ class TestScalarFlow:
 
     def test_symmetric_coefficients_stay_symmetric(self):
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
-        spec = GeodesicSpec.from_frame(l0, [-0.3, -0.3])
+        spec = frame_spec(l0, [-0.3, -0.3])
         traj = geodesic_ivp(spec, CFG)
         assert np.max(np.abs(traj.g[:, 0] - traj.g[:, 1])) < 1e-12
         assert np.max(np.abs(traj.theta[:, 0] - traj.theta[:, 1])) < 1e-12
 
     def test_zero_coefficient_freezes_direction(self):
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
-        spec = GeodesicSpec.from_frame(l0, [-0.4, 0.0])
+        spec = frame_spec(l0, [-0.4, 0.0])
         traj = geodesic_ivp(spec, IntegratorConfig(400))
         np.testing.assert_array_equal(traj.g[:, 1], np.ones(401))
         np.testing.assert_array_equal(traj.theta[:, 1], np.zeros(401))
@@ -94,13 +93,13 @@ class TestScalarFlow:
 
     def test_phase_blowup(self):
         # base phase already inside the pi/2 guard band: first step aborts
-        spec = GeodesicSpec.from_frame(real_line(0.5 * math.pi - 1e-7), [-0.5])
+        spec = frame_spec(real_line(0.5 * math.pi - 1e-7), [-0.5])
         with pytest.raises(LagwebError, match="phase reached 1.570796 at t = 0.0000"):
             geodesic_ivp(spec, IntegratorConfig(100))
 
     def test_metric_collapse(self):
         # a > 0 at phase 1.5 shrinks g fast: a midpoint stage of step 2 dips below the floor
-        spec = GeodesicSpec.from_frame(real_line(1.5), [2.0])
+        spec = frame_spec(real_line(1.5), [2.0])
         with pytest.raises(LagwebError, match=r"^metric coefficient collapsed at t = 0\.0150$"):
             geodesic_ivp(spec, IntegratorConfig(100))
 
@@ -108,7 +107,7 @@ class TestScalarFlow:
         # -2 a_j overflows to +-inf: the angles cancel to a NaN phase, which no
         # rate guard trips, and the first step ends non-finite
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
-        spec = GeodesicSpec.from_frame(l0, [-1e308, 1e308])
+        spec = frame_spec(l0, [-1e308, 1e308])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LagwebError, match=r"^state became non-finite at t = 0\.01$"):
                 geodesic_ivp(spec, IntegratorConfig(100))
@@ -120,7 +119,7 @@ class TestScalarFlow:
     def test_phase_guard_pairwise(self, n, message):
         # n >= 8 sums the phase pairwise; the phase rises through the band
         # at a midpoint stage
-        spec = GeodesicSpec.from_frame(diagonal_frame(n, 1.5), -np.linspace(0.01, 0.2, n))
+        spec = frame_spec(diagonal_frame(n, 1.5), -np.linspace(0.01, 0.2, n))
         with pytest.raises(LagwebError, match=f"^{re.escape(message)}$"):
             geodesic_ivp(spec, IntegratorConfig(100))
 
@@ -128,13 +127,13 @@ class TestScalarFlow:
     def test_metric_guard_pairwise(self, n):
         # test_metric_collapse's line as the last of n directions: the
         # guard scans every g_j, and the pairwise phase is the 1-d one
-        spec = GeodesicSpec.from_frame(diagonal_frame(n, 1.5), [0.0] * (n - 1) + [2.0])
+        spec = frame_spec(diagonal_frame(n, 1.5), [0.0] * (n - 1) + [2.0])
         with pytest.raises(LagwebError, match=r"^metric coefficient collapsed at t = 0\.0150$"):
             geodesic_ivp(spec, IntegratorConfig(100))
 
     @pytest.mark.parametrize("n", [8, 11])
     def test_non_finite_guard_pairwise(self, n):
-        spec = GeodesicSpec.from_frame(diagonal_frame(n, 0.0), [0.0] * (n - 2) + [-1e308, 1e308])
+        spec = frame_spec(diagonal_frame(n, 0.0), [0.0] * (n - 2) + [-1e308, 1e308])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LagwebError, match=r"^state became non-finite at t = 0\.01$"):
                 geodesic_ivp(spec, IntegratorConfig(100))
@@ -252,7 +251,7 @@ class TestFlowFactors:
 
 class TestPhaseAlong:
     def test_zero_hamiltonian(self):
-        spec = GeodesicSpec.from_frame(real_line(0.2), [0.0])
+        spec = frame_spec(real_line(0.2), [0.0])
         _, phi, dphi = phase_along(geodesic_ivp(spec, IntegratorConfig(50)))
         np.testing.assert_allclose(phi, 0.2 * np.ones(51), atol=1e-15)
         np.testing.assert_array_equal(dphi, np.zeros(51))
@@ -276,13 +275,13 @@ class TestPhaseAlong:
 class TestFrameOracle:
     def test_constant_for_zero_hamiltonian(self):
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
-        spec = GeodesicSpec.from_frame(l0, [0.0, 0.0])
+        spec = frame_spec(l0, [0.0, 0.0])
         _, frames = frame_ode_oracle(spec, IntegratorConfig(50))
         np.testing.assert_array_equal(frames[-1], frames[0])
 
     def test_1d_straight_line(self):
         a = -math.tan(0.6) / 2.0
-        spec = GeodesicSpec.from_frame(real_line(), [a])
+        spec = frame_spec(real_line(), [a])
         ts, frames = frame_ode_oracle(spec, CFG)
         exact = 1.0 - 2.0j * a * ts
         assert np.max(np.abs(frames[:, 0, 0] - exact)) < 1e-9

@@ -14,10 +14,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import frame_spec
 
 from lagweb.bvpsolve import solve_bvp_maslov0
 from lagweb.errors import LagwebError
-from lagweb.geoflow import GeodesicSpec, geodesic_ivp, thin_trajectory, time_reversed
+from lagweb.geoflow import geodesic_ivp, thin_trajectory, time_reversed
 from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
 from lagweb import cephes, csvtext, geoflow, webbing
@@ -91,7 +92,7 @@ def solved():
 @pytest.fixture(scope="module")
 def symmetric_traj():
     l0 = make_frame(FlatCalabiYau(2), np.eye(2))
-    spec = GeodesicSpec.from_frame(l0, [-0.3, -0.3])
+    spec = frame_spec(l0, [-0.3, -0.3])
     return geodesic_ivp(spec, IntegratorConfig(2000))
 
 
@@ -221,9 +222,16 @@ class TestCylinderMesh:
         assert boundary_containment(mesh, l0, 0) < 1e-8
         assert boundary_containment(mesh, l1, 1) < 1e-8
 
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_nan_end_slice_left_its_plane(self, row):
+        # Python's max(0.0, nan) is 0.0, so a NaN end slice passed with defect 0
+        traj = edited_traj(random_traj(2, 20, 5), row, g=[math.nan, 1.0])
+        with pytest.raises(LagwebError, match=r"^boundary slice left its plane \(defect nan\)$"):
+            cylinder_mesh(traj, -0.7, 8)
+
     def test_dimension_guard(self):
         l0 = make_frame(FlatCalabiYau(1), np.eye(1))
-        traj = geodesic_ivp(GeodesicSpec.from_frame(l0, [-0.3]), IntegratorConfig(50))
+        traj = geodesic_ivp(frame_spec(l0, [-0.3]), IntegratorConfig(50))
         with pytest.raises(ValueError):
             cylinder_mesh(traj, -1.0)
 
@@ -852,6 +860,21 @@ class TestScreenedChecks:
         assert paths["sines full"] >= 1 and paths["rank full"] >= 1
         assert paths["sines screened"] == 0
 
+    def test_smallest_square_below_the_range(self, monkeypatch):
+        # w = 1 and dw = 2^20 + 2^-240 i keep every factor bound in range,
+        # but Q ~ 2^-480 E against R^2 ~ 2^40 puts the chunk's smallest
+        # sin^2 near 2^-520: the chunk takes the sines of every node
+        mesh = cylinder_mesh(random_traj(2, 20, 5), -0.7, 8)
+        ones = np.ones_like(mesh.factors.w)
+        mesh.__dict__["factors"] = mesh.factors._replace(w=ones,
+                                                         dw=(2.0**20 + 2.0**-240 * 1j) * ones)
+        paths = screen_paths(monkeypatch)
+        angle = euler_transversality(mesh)
+        assert float(angle).hex() == outcome(reference_angle, mesh)
+        assert 0.0 < angle < 1e-75
+        assert paths["sines factors"] == 1
+        assert paths["sines full"] == 1 and paths["sines screened"] == 0
+
     @pytest.fixture(scope="class")
     def checked_trajs(self, solved):
         """The trajectories of a mesh-checks pass: the README pair at 2000
@@ -1151,7 +1174,7 @@ class TestRelflux:
     def test_zero_coefficient_rejected(self):
         # a frozen direction has no level-set ellipsoid, as in cylinder_mesh
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
-        traj = geodesic_ivp(GeodesicSpec.from_frame(l0, [0.0, -0.3]), IntegratorConfig(200))
+        traj = geodesic_ivp(frame_spec(l0, [0.0, -0.3]), IntegratorConfig(200))
         with pytest.raises(ValueError, match="all coefficients must be negative"):
             cylinder_mesh(traj, -1.0, 16)
         with pytest.raises(ValueError, match="all coefficients must be negative"):

@@ -50,6 +50,7 @@ FRAME_TYPES = "tests/test_cli.py::TestNonFiniteAndHugeInput::test_frame_json_typ
 SCREENED = "tests/test_webbing.py::TestScreenedChecks"
 RECORDED = "tests/test_cli.py::TestRecordedGrid"
 GUARDS = "tests/test_webbing.py::TestClosedFormGuards"
+MESH = "tests/test_webbing.py::TestCylinderMesh"
 BOUNDS = "tests/test_webbing.py::TestChunkBounds"
 SOLUTION_FIELDS = "tests/test_cli.py::TestTrajectoryFromSolution::test_contradictory_field_exit_2"
 RING = "tests/test_webbing.py::TestCsvRing"
@@ -108,6 +109,26 @@ MUTANTS = {
         "slice(start, start + rows)",
         "slice(start + 1, start + rows)",
         [f"{NAN}[edit0-2-16]", f"{NAN}[edit1-3-16]"],
+    ),
+    "level semi-axes not checked finite": (
+        WEB,
+        "    if not np.all(np.isfinite(semi_axes)):",
+        "    if False:",
+        ["tests/test_cli.py::TestNonFiniteAndHugeInput::test_levels[-1e308-overflow]"],
+    ),
+    "boundary defects folded with Python's max, which drops a NaN slice": (
+        WEB,
+        "defect = np.maximum(defect, np.max(np.abs((points @ plane.conj()).imag)))",
+        "defect = max(defect, float(np.max(np.abs((points @ plane.conj()).imag))))",
+        [f"{MESH}::test_nan_end_slice_left_its_plane[0]",
+         f"{MESH}::test_nan_end_slice_left_its_plane[-1]"],
+    ),
+    "boundary defect tested by >, which a NaN passes": (
+        WEB,
+        "if not defect <= BOUNDARY_TOL:",
+        "if defect > BOUNDARY_TOL:",
+        [f"{MESH}::test_nan_end_slice_left_its_plane[0]",
+         f"{MESH}::test_nan_end_slice_left_its_plane[-1]"],
     ),
     "check chunk rows sized without the node count": (
         WEB,
@@ -253,6 +274,12 @@ MUTANTS = {
         "if in_range and least >= 2.0**-500:",
         "if True:",
         [f"{SCREENED}::test_full_paths"],
+    ),
+    "sine screen without its smallest-square guard": (
+        WEB,
+        "if in_range and least >= 2.0**-500:",
+        "if in_range:",
+        [f"{SCREENED}::test_smallest_square_below_the_range"],
     ),
     "sine screen range taken as settled without its factor bounds": (
         WEB,
