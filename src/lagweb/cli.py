@@ -38,7 +38,9 @@ import sys
 
 import numpy as np
 
-from . import bvpsolve, geoflow, laggrass, webbing
+# bvpsolve, geoflow and webbing are imported by the stages that run them: each
+# stage is a fresh interpreter, which may have to compile every module it imports
+from . import laggrass
 from .errors import LagwebError, NoConvergence
 from .numkernel import IntegratorConfig
 
@@ -111,6 +113,8 @@ def run_pair_analyze(args) -> int:
 
 
 def run_geodesic(args) -> int:
+    from . import bvpsolve, geoflow
+
     l0, l1 = _load_pair(args)
     spectrum = laggrass.pair_decomposition(l0, l1)
     maslov, _ = spectrum.maslov_index()
@@ -155,6 +159,8 @@ def run_geodesic(args) -> int:
 def _load_trajectory(solution_path: str):
     """The solver's integration of the stored a from the stored phase0 (not
     the re-made frame's, see GeodesicSpec) over the stored steps."""
+    from . import geoflow
+
     with open(solution_path, "r", encoding="utf-8") as fh:
         solution = json.load(fh)
     try:
@@ -190,6 +196,8 @@ def _load_trajectory(solution_path: str):
 
 
 def _mesh_report(mesh) -> dict:
+    from . import webbing
+
     slag = webbing.verify_slag(mesh)
     return {
         "level": mesh.chart.level,
@@ -222,6 +230,8 @@ def _emit_checked(path: str, payload: dict, failures, note: str = "") -> int:
 
 
 def run_webbing(args) -> int:
+    from . import webbing
+
     traj = _load_trajectory(args.solution)
     meshes = []
     failures = []
@@ -281,6 +291,8 @@ def _check_recorded_values(entry: dict, report: dict, name: str) -> None:
 
 
 def run_verify(args) -> int:
+    from . import geoflow, webbing
+
     mesh_dir = os.path.dirname(args.mesh) or "."
     name = os.path.basename(args.mesh)
     entry, level, resolution = _recorded_grid(os.path.join(mesh_dir, "webbing_report.json"),

@@ -4,18 +4,29 @@ byte check of a file.  ``geoflow`` and ``webbing`` make the tables, and hand
 a file's rows over as blocks, each a callable that forms the block's bytes.
 The writer and the check share the blocks between this process and, with
 two CPUs and more than one block, one forked helper that forms, writes or
-checks every other block in lockstep with it (``_ring``).  A failed write
+checks every other block in lockstep with it (``_ring``); both keep the heap
+pages that a block frees for the next (``_keep_heap``).  A failed write
 leaves no partial file.
 
-A value is a cell of 32 bytes: an 8-byte head (sign, the "0." and zeros of a
-value below 1, the leading digit and a point after it), five 4-byte words of
-three digits each with room for a point, and a last word with the 17th digit
-and a comma, which ``csv_rows`` makes a newline after a row's last value.
-Dropped characters are NUL, and one bytes.translate per block removes them.
+A value takes CSV_CELL = 25 bytes: a 24-byte cell, then its separator, a
+comma or, after a row's last value, the newline.  The cell is an 8-byte head
+(the sign, the "0." and zeros of a value below 1, the first digit, and the
+point of a value from 1 to 10, set to its right end so that its NULs come
+first), then the other 16 digits as four 4-digit words from one table.  The
+table's stripped twin, which drops trailing zeros, serves the last word with
+a nonzero digit and the blank words after it.  A value from 10 up gets its
+point by byte shifts (``_point``): its integer digits move one byte back,
+the first into the head's point byte, and keep their zeros; the point
+follows them if a nonzero digit does.  Exact zeros are cells too; values
+that '%.17g' prints with an exponent, and non-finite ones, take CPython's
+own text.  Dropped characters are NUL, and one translate per ``csv_rows``
+call removes them.
 """
 
 import contextlib
+import ctypes
 import functools
+import itertools
 import os
 import signal
 
@@ -23,12 +34,17 @@ import numpy as np
 
 from .errors import LagwebError
 
-CSV_CELL = 32
+CSV_CELL = 25   # bytes of one value: its 24-byte cell, then its separator
 CSV_BLOCK = 1 << 14
 _SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter
 _POW10 = np.array([10.0 ** k for k in range(23)])   # exact in binary64
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
+# a value's CSV_CELL bytes: its head, digits 2 .. 9, digits 10 .. 17, its separator
+_CELL = np.dtype({"names": ["head", "low", "high", "sep"], "formats": ["<u8", "<u8", "<u8", "u1"],
+                  "offsets": [0, 8, 16, 24], "itemsize": CSV_CELL})
+_ZEROS = np.uint64(0x3030303030303030)   # "0" in each byte
+_NO_POINT = np.uint64(2 ** 56 - 1)         # a head without its last byte, the point
 
 
 def block_rows(width: int, least: int = 1) -> int:
@@ -40,50 +56,41 @@ def block_rows(width: int, least: int = 1) -> int:
 
 @functools.cache
 def _tables():
-    """Lookup tables of cell words, as (head, zeros, group, mode, tail).
+    """Lookup tables of cell words, as (head, words, masks).
 
-    head[zeros[e + 4] + negative * 20 + d0 * 2 + point]: the 8-byte head of a
-    value with decimal exponent e; zeros[e + 4] / 40 = max(0, -e) picks the
-    "0." and the -e - 1 zeros that come before the digits of a value below 1.
-    group[mode * 1000 + ddd]: a 3-digit group; mode 0 keeps all digits, 1
-    drops trailing zeros, 2 + q and 5 + q put a point after digit q + 1 and
-    keep or drop the trailing zeros after it (and the point, if none is left).
-    mode[j, (e + 4) * 2 + z]: 1000 x the mode of group j (digits 3j + 1 to
-    3j + 3) for decimal exponent e in [-4, 15], z when all later digits are 0.
-    tail[d16]: the 17th digit (NUL if 0), then a comma.
+    head[e * 20 + negative * 10 + d0]: the 8-byte head of a value with
+    decimal exponent e in -4 .. 15 (a negative e indexes from the end): its
+    sign, the "0." and the -e - 1 zeros before the digits of a value below
+    1, its first digit d0, and for e = 0 the point after it, NUL-padded on
+    the left.  A run of NULs costs translate a branch miss where it ends,
+    so they make one run.  From e = 1 up the last byte is left for _point.
+    words[stripped * 10000 + dddd]: four digits, in the low half of a word;
+    the stripped twin drops their trailing zeros, for a word with no
+    nonzero digit after it.
+    masks[:, e]: for e in 1 .. 15, the bytes of the low and the high digit
+    word (digits 2 .. 9, 10 .. 17) that take a digit moved one byte back,
+    the point, and a fraction digit left in place; as (move_low, move_high,
+    dot_low, dot_high, keep_low, keep_high), the dots holding "." bytes.
     """
-    digits = np.arange(1000)[:, np.newaxis] // np.array([100, 10, 1]) % 10
+    digits = np.arange(10000)[:, np.newaxis] // np.array([1000, 100, 10, 1]) % 10
     chars = (48 + digits).astype(np.uint8)
-    later = np.zeros((1000, 4), bool)   # later[:, i]: a nonzero digit at i or after
-    later[:, :3] = np.logical_or.accumulate((digits != 0)[:, ::-1], axis=1)[:, ::-1]
-    stripped = np.where(later[:, :3], chars, 0)
-    group = np.zeros((8, 1000, 4), np.uint8)
-    group[0, :, :3], group[1, :, :3] = chars, stripped
-    for q in range(1, 4):
-        for m, after, point in ((1 + q, chars, 46), (4 + q, stripped, 46 * later[:, q])):
-            group[m, :, :q] = chars[:, :q]
-            group[m, :, q] = point
-            group[m, :, q + 1:] = after[:, q:]
-    mode = np.zeros((5, 20, 2), np.int32)
-    for j in range(5):
-        for e in range(-4, 16):
-            at = (e - 1) // 3 if e >= 1 else -1     # the group with the point
-            if at == j:
-                mode[j, e + 4] = 1000 * (1 + e - 3 * j + np.array([0, 3]))
-            elif at < j:
-                mode[j, e + 4] = 1000 * np.array([0, 1])
-    head = np.zeros((5, 2, 10, 2, 8), np.uint8)
-    head[:, 1, ..., 0] = ord("-")
-    for zeros in range(1, 5):
-        head[zeros, ..., 1:zeros + 2] = np.frombuffer(b"0." + b"0" * (zeros - 1), np.uint8)
-    head[..., 6] = (48 + np.arange(10))[:, np.newaxis]
-    head[..., 1, 7] = ord(".")
-    zeros = 40 * np.clip(-np.arange(-4, 16), 0, 4).astype(np.int32)
-    tail = np.zeros((10, 4), np.uint8)
-    tail[1:, 0] = 48 + np.arange(1, 10)
-    tail[:, 3] = ord(",")
-    tables = (head.view(np.uint64).ravel(), zeros, group.view(np.uint32).ravel(),
-              mode.reshape(5, 40), tail.view(np.uint32).ravel())
+    later = np.logical_or.accumulate((digits != 0)[:, ::-1], axis=1)[:, ::-1]
+    words = np.zeros((2, 10000, 8), np.uint8)
+    words[0, :, :4], words[1, :, :4] = chars, np.where(later, chars, 0)
+    head = np.zeros((20, 2, 10, 8), np.uint8)
+    for e, negative, d0 in itertools.product(range(-4, 16), (0, 1), range(10)):
+        text = b"-" * negative + b"0." + b"0" * (-e - 1) if e < 0 else b"-" * negative
+        text += b"%d." % d0 if e == 0 else b"%d" % d0
+        end = 7 if e > 0 else 8
+        head[e, negative, d0, end - len(text):end] = np.frombuffer(text, np.uint8)
+    byte = np.arange(16)[:, np.newaxis]     # byte b of the two digit words holds digit b + 2
+    e = np.arange(16)
+    bits = np.uint64(0xFF) << (8 * (byte % 8)).astype(np.uint64)  # byte b within its word
+    masks = np.concatenate([np.bitwise_or.reduce(np.where(at, bits, np.uint64(0)).reshape(2, 8, 16),
+                                                 axis=1)
+                            for at in (byte + 1 < e, byte + 1 == e, byte >= e)])
+    masks[2:4] &= np.uint64(ord(".") * 0x0101010101010101)
+    tables = (head.view(np.uint64).ravel(), words.view(np.uint64).ravel(), masks)
     for table in tables:
         table.setflags(write=False)  # one copy, shared by every call
     return tables
@@ -91,77 +98,149 @@ def _tables():
 
 def _digits17(a, e):
     """round(a * 10**(16 - e)) exactly, ties to even, as int64: the product is
-    hi + lo exactly (Dekker), and hi is an even integer from 2**53 up."""
-    ph, pl = np.take(_POW10_HI, 16 - e), np.take(_POW10_LO, 16 - e)
+    hi + lo exactly (Dekker), and hi is an even integer from 2**53 up.  The
+    steps go in place, in the order of
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl."""
+    ph, pl = _POW10_HI[16 - e], _POW10_LO[16 - e]
     hi = a * (ph + pl)
-    split = a * _SPLIT
-    ah = split - (split - a)
-    al = a - ah
-    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ah = a * _SPLIT
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    lo = ah * ph
+    lo -= hi
+    ah *= pl
+    lo += ah
+    ph *= al
+    lo += ph
+    al *= pl
+    lo += al
+    d = hi.astype(np.int64)
+    d += np.rint(lo, out=lo).astype(np.int64)
+    return d
 
 
-def _cells(x):
-    """The (N, CSV_CELL) uint8 cells of the float64 values x, each ending in a comma."""
-    head, zeros, group, mode, tail = _tables()
+def _cells(x, cells) -> None:
+    """Write the float64 values x into the head, low and high words of their
+    _CELL records cells, an array of x's shape; the separators are left."""
+    head, words, masks = _tables()
+    x = x.ravel()
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16)     # '%.17g' prints these without an exponent
-    a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int32)
+    plain = (a >= 1e-4) & (a < 1e16)    # '%.17g' prints these without an exponent
+    a[~plain] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
     d = _digits17(a, e)
     # log10 can miss near a power of ten, and rounding can carry into one
     off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
     if off.size:
-        e[off] += np.where(d[off] < 10 ** 16, -1, 1).astype(np.int32)
+        e[off] += np.where(d[off] < 10 ** 16, -1, 1)
         d[off] = _digits17(a[off], e[off])
-    # digits d0 | g0 g1 g2 g3 g4 (three each) | d16, by floor division (not divmod, slower)
+    del a
+    # digits d0 | g0 g1 g2 g3 (four each), by floor division (not divmod, slower)
     d0 = d // 10 ** 16
-    r = d - d0 * 10 ** 16
-    q = r // 10
-    d16 = (r - q * 10).astype(np.int32)
-    upper = q // 10 ** 9
-    lower = (q - upper * 10 ** 9).astype(np.int32)
-    upper = upper.astype(np.int32)
-    g0 = upper // 1000
-    g2 = lower // 10 ** 6
-    lower -= g2 * 10 ** 6
-    g3 = lower // 1000
-    groups = ((4, lower - g3 * 1000), (3, g3), (2, g2), (1, upper - g0 * 1000), (0, g0))
+    d -= d0 * 10 ** 16
+    g1 = d // 10 ** 8
+    d -= g1 * 10 ** 8
+    g0 = g1 // 10 ** 4
+    g1 -= g0 * 10 ** 4
+    g2 = d // 10 ** 4
+    d -= g2 * 10 ** 4
+    high = words[d + 10 ** 4]   # the last word, stripped of its trailing zeros
+    high <<= np.uint64(32)
+    high |= words[g2]
+    low = words[g1]
+    low <<= np.uint64(32)
+    low |= words[g0]
+    d0 += e * 20
+    d0 += np.signbit(x) * 10
+    first = head[d0]
+    blank = np.flatnonzero(d == 0)  # the last word blank: the ones before it may end in zeros
+    if blank.size:
+        _strip(first, low, high, blank, [g[blank] for g in (g0, g1, g2)], e[blank])
+    del d, d0, g0, g1, g2
+    inside = np.flatnonzero(e > 0)  # 10 and up: the point goes among the digit words
+    if inside.size:
+        e = e[inside]
+        _point(first, low, high, inside, [row[e] for row in masks])
 
-    cells = np.empty((len(x), CSV_CELL // 8), np.uint64)
-    words = cells.view(np.uint32)
-    words[:, 7] = np.take(tail, d16)
-    zero = (d16 == 0).view(np.int8)     # all digits after the current group are 0
-    row = (e + 4) * 2
-    for j, g in groups:
-        words[:, 2 + j] = np.take(group, np.take(mode[j], row + zero) + g)
-        zero &= (g == 0).view(np.int8)
-    point = (e == 0) & (zero == 0)
-    cells[:, 0] = np.take(head, np.take(zeros, e + 4) + (x < 0) * 20 + d0 * 2 + point)
-
-    cells = cells.view(np.uint8)
-    slow = np.flatnonzero(~fast)        # 0, tiny, huge and non-finite values
+    slow = np.flatnonzero(~plain)   # 0, tiny, huge and non-finite values
     if slow.size:
-        text = b"".join((b"%.17g" % v).ljust(CSV_CELL - 1, b"\0") + b"," for v in x[slow].tolist())
-        cells[slow] = np.frombuffer(text, np.uint8).reshape(-1, CSV_CELL)
-    return cells
+        values = x[slow]
+        zero = values == 0.0            # _strip blanked their words: the head is 0, signed
+        first[slow[zero]] = head[np.signbit(values[zero]) * 10] & _NO_POINT
+        slow, values = slow[~zero], values[~zero]
+        text = b"".join((b"%.17g" % v).ljust(CSV_CELL - 1, b"\0") for v in values.tolist())
+        first[slow], low[slow], high[slow] = np.frombuffer(text, np.uint64).reshape(-1, 3).T
+    cells["head"] = first.reshape(cells.shape)
+    cells["low"] = low.reshape(cells.shape)
+    cells["high"] = high.reshape(cells.shape)
 
 
-def csv_rows(table, prefix=None) -> bytes:
+def _strip(head, low, high, at, groups, e) -> None:
+    """Strip the trailing zeros of the values at, whose last digit word is
+    blank, from their words g0, g1, g2 (groups) too: the last of these with
+    a nonzero digit takes its stripped twin, and the later ones are blank.
+    A value from 1 to 10 (exponent e = 0) with no nonzero digit after its
+    first loses its point."""
+    words = _tables()[1]
+    later = np.full(len(at), 10 ** 4)   # the stripped twin while every later word is 0
+    word = []
+    for g in groups[::-1]:
+        word.append(words[later + g])
+        later[g != 0] = 0
+    high[at] = word[0]
+    low[at] = (word[1] << np.uint64(32)) | word[2]
+    head[at[(later != 0) & (e == 0)]] &= _NO_POINT
+
+
+def _point(head, low, high, at, masks) -> None:
+    """Put the point after digit e + 1 of the values at, whose exponents e in
+    1 .. 15 picked the masks: digits 2 .. e + 1 move one byte back, the first
+    into the head's point byte, with any stripped zero among them restored,
+    and the point follows them if a nonzero digit does."""
+    move_low, move_high, dot_low, dot_high, keep_low, keep_high = masks
+    lo, hi = low[at], high[at]
+    keep_low &= lo
+    keep_high &= hi
+    fraction = (keep_low | keep_high) != 0
+    moved = lo >> np.uint64(8)
+    moved |= hi << np.uint64(56)
+    moved |= _ZEROS
+    moved &= move_low
+    moved |= keep_low
+    moved |= dot_low * fraction
+    low[at] = moved
+    hi >>= np.uint64(8)
+    hi |= _ZEROS
+    hi &= move_high
+    hi |= keep_high
+    hi |= dot_high * fraction
+    high[at] = hi
+    lo |= _ZEROS
+    lo <<= np.uint64(56)
+    head[at] |= lo
+
+
+def csv_rows(table, prefix=None) -> bytearray:
     """Each row of the float64 (m, k) table as its values in '%.17g',
     comma separated, and a newline: exactly CPython's text, -0 and non-finite
     values included.  prefix, an (m, w) uint8 array, puts its row of text
-    (NUL bytes dropped) before each table row."""
-    rows = block_rows(table.shape[1])
-    out = []
+    (NUL bytes dropped) before each table row.  The cells are formed a
+    block of rows at a time, and one translate drops the NUL bytes."""
+    width = table.shape[1]
+    lead = 0 if prefix is None else prefix.shape[1]
+    shape = len(table), lead + width * CSV_CELL
+    text = bytearray(shape[0] * shape[1])
+    line = np.frombuffer(text, np.uint8).reshape(shape)
+    if prefix is not None:
+        line[:, :lead] = prefix
+    cells = line[:, lead:].view(_CELL)
+    cells["sep"] = ord(",")
+    cells["sep"][:, -1] = ord("\n")    # the separator of each row's last value
+    rows = block_rows(width)
     for start in range(0, len(table), rows):
-        block = table[start:start + rows]
-        cells = _cells(block.ravel()).reshape(len(block), -1)
-        cells[:, -1] = ord("\n")    # the separator byte of each row's last cell
-        if prefix is not None:
-            cells = np.concatenate([prefix[start:start + rows], cells], axis=1)
-        out.append(cells.tobytes().translate(None, b"\0"))
-    return b"".join(out)
+        _cells(table[start:start + rows], cells[start:start + rows])
+    return text.translate(None, b"\0")
 
 
 def write_csv(path, header, blocks) -> None:
@@ -273,6 +352,7 @@ def _ring(blocks, visit, offset: int) -> int:
     of them back: left free, the two were measured on one CPU for a whole
     file in about a quarter of the runs, each waking the other there.
     """
+    _keep_heap()
     cpus = sorted(os.sched_getaffinity(0))
     workers = min(2, len(cpus), len(blocks))
     ring = [os.pipe() for _ in range(workers)]  # ring[r]: the token's way into rank r
@@ -311,6 +391,21 @@ def _ring(blocks, visit, offset: int) -> int:
         if helper:
             os.waitpid(helper, 0)
             _pin(cpus)
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Have glibc's malloc keep the heap pages that a block's temporaries
+    free, for the next block: with its default, adaptive thresholds it gave
+    them back to the kernel after most blocks and faulted them in again,
+    100 to 350 page faults per block of 16K values.  The helper is forked
+    after this, so both ring processes keep the setting.  A C library with
+    no mallopt is left as it is."""
+    with contextlib.suppress(OSError, AttributeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 4 << 20)    # M_MMAP_THRESHOLD: blocks below 4 MiB come from the heap
+        mallopt(-1, 32 << 20)   # M_TRIM_THRESHOLD: up to 32 MiB of free heap is kept
 
 
 def _pin(cpus) -> None:

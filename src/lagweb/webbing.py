@@ -46,7 +46,13 @@ node count P (``csvtext.block_rows``; at least 16 rows for the harmonic
 halo), so peak memory is set by that one budget, not by T x P.  The mesh
 CSV's header and blocks are made here, each block a time-slice range whose
 nodes and text are formed only by the process that writes or checks it
-(``csvtext``, which owns the text), and by no BLAS call.
+(``csvtext``, which owns the text), and by no BLAS call.  A block's nodes,
+like CylinderMesh.points, are formed in two steps (_slice_points): kappa_j
+w_j by numpy's complex multiply, then the sum over j of those times u_ij by
+a two-operand einsum.  That is the three-operand einsum's arithmetic, term
+for term and in the same order, in about half its time.  kappa has
+no imaginary part, whose products are exact zeros, so a complex multiply
+that fuses them into an add in SIMD rounds as the einsum does.
 
 The closed form takes one of two paths per check and time chunk: the
 chunk's scalars settle it, or it runs the reference expression on every
@@ -232,11 +238,11 @@ class _Factors(NamedTuple):
 
 class _Formed:
     """A CylinderMesh array field.  It holds the array that the caller gave;
-    with none given (None), the einsum of the mesh's factors is formed on the
-    first read and kept."""
+    with none given (None), form makes one from the mesh's factors on the
+    first read, and it is kept."""
 
-    def __init__(self, subscripts: str, sphere_factor: str, time_factor: str):
-        self.subscripts, self.operands = subscripts, (sphere_factor, time_factor)
+    def __init__(self, form):
+        self.form = form
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -248,9 +254,7 @@ class _Formed:
             return mesh.__dict__[self.name]
         key = "_formed_" + self.name
         if key not in mesh.__dict__:
-            f = mesh.factors
-            mesh.__dict__[key] = np.einsum(self.subscripts,
-                                           *(getattr(f, k) for k in self.operands), f.directions)
+            mesh.__dict__[key] = self.form(mesh.factors)
         return mesh.__dict__[key]
 
     def __set__(self, mesh, value):
@@ -273,9 +277,11 @@ class CylinderMesh:
     chart: LevelSetChart
     sphere: SphereGrid
     boundary_defect: float
-    points: np.ndarray = _Formed("pj,tj,ij->tpi", "kappa", "w")                 # (T, P, n)
-    sphere_tangents: np.ndarray = _Formed("pmj,tj,ij->tpmi", "kappa_tan", "w")  # (T, P, n-1, n)
-    time_tangents: np.ndarray = _Formed("pj,tj,ij->tpi", "kappa", "dw")         # (T, P, n)
+    points: np.ndarray = _Formed(lambda f: _slice_points(f, slice(None)))  # (T, P, n)
+    sphere_tangents: np.ndarray = _Formed(                                  # (T, P, n-1, n)
+        lambda f: np.einsum("pmj,tj,ij->tpmi", f.kappa_tan, f.w, f.directions))
+    time_tangents: np.ndarray = _Formed(                                    # (T, P, n)
+        lambda f: np.einsum("pj,tj,ij->tpi", f.kappa, f.dw, f.directions))
 
     @property
     def n(self) -> int:
@@ -299,9 +305,12 @@ def _mesh_factors(traj: GeodesicTrajectory, chart: LevelSetChart, grid: SphereGr
 
 
 def _slice_points(f: _Factors, index) -> np.ndarray:
-    """The nodes of the time samples at index, by the einsum that forms
-    CylinderMesh.points, so bit for bit its rows."""
-    return np.einsum("pj,tj,ij->tpi", f.kappa, f.w[index], f.directions)
+    """The nodes of the time samples at index: kappa_j w_j by numpy's complex
+    multiply, then summed over j times u_ij by a two-operand einsum (no
+    BLAS call).  These are the bits of einsum("pj,tj,ij->tpi", kappa, w, U),
+    which forms and sums the same terms in the same order (module
+    docstring); CylinderMesh.points is this at every sample."""
+    return np.einsum("tpj,ij->tpi", f.kappa * f.w[index, np.newaxis, :], f.directions)
 
 
 @dataclass(frozen=True)

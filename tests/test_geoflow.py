@@ -1,3 +1,4 @@
+import fractions
 import functools
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from lagweb import csvtext
 from lagweb.bvpsolve import solve_bvp_maslov0
-from lagweb.csvtext import csv_rows
+from lagweb.csvtext import CSV_CELL, csv_rows
 from lagweb.errors import LagwebError
 from lagweb.geoflow import (
     METRIC_FLOOR,
@@ -410,3 +411,74 @@ class TestCsvText:
             table[1::4, 0] = -0.0
             assert len(table) > 2 * csvtext.block_rows(k)
             assert csv_rows(table) == printf_rows(table)
+
+
+def significant_digits(text: str) -> str:
+    """The digits of a plain '%.17g' text from its first nonzero one."""
+    return text.lstrip("-").replace(".", "").lstrip("0")
+
+
+def exact_decimal(rng, e: int, kept: int):
+    """A float of decimal exponent e that is exactly a decimal of kept
+    significant digits, the last nonzero, followed by e + 1 - kept zeros if
+    that is positive, so that '%.17g' prints 17 - kept trailing zeros; None
+    if no float is (below 1, such a float is an odd multiple of 2**-p with
+    p = kept - e - 1 places)."""
+    if kept <= e:
+        m = int(rng.integers(10 ** (kept - 1), 10 ** kept))
+        return float((m + (m % 10 == 0)) * 10 ** (e + 1 - kept))
+    places = kept - e - 1
+    scale = fractions.Fraction(10) ** e * 2 ** places
+    low, high = math.ceil(scale) | 1, min(math.ceil(10 * scale), 2 ** 53)
+    if low >= high:
+        return None
+    return (low + 2 * int(rng.integers(0, (high - low + 1) // 2))) / 2 ** places
+
+
+class TestCsvCells:
+    """The 25-byte cells: every exponent that '%.17g' prints plainly, any
+    count of trailing zeros, the point placed among the digits, and the
+    cells that are not numbers with a point, in every column of a row."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_plain_exponent_with_0_to_16_trailing_zeros(self, sign):
+        rng = np.random.default_rng(6)
+        cases = [(e, kept, exact_decimal(rng, e, kept))
+                 for e in range(-4, 16) for kept in range(1, 18)]
+        cases = [case for case in cases if case[2] is not None]
+        table = sign * np.array([v for _, _, v in cases]).reshape(-1, 8)
+        assert csv_rows(table) == printf_rows(table)
+        # the table holds what it is meant to: every exponent, every count of
+        # trailing zeros, and integer parts that keep their zeros
+        assert {e for e, _, _ in cases} == set(range(-4, 16))
+        assert {17 - kept for e, kept, _ in cases if e in (-1, 15)} == set(range(17))
+        for e, kept, v in cases:
+            assert int(f"{v:e}".split("e")[1]) == e
+            assert len(significant_digits("%.17g" % v)) == max(kept, e + 1)
+
+    def test_integer_parts_keep_their_zeros_and_whole_values_drop_the_point(self):
+        values = [1230.0, 1e15, 100.5, 12.0, 10.0, 1000.25, 2.0 ** 53, 1e15 + 0.5, 120.0625,
+                  9007199254740993.0, 99.99999999999999, 5.0, 1.0, 0.5, 0.0001,
+                  0.00010000000000000002]
+        table = np.array([values, [-v for v in values]])
+        assert csv_rows(table) == printf_rows(table)
+        assert csv_rows(table).startswith(b"1230,1000000000000000,100.5,12,10,1000.25,")
+
+    @pytest.mark.parametrize("prefixed", [False, True])
+    def test_signed_zeros_and_the_longest_text_in_every_column(self, prefixed):
+        longest = -2.2250738585072014e-308
+        assert len("%.17g" % longest) == CSV_CELL - 1
+        rows = []
+        for special in (0.0, -0.0, longest, -1.7976931348623157e308):
+            for column in range(3):
+                row = [0.25, -12.5, 3.0]
+                row[column] = special
+                rows.append(row)
+        table = np.array(rows)
+        if not prefixed:
+            assert csv_rows(table) == printf_rows(table)
+            return
+        heads = [b"p%d," % i for i in range(len(table))]
+        prefix = np.array(heads).view(np.uint8).reshape(len(table), -1)
+        assert csv_rows(table, prefix) == b"".join(
+            head + line for head, line in zip(heads, printf_rows(table).splitlines(True)))

@@ -1353,6 +1353,41 @@ ROW_EDIT_IDS = ["missing-row", "extra-row", "blank-line", "swapped-rows", "renam
                 "header-only"]
 
 
+class TestSlicePoints:
+    """The nodes in two steps, kappa w by a complex multiply and then the
+    two-operand einsum with U, are the three-operand einsum's bits."""
+
+    @pytest.mark.parametrize("pair", ["readme", "seeded-n3"])
+    def test_meshes(self, solved, pair):
+        # the README mesh's kappa has exact zeros; the seeded frame's U is not I
+        traj = solved[2].trajectory if pair == "readme" else random_traj(3, 40, 33)
+        f = cylinder_mesh(traj, -1.0).factors
+        assert np.any(f.kappa == 0.0) if pair == "readme" else np.all(f.directions.imag != 0.0)
+        assert np.array_equal(bits(webbing._slice_points(f, slice(None))),
+                              bits(np.einsum("pj,tj,ij->tpi", f.kappa, f.w, f.directions)))
+
+    def test_factors_with_zeros_infinities_and_nans(self):
+        rng = np.random.default_rng(8)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        for n in (2, 3, 6):
+            kappa = rng.standard_normal((30, n)) * 10.0 ** rng.integers(-300, 300, (30, n))
+            w = ((rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n)))
+                 * 10.0 ** rng.integers(-300, 300, (12, n)))
+            directions = np.linalg.qr(rng.standard_normal((n, n))
+                                      + 1j * rng.standard_normal((n, n)))[0]
+            kappa.flat[rng.integers(0, kappa.size, 12)] = rng.choice(specials, 12)
+            w.real.flat[rng.integers(0, w.size, 6)] = rng.choice(specials, 6)
+            w.imag.flat[rng.integers(0, w.size, 6)] = rng.choice(specials, 6)
+            f = webbing._Factors(kappa, None, w, None, directions)
+            with np.errstate(invalid="ignore", over="ignore"):
+                two = webbing._slice_points(f, slice(None)).view(np.float64)
+                three = np.einsum("pj,tj,ij->tpi", kappa, w, directions).view(np.float64)
+            nan = np.isnan(three)
+            assert nan.any() and np.isinf(three).any()
+            assert np.array_equal(np.isnan(two), nan)  # NaN payloads are not compared
+            assert np.array_equal(bits(two[~nan]), bits(three[~nan]))
+
+
 class TestMeshCsv:
     @pytest.mark.parametrize("n,steps,res", [(2, 40, 16), (3, 20, 8), (4, 20, 64)])
     def test_bytes_match_row_formatter(self, n, steps, res, tmp_path):

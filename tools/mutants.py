@@ -38,6 +38,8 @@ FLOW = "src/lagweb/geoflow.py"
 TEXT = "src/lagweb/csvtext.py"
 FLOW_BITS = "tests/test_geoflow.py::TestScalarFlowBits::test_same_bits_as_numpy_rk4"
 CSV_TEXT = "tests/test_geoflow.py::TestCsvText"
+CELLS = "tests/test_geoflow.py::TestCsvCells"
+SLICES = "tests/test_webbing.py::TestSlicePoints"
 CLI = "src/lagweb/cli.py"
 GRASS = "src/lagweb/laggrass.py"
 ROWS = "tests/test_webbing.py::TestMeshCsv::test_rows_must_be_the_writers"
@@ -191,8 +193,8 @@ MUTANTS = {
     ),
     "CSV digits without the lo term of the exact product": (
         TEXT,
-        "return hi.astype(np.int64) + np.rint(lo).astype(np.int64)",
-        "return hi.astype(np.int64)",
+        "    d += np.rint(lo, out=lo).astype(np.int64)\n",
+        "",
         [f"{CSV_TEXT}::test_exact_ties_round_to_even", f"{CSV_TEXT}::test_random_bit_patterns"],
     ),
     "CSV digits without the +-1 exponent correction": (
@@ -201,12 +203,56 @@ MUTANTS = {
         "    if False:",
         [f"{CSV_TEXT}::test_powers_of_ten_and_neighbours", f"{CSV_TEXT}::test_fast_path_edges"],
     ),
-    "CSV newline only after the last row of a block": (
+    "CSV newline only after the last row of a table": (
         TEXT,
-        'cells[:, -1] = ord("\\n")',
-        'cells[-1, -1] = ord("\\n")',
+        'cells["sep"][:, -1] = ord("\\n")',
+        'cells["sep"][-1, -1] = ord("\\n")',
         [f"{CSV_TEXT}::test_rows_across_blocks_of_a_few_values",
          f"{CSV_TEXT}::test_random_bit_patterns"],
+    ),
+    "CSV row's last value keeps its comma": (
+        TEXT,
+        'cells["sep"][:, -1] = ord("\\n")',
+        'cells["sep"][:, -1] = ord(",")',
+        [f"{CSV_TEXT}::test_prefix_goes_before_each_row",
+         f"{CELLS}::test_integer_parts_keep_their_zeros_and_whole_values_drop_the_point"],
+    ),
+    "CSV integer-part zeros stripped": (
+        TEXT,
+        "    moved |= _ZEROS\n",
+        "",
+        [f"{CELLS}::test_integer_parts_keep_their_zeros_and_whole_values_drop_the_point",
+         f"{CELLS}::test_every_plain_exponent_with_0_to_16_trailing_zeros[1.0]"],
+    ),
+    "CSV point kept after a whole number": (
+        TEXT,
+        "moved |= dot_low * fraction",
+        "moved |= dot_low",
+        [f"{CELLS}::test_integer_parts_keep_their_zeros_and_whole_values_drop_the_point",
+         f"{CELLS}::test_every_plain_exponent_with_0_to_16_trailing_zeros[-1.0]"],
+    ),
+    "CSV words before a blank last word keep their zeros": (
+        TEXT,
+        "    if blank.size:",
+        "    if False:",
+        [f"{CSV_TEXT}::test_powers_of_ten_and_neighbours",
+         f"{CELLS}::test_every_plain_exponent_with_0_to_16_trailing_zeros[1.0]"],
+    ),
+    "CSV -0 printed as 0": (
+        TEXT,
+        "head[np.signbit(values[zero]) * 10]",
+        "head[(values[zero] < 0.0) * 10]",
+        [f"{CSV_TEXT}::test_zeros_and_subnormals", f"{CSV_TEXT}::test_prefix_goes_before_each_row",
+         f"{CELLS}::test_signed_zeros_and_the_longest_text_in_every_column[True]"],
+    ),
+    "mesh nodes contracted with U before kappa": (
+        WEB,
+        'np.einsum("tpj,ij->tpi", f.kappa * f.w[index, np.newaxis, :], f.directions)',
+        'np.einsum("pj,tij->tpi", f.kappa, f.w[index, np.newaxis, :] * f.directions)',
+        [f"{SLICES}::test_meshes[seeded-n3]",
+         f"{SLICES}::test_factors_with_zeros_infinities_and_nans",
+         "tests/test_webbing.py::TestClosedFormAgainstSweep"
+         "::test_formed_arrays_are_the_eager_einsums[seeded-n4]"],
     ),
     "frame JSON n converted by int(), which takes 1.9, \"1\" and true": (
         GRASS,
@@ -370,8 +416,8 @@ MUTANTS = {
     ),
     "mesh CSV nodes by an einsum that may call BLAS": (
         WEB,
-        'np.einsum("pj,tj,ij->tpi", f.kappa, f.w[index], f.directions)',
-        'np.einsum("pj,tj,ij->tpi", f.kappa, f.w[index], f.directions, optimize=True)',
+        'np.einsum("tpj,ij->tpi", f.kappa * f.w[index, np.newaxis, :], f.directions)',
+        'np.einsum("tpj,ij->tpi", f.kappa * f.w[index, np.newaxis, :], f.directions, optimize=True)',
         [f"{RING}::test_blocks_call_no_blas"],
     ),
     "webbing accepts an empty level list": (
