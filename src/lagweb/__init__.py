@@ -9,7 +9,6 @@ Module map:
                  one RK4 trajectory, for the two-frame boundary value problem
     webbing   -- level-set cylinders, calibration verification, flux
     csvtext   -- the '%.17g' CSV text, its one block budget, writer and byte check
-    cephes    -- the normal quantile ndtri of the n >= 4 sphere, scipy's bits
     cli       -- command line pipeline and its JSON emitter
 """
 

@@ -156,18 +156,23 @@ def run_geodesic(args) -> int:
     return EXIT_OK
 
 
+def _finite_number(value) -> bool:
+    # exact JSON types: a bool is an int to Python, and float() takes "0.5"
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _load_trajectory(solution_path: str):
     """The solver's integration of the stored a from the stored phase0 (not
-    the re-made frame's, see GeodesicSpec) over the stored steps."""
+    the re-made frame's, see GeodesicSpec) over the stored steps, once the
+    stored record of the solve agrees with it."""
     from . import geoflow
 
     with open(solution_path, "r", encoding="utf-8") as fh:
         solution = json.load(fh)
     try:
         steps, reverse, phase0 = solution["steps"], solution["reversed"], solution["phase0"]
-        # exact JSON types: a bool is an int to Python, and float() takes "0.5"
         if not (type(steps) is int and steps >= 1 and type(reverse) is bool
-                and type(phase0) in (int, float) and math.isfinite(phase0)):
+                and _finite_number(phase0)):
             raise ValueError("malformed solution JSON: need an integer steps >= 1, a bool "
                              "reversed and a finite number phase0")
         base = laggrass.frame_from_json_dict(solution["frame0"])
@@ -183,6 +188,19 @@ def _load_trajectory(solution_path: str):
             raise ValueError(f"malformed solution JSON: reversed must be "
                              f"{json.dumps(maslov != 0)} for maslov {maslov}, "
                              f"got {json.dumps(reverse)}")
+        beta, tolerance, residual = solution["beta"], solution["tolerance"], solution["residual"]
+        if not (type(beta) is list and len(beta) == n and all(map(_finite_number, beta))):
+            raise ValueError(f"malformed solution JSON: beta must be n = {n} finite numbers, "
+                             f"got {json.dumps(beta)}")
+        if not (_finite_number(tolerance) and tolerance > 0):
+            raise ValueError(f"malformed solution JSON: tolerance must be a positive finite "
+                             f"number, got {json.dumps(tolerance)}")
+        beta = np.array(beta, dtype=float)
+        # the solver solves the pair of index 0, the swapped one if reversed
+        quotient = (float(beta.sum()) + phase0 - solution["phase1"]) / math.pi
+        if not abs(quotient) < laggrass.INTEGER_TOL:
+            raise ValueError(f"malformed solution JSON: beta, phase0 and phase1 give the Maslov "
+                             f"quotient {quotient:.9f}, not 0")
         spec = geoflow.GeodesicSpec(
             base=base,
             adapted_basis=np.asarray(solution["adapted_basis"], dtype=float),
@@ -192,6 +210,14 @@ def _load_trajectory(solution_path: str):
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed solution JSON: {type(exc).__name__} {exc}") from exc
     traj = geoflow.geodesic_ivp(spec, IntegratorConfig(steps))
+    # the solver's residual, on the same RK4 run: its bits, below its tolerance
+    rebuilt = float(np.max(np.abs(traj.theta[-1] - beta)))
+    if not (_finite_number(residual) and residual == rebuilt):
+        raise ValueError(f"malformed solution JSON: residual must be the rebuilt max|theta(1) "
+                         f"- beta| {rebuilt!r}, got {json.dumps(residual)}")
+    if not residual < tolerance:
+        raise ValueError(f"malformed solution JSON: residual {residual!r} is not below "
+                         f"tolerance {tolerance!r}")
     return geoflow.time_reversed(traj) if reverse else traj
 
 

@@ -152,9 +152,8 @@ def _stepper(n: int):
     list and returns the m + 1 states (g, th) flat, in an ``array`` of
     doubles that holds no float object; ts only names the time in the
     non-finite message.  Each stage guards as the numpy field does.  The
-    phase adds the angles in numpy's order: left to right from 0.0 below 8
-    entries (not the builtin ``sum``, which is compensated from Python
-    3.12), by ``np.add.reduce``, which sums pairwise, from 8 on.
+    phase adds the angles left to right from 0.0 (not by the builtin
+    ``sum``, which is compensated from Python 3.12).
     """
     g, th = [f"g{j}" for j in range(n)], [f"th{j}" for j in range(n)]
     stage_g, stage_th = [f"G{j}" for j in range(n)], [f"T{j}" for j in range(n)]
@@ -164,9 +163,8 @@ def _stepper(n: int):
 
     def rates(k, gs, ths, t):
         """The k-th rates at state (gs, ths) and time t, behind the guards."""
-        total = " + ".join(["0.0", *ths]) if n < 8 else f"float(add_reduce(({listed(ths)})))"
         return [
-            f"phi = phase0 + ({total})",
+            f"phi = phase0 + ({' + '.join(['0.0', *ths])})",
             "if abs(phi) >= edge:",
             f"    raise LagwebError(f'phase reached {{phi:.6f}} at t = {{{t}:.4f}}')",
             # the builtin min's own scan: a NaN is kept or passed over as
@@ -214,8 +212,7 @@ def _stepper(n: int):
         "    return states",
     ])
     namespace = {"LagwebError": LagwebError, "EDGE": 0.5 * math.pi - PHASE_MARGIN,
-                 "FLOOR": METRIC_FLOOR, "TAN": math.tan, "add_reduce": np.add.reduce,
-                 "array": array}
+                 "FLOOR": METRIC_FLOOR, "TAN": math.tan, "array": array}
     exec(compile(source, f"<scalar flow, n = {n}>", "exec"), namespace)
     return namespace["flow"]
 

@@ -73,8 +73,9 @@ The boundary-flux check uses the exact level-family deformation field
 Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
 pairing with the time tangent is sum_j kappa_j^2 Im(conj(w_j) dw_j/dt), so
 it reads the flow factors and builds no cylinder.  The quasi-random sphere
-of n >= 4 makes its Halton points here and its normal quantiles in
-``cephes``, bit for bit scipy's, so no lagweb process imports scipy.
+of n >= 4 makes its Halton points here and takes their normal quantiles
+from the standard library's ``statistics.NormalDist`` (Wichura's AS241),
+so no lagweb process imports scipy.
 """
 
 from __future__ import annotations
@@ -202,13 +203,13 @@ def sphere_grid(n: int, resolution=None) -> SphereGrid:
         d_lon = np.stack([-np.sin(ll), np.cos(ll), np.zeros_like(ll)], axis=1)
         tangents = np.stack([d_lat, d_lon], axis=1)
         return SphereGrid("latlong", np.stack([ll, tt], axis=1), points, tangents)
-    # imported here, so that no n <= 3 process compiles it (module docstring)
-    from .cephes import ndtri
+    # imported here, so that no n <= 3 process loads statistics and what it imports
+    from statistics import NormalDist
 
     m = 4096 if resolution is None else int(resolution)
-    # the clip keeps every coordinate inside (0, 1), where ndtri is defined
+    # the clip keeps every coordinate inside (0, 1), where inv_cdf is defined
     uniform = np.clip(_halton(m, n), 1e-12, 1.0 - 1e-12)
-    gauss = np.array([ndtri(y) for y in uniform.ravel().tolist()]).reshape(m, n)
+    gauss = np.array(list(map(NormalDist().inv_cdf, uniform.ravel().tolist()))).reshape(m, n)
     points = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     # reflection sending p to -sign(p_0) e_0; its remaining columns span p-perp
     sign = np.where(points[:, 0] >= 0.0, 1.0, -1.0)

@@ -558,7 +558,9 @@ class TestTrajectoryFromSolution:
         ("steps", True), ("steps", 400.0), ("steps", 0), ("steps", "400"), ("steps", 10**400),
         ("reversed", 0), ("reversed", "false"), ("reversed", None),
         ("phase0", "0.0"), ("phase0", False), ("phase0", math.nan), ("phase0", math.inf),
-        ("phase0", 10**400),
+        ("phase0", 10**400), ("beta", [0.5]), ("beta", [0.5, True]), ("beta", [0.5, "0.5"]),
+        ("beta", [0.5, math.nan]), ("beta", None), ("tolerance", 0), ("tolerance", math.inf),
+        ("tolerance", "1e-10"), ("residual", None), ("residual", math.nan), ("phase1", "0.5"),
     ], ids=lambda v: repr(v)[:10])
     def test_malformed_field_exit_2(self, tmp_path, readme_400, capsys, key, value):
         run_dir, mesh = readme_400
@@ -578,13 +580,24 @@ class TestTrajectoryFromSolution:
         ("n", 9, "n must be frame0's dimension 2, got 9"),
         ("maslov", 7, "maslov must be 0 or n = 2, got 7"),
         ("reversed", True, "reversed must be false for maslov 0, got true"),
-    ], ids=["n", "maslov", "reversed"])
+        ("beta", [0.8, 0.8], "beta, phase0 and phase1 give the Maslov quotient 0.092629151, not 0"),
+        ("beta", ["0.5", 0.8], 'beta must be n = 2 finite numbers, got ["0.5", 0.8]'),
+        ("residual", 0.5,
+         "residual must be the rebuilt max|theta(1) - beta| {residual!r}, got 0.5"),
+        ("phase1", 0, "beta, phase0 and phase1 give the Maslov quotient 0.416666667, not 0"),
+        ("tolerance", -1, "tolerance must be a positive finite number, got -1"),
+        ("tolerance", 1e-20, "residual {residual!r} is not below tolerance 1e-20"),
+    ], ids=["n", "maslov", "reversed", "beta", "beta-as-text", "residual", "phase1", "tolerance",
+            "tolerance-below-residual"])
     def test_contradictory_field_exit_2(self, tmp_path, readme_400, capsys, key, value,
                                         message):
         # each edit passed both stages: webbing rebuilt the mesh from frame0
-        # alone, or ran the README pair back in time, and exited 0
+        # alone, or ran the README pair back in time, or read no record of
+        # the solve, and exited 0
         run_dir, mesh = readme_400
         doc = json.loads((run_dir / "solution.json").read_text())
+        assert 0.0 < doc["residual"] < 1e-10
+        message = message.format(**doc)
         doc[key] = value
         (tmp_path / "solution.json").write_text(json.dumps(doc))
         for argv in (["webbing", "--levels=-1", "--sphere-res", "16"],

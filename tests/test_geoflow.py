@@ -118,8 +118,9 @@ class TestScalarFlow:
         (11, "phase reached 1.571307 at t = 0.0400"),
     ])
     def test_phase_guard_pairwise(self, n, message):
-        # n >= 8 sums the phase pairwise; the phase rises through the band
-        # at a midpoint stage
+        # at 8 entries and more, where numpy's sum goes pairwise, the stepper
+        # still sums left to right; the phase rises through the band at a
+        # midpoint stage
         spec = frame_spec(diagonal_frame(n, 1.5), -np.linspace(0.01, 0.2, n))
         with pytest.raises(LagwebError, match=f"^{re.escape(message)}$"):
             geodesic_ivp(spec, IntegratorConfig(100))
@@ -127,7 +128,7 @@ class TestScalarFlow:
     @pytest.mark.parametrize("n", [8, 11])
     def test_metric_guard_pairwise(self, n):
         # test_metric_collapse's line as the last of n directions: the
-        # guard scans every g_j, and the pairwise phase is the 1-d one
+        # guard scans every g_j, and with the other angles 0 the phase is the 1-d one
         spec = frame_spec(diagonal_frame(n, 1.5), [0.0] * (n - 1) + [2.0])
         with pytest.raises(LagwebError, match=r"^metric coefficient collapsed at t = 0\.0150$"):
             geodesic_ivp(spec, IntegratorConfig(100))
@@ -155,7 +156,10 @@ def numpy_scalar_rhs(a, phase0):
 
     def rhs(t, y):
         g = y[:n]
-        phi = phase0 + y[n:].sum()
+        total = 0.0
+        for th in y[n:].tolist():   # the stepper's order, not numpy's pairwise one
+            total += th
+        phi = phase0 + total
         if abs(phi) >= 0.5 * math.pi - PHASE_MARGIN:
             raise LagwebError(f"phase reached {phi:.6f} at t = {t:.4f}")
         if g.min() < METRIC_FLOOR:
@@ -181,8 +185,9 @@ def solved_spec(case):
 class TestScalarFlowBits:
     """geodesic_ivp's float stepper against the numpy field through integrate_rk4.
 
-    n >= 8 takes numpy's pairwise phase sum; the hard pairs come within
-    0.016 of pi/2, and at one step both routes stop at the same phase guard.
+    The field sums the phase left to right from 0.0, as the stepper does;
+    the hard pairs come within 0.016 of pi/2, and at one step both routes
+    stop at the same phase guard.
     """
 
     CASES = [("seeded", n) for n in range(1, 11)] + [

@@ -3,11 +3,13 @@ import dataclasses
 import errno
 import fractions
 import functools
+import importlib.util
 import itertools
 import math
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +23,7 @@ from lagweb.errors import LagwebError
 from lagweb.geoflow import geodesic_ivp, thin_trajectory, time_reversed
 from lagweb.laggrass import FlatCalabiYau, make_frame, random_maslov_zero_pair
 from lagweb.numkernel import IntegratorConfig
-from lagweb import cephes, csvtext, geoflow, webbing
+from lagweb import csvtext, geoflow, webbing
 from lagweb.webbing import (
     CylinderMesh,
     SphereGrid,
@@ -96,6 +98,12 @@ def symmetric_traj():
     return geodesic_ivp(spec, IntegratorConfig(2000))
 
 
+def ordinal(x):
+    """Each double's place on the number line, so that neighbours differ by 1."""
+    i = np.ascontiguousarray(x).view(np.int64)
+    return np.where(i < 0, -(i & 0x7FFF_FFFF_FFFF_FFFF), i)
+
+
 class TestLevelSetChart:
     def test_round_circle(self):
         chart = level_set_chart([-1.0, -1.0], -1.0)
@@ -149,12 +157,12 @@ class TestSphereGrid:
         assert np.max(np.abs(gram - eye)) < 1e-12
 
     def test_quasirandom_nodes_are_halton_gaussians(self):
-        from scipy.special import ndtri
         from scipy.stats import qmc
 
         # the Halton seed is fixed at 0: a grid is a function of (n, resolution)
         grid = sphere_grid(4, 64)
-        gauss = ndtri(np.clip(qmc.Halton(d=4, seed=0).random(64), 1e-12, 1.0 - 1e-12))
+        uniform = np.clip(qmc.Halton(d=4, seed=0).random(64), 1e-12, 1.0 - 1e-12)
+        gauss = np.vectorize(statistics.NormalDist().inv_cdf)(uniform)
         expected = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
         np.testing.assert_array_equal(grid.points, expected)
         np.testing.assert_array_equal(grid.params, expected)
@@ -169,26 +177,41 @@ class TestSphereGrid:
             assert got.shape == expected.shape
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    def test_ndtri_is_scipys_bit_for_bit(self):
+    def test_quantiles_within_8_ulps_of_scipy(self):
         from scipy.special import ndtri
 
+        # the grid's clipped domain: uniform, log-uniform towards either end,
+        # the bits around AS241's branch edges (|y - 1/2| = 0.425, and
+        # r = sqrt(-ln min(y, 1 - y)) = 5) and the clip, and the grid's own points
+        lo, hi = 1e-12, 1.0 - 1e-12
         rng = np.random.default_rng(7)
-        # each branch edge and the bits around it: 1 - e^-2 and e^-2 bound
-        # the central branch, and e^-32 is where z = sqrt(-2 ln y) passes 8
         edges = [np.nextafter(edge, direction)
-                 for edge in (math.exp(-2), cephes.EXP_M2, 1.0 - cephes.EXP_M2,
-                              1.0 - math.exp(-2), math.exp(-32))
+                 for edge in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0), lo, hi)
                  for direction in (0.0, 1.0)]
         edges = [edge + step * np.spacing(edge) for edge in edges for step in range(-3, 4)]
-        halton = [np.clip(webbing._halton(m, n), 1e-12, 1.0 - 1e-12).ravel()
+        halton = [np.clip(webbing._halton(m, n), lo, hi).ravel()
                   for n in (4, 5, 6, 8, 12) for m in (64, 256, 4096)]
-        y = np.concatenate([rng.uniform(0.0, 1.0, 20000),
-                            10.0 ** rng.uniform(-300.0, 0.0, 20000),
-                            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20000),
-                            edges, *halton])
-        assert np.all((y > 0.0) & (y < 1.0))
-        got = np.array([cephes.ndtri(value) for value in y.tolist()])
-        np.testing.assert_array_equal(got.view(np.uint64), ndtri(y).view(np.uint64))
+        y = np.clip(np.concatenate([rng.uniform(lo, hi, 20000),
+                                    10.0 ** rng.uniform(-12.0, 0.0, 20000),
+                                    1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 20000),
+                                    edges, *halton]), lo, hi)
+        got = np.array(list(map(statistics.NormalDist().inv_cdf, y.tolist())))
+        assert np.max(np.abs(ordinal(got) - ordinal(ndtri(y)))) <= 8
+
+    def test_quantiles_do_not_depend_on_the_accelerator(self, monkeypatch):
+        # statistics runs _statistics' C inv_cdf where it is built, and its
+        # own Python where it is not: the grid must not tell them apart
+        fast = pytest.importorskip("_statistics")._normal_dist_inv_cdf
+        spec = importlib.util.find_spec("statistics")
+        pure = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "_statistics", None)
+        spec.loader.exec_module(pure)
+        assert pure._normal_dist_inv_cdf is not fast
+        y = np.concatenate([np.clip(webbing._halton(4096, n), 1e-12, 1.0 - 1e-12).ravel()
+                            for n in range(4, 13)]).tolist()
+        got = np.array([fast(value, 0.0, 1.0) for value in y])
+        want = np.array([pure._normal_dist_inv_cdf(value, 0.0, 1.0) for value in y])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_quasirandom_sphere_leaves_scipy_stats_unloaded(self):
         # the n >= 4 grid imports no scipy module at all: scipy.special would

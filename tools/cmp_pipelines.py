@@ -15,8 +15,8 @@ fresh interpreter (``python -m lagweb.cli``):
   n4        random_maslov_zero_pair(default_rng(2), 4), --steps 300,
             --sphere-res 256: n4 and n9 sample the quasi-random sphere
   n9        random_maslov_zero_pair(default_rng(3), 9), --steps 300,
-            --levels=-1, --sphere-res 64: the flow sums its phase pairwise
-            from n = 8 on
+            --levels=-1, --sphere-res 64: the flow and the sphere in nine
+            directions
   n9-tiny   the n9 pair at --levels=-1e-20: there Delta^2 ~ |c|^9 and the
             Hadamard bound's nine factors leave the ranges where the
             factors settle a chunk, so both mesh checks run the reference

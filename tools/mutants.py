@@ -44,8 +44,7 @@ CLI = "src/lagweb/cli.py"
 GRASS = "src/lagweb/laggrass.py"
 ROWS = "tests/test_webbing.py::TestMeshCsv::test_rows_must_be_the_writers"
 HALTON = "tests/test_webbing.py::TestSphereGrid::test_halton_is_scipys_bit_for_bit"
-CEPHES = "src/lagweb/cephes.py"
-NDTRI = "tests/test_webbing.py::TestSphereGrid::test_ndtri_is_scipys_bit_for_bit"
+GAUSSIANS = "tests/test_webbing.py::TestSphereGrid::test_quasirandom_nodes_are_halton_gaussians"
 NAN_FRAME = "tests/test_webbing.py::TestVerifySlag::test_nan_frame_hides_no_degenerate_frame"
 BUDGET = "tests/test_webbing.py::TestChunkBudget::test_chunks_hold_a_block_of_node_samples"
 FRAME_TYPES = "tests/test_cli.py::TestNonFiniteAndHugeInput::test_frame_json_types"
@@ -185,12 +184,6 @@ MUTANTS = {
         [f"{FLOW_BITS}[seeded-1-1000]", f"{FLOW_BITS}[seeded-4-1]", f"{FLOW_BITS}[seeded-9-7]",
          f"{FLOW_BITS}[hard-1-1.565-1000]"],
     ),
-    "RK4 stepper sums the phase of n >= 8 left to right": (
-        FLOW,
-        "if n < 8 else",
-        "if True else",
-        [f"{FLOW_BITS}[seeded-8-7]", f"{FLOW_BITS}[seeded-8-1000]", f"{FLOW_BITS}[seeded-9-1000]"],
-    ),
     "CSV digits without the lo term of the exact product": (
         TEXT,
         "    d += np.rint(lo, out=lo).astype(np.int64)\n",
@@ -284,17 +277,11 @@ MUTANTS = {
         "math.ceil(54 / math.log2(base)) - 2",
         [f"{HALTON}[1]", f"{HALTON}[2]", f"{HALTON}[7]"],
     ),
-    "ndtri coefficient one digit off in the 15th place": (
-        CEPHES,
-        "4.40805073893200834700e1",
-        "4.40805073893200934700e1",
-        [NDTRI],
-    ),
-    "ndtri central branch edge two bits above e^-2": (
-        CEPHES,
-        "EXP_M2 = 0.13533528323661269189",
-        "EXP_M2 = 0.13533528323661276",
-        [NDTRI],
+    "n >= 4 sphere takes the quantile of 1 - y": (
+        WEB,
+        "map(NormalDist().inv_cdf, uniform.ravel().tolist())",
+        "map(NormalDist().inv_cdf, (1.0 - uniform).ravel().tolist())",
+        [GAUSSIANS],
     ),
     "rank ratio folded across chunks with np.minimum, so a NaN frame hides a degenerate one": (
         WEB,
@@ -443,6 +430,36 @@ MUTANTS = {
         "if reverse != (maslov != 0):",
         "if False:",
         [f"{SOLUTION_FIELDS}[reversed]"],
+    ),
+    "solution beta taken as any n values": (
+        CLI,
+        "len(beta) == n and all(map(_finite_number, beta))",
+        "len(beta) == n",
+        [f"{SOLUTION_FIELDS}[beta-as-text]"],
+    ),
+    "solution tolerance not held positive": (
+        CLI,
+        "_finite_number(tolerance) and tolerance > 0",
+        "_finite_number(tolerance)",
+        [f"{SOLUTION_FIELDS}[tolerance]"],
+    ),
+    "solution beta and phases not held to Maslov index 0": (
+        CLI,
+        "if not abs(quotient) < laggrass.INTEGER_TOL:",
+        "if False:",
+        [f"{SOLUTION_FIELDS}[beta]", f"{SOLUTION_FIELDS}[phase1]"],
+    ),
+    "solution residual not compared with the rebuild": (
+        CLI,
+        "_finite_number(residual) and residual == rebuilt",
+        "_finite_number(residual)",
+        [f"{SOLUTION_FIELDS}[residual]"],
+    ),
+    "solution residual not held below tolerance": (
+        CLI,
+        "if not residual < tolerance:",
+        "if False:",
+        [f"{SOLUTION_FIELDS}[tolerance-below-residual]"],
     ),
     "verify skips the comparison with the webbing report": (
         CLI,
