@@ -22,9 +22,10 @@ over [phase0, psi], which never leaves the chart.  Newton in w = log(-v),
 with the Jacobian differentiated under the integral, drives t(phase1) - 1
 and every block th_b - beta_b but the last to zero; the last one follows,
 because sum_b m_b th_b = psi - phase0 holds by construction.  The
-trajectory is one RK4 integration on the requested grid at that root.  When
-the grid misses the targets by more than the tolerance, a few RK4 steps with
-the fixed exact time-1 Jacobian correct the coefficients on that grid.
+trajectory is one RK4 integration of (S, phi) on the requested grid at that
+root (geoflow).  When the grid misses the targets by more than the
+tolerance, a few RK4 steps with the fixed exact time-1 Jacobian correct the
+coefficients on that grid.
 
 A priori bounds: along an admissible flow with phases inside [alpha0, alpha1],
 

@@ -161,6 +161,10 @@ def _finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def _residuals(value) -> bool:
+    return type(value) is list and all(_finite_number(x) and x >= 0 for x in value)
+
+
 def _load_trajectory(solution_path: str):
     """The solver's integration of the stored a from the stored phase0 (not
     the re-made frame's, see GeodesicSpec) over the stored steps, once the
@@ -189,6 +193,8 @@ def _load_trajectory(solution_path: str):
                              f"{json.dumps(maslov != 0)} for maslov {maslov}, "
                              f"got {json.dumps(reverse)}")
         beta, tolerance, residual = solution["beta"], solution["tolerance"], solution["residual"]
+        newton, grid = solution["newton_residuals"], solution["grid_residuals"]
+        condition = solution["jacobian_condition"]
         if not (type(beta) is list and len(beta) == n and all(map(_finite_number, beta))):
             raise ValueError(f"malformed solution JSON: beta must be n = {n} finite numbers, "
                              f"got {json.dumps(beta)}")
@@ -218,6 +224,19 @@ def _load_trajectory(solution_path: str):
     if not residual < tolerance:
         raise ValueError(f"malformed solution JSON: residual {residual!r} is not below "
                          f"tolerance {tolerance!r}")
+    # the solve's history: the exact-map Newton solve returns only below the
+    # tolerance, and a grid correction ends on the trajectory's residual
+    if not (_residuals(newton) and newton and newton[-1] < tolerance):
+        raise ValueError(f"malformed solution JSON: newton_residuals must be one or more finite "
+                         f"non-negative numbers, the last below tolerance {tolerance!r}, got "
+                         f"{json.dumps(newton)}")
+    if not (_residuals(grid) and (not grid or grid[-1] == residual)):
+        raise ValueError(f"malformed solution JSON: grid_residuals must be [] or finite "
+                         f"non-negative numbers ending in residual {residual!r}, got "
+                         f"{json.dumps(grid)}")
+    if not (_finite_number(condition) and condition >= 1):
+        raise ValueError(f"malformed solution JSON: jacobian_condition must be a finite number "
+                         f">= 1, got {json.dumps(condition)}")
     return geoflow.time_reversed(traj) if reverse else traj
 
 

@@ -9,11 +9,12 @@ to the scalar system
     phi(t) = phase0 + sum_j th_j(t),
 
 where g_j is the squared stretch of the j-th frame direction and th_j its
-accumulated rotation angle.  ``geodesic_ivp`` integrates it by fixed-step
-classical RK4 on Python floats (``_scalar_flow``), in one straight-line
-stepper per dimension, generated from n and compiled once (``_stepper``): a
-step on 2n numbers is cheaper without numpy and without lists, and the
-samples are the bits that ``integrate_rk4`` gives on the same equations.
+accumulated rotation angle.  Along the flow g_j = 1 - 4 a_j S with
+S' = tan(phi), S(0) = 0, so the state that the equations leave free is
+(S, phi) alone.  ``geodesic_ivp`` integrates it by fixed-step classical RK4
+on Python floats, in one straight-line stepper per dimension, generated from
+n and compiled once (``_stepper``); g and th are formed from the stored
+stage values of S in one numpy pass (``_scalar_flow``).
 The plane at time t is spanned by w_j u_j for u_j the adapted basis pushed
 into C^n, with the flow factors
 
@@ -125,91 +126,86 @@ class GeodesicTrajectory:
 
 
 def _scalar_flow(a: np.ndarray, phase0: float, config: IntegratorConfig):
-    """Classical RK4 for y = (g, th) from (1, 0) on [0, 1], on Python floats.
+    """Classical RK4 for the flow from (S, phi) = (0, phase0) on [0, 1].
 
-    The steps run in ``_stepper(n)``, straight-line code with every entry a
-    local float.  The arithmetic is ``integrate_rk4``'s on the flow
-    equations, operation for operation, so the samples are the same bits
-    without numpy's call overhead on 2n entries.
-    Returns (times, g, th), the last two (m+1, n).
+    Along the flow g_j = 1 + m_j S with m_j = -4 a_j and S' = tan(phi), and
+    RK4 keeps that linear relation exact, so ``_stepper(n)`` steps the two
+    floats (S, phi) alone and stores the four stage values of S per step.
+    g is then 1 + m S at the samples, and th_j the running sum of the RK4
+    increments of th_j' = b_j / g_j, b_j = -2 a_j, at those stage values:
+    one numpy pass, the same operations that RK4 on (S, phi, th) makes.
+    Returns (times, g, th), the last two (steps + 1, n).
     """
-    n, m = a.size, config.step_count
-    h = 1.0 / m
-    ts = h * np.arange(m + 1)
+    n, steps = a.size, config.step_count
+    h = 1.0 / steps
+    ts = h * np.arange(steps + 1)
     ts[-1] = 1.0
-    ys = np.frombuffer(_stepper(n)(a.tolist(), phase0, m, ts)).reshape(m + 1, 2 * n)
-    return ts, ys[:, :n], ys[:, n:]
+    slope, rate = -4.0 * a, -2.0 * a
+    stages = np.frombuffer(_stepper(n)(slope.tolist(), rate.tolist(), float(phase0), steps, ts))
+    k = rate / (1.0 + slope * stages[:-1].reshape(steps, 4, 1))
+    theta = np.zeros((steps + 1, n))
+    np.cumsum(h / 6.0 * (k[:, 0] + 2.0 * (k[:, 1] + k[:, 2]) + k[:, 3]), axis=0, out=theta[1:])
+    if not np.isfinite(theta[-1]).all():   # a sum stays non-finite once it is
+        first = np.isfinite(theta).all(axis=1).argmin()
+        raise LagwebError(f"state became non-finite at t = {ts[first]:.6g}")
+    return ts, 1.0 + slope * stages[::4, np.newaxis], theta
 
 
 @functools.cache
 def _stepper(n: int):
-    """The RK4 loop of the scalar flow in dimension n >= 1, as Python source
-    built from n alone and compiled once (as ``dataclasses`` builds
-    ``__init__``): g_j, th_j, the stage values G_j, T_j and the rates
-    k{1..4}g_j, k{1..4}t_j are all local floats.
+    """The RK4 loop of (S, phi) in dimension n >= 1, as Python source built
+    from n alone and compiled once (as ``dataclasses`` builds ``__init__``):
+    the state, the stage values S{2..4}, P{2..4} and the rates k{1..4}s,
+    k{1..4}p are all local floats.
 
-    The returned ``flow(a, phase0, m, ts)`` takes the coefficients as a
-    list and returns the m + 1 states (g, th) flat, in an ``array`` of
-    doubles that holds no float object; ts only names the time in the
-    non-finite message.  Each stage guards as the numpy field does.  The
-    phase adds the angles left to right from 0.0 (not by the builtin
-    ``sum``, which is compensated from Python 3.12).
+    The returned ``flow(m, b, phase0, steps, ts)`` takes the slopes m_j and
+    the rates b_j as lists and returns the stage values of S, four per step
+    and the last S, in an ``array`` of doubles that holds no float object;
+    ts only names the time in the non-finite message.  Each stage guards
+    the phase, then the metric floor on the one extreme 1 + m_j S, which is
+    the least of the n since rounding is monotone: the least m_j while S > 0,
+    the greatest otherwise.  phi' = sum_j b_j / (1 + m_j S) adds left to right.
     """
-    g, th = [f"g{j}" for j in range(n)], [f"th{j}" for j in range(n)]
-    stage_g, stage_th = [f"G{j}" for j in range(n)], [f"T{j}" for j in range(n)]
-
-    def listed(names):
-        return ", ".join(names) + ","   # a tuple or target list, one name too
-
-    def rates(k, gs, ths, t):
-        """The k-th rates at state (gs, ths) and time t, behind the guards."""
+    def rates(k, s, p, t):
+        """The k-th rates at stage (s, p) and time t, behind the guards."""
         return [
-            f"phi = phase0 + ({' + '.join(['0.0', *ths])})",
-            "if abs(phi) >= edge:",
-            f"    raise LagwebError(f'phase reached {{phi:.6f}} at t = {{{t}:.4f}}')",
-            # the builtin min's own scan: a NaN is kept or passed over as
-            # min() would, and min() decides as g.min() does, since NaN
-            # enters g only through a NaN phase, which makes all of g NaN
-            f"low = {gs[0]}",
-            *[f"if {x} < low: low = {x}" for x in gs[1:]],
-            "if low < floor:",
+            f"if abs({p}) >= edge:",
+            f"    raise LagwebError(f'phase reached {{{p}:.6f}} at t = {{{t}:.4f}}')",
+            f"if 1.0 + (least if {s} > 0.0 else most) * {s} < floor:",
             f"    raise LagwebError(f'metric coefficient collapsed at t = {{{t}:.4f}}')",
-            "c = -4.0 * tan(phi)",
-            *[f"k{k}g{j} = c * a{j}" for j in range(n)],
-            *[f"k{k}t{j} = b{j} / {gs[j]}" for j in range(n)],
+            f"k{k}s = tan({p})",
+            f"k{k}p = " + " + ".join(f"b{j} / (1.0 + m{j} * {s})" for j in range(n)),
         ]
 
-    def stage(k, step):
-        """The stage state y + step * k_k."""
-        return ([f"G{j} = g{j} + {step} * k{k}g{j}" for j in range(n)]
-                + [f"T{j} = th{j} + {step} * k{k}t{j}" for j in range(n)])
-
     body = [
-        *rates(1, g, th, "h * i"), *stage(1, "half"),
-        *rates(2, stage_g, stage_th, "h * i + half"), *stage(2, "half"),
-        *rates(3, stage_g, stage_th, "h * i + half"), *stage(3, "h"),
-        *rates(4, stage_g, stage_th, "h * i + h"),
-        *[f"{y}{j} = {y}{j} + sixth * (k1{r}{j} + 2.0 * (k2{r}{j} + k3{r}{j}) + k4{r}{j})"
-          for y, r in (("g", "g"), ("th", "t")) for j in range(n)],
+        *rates(1, "S", "phi", "h * i"),
+        "S2, P2 = S + half * k1s, phi + half * k1p",
+        *rates(2, "S2", "P2", "h * i + half"),
+        "S3, P3 = S + half * k2s, phi + half * k2p",
+        *rates(3, "S3", "P3", "h * i + half"),
+        "S4, P4 = S + h * k3s, phi + h * k3p",
+        *rates(4, "S4", "P4", "h * i + h"),
+        "store((S, S2, S3, S4))",
+        "S = S + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)",
+        "phi = phi + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)",
         # x - x is 0.0 exactly when x is finite, NaN otherwise
-        f"if {' + '.join(f'({y} - {y})' for y in g + th)} != 0.0:",
+        "if (S - S) + (phi - phi) != 0.0:",
         "    raise LagwebError(f'state became non-finite at t = {ts[i + 1]:.6g}')",
-        f"store(({listed(g + th)}))",
     ]
     source = "\n".join([
-        "def flow(a, phase0, m, ts):",
-        f"    {listed(f'a{j}' for j in range(n))} = a",
-        *[f"    b{j} = -2.0 * a{j}" for j in range(n)],
-        "    h = 1.0 / m",
+        "def flow(m, b, phase0, steps, ts):",
+        *[f"    {', '.join(f'{x}{j}' for j in range(n))}, = {x}" for x in "mb"],
+        "    least, most = min(m), max(m)",
+        "    h = 1.0 / steps",
         "    half, sixth = 0.5 * h, h / 6.0",
         "    edge, floor, tan = EDGE, FLOOR, TAN",
-        f"    {' = '.join(g)} = 1.0",
-        f"    {' = '.join(th)} = 0.0",
-        f"    states = array('d', ({listed(g + th)}))",
-        "    store = states.extend",
-        "    for i in range(m):",
+        "    S, phi = 0.0, phase0",
+        "    stages = array('d')",
+        "    store = stages.extend",
+        "    for i in range(steps):",
         *[f"        {line}" for line in body],
-        "    return states",
+        "    stages.append(S)",
+        "    return stages",
     ])
     namespace = {"LagwebError": LagwebError, "EDGE": 0.5 * math.pi - PHASE_MARGIN,
                  "FLOOR": METRIC_FLOOR, "TAN": math.tan, "array": array}

@@ -430,6 +430,20 @@ def _in_range(values):
     return 2.0**-500 <= values.min() and values.max() <= 2.0**500
 
 
+def _imag_range(det):
+    """(min, max) of Im Omega over a chunk, folded over a contiguous copy,
+    about twice as fast as over the strided view det.imag.  Where an end is
+    a zero or a NaN, whose sign or payload depends on the loop's order (a
+    minimum among +0.0 and -0.0 of 8k + 1 entries does), the strided view is
+    folded again: any other minimum or maximum is one value with one bit
+    pattern, so the result is always the strided fold's bits."""
+    im = det.imag.copy()
+    low, high = im.min(), im.max()
+    if low == 0.0 or high == 0.0 or low != low:
+        return det.imag.min(), det.imag.max()
+    return low, high
+
+
 def _sup_abs(x):
     """max |x| with no |x| array; + 0.0 makes a -0.0 maximum np.abs's +0.0,
     and a NaN stays."""
@@ -508,7 +522,7 @@ def _closed_calibration(mesh: CylinderMesh):
     bounds = zip(*_chunk_bounds(dw_sq, kappa_sq, starts), *_chunk_bounds(g, sphere_sq, starts))
     for sl, chunk_bounds in zip(chunks, bounds):
         det = scale[sl, np.newaxis] * (d[sl] @ c)
-        im_min, im_max = det.imag.min(), det.imag.max()
+        im_min, im_max = _imag_range(det)
         if _rank_settled(im_min, im_max, *chunk_bounds, m + 1):
             ratio = math.inf
         else:

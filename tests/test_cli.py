@@ -561,6 +561,11 @@ class TestTrajectoryFromSolution:
         ("phase0", 10**400), ("beta", [0.5]), ("beta", [0.5, True]), ("beta", [0.5, "0.5"]),
         ("beta", [0.5, math.nan]), ("beta", None), ("tolerance", 0), ("tolerance", math.inf),
         ("tolerance", "1e-10"), ("residual", None), ("residual", math.nan), ("phase1", "0.5"),
+        ("newton_residuals", None), ("newton_residuals", [math.nan]),
+        ("newton_residuals", [True]), ("newton_residuals", ["0"]), ("grid_residuals", None),
+        ("grid_residuals", [math.inf]), ("grid_residuals", [-0.5]),
+        ("jacobian_condition", math.inf), ("jacobian_condition", True),
+        ("jacobian_condition", "2.0"),
     ], ids=lambda v: repr(v)[:10])
     def test_malformed_field_exit_2(self, tmp_path, readme_400, capsys, key, value):
         run_dir, mesh = readme_400
@@ -587,8 +592,20 @@ class TestTrajectoryFromSolution:
         ("phase1", 0, "beta, phase0 and phase1 give the Maslov quotient 0.416666667, not 0"),
         ("tolerance", -1, "tolerance must be a positive finite number, got -1"),
         ("tolerance", 1e-20, "residual {residual!r} is not below tolerance 1e-20"),
+        ("newton_residuals", [1], "newton_residuals must be one or more finite non-negative "
+                                  "numbers, the last below tolerance 1e-10, got [1]"),
+        ("newton_residuals", [], "newton_residuals must be one or more finite non-negative "
+                                 "numbers, the last below tolerance 1e-10, got []"),
+        ("newton_residuals", [0.5, -1e-20], "newton_residuals must be one or more finite "
+                                            "non-negative numbers, the last below tolerance "
+                                            "1e-10, got [0.5, -1e-20]"),
+        ("grid_residuals", [1e-9, 0.5], "grid_residuals must be [] or finite non-negative "
+                                        "numbers ending in residual {residual!r}, got [1e-09, 0.5]"),
+        ("jacobian_condition", -5, "jacobian_condition must be a finite number >= 1, got -5"),
+        ("jacobian_condition", 0.5, "jacobian_condition must be a finite number >= 1, got 0.5"),
     ], ids=["n", "maslov", "reversed", "beta", "beta-as-text", "residual", "phase1", "tolerance",
-            "tolerance-below-residual"])
+            "tolerance-below-residual", "newton-above-tolerance", "newton-empty",
+            "newton-negative", "grid-last-entry", "jacobian-condition", "jacobian-below-1"])
     def test_contradictory_field_exit_2(self, tmp_path, readme_400, capsys, key, value,
                                         message):
         # each edit passed both stages: webbing rebuilt the mesh from frame0

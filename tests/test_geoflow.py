@@ -1,7 +1,12 @@
 import fractions
 import functools
+import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import lagweb
 from lagweb import csvtext
 from lagweb.bvpsolve import solve_bvp_maslov0
 from lagweb.csvtext import CSV_CELL, csv_rows
@@ -17,6 +23,7 @@ from lagweb.errors import LagwebError
 from lagweb.geoflow import (
     METRIC_FLOOR,
     PHASE_MARGIN,
+    GeodesicSpec,
     GeodesicTrajectory,
     frame_ode_oracle,
     geodesic_ivp,
@@ -105,7 +112,7 @@ class TestScalarFlow:
             geodesic_ivp(spec, IntegratorConfig(100))
 
     def test_non_finite_state(self):
-        # -2 a_j overflows to +-inf: the angles cancel to a NaN phase, which no
+        # -2 a_j overflows to +-inf: the rates cancel to a NaN phi', which no
         # rate guard trips, and the first step ends non-finite
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
         spec = frame_spec(l0, [-1e308, 1e308])
@@ -113,28 +120,37 @@ class TestScalarFlow:
             with pytest.raises(LagwebError, match=r"^state became non-finite at t = 0\.01$"):
                 geodesic_ivp(spec, IntegratorConfig(100))
 
+    def test_angles_overflow_while_phi_stays_finite(self):
+        # the rates cancel in phi' = 0 at every stage, so S and phi stay 0
+        # while each angle's RK4 increment overflows in the first step
+        l0 = make_frame(FlatCalabiYau(2), np.eye(2))
+        spec = frame_spec(l0, [-4e307, 4e307])
+        with np.errstate(over="ignore"):
+            with pytest.raises(LagwebError, match=r"^state became non-finite at t = 0\.01$"):
+                geodesic_ivp(spec, IntegratorConfig(100))
+
     @pytest.mark.parametrize("n, message", [
         (8, "phase reached 1.572527 at t = 0.0650"),
         (11, "phase reached 1.571307 at t = 0.0400"),
     ])
-    def test_phase_guard_pairwise(self, n, message):
-        # at 8 entries and more, where numpy's sum goes pairwise, the stepper
-        # still sums left to right; the phase rises through the band at a
-        # midpoint stage
+    def test_phase_guard_many_directions(self, n, message):
+        # phi' sums n rates left to right; the phase rises through the band
+        # at a midpoint stage
         spec = frame_spec(diagonal_frame(n, 1.5), -np.linspace(0.01, 0.2, n))
         with pytest.raises(LagwebError, match=f"^{re.escape(message)}$"):
             geodesic_ivp(spec, IntegratorConfig(100))
 
     @pytest.mark.parametrize("n", [8, 11])
-    def test_metric_guard_pairwise(self, n):
-        # test_metric_collapse's line as the last of n directions: the
-        # guard scans every g_j, and with the other angles 0 the phase is the 1-d one
+    def test_metric_guard_many_directions(self, n):
+        # test_metric_collapse's line as the last of n directions: the guard
+        # takes the least slope m_j = -4 a_j, and with the other angles 0 the
+        # phase is the 1-d one
         spec = frame_spec(diagonal_frame(n, 1.5), [0.0] * (n - 1) + [2.0])
         with pytest.raises(LagwebError, match=r"^metric coefficient collapsed at t = 0\.0150$"):
             geodesic_ivp(spec, IntegratorConfig(100))
 
     @pytest.mark.parametrize("n", [8, 11])
-    def test_non_finite_guard_pairwise(self, n):
+    def test_non_finite_guard_many_directions(self, n):
         spec = frame_spec(diagonal_frame(n, 0.0), [0.0] * (n - 2) + [-1e308, 1e308])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(LagwebError, match=r"^state became non-finite at t = 0\.01$"):
@@ -150,23 +166,36 @@ class TestScalarFlow:
             assert traj.g.max() <= bound + 1e-6
 
 
-def numpy_scalar_rhs(a, phase0):
-    """The scalar flow as one numpy vector field, for ``integrate_rk4``."""
+def numpy_scalar_rhs(a):
+    """The flow of y = (S, phi, th_1..th_n) as one numpy vector field, for
+    ``integrate_rk4``, with g = 1 + m S and m = -4 a."""
+    slope, rate = -4.0 * a, -2.0 * a
+
+    def rhs(t, y):
+        s, phi = y[0], y[1]
+        if abs(phi) >= 0.5 * math.pi - PHASE_MARGIN:
+            raise LagwebError(f"phase reached {phi:.6f} at t = {t:.4f}")
+        g = 1.0 + slope * s
+        if g.min() < METRIC_FLOOR:
+            raise LagwebError(f"metric coefficient collapsed at t = {t:.4f}")
+        dtheta = rate / g
+        total, *rest = dtheta.tolist()
+        for x in rest:   # the stepper's order, not numpy's pairwise one
+            total += x
+        return np.concatenate([[math.tan(phi), total], dtheta])
+
+    return rhs
+
+
+def numpy_2n_rhs(a, phase0):
+    """The flow of y = (g_1..g_n, th_1..th_n), with phi = phase0 + sum th."""
     n = a.size
 
     def rhs(t, y):
-        g = y[:n]
-        total = 0.0
-        for th in y[n:].tolist():   # the stepper's order, not numpy's pairwise one
-            total += th
-        phi = phase0 + total
-        if abs(phi) >= 0.5 * math.pi - PHASE_MARGIN:
-            raise LagwebError(f"phase reached {phi:.6f} at t = {t:.4f}")
-        if g.min() < METRIC_FLOOR:
-            raise LagwebError(f"metric coefficient collapsed at t = {t:.4f}")
+        phi = phase0 + y[n:].sum()
         out = np.empty(2 * n)
         out[:n] = (-4.0 * math.tan(phi)) * a
-        out[n:] = (-2.0) * a / g
+        out[n:] = (-2.0) * a / y[:n]
         return out
 
     return rhs
@@ -183,11 +212,12 @@ def solved_spec(case):
 
 
 class TestScalarFlowBits:
-    """geodesic_ivp's float stepper against the numpy field through integrate_rk4.
+    """geodesic_ivp's (S, phi) stepper and angle pass against the numpy
+    field of (S, phi, th) through integrate_rk4.
 
-    The field sums the phase left to right from 0.0, as the stepper does;
-    the hard pairs come within 0.016 of pi/2, and at one step both routes
-    stop at the same phase guard.
+    The field sums phi' left to right, as the stepper does; the hard pairs
+    come within 0.016 of pi/2, and at one step both routes stop at the same
+    phase guard.
     """
 
     CASES = [("seeded", n) for n in range(1, 11)] + [
@@ -200,18 +230,30 @@ class TestScalarFlowBits:
     def test_same_bits_as_numpy_rk4(self, case, steps):
         spec = solved_spec(case)
         config = IntegratorConfig(steps)
-        y0 = np.concatenate([np.ones(spec.n), np.zeros(spec.n)])
+        y0 = np.concatenate([[0.0, spec.phase0], np.zeros(spec.n)])
         try:
-            ts, ys = integrate_rk4(numpy_scalar_rhs(spec.coefficients, spec.phase0),
-                                   y0, 0.0, 1.0, config)
+            ts, ys = integrate_rk4(numpy_scalar_rhs(spec.coefficients), y0, 0.0, 1.0, config)
         except LagwebError as exc:
             with pytest.raises(LagwebError, match=f"^{re.escape(str(exc))}$"):
                 geodesic_ivp(spec, config)
             return
         traj = geodesic_ivp(spec, config)
-        for got, want in ((traj.times, ts), (traj.g, ys[:, :spec.n]), (traj.theta, ys[:, spec.n:])):
+        g = 1.0 + -4.0 * spec.coefficients * ys[:, :1]
+        for got, want in ((traj.times, ts), (traj.g, g), (traj.theta, ys[:, 2:])):
             assert got.shape == want.shape
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[:3])))
+    def test_agrees_with_rk4_on_g_and_theta(self, case):
+        # RK4 on (g, th) and on (S, phi) are the same steps in exact
+        # arithmetic; g reaches 86 on the hard pairs, so its error is relative
+        spec = solved_spec(case)
+        config = IntegratorConfig(1000)
+        y0 = np.concatenate([np.ones(spec.n), np.zeros(spec.n)])
+        _, ys = integrate_rk4(numpy_2n_rhs(spec.coefficients, spec.phase0), y0, 0.0, 1.0, config)
+        traj = geodesic_ivp(spec, config)
+        assert np.max(np.abs(traj.g / ys[:, :spec.n] - 1.0)) < 1e-13
+        assert np.max(np.abs(traj.theta - ys[:, spec.n:])) < 1e-13
 
 
 class TestHorizontalFrame:
@@ -340,6 +382,58 @@ class TestTrajectoryCsv:
                                              f"solution's trajectory: {re.escape(str(path))} "
                                              "column t differs in data row 40$"):
             read_trajectory_csv(path, traj)
+
+
+# (a, phase0, steps) per case; phase0 < 0 takes S below 0 and back
+GOLDEN_FLOWS = {
+    "n1": ([-0.3], 0.2, 64),
+    "n2": ([-0.25, -0.4], 0.1, 200),
+    "n3": ([-0.1, -0.2, -0.35], -0.3, 100),
+    "n9": ([-0.01, -0.02, -0.03, -0.04, -0.05, -0.06, -0.07, -0.08, -0.09], 0.1, 50),
+}
+GOLDEN_SHA256 = {
+    "n1": "6c61ee0af6c528f49d84115194dcff1efa772a9a9c51487df833fb29848c9559",
+    "n2": "6abf0660b3dbf05a997a302ace7424e23bc14913376364461ed2d7bd77c246b2",
+    "n3": "3fa7ebb5f0f42b7c11f530c098853e6cb2e8ad170ef21eb574b7232780b3b472",
+    "n9": "b83a1471f72b10959eeeb26f35ea45bdf98c499f4c7a4a53a94c09a68cf894f5",
+}
+
+
+def trajectory_digests(directory) -> dict:
+    """The sha256 of each GOLDEN_FLOWS case's trajectory CSV, written in directory."""
+    digests = {}
+    for name, (a, phase0, steps) in GOLDEN_FLOWS.items():
+        n = len(a)
+        spec = GeodesicSpec(base=diagonal_frame(n, phase0), adapted_basis=np.eye(n),
+                            coefficients=np.array(a), phase0=phase0)
+        path = os.path.join(directory, f"{name}.csv")
+        write_trajectory_csv(geodesic_ivp(spec, IntegratorConfig(steps)), path)
+        with open(path, "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+class TestTrajectoryCsvBytes:
+    """The flow and its text call no BLAS, and the flow's numpy pass and
+    the text are exact elementwise operations and sums in a fixed order:
+    the trajectory CSV's bytes depend on (a, phase0, steps) alone.  A
+    format change updates these digests and says so in CHANGES.md."""
+
+    def test_golden_digests(self, tmp_path):
+        assert trajectory_digests(tmp_path) == GOLDEN_SHA256
+
+    def test_golden_digests_without_avx512_loops(self, tmp_path):
+        features = np._core._multiarray_umath.__cpu_features__
+        if not features.get("X86_V4"):
+            pytest.skip("no AVX-512 loops to turn off on this host")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lagweb.__file__)))
+        code = ("import json, sys; from test_geoflow import trajectory_digests; "
+                "print(json.dumps(trajectory_digests(sys.argv[1])))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]),
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout) == GOLDEN_SHA256
 
 
 def printf_rows(table):

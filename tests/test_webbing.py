@@ -617,6 +617,39 @@ def edited_traj(traj, row, g=None, theta=None):
                                       theta=theta_values)
 
 
+def float_bits(*values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+class TestImagRange:
+    """_closed_calibration's Im Omega fold per chunk must give the bits of
+    the fold over the strided view det.imag, also where they depend on the
+    loop: over 8k + 1 entries of +-0 the contiguous fold and the strided one
+    can end on different zeros."""
+
+    @pytest.mark.parametrize("shape", [(1, 9), (1, 17), (3, 11), (8, 2049), (16, 1024)])
+    @pytest.mark.parametrize("ends", ["zeros", "zero-max", "zero-min"])
+    def test_signed_zeros_at_the_ends(self, shape, ends):
+        rng = np.random.default_rng(shape[1])
+        for _ in range(20):
+            det = rng.standard_normal(shape).astype(complex)
+            det.imag = rng.choice([0.0, -0.0], shape)   # 1j * -0.0 has imaginary part +0.0
+            if ends != "zeros":
+                sign = -1.0 if ends == "zero-max" else 1.0
+                det.imag[rng.random(shape) < 0.5] = sign * rng.uniform(0.5, 2.0)
+            assert float_bits(*webbing._imag_range(det)) == float_bits(det.imag.min(),
+                                                                        det.imag.max())
+
+    @pytest.mark.parametrize("nans", [[np.nan], [-np.nan], [np.nan, -np.nan]])
+    def test_nan(self, nans):
+        det = np.exp(1j * np.linspace(0.1, 3.0, 17 * 8)).reshape(8, 17)
+        nan_bits = np.array(nans).view(np.int64) | 0x5  # NaNs of other payloads
+        for k, bits in enumerate(nan_bits):
+            det.imag[k + 2, 3 * k] = bits.view(np.float64)
+        assert float_bits(*webbing._imag_range(det)) == float_bits(det.imag.min(),
+                                                                    det.imag.max())
+
+
 class TestClosedFormGuards:
     @pytest.fixture(scope="class")
     def traj3(self):

@@ -37,6 +37,9 @@ ROW_NUMBERS = "tests/test_webbing.py::TestMeshCsv::test_rows_numbered_across_blo
 FLOW = "src/lagweb/geoflow.py"
 TEXT = "src/lagweb/csvtext.py"
 FLOW_BITS = "tests/test_geoflow.py::TestScalarFlowBits::test_same_bits_as_numpy_rk4"
+FLOW_AGREES = "tests/test_geoflow.py::TestScalarFlowBits::test_agrees_with_rk4_on_g_and_theta"
+FLOW_GUARDS = "tests/test_geoflow.py::TestScalarFlow"
+IMAG_RANGE = "tests/test_webbing.py::TestImagRange"
 CSV_TEXT = "tests/test_geoflow.py::TestCsvText"
 CELLS = "tests/test_geoflow.py::TestCsvCells"
 SLICES = "tests/test_webbing.py::TestSlicePoints"
@@ -179,10 +182,44 @@ MUTANTS = {
     ),
     "RK4 stepper weighs k2 and k3 apart, 2 k2 + 2 k3": (
         FLOW,
-        "2.0 * (k2{r}{j} + k3{r}{j})",
-        "2.0 * k2{r}{j} + 2.0 * k3{r}{j}",
-        [f"{FLOW_BITS}[seeded-1-1000]", f"{FLOW_BITS}[seeded-4-1]", f"{FLOW_BITS}[seeded-9-7]",
+        "S = S + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)",
+        "S = S + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)",
+        [f"{FLOW_BITS}[seeded-1-7]", f"{FLOW_BITS}[seeded-5-1000]", f"{FLOW_BITS}[hard-0-1.555-7]",
          f"{FLOW_BITS}[hard-1-1.565-1000]"],
+    ),
+    "RK4 stage 4 takes S + half k3": (
+        FLOW,
+        "S4, P4 = S + h * k3s,",
+        "S4, P4 = S + half * k3s,",
+        [f"{FLOW_BITS}[seeded-2-1]", f"{FLOW_BITS}[seeded-3-1000]", f"{FLOW_AGREES}[seeded-5]"],
+    ),
+    "metric guard takes the other extreme of m": (
+        FLOW,
+        "(least if {s} > 0.0 else most)",
+        "(most if {s} > 0.0 else least)",
+        [f"{FLOW_GUARDS}::test_metric_guard_many_directions[8]",
+         f"{FLOW_GUARDS}::test_metric_guard_many_directions[11]"],
+    ),
+    "angle pass weighs k2 and k3 apart, 2 k2 + 2 k3": (
+        FLOW,
+        "2.0 * (k[:, 1] + k[:, 2])",
+        "2.0 * k[:, 1] + 2.0 * k[:, 2]",
+        [f"{FLOW_BITS}[seeded-2-1]", f"{FLOW_BITS}[seeded-6-7]",
+         f"{FLOW_BITS}[hard-0-1.555-1000]"],
+    ),
+    "angle pass without its non-finite check": (
+        FLOW,
+        "    if not np.isfinite(theta[-1]).all():",
+        "    if False:",
+        [f"{FLOW_GUARDS}::test_angles_overflow_while_phi_stays_finite"],
+    ),
+    "Im Omega fold without its strided redo at a zero or NaN end": (
+        WEB,
+        "    if low == 0.0 or high == 0.0 or low != low:",
+        "    if False:",
+        [f"{IMAG_RANGE}::test_signed_zeros_at_the_ends[zeros-shape1]",
+         f"{IMAG_RANGE}::test_signed_zeros_at_the_ends[zero-max-shape2]",
+         f"{IMAG_RANGE}::test_nan[nans2]"],
     ),
     "CSV digits without the lo term of the exact product": (
         TEXT,
@@ -300,7 +337,7 @@ MUTANTS = {
         "near = np.flatnonzero(square <= least * (1.0 + 1e-11))",
         "near = np.array([np.argmin(square)])",
         [f"{SCREENED}::test_tied_minima[64--1.0]", f"{SCREENED}::test_tied_minima[128--1e-09]",
-         f"{SCREENED}::test_readme_pair[-0.25]"],
+         f"{SCREENED}::test_levels[2--1000000.0]"],
     ),
     "sine screen without its range guard": (
         WEB,
@@ -357,7 +394,7 @@ MUTANTS = {
         WEB,
         "np.subtract(z[:, 1], z[:, -1], out=diff[:, 0])",
         "np.subtract(z[:, 1], z[:, -2], out=diff[:, 0])",
-        [f"{SCREENED}::test_levels[2--0.7]", f"{SCREENED}::test_readme_pair[-1.0]"],
+        [f"{SCREENED}::test_levels[2--0.7]", f"{SCREENED}::test_budgets[2-None]"],
     ),
     "CSV write error raised without its file": (
         TEXT,
@@ -460,6 +497,24 @@ MUTANTS = {
         "if not residual < tolerance:",
         "if False:",
         [f"{SOLUTION_FIELDS}[tolerance-below-residual]"],
+    ),
+    "solution newton_residuals not held below tolerance": (
+        CLI,
+        "and newton[-1] < tolerance",
+        "",
+        [f"{SOLUTION_FIELDS}[newton-above-tolerance]"],
+    ),
+    "solution grid_residuals not held to end in residual": (
+        CLI,
+        "(not grid or grid[-1] == residual)",
+        "True",
+        [f"{SOLUTION_FIELDS}[grid-last-entry]"],
+    ),
+    "solution jacobian_condition not held >= 1": (
+        CLI,
+        "_finite_number(condition) and condition >= 1",
+        "_finite_number(condition)",
+        [f"{SOLUTION_FIELDS}[jacobian-condition]", f"{SOLUTION_FIELDS}[jacobian-below-1]"],
     ),
     "verify skips the comparison with the webbing report": (
         CLI,
