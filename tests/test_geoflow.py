@@ -133,9 +133,9 @@ class TestScalarFlow:
         (8, "phase reached 1.572527 at t = 0.0650"),
         (11, "phase reached 1.571307 at t = 0.0400"),
     ])
-    def test_phase_guard_many_directions(self, n, message):
-        # phi' sums n rates left to right; the phase rises through the band
-        # at a midpoint stage
+    def test_phase_guard_pairwise(self, n, message):
+        # phi' sums n rates left to right (the name is from the pairwise sum
+        # it once used); the phase rises through the band at a midpoint stage
         spec = frame_spec(diagonal_frame(n, 1.5), -np.linspace(0.01, 0.2, n))
         with pytest.raises(LagwebError, match=f"^{re.escape(message)}$"):
             geodesic_ivp(spec, IntegratorConfig(100))
