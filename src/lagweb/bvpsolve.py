@@ -181,23 +181,26 @@ def exact_shooting_map(v, mult, phase0, nodes, weights):
 def solve_exact_map(beta_block, mult, phase0, tolerance):
     """Newton in w = log(-v) on the exact map.
 
-    Returns (v, nodes, weights, history): the root, the quadrature it was
-    solved on, and the residual norm at every accepted iterate.  Iterates
-    stop at or below 1e-3 * tolerance (a subnormal tolerance makes that 0),
-    or below tolerance where rounding stops the descent.
+    Returns (v, root, history): the root; exact_shooting_map's outputs
+    (t, th, dt, dth, rate) at that root, on the quadrature it was solved on,
+    kept from the last accepted iterate; and the residual norm at every
+    accepted iterate.  Iterates stop at or below 1e-3 * tolerance (a
+    subnormal tolerance makes that 0), or below tolerance where rounding
+    stops the descent.
     """
     nodes, weights = phase_quadrature(phase0, phase0 + beta_block @ mult)
 
     def residual(w):
         v = -np.exp(w)
-        t, th, dt, dth, _ = exact_shooting_map(v, mult, phase0, nodes, weights)
+        out = exact_shooting_map(v, mult, phase0, nodes, weights)
+        t, th, dt, dth, _ = out
         r = np.concatenate([[t - 1.0], th[:-1] - beta_block[:-1]])
-        return r, np.vstack([dt, dth[:-1]]) * v[np.newaxis, :]
+        return r, np.vstack([dt, dth[:-1]]) * v[np.newaxis, :], out
 
     # each block alone would rotate by beta_b in unit time with the 1-D root
     # -cos^2(phase0) (tan(phase0 + beta_b) - tan(phase0)) / 2; start at half of it
     w = np.log(0.25 * math.cos(phase0) ** 2 * (np.tan(phase0 + beta_block) - math.tan(phase0)))
-    r, jac = residual(w)
+    r, jac, out = residual(w)
     history = [float(np.max(np.abs(r)))]
     while history[-1] > 1e-3 * tolerance:
         if len(history) > NEWTON_ITERATIONS:
@@ -213,7 +216,7 @@ def solve_exact_map(beta_block, mult, phase0, tolerance):
         step = min(1.0, 2.0 / np.max(np.abs(delta)))
         while True:
             try:
-                r_try, jac_try = residual(w + step * delta)
+                r_try, jac_try, out_try = residual(w + step * delta)
                 norm = float(np.max(np.abs(r_try)))
             except NoConvergence:  # a trial so far out that v overflowed
                 norm = math.inf
@@ -222,12 +225,12 @@ def solve_exact_map(beta_block, mult, phase0, tolerance):
             step *= 0.5
             if step < 1e-6:
                 if history[-1] < tolerance:
-                    return -np.exp(w), nodes, weights, history
+                    return -np.exp(w), out, history
                 raise NoConvergence("exact-map Newton step stopped descending",
                                     best_residual=min(history))
-        w, r, jac = w + step * delta, r_try, jac_try
+        w, r, jac, out = w + step * delta, r_try, jac_try, out_try
         history.append(norm)
-    return -np.exp(w), nodes, weights, history
+    return -np.exp(w), out, history
 
 
 def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
@@ -270,8 +273,8 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
 
     beta_block = _block_average(spectrum.beta, blocks)
     mult = np.array([len(b) for b in blocks], dtype=float)
-    v, nodes, weights, history = solve_exact_map(beta_block, mult, spectrum.phase0, tolerance)
-    _, _, dt, dth, rate = exact_shooting_map(v, mult, spectrum.phase0, nodes, weights)
+    v, (_, _, dt, dth, rate), history = solve_exact_map(beta_block, mult, spectrum.phase0,
+                                                        tolerance)
     jac1 = dth - rate[:, np.newaxis] * dt[np.newaxis, :]   # d th(1) / dv on the exact flow
 
     grid = []  # RK4 residual of each trajectory on the requested grid

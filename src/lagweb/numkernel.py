@@ -6,10 +6,13 @@ nontrivial algorithm is the two-stage Jacobi scheme for symmetric unitary
 matrices: the real and imaginary parts of such a matrix are commuting real
 symmetric matrices, so a joint orthogonal eigenbasis exists and can be found
 by diagonalizing Re(S) first and then Im(S) restricted to each Re-eigenspace.
+Each Jacobi rotation runs on Python floats with no BLAS call, so its bits do
+not depend on the host's BLAS kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,39 +46,62 @@ class IntegratorConfig:
             raise ValueError("step_count must be >= 1")
 
 
+def _largest_off_diagonal(rows) -> float:
+    """np.max(np.abs(a - np.diag(a.diagonal()))) of a list of rows: NaN if
+    any term is NaN, as numpy's maximum gives."""
+    terms = [abs(x - x) if i == j else abs(x)
+             for i, row in enumerate(rows) for j, x in enumerate(row)]
+    return math.nan if any(x != x for x in terms) else max(terms)
+
+
 def jacobi_eigh(a: np.ndarray):
     """Cyclic Jacobi diagonalization of a real symmetric matrix.
 
     Returns (eigenvalues, V) with a = V @ diag(w) @ V.T; sweeps stop once the
-    largest off-diagonal entry drops below JACOBI_TOL.
+    largest off-diagonal entry drops below JACOBI_TOL.  The rotations run on
+    Python floats with no BLAS call, so (w, V) has the same bits on every
+    host; a diagonal input returns its diagonal and V = I.
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
-    v = np.eye(n)
     if n == 1:
-        return a.diagonal().copy(), v
+        return a.diagonal().copy(), np.eye(1)
+    rows = a.tolist()
+    vt = np.eye(n).tolist()  # rows of V.T: a rotation of V's columns is one of vt's rows
     for _ in range(JACOBI_MAX_SWEEPS):
-        if np.max(np.abs(a - np.diag(a.diagonal()))) < JACOBI_TOL:
+        if _largest_off_diagonal(rows) < JACOBI_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = rows[p][q]
                 if abs(apq) < 0.1 * JACOBI_TOL:
                     continue
                 # Givens angle zeroing a[p, q]; smaller-|t| root keeps |angle| <= pi/4
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(tau, 1.0)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
+                tau = (rows[q][q] - rows[p][p]) / (2.0 * apq)
+                t = (math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
+                     if tau != 0.0 else 1.0)
+                c = 1.0 / math.hypot(t, 1.0)
                 s = t * c
-                jt = np.array([[c, -s], [s, c]])  # transpose of the Givens rotation
-                a[[p, q], :] = jt @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ jt.T
-                v[:, [p, q]] = v[:, [p, q]] @ jt.T
-    if np.max(np.abs(a - np.diag(a.diagonal()))) >= JACOBI_TOL:
+                # a <- J.T a J and V <- V J, J = [[c, s], [-s, c]] in rows and
+                # columns p, q: the rows of a and of V.T first, then a's columns
+                ap, aq, vp, vq = rows[p], rows[q], vt[p], vt[q]
+                for j in range(n):
+                    x, y = ap[j], aq[j]
+                    ap[j] = c * x - s * y
+                    aq[j] = s * x + c * y
+                    x, y = vp[j], vq[j]
+                    vp[j] = c * x - s * y
+                    vq[j] = s * x + c * y
+                for row in rows:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+    if _largest_off_diagonal(rows) >= JACOBI_TOL:
         raise NoConvergence("Jacobi sweeps did not reach tolerance")
-    # clean up rounding asymmetry accumulated by the two-sided updates
-    a = 0.5 * (a + a.T)
-    return a.diagonal().copy(), v
+    # the diagonal of 0.5 * (a + a.T): each entry itself, or inf where x + x
+    # overflows
+    w = [0.5 * (row[i] + row[i]) for i, row in enumerate(rows)]
+    return np.array(w), np.array(vt).T.copy()
 
 
 def _cluster_sorted(values: np.ndarray, gap: float):

@@ -252,8 +252,8 @@ class TestExactMap:
     def test_n1_root_is_the_closed_form(self):
         for phase0, phase1 in ((0.0, 0.6), (-1.2, 0.3), (0.06, 1.569), (-1.56, -0.4),
                                (0.5, 1.568), (-1.5, 1.569), (-0.3, 1.568)):
-            v, _, _, _ = bvpsolve.solve_exact_map(np.array([phase1 - phase0]), np.ones(1),
-                                                phase0, 1e-10)
+            v, _, _ = bvpsolve.solve_exact_map(np.array([phase1 - phase0]), np.ones(1),
+                                             phase0, 1e-10)
             assert abs(v[0] / n1_root(phase0, phase1) - 1.0) < 1e-12, (phase0, phase1)
 
     def test_rk4_oracle_at_the_exact_root(self):
@@ -300,10 +300,42 @@ class TestExactMap:
     def test_doubling_the_panels_keeps_the_root(self, monkeypatch, phase0, beta):
         beta = np.array(beta)
         mult = np.ones(2)
-        v, _, _, _ = bvpsolve.solve_exact_map(beta, mult, phase0, 1e-10)
+        v, _, _ = bvpsolve.solve_exact_map(beta, mult, phase0, 1e-10)
         monkeypatch.setattr(bvpsolve, "PANEL_RATIO", math.sqrt(bvpsolve.PANEL_RATIO))
-        fine, _, _, _ = bvpsolve.solve_exact_map(beta, mult, phase0, 1e-10)
+        fine, _, _ = bvpsolve.solve_exact_map(beta, mult, phase0, 1e-10)
         assert np.max(np.abs(fine / v - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("case", ["seeded-n4", "n1-near-half-pi"])
+    def test_root_outputs_are_not_evaluated_again(self, monkeypatch, case):
+        # the solve reads the time-1 Jacobian from solve_exact_map's last
+        # accepted iterate: no call of the map outside the Newton solve, and
+        # the same bits as a fresh evaluation at the returned root
+        if case == "seeded-n4":
+            l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(27), 4)
+        else:  # the grid correction runs and uses the Jacobian
+            l0, l1 = diag_frame(0.06), diag_frame(1.569)
+        exact_map, solve = bvpsolve.exact_shooting_map, bvpsolve.solve_exact_map
+        calls, roots = [], []
+
+        def map_spy(*args):
+            calls.append(args)
+            return exact_map(*args)
+
+        def solve_spy(*args):
+            v, root, history = solve(*args)
+            roots.append((v, len(calls)))
+            return v, root, history
+
+        monkeypatch.setattr(bvpsolve, "exact_shooting_map", map_spy)
+        monkeypatch.setattr(bvpsolve, "solve_exact_map", solve_spy)
+        sol = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
+        assert (case == "n1-near-half-pi") == bool(sol.grid_residuals)
+        [(v, inside)] = roots
+        assert len(calls) == inside
+        _, mult, phase0, nodes, weights = calls[-1]
+        _, _, dt, dth, rate = exact_map(v, mult, phase0, nodes, weights)
+        condition = float(np.linalg.cond(dth - rate[:, np.newaxis] * dt[np.newaxis, :]))
+        assert sol.jacobian_condition == condition  # >= 1, so equal values are equal bits
 
 
 class TestFormerlyUnsolvedPairs:
