@@ -18,7 +18,9 @@ quadratures
 
     t(psi) = int dpsi / F,        th_b(psi) = int (-2 v_b / g_b) / F dpsi
 
-over [phase0, psi], which never leaves the chart.  Newton in w = log(-v),
+over [phase0, psi], which never leaves the chart; what v does not change
+(the quadrature, ln cos psi at its nodes, the identity) is made once per
+solve (``shooting_window``).  Newton in w = log(-v),
 with the Jacobian differentiated under the integral, drives t(phase1) - 1
 and every block th_b - beta_b but the last to zero; the last one follows,
 because sum_b m_b th_b = psi - phase0 holds by construction.  The
@@ -142,34 +144,46 @@ def _metric_factors(v: np.ndarray, mult: np.ndarray, rhs: np.ndarray):
     converges, monotonically once past the root, with no safeguard needed.
     """
     rho = v / v.min()
+    rest = 1.0 - rho
     u = rhs / mult.sum()
     for _ in range(100):
         e = rho * np.exp(u)[:, np.newaxis]
-        g = (1.0 - rho) + e
+        g = rest + e
         du = (np.log(g) @ mult - rhs) / ((e / g) @ mult)
         u = u - du
         if np.all(np.abs(du) <= 1e-13 * (1.0 + np.abs(u))):
             break
     else:
         raise NoConvergence("metric root did not converge")
-    return -np.expm1(u) / (4.0 * v.min()), (1.0 - rho) + rho * np.exp(u)[:, np.newaxis]
+    return -np.expm1(u) / (4.0 * v.min()), rest + rho * np.exp(u)[:, np.newaxis]
 
 
-def exact_shooting_map(v, mult, phase0, nodes, weights):
-    """t and the block angles th_b at the end of the quadrature window.
-
-    Returns (t, th, dt/dv, dth/dv, rate) with rate_b = dth_b/dt at the end
-    point ``phase0 + sum(weights)``, where the window closes.
-    """
+def shooting_window(phase0: float, phase1: float, blocks: int):
+    """The exact map's inputs that do not depend on v, made once per solve:
+    (weights, rhs, eye).  weights are the quadrature's on [phase0, phase1];
+    rhs = 2 (ln cos phase0 - ln cos psi) at its nodes psi and at the end
+    point ``phase0 + sum(weights)``, where the window closes; eye is the
+    identity of the block count."""
+    nodes, weights = phase_quadrature(phase0, phase1)
     psi = np.append(nodes, phase0 + weights.sum())
     rhs = 2.0 * (math.log(math.cos(phase0)) - np.log(np.cos(psi)))
+    return weights, rhs, np.eye(blocks)
+
+
+def exact_shooting_map(v, mult, window):
+    """t and the block angles th_b at the end of the quadrature window.
+
+    window is ``shooting_window``'s.  Returns (t, th, dt/dv, dth/dv, rate)
+    with rate_b = dth_b/dt at the window's end point.
+    """
+    weights, rhs, eye = window
     s, g = _metric_factors(v, mult, rhs)
     q = -2.0 * v / g                             # (N, k) angle speeds
     f = q @ mult                                 # phase speed
     ds = 2.0 * mult * s[:, np.newaxis] / (g * f[:, np.newaxis])        # dS/dv_c
     # dq_b/dv_c = -2 delta_bc / g_b^2 - 2 q_b^2 dS/dv_c
     dq = -2.0 * (q**2)[:, :, np.newaxis] * ds[:, np.newaxis, :]
-    dq -= 2.0 * np.eye(v.size) / (g**2)[:, :, np.newaxis]
+    dq -= 2.0 * eye / (g**2)[:, :, np.newaxis]
     df = np.einsum("b,nbc->nc", mult, dq)
     wf = weights / f[:-1] ** 2
     dt = -wf @ df[:-1]
@@ -186,13 +200,13 @@ def solve_exact_map(beta_block, mult, phase0, tolerance):
     kept from the last accepted iterate; and the residual norm at every
     accepted iterate.  Iterates stop at or below 1e-3 * tolerance (a
     subnormal tolerance makes that 0), or below tolerance where rounding
-    stops the descent.
+    stops the descent.  Every iterate evaluates the map on one window.
     """
-    nodes, weights = phase_quadrature(phase0, phase0 + beta_block @ mult)
+    window = shooting_window(phase0, phase0 + beta_block @ mult, mult.size)
 
     def residual(w):
         v = -np.exp(w)
-        out = exact_shooting_map(v, mult, phase0, nodes, weights)
+        out = exact_shooting_map(v, mult, window)
         t, th, dt, dth, _ = out
         r = np.concatenate([[t - 1.0], th[:-1] - beta_block[:-1]])
         return r, np.vstack([dt, dth[:-1]]) * v[np.newaxis, :], out
@@ -295,7 +309,9 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
             raise NoConvergence(f"RK4 grid of {config.step_count} steps fails at the exact "
                                 f"root ({exc})", best_residual=math.inf) from exc
     if not grid[-1] < tolerance:
-        steps = math.ceil(config.step_count * (grid[0] / tolerance) ** 0.25)
+        ratio = grid[0] / tolerance   # inf at a subnormal tolerance: root each side first
+        root = ratio ** 0.25 if ratio < math.inf else grid[0] ** 0.25 / tolerance ** 0.25
+        steps = math.ceil(config.step_count * root)
         raise NoConvergence(
             f"RK4 grid of {config.step_count} steps misses the targets by {grid[0]:.3e} at "
             f"the exact root, and its correction stalled at {min(grid):.3e}; fourth order "

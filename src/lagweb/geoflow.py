@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 
@@ -151,6 +152,50 @@ def _scalar_flow(a: np.ndarray, phase0: float, config: IntegratorConfig):
     return ts, 1.0 + slope * stages[::4, np.newaxis], theta
 
 
+_INF_BITS = 0x7FF0000000000000   # +inf's: positive floats order as their bit patterns do
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _first_collapse(slope: float) -> float:
+    """The least float S > 0 at which ``1.0 + slope * S < METRIC_FLOOR``, or
+    NaN if none.  Rounding is monotone, so the test holds on an upward-closed
+    set of S, whose least member a bisection over bit patterns finds: within
+    four floats of the estimate (floor - 1) / slope when they bracket it (a
+    normal slope), over all positive floats otherwise (a subnormal or
+    infinite slope, or an estimate that overflows)."""
+    def fires(bits):
+        return 1.0 + slope * _float(bits) < METRIC_FLOOR
+
+    lo, hi = 0, _INF_BITS   # S = +0 never fires; S = +inf must
+    if not fires(hi):
+        return math.nan
+    estimate = (METRIC_FLOOR - 1.0) / slope
+    if 0.0 < estimate < math.inf:
+        k = _bits(estimate)
+        if fires(min(k + 4, _INF_BITS)) and not fires(max(k - 4, 0)):
+            lo, hi = max(k - 4, 0), min(k + 4, _INF_BITS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fires(mid) else (mid, hi)
+    return _float(hi)
+
+
+def _metric_bounds(m) -> tuple:
+    """(low, high): the stepper's metric guard ``1.0 + (min(m) if S > 0.0
+    else max(m)) * S < METRIC_FLOOR`` fires exactly when S <= low or
+    S >= high, low < 0 < high, a bound being NaN on a side where no float
+    fires it (so S = +-0 and NaN never do).  For S < 0, max(m) * S is
+    -(max(m) * -S) to the bit."""
+    return -_first_collapse(-max(m)), _first_collapse(min(m))
+
+
 @functools.cache
 def _stepper(n: int):
     """The RK4 loop of (S, phi) in dimension n >= 1, as Python source built
@@ -160,18 +205,20 @@ def _stepper(n: int):
 
     The returned ``flow(m, b, phase0, steps, ts)`` takes the slopes m_j and
     the rates b_j as lists and returns the stage values of S, four per step
-    and the last S, in an ``array`` of doubles that holds no float object;
-    ts only names the time in the non-finite message.  Each stage guards
-    the phase, then the metric floor on the one extreme 1 + m_j S, which is
-    the least of the n since rounding is monotone: the least m_j while S > 0,
-    the greatest otherwise.  phi' = sum_j b_j / (1 + m_j S) adds left to right.
+    and the last S, written by index into an ``array`` of doubles that holds
+    no float object; ts only names the time in the non-finite message.  Each
+    stage guards the phase against +-edge, then the metric floor on the one
+    extreme 1 + m_j S, which is the least of the n since rounding is
+    monotone: the least m_j while S > 0, the greatest otherwise, as the two
+    bounds of S that ``_metric_bounds`` finds once per flow.  A NaN passes
+    both guards.  phi' = sum_j b_j / (1 + m_j S) adds left to right.
     """
     def rates(k, s, p, t):
         """The k-th rates at stage (s, p) and time t, behind the guards."""
         return [
-            f"if abs({p}) >= edge:",
+            f"if {p} >= edge or {p} <= neg_edge:",
             f"    raise LagwebError(f'phase reached {{{p}:.6f}} at t = {{{t}:.4f}}')",
-            f"if 1.0 + (least if {s} > 0.0 else most) * {s} < floor:",
+            f"if {s} <= low or {s} >= high:",
             f"    raise LagwebError(f'metric coefficient collapsed at t = {{{t}:.4f}}')",
             f"k{k}s = tan({p})",
             f"k{k}p = " + " + ".join(f"b{j} / (1.0 + m{j} * {s})" for j in range(n)),
@@ -185,7 +232,11 @@ def _stepper(n: int):
         *rates(3, "S3", "P3", "h * i + half"),
         "S4, P4 = S + h * k3s, phi + h * k3p",
         *rates(4, "S4", "P4", "h * i + h"),
-        "store((S, S2, S3, S4))",
+        "j = 4 * i",
+        "stages[j] = S",
+        "stages[j + 1] = S2",
+        "stages[j + 2] = S3",
+        "stages[j + 3] = S4",
         "S = S + sixth * (k1s + 2.0 * (k2s + k3s) + k4s)",
         "phi = phi + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)",
         # x - x is 0.0 exactly when x is finite, NaN otherwise
@@ -195,20 +246,19 @@ def _stepper(n: int):
     source = "\n".join([
         "def flow(m, b, phase0, steps, ts):",
         *[f"    {', '.join(f'{x}{j}' for j in range(n))}, = {x}" for x in "mb"],
-        "    least, most = min(m), max(m)",
+        "    low, high = bounds(m)",
         "    h = 1.0 / steps",
         "    half, sixth = 0.5 * h, h / 6.0",
-        "    edge, floor, tan = EDGE, FLOOR, TAN",
+        "    edge, neg_edge, tan = EDGE, -EDGE, TAN",
         "    S, phi = 0.0, phase0",
-        "    stages = array('d')",
-        "    store = stages.extend",
+        "    stages = array('d', bytes(8 * (4 * steps + 1)))",
         "    for i in range(steps):",
         *[f"        {line}" for line in body],
-        "    stages.append(S)",
+        "    stages[4 * steps] = S",
         "    return stages",
     ])
     namespace = {"LagwebError": LagwebError, "EDGE": 0.5 * math.pi - PHASE_MARGIN,
-                 "FLOOR": METRIC_FLOOR, "TAN": math.tan, "array": array}
+                 "TAN": math.tan, "array": array, "bounds": _metric_bounds}
     exec(compile(source, f"<scalar flow, n = {n}>", "exec"), namespace)
     return namespace["flow"]
 

@@ -134,11 +134,12 @@ def joint_diagonalize_symmetric_unitary(s):
     n = s.shape[0]
     if s.shape != (n, n):
         raise ValueError("matrix is not square")
+    # "not <=", so that a NaN defect from a NaN entry fails too
     sym_defect = float(np.max(np.abs(s - s.T)))
-    if sym_defect > SYM_UNITARY_TOL:
+    if not sym_defect <= SYM_UNITARY_TOL:
         raise ValueError(f"symmetry defect {sym_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}")
     unit_defect = float(np.max(np.abs(s.conj().T @ s - np.eye(n))))
-    if unit_defect > SYM_UNITARY_TOL:
+    if not unit_defect <= SYM_UNITARY_TOL:
         raise ValueError(f"unitarity defect {unit_defect:.3e} exceeds {SYM_UNITARY_TOL:.0e}")
     s = 0.5 * (s + s.T)
 

@@ -10,6 +10,7 @@ from lagweb.bvpsolve import (
     apriori_bounds,
     exact_shooting_map,
     phase_quadrature,
+    shooting_window,
     solve_bvp_maslov0,
 )
 from lagweb.errors import NoConvergence
@@ -232,8 +233,8 @@ class TestSolver:
         assert 200 * (3e-4 / 1e-10) ** 0.25 < steps < 200 * (5e-4 / 1e-10) ** 0.25
 
     def test_singular_jacobian_is_a_failed_solve(self, monkeypatch):
-        def singular(v, mult, phase0, nodes, weights):
-            t, th, dt, dth, rate = exact_shooting_map(v, mult, phase0, nodes, weights)
+        def singular(v, mult, window):
+            t, th, dt, dth, rate = exact_shooting_map(v, mult, window)
             return t, th, 0.0 * dt, 0.0 * dth, rate
 
         monkeypatch.setattr(bvpsolve, "exact_shooting_map", singular)
@@ -268,20 +269,20 @@ class TestExactMap:
     def test_analytic_jacobian_matches_differences(self):
         mult = np.array([1.0, 2.0, 1.0])
         v = np.array([-0.3, -1.1, -4.0])
-        nodes, weights = phase_quadrature(-0.4, 1.3)
-        _, _, dt, dth, _ = exact_shooting_map(v, mult, -0.4, nodes, weights)
+        window = shooting_window(-0.4, 1.3, 3)
+        _, _, dt, dth, _ = exact_shooting_map(v, mult, window)
         for c in range(3):
             e = np.zeros(3)
             e[c] = 1e-6
-            tp, thp, _, _, _ = exact_shooting_map(v + e, mult, -0.4, nodes, weights)
-            tm, thm, _, _, _ = exact_shooting_map(v - e, mult, -0.4, nodes, weights)
+            tp, thp, _, _, _ = exact_shooting_map(v + e, mult, window)
+            tm, thm, _, _, _ = exact_shooting_map(v - e, mult, window)
             assert abs((tp - tm) / 2e-6 - dt[c]) < 1e-7 * (1.0 + abs(dt[c]))
             np.testing.assert_allclose((thp - thm) / 2e-6, dth[:, c], rtol=1e-7, atol=1e-8)
 
     def test_angles_sum_to_the_window(self):
         mult = np.array([2.0, 1.0])
-        nodes, weights = phase_quadrature(-1.0, 1.5)
-        t, th, _, _, _ = exact_shooting_map(np.array([-0.2, -3.0]), mult, -1.0, nodes, weights)
+        t, th, _, _, _ = exact_shooting_map(np.array([-0.2, -3.0]), mult,
+                                            shooting_window(-1.0, 1.5, 2))
         assert t > 0.0
         assert abs(th @ mult - 2.5) < 1e-14
 
@@ -332,8 +333,8 @@ class TestExactMap:
         assert (case == "n1-near-half-pi") == bool(sol.grid_residuals)
         [(v, inside)] = roots
         assert len(calls) == inside
-        _, mult, phase0, nodes, weights = calls[-1]
-        _, _, dt, dth, rate = exact_map(v, mult, phase0, nodes, weights)
+        _, mult, window = calls[-1]
+        _, _, dt, dth, rate = exact_map(v, mult, window)
         condition = float(np.linalg.cond(dth - rate[:, np.newaxis] * dt[np.newaxis, :]))
         assert sol.jacobian_condition == condition  # >= 1, so equal values are equal bits
 
@@ -405,6 +406,72 @@ def test_hard_pair_stress(seed, case):
     frozen = sol.spectrum.beta == 0.0
     assert np.all(sol.coefficients[frozen] == 0.0)
     assert np.all(sol.coefficients[~frozen] < 0.0)
+
+
+def per_evaluation_map(v, mult, phase0, nodes, weights):
+    """exact_shooting_map with everything formed at each evaluation: psi,
+    the right-hand side, 1 - rho at every metric Newton step, and the
+    identity.  The reference for the map that takes them from its window."""
+    psi = np.append(nodes, phase0 + weights.sum())
+    rhs = 2.0 * (math.log(math.cos(phase0)) - np.log(np.cos(psi)))
+    rho = v / v.min()
+    u = rhs / mult.sum()
+    for _ in range(100):
+        e = rho * np.exp(u)[:, np.newaxis]
+        g = (1.0 - rho) + e
+        du = (np.log(g) @ mult - rhs) / ((e / g) @ mult)
+        u = u - du
+        if np.all(np.abs(du) <= 1e-13 * (1.0 + np.abs(u))):
+            break
+    else:
+        raise NoConvergence("metric root did not converge")
+    s, g = -np.expm1(u) / (4.0 * v.min()), (1.0 - rho) + rho * np.exp(u)[:, np.newaxis]
+    q = -2.0 * v / g
+    f = q @ mult
+    ds = 2.0 * mult * s[:, np.newaxis] / (g * f[:, np.newaxis])
+    dq = -2.0 * (q**2)[:, :, np.newaxis] * ds[:, np.newaxis, :]
+    dq -= 2.0 * np.eye(v.size) / (g**2)[:, :, np.newaxis]
+    df = np.einsum("b,nbc->nc", mult, dq)
+    wf = weights / f[:-1] ** 2
+    dt = -wf @ df[:-1]
+    dth = np.einsum("n,nbc->bc", wf, dq[:-1] * f[:-1, np.newaxis, np.newaxis]
+                    - q[:-1, :, np.newaxis] * df[:-1, np.newaxis, :])
+    return weights @ (1.0 / f[:-1]), (weights / f[:-1]) @ q[:-1], dt, dth, q[-1]
+
+
+def bits(*arrays):
+    return [np.asarray(x, dtype=float).tobytes() for x in arrays]
+
+
+# solve_corpus's shapes: seeded pairs at n = 2..6, the hard pairs, and the n = 1
+# pair near pi/2 whose grid correction reads the root's Jacobian
+MAP_CASES = [("seeded", n) for n in range(2, 7)] + [("hard", i) for i in range(len(HARD_PAIRS))] \
+    + [("n1-near-half-pi",)]
+
+
+@pytest.mark.parametrize("case", MAP_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_same_bits_as_the_per_evaluation_map(monkeypatch, case):
+    if case[0] == "seeded":
+        l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(40 + case[1]), case[1])
+    elif case[0] == "hard":
+        l0, l1, _ = hard_pair(case[1], *HARD_PAIRS[case[1]])
+    else:
+        l0, l1 = diag_frame(0.06), diag_frame(1.569)
+    solve, runs = bvpsolve.solve_exact_map, []
+
+    def solve_spy(*args):
+        runs.append((args, solve(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(bvpsolve, "solve_exact_map", solve_spy)
+    solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000))
+    [(args, (v, root, history))] = runs
+    beta_block, mult, phase0, _ = args
+    nodes, weights = phase_quadrature(phase0, phase0 + beta_block @ mult)
+    monkeypatch.setattr(bvpsolve, "exact_shooting_map",
+                        lambda v, mult, window: per_evaluation_map(v, mult, phase0, nodes, weights))
+    v_ref, root_ref, history_ref = solve(*args)
+    assert bits(v, *root, history) == bits(v_ref, *root_ref, history_ref)
 
 
 def sol_bounds(sol):

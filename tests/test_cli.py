@@ -201,6 +201,19 @@ class TestGeodesic:
                    "--tol", tol, "--out", str(out)) == 0
         assert json.loads((out / "solution.json").read_text())["residual"] == 0.0
 
+    @pytest.mark.parametrize("steps", ["300", "2000"])
+    def test_subnormal_tolerance_missed_by_the_grid_exit_3(self, tmp_path, pair_files, capsys,
+                                                          steps):
+        # Newton lands, but no RK4 grid meets 5e-324; the failure message's
+        # step estimate must not overflow in residual / tolerance
+        f0, f1 = pair_files
+        code = cli("geodesic", "--lambda0", f0, "--lambda1", f1, "--steps", steps,
+                   "--tol", "5e-324", "--out", str(tmp_path / "run"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "smallest residual: " in err
+        assert re.search(r"puts 4\.9e-324 at about \d{70,} steps", err)
+
     def test_failed_solve_exit_3(self, tmp_path, capsys):
         # 200 RK4 steps cannot reach this pair's targets (see test_bvpsolve);
         # the CLI must report a solver failure with the smallest residual

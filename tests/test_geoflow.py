@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -25,6 +26,7 @@ from lagweb.geoflow import (
     PHASE_MARGIN,
     GeodesicSpec,
     GeodesicTrajectory,
+    _metric_bounds,
     frame_ode_oracle,
     geodesic_ivp,
     horizontal_frame,
@@ -254,6 +256,123 @@ class TestScalarFlowBits:
         traj = geodesic_ivp(spec, config)
         assert np.max(np.abs(traj.g / ys[:, :spec.n] - 1.0)) < 1e-13
         assert np.max(np.abs(traj.theta - ys[:, spec.n:])) < 1e-13
+
+
+EDGE = 0.5 * math.pi - PHASE_MARGIN
+
+
+def metric_floor_test(m, s):
+    """The metric floor test that the stepper's two bounds of S stand for."""
+    return 1.0 + (min(m) if s > 0.0 else max(m)) * s < METRIC_FLOOR
+
+
+def slope_at(s):
+    """The slope m of the sign opposite to s's, least in size, at which
+    metric_floor_test([m], s) fires, found over m's bit patterns; and the
+    float next to it toward 0."""
+    def slope(bits):
+        return -math.copysign(1.0, s) * struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    lo, hi = 0, 0x7FF0000000000000   # the bits of 0.0 and inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if metric_floor_test([slope(mid)], s) else (mid, hi)
+    return slope(hi), slope(hi - 1)
+
+
+def same_as_numpy_rk4(spec, steps):
+    """geodesic_ivp against the numpy (S, phi, th) field through integrate_rk4:
+    the same bits, or the same LagwebError, whose message is returned."""
+    config = IntegratorConfig(steps)
+    y0 = np.concatenate([[0.0, spec.phase0], np.zeros(spec.n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            ts, ys = integrate_rk4(numpy_scalar_rhs(spec.coefficients), y0, 0.0, 1.0, config)
+        except LagwebError as exc:
+            with pytest.raises(LagwebError, match=f"^{re.escape(str(exc))}$"):
+                geodesic_ivp(spec, config)
+            return str(exc)
+        traj = geodesic_ivp(spec, config)
+        g = 1.0 + -4.0 * spec.coefficients * ys[:, :1]
+    # equal values: a zero a_j gives the stepper's angles -0.0 where the field's are 0.0
+    np.testing.assert_array_equal(traj.g.view(np.int64), g.view(np.int64))
+    np.testing.assert_array_equal(traj.theta, ys[:, 2:])
+    return None
+
+
+def flow_spec(a, phase0):
+    n = len(a)
+    return GeodesicSpec(base=make_frame(FlatCalabiYau(n), np.eye(n)), adapted_basis=np.eye(n),
+                        coefficients=a, phase0=phase0)
+
+
+class TestStepperGuards:
+    """The stepper's guards, S <= low or S >= high and |phi| against +-edge,
+    give the verdict and message of the expressions they stand for, at their
+    bounds, the floats next to them, and signed zeros, NaN and infinities."""
+
+    # coefficients a_j, slopes m_j = -4 a_j
+    COEFFICIENTS = {
+        "mixed": [-7.5, 8.0],
+        "falling": [-2.0, -10.0],
+        "rising": [1.5, 3.0],
+        "zero": [0.0, -0.0],
+        "subnormal": [2.5e-309, -2.5e-309],        # m = -+1e-308, bounds near +-1e308
+        "least-subnormal": [5e-324, -5e-324],      # bounds +-inf
+        "overflowing": [-1e308, 1e308],            # m = +-inf
+        "one-overflowing": [1e308, -0.5],
+    }
+
+    @pytest.mark.parametrize("name", COEFFICIENTS)
+    def test_metric_bounds_are_the_guards(self, name):
+        with np.errstate(over="ignore"):
+            m = (-4.0 * np.array(self.COEFFICIENTS[name])).tolist()
+        low, high = _metric_bounds(m)
+        assert not low >= 0.0 and not high <= 0.0
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 5e-324, -5e-324]
+        for bound in (low, high):
+            if bound == bound:
+                # the guard fires at the bound, and not at the float next to it toward 0
+                toward_zero = math.nextafter(bound, 0.0)
+                assert metric_floor_test(m, bound) and not metric_floor_test(m, toward_zero)
+                values += [bound, toward_zero, math.nextafter(bound, 2.0 * bound)]
+        for s in values:
+            assert (s <= low or s >= high) == metric_floor_test(m, s), s
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("phase0", [0.3, -0.3])
+    def test_metric_guard_at_its_bound_and_next_to_it(self, phase0, n):
+        # one step: the stage-2 value S2 = tan(phase0) / 2 is the bound of
+        # the slope m, and the float next to the bound of the slope m' just
+        # inside it; the other directions' slopes lie between 0 and m or have
+        # the other sign
+        s2 = 0.5 * math.tan(phase0)
+        m, m_inside = slope_at(s2)
+        assert not metric_floor_test([m], math.nextafter(s2, 0.0))
+        assert not metric_floor_test([m_inside], s2)
+        assert metric_floor_test([m_inside], math.nextafter(s2, 2.0 * s2))
+        for slope, fires in ((m, True), (m_inside, False)):
+            a = [-0.25 * slope, -0.125 * slope, 0.25 * slope][:n]
+            message = same_as_numpy_rk4(flow_spec(a, phase0), 1)
+            assert (message == "metric coefficient collapsed at t = 0.5000") == fires
+
+    @pytest.mark.parametrize("name", COEFFICIENTS)
+    @pytest.mark.parametrize("phase0", [0.3, -0.3, 1.2, -1.2, 0.0, math.nan])
+    def test_guards_in_the_flow(self, name, phase0):
+        # metric guards on both sides, phase guards and non-finite states
+        same_as_numpy_rk4(flow_spec(self.COEFFICIENTS[name], phase0), 4)
+
+    @pytest.mark.parametrize("phase0, message", [
+        pytest.param(EDGE, "phase reached 1.570795 at t = 0.0000", id="edge"),
+        pytest.param(math.nextafter(EDGE, 0.0), None, id="inside-edge"),
+        pytest.param(-EDGE, "phase reached -1.570795 at t = 0.0000", id="minus-edge"),
+        pytest.param(math.nextafter(-EDGE, 0.0), None, id="inside-minus-edge"),
+        pytest.param(math.inf, "phase reached inf at t = 0.0000", id="inf"),
+        pytest.param(math.nan, "state became non-finite at t = 1", id="nan"),
+    ])
+    def test_phase_guard_at_the_edges(self, phase0, message):
+        # a zero Hamiltonian holds phi at phase0 on every stage
+        assert same_as_numpy_rk4(flow_spec([0.0, 0.0], phase0), 1) == message
 
 
 class TestHorizontalFrame:

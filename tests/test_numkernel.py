@@ -190,6 +190,16 @@ class TestJointDiagonalization:
         with pytest.raises(ValueError, match="unitarity defect"):
             joint_diagonalize_symmetric_unitary(np.diag([2.0, 1.0]).astype(complex))
 
+    @pytest.mark.parametrize("entries", [[(0, 1), (1, 0)], [(1, 1)]], ids=["off-diagonal", "diagonal"])
+    def test_rejects_nan_entries(self, entries):
+        # a NaN entry makes the defect NaN, which "defect > tol" let through
+        # to an all-NaN basis
+        s = np.eye(2, dtype=complex)
+        for index in entries:
+            s[index] = math.nan
+        with pytest.raises(ValueError, match=r"^symmetry defect nan exceeds 1e-10$"):
+            joint_diagonalize_symmetric_unitary(s)
+
 
 class TestRK4:
     def test_constant_field(self):

@@ -4,7 +4,7 @@
     python3 tools/cmp_pipelines.py <rev>
 
 The revision's src/ is extracted with ``git archive`` into a temporary
-directory.  Both trees then run the same six pipelines, each stage in a
+directory.  Both trees then run the same eight pipelines, each stage in a
 fresh interpreter (``python -m lagweb.cli``):
 
   readme    the README pair, --steps 2000, --levels=-1,-0.25
@@ -21,6 +21,11 @@ fresh interpreter (``python -m lagweb.cli``):
             Hadamard bound's nine factors leave the ranges where the
             factors settle a chunk, so both mesh checks run the reference
             expression on every node
+  n1-grid   the n = 1 pair e^{0.06i} -> e^{1.569i}, --steps 1000: the RK4
+            grid misses the exact root and the grid correction runs;
+            webbing exits 2, as it does for every n = 1 solution
+  n1-fail   the same pair at --steps 200: the grid correction stalls and
+            geodesic exits 3
 
 Each pipeline writes its frames, then runs pair-analyze, geodesic, webbing
 and verify on every mesh.  Every output file, exit code, stdout and stderr
@@ -57,6 +62,10 @@ README_PAIR = """
 l0 = make_frame(FlatCalabiYau(2), np.eye(2))
 l1 = make_frame(FlatCalabiYau(2), np.diag(np.exp(1j * np.array([np.pi / 6, np.pi / 4]))))
 """
+N1_PAIR = """
+l0 = make_frame(FlatCalabiYau(1), np.array([[np.exp(0.06j)]]))
+l1 = make_frame(FlatCalabiYau(1), np.array([[np.exp(1.569j)]]))
+"""
 FRAME_SCRIPT = """
 import numpy as np
 from lagweb.cli import write_json
@@ -78,6 +87,8 @@ PIPELINES = (
      ["--levels=-1", "--sphere-res", "64"]),
     ("n9-tiny", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(3), 9)", 300,
      ["--levels=-1e-20", "--sphere-res", "64"]),
+    ("n1-grid", N1_PAIR, 1000, []),
+    ("n1-fail", N1_PAIR, 200, []),
 )
 
 

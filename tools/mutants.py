@@ -41,6 +41,9 @@ TEXT = "src/lagweb/csvtext.py"
 FLOW_BITS = "tests/test_geoflow.py::TestScalarFlowBits::test_same_bits_as_numpy_rk4"
 FLOW_AGREES = "tests/test_geoflow.py::TestScalarFlowBits::test_agrees_with_rk4_on_g_and_theta"
 FLOW_GUARDS = "tests/test_geoflow.py::TestScalarFlow"
+STEPPER_GUARDS = "tests/test_geoflow.py::TestStepperGuards"
+BVP = "src/lagweb/bvpsolve.py"
+MAP_BITS = "tests/test_bvpsolve.py::test_same_bits_as_the_per_evaluation_map"
 IMAG_RANGE = "tests/test_webbing.py::TestImagRange"
 CSV_TEXT = "tests/test_geoflow.py::TestCsvText"
 CELLS = "tests/test_geoflow.py::TestCsvCells"
@@ -217,10 +220,54 @@ MUTANTS = {
     ),
     "metric guard takes the other extreme of m": (
         FLOW,
-        "(least if {s} > 0.0 else most)",
-        "(most if {s} > 0.0 else least)",
+        "return -_first_collapse(-max(m)), _first_collapse(min(m))",
+        "return -_first_collapse(-min(m)), _first_collapse(max(m))",
         [f"{FLOW_GUARDS}::test_metric_guard_many_directions[8]",
          f"{FLOW_GUARDS}::test_metric_guard_many_directions[11]"],
+    ),
+    "metric guard bounds one float nearer 0": (
+        FLOW,
+        "    return _float(hi)\n",
+        "    return _float(hi - 1)\n",
+        [f"{STEPPER_GUARDS}::test_metric_bounds_are_the_guards[mixed]",
+         f"{STEPPER_GUARDS}::test_metric_bounds_are_the_guards[subnormal]",
+         f"{STEPPER_GUARDS}::test_metric_guard_at_its_bound_and_next_to_it[0.3-1]",
+         f"{STEPPER_GUARDS}::test_metric_guard_at_its_bound_and_next_to_it[-0.3-3]"],
+    ),
+    "metric guard bounds one float farther from 0": (
+        FLOW,
+        "    return _float(hi)\n",
+        "    return _float(hi + 1)\n",
+        [f"{STEPPER_GUARDS}::test_metric_bounds_are_the_guards[mixed]",
+         f"{STEPPER_GUARDS}::test_metric_bounds_are_the_guards[one-overflowing]",
+         f"{STEPPER_GUARDS}::test_metric_guard_at_its_bound_and_next_to_it[-0.3-1]",
+         f"{STEPPER_GUARDS}::test_metric_guard_at_its_bound_and_next_to_it[0.3-3]"],
+    ),
+    "phase guard tests only the upper edge": (
+        FLOW,
+        'f"if {p} >= edge or {p} <= neg_edge:"',
+        'f"if {p} >= edge:"',
+        [f"{STEPPER_GUARDS}::test_phase_guard_at_the_edges[minus-edge]"],
+    ),
+    "RK4 stepper stores S3 at S2's index": (
+        FLOW,
+        '"stages[j + 2] = S3",',
+        '"stages[j + 1] = S3",',
+        [f"{FLOW_BITS}[seeded-2-1]", f"{FLOW_BITS}[seeded-4-1000]",
+         f"{FLOW_AGREES}[hard-1-1.565]"],
+    ),
+    "exact map's right-hand side without the window's end point": (
+        BVP,
+        "psi = np.append(nodes, phase0 + weights.sum())",
+        "psi = np.append(nodes, nodes[-1])",
+        [f"{MAP_BITS}[seeded-2]", f"{MAP_BITS}[hard-2]", f"{MAP_BITS}[n1-near-half-pi]"],
+    ),
+    "symmetry defect tested by >, which a NaN passes": (
+        KERNEL,
+        "if not sym_defect <= SYM_UNITARY_TOL:",
+        "if sym_defect > SYM_UNITARY_TOL:",
+        ["tests/test_numkernel.py::TestJointDiagonalization::test_rejects_nan_entries[off-diagonal]",
+         "tests/test_numkernel.py::TestJointDiagonalization::test_rejects_nan_entries[diagonal]"],
     ),
     "angle pass weighs k2 and k3 apart, 2 k2 + 2 k3": (
         FLOW,
