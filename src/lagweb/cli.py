@@ -311,9 +311,7 @@ def _recorded_grid(report_path: str, name: str):
         if entry is None:
             raise ValueError(f"{report_path} holds no entry for {name}")
         level, resolution = entry["level"], report["sphere_resolution"]
-        # exact JSON types, as for the solution: a bool is an int to Python
-        if not (type(level) in (int, float) and math.isfinite(level)
-                and (resolution is None or type(resolution) is int)):
+        if not (_finite_number(level) and (resolution is None or type(resolution) is int)):
             raise ValueError("malformed webbing report: need a finite number level and an "
                              "integer or null sphere_resolution")
     except (KeyError, TypeError, OverflowError) as exc:

@@ -22,9 +22,10 @@ into C^n, with the flow factors
     w_j' = (g_j' / (2 sqrt(g_j)) + i sqrt(g_j) th_j') e^{i th_j},
 
 the rates read from the flow equations at each sample
-(``GeodesicTrajectory.flow_factors``, the one place they are computed).
-With every a_j <= 0 the phase rises; along samples in reversed time
-(``time_reversed``, for Maslov index n) it falls, and the rates change sign.
+(``GeodesicTrajectory._rates``, the one place they are computed, for
+``flow_factors`` and ``phase_along``).  With every a_j <= 0 the phase rises;
+along samples in reversed time (``time_reversed``, for Maslov index n) each
+th_j moves against its forward rate, and the rates change sign.
 
 ``frame_ode_oracle`` integrates the full matrix evolution
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from array import array
 from dataclasses import dataclass
 
@@ -115,14 +115,22 @@ class GeodesicTrajectory:
             raise ValueError(f"t = {t} is not a sample time")
         return i
 
-    def flow_factors(self):
-        """(w, dw/dt) per sample and direction, each (m+1, n) complex; the
-        rates are negated where the phase falls, in reversed time."""
-        a, phases = self.spec.coefficients, self.phases
-        sign = -1.0 if phases[-1] < phases[0] else 1.0
-        sqrt_g, rotation = np.sqrt(self.g), np.exp(1j * self.theta)
-        dg = -4.0 * sign * np.tan(phases)[:, np.newaxis] * a[np.newaxis, :]
+    def _rates(self):
+        """(dg/dt, dth/dt) per sample and direction, each (m+1, n), read from
+        the flow equations: the one place they are formed.  In reversed time
+        (``time_reversed``) an angle th_j moves against its forward rate
+        -2 a_j / g_j, and the rates are negated."""
+        a = self.spec.coefficients
+        sign = -1.0 if (a * (self.theta[-1] - self.theta[0]) > 0.0).any() else 1.0
+        dg = -4.0 * sign * np.tan(self.phases)[:, np.newaxis] * a[np.newaxis, :]
         dtheta = -2.0 * sign * a[np.newaxis, :] / self.g
+        return dg, dtheta
+
+    def flow_factors(self):
+        """(w, dw/dt) per sample and direction, each (m+1, n) complex, from
+        the flow rates (``_rates``)."""
+        dg, dtheta = self._rates()
+        sqrt_g, rotation = np.sqrt(self.g), np.exp(1j * self.theta)
         return sqrt_g * rotation, (dg / (2.0 * sqrt_g) + 1j * sqrt_g * dtheta) * rotation
 
 
@@ -146,45 +154,33 @@ def _scalar_flow(a: np.ndarray, phase0: float, config: IntegratorConfig):
     k = rate / (1.0 + slope * stages[:-1].reshape(steps, 4, 1))
     theta = np.zeros((steps + 1, n))
     np.cumsum(h / 6.0 * (k[:, 0] + 2.0 * (k[:, 1] + k[:, 2]) + k[:, 3]), axis=0, out=theta[1:])
+    theta[1:] += 0.0   # RK4 sums from th(0) = +0.0, which -0.0 increments leave at +0.0
     if not np.isfinite(theta[-1]).all():   # a sum stays non-finite once it is
         first = np.isfinite(theta).all(axis=1).argmin()
         raise LagwebError(f"state became non-finite at t = {ts[first]:.6g}")
     return ts, 1.0 + slope * stages[::4, np.newaxis], theta
 
 
-_INF_BITS = 0x7FF0000000000000   # +inf's: positive floats order as their bit patterns do
-
-
-def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
 def _first_collapse(slope: float) -> float:
     """The least float S > 0 at which ``1.0 + slope * S < METRIC_FLOOR``, or
     NaN if none.  Rounding is monotone, so the test holds on an upward-closed
-    set of S, whose least member a bisection over bit patterns finds: within
-    four floats of the estimate (floor - 1) / slope when they bracket it (a
-    normal slope), over all positive floats otherwise (a subnormal or
-    infinite slope, or an estimate that overflows)."""
-    def fires(bits):
-        return 1.0 + slope * _float(bits) < METRIC_FLOOR
+    set of S: if +inf is in it, the walk starts at the estimate
+    (floor - 1) / slope (at least the least subnormal), steps up by
+    ``math.nextafter`` until the test fires, then down while the float below
+    still fires.  The upward steps end by +inf, where the test fires, and the
+    downward ones by +0, where it never does; the correctly rounded estimate
+    leaves at most a step or two."""
+    def fires(s):
+        return 1.0 + slope * s < METRIC_FLOOR
 
-    lo, hi = 0, _INF_BITS   # S = +0 never fires; S = +inf must
-    if not fires(hi):
+    if not fires(math.inf):
         return math.nan
-    estimate = (METRIC_FLOOR - 1.0) / slope
-    if 0.0 < estimate < math.inf:
-        k = _bits(estimate)
-        if fires(min(k + 4, _INF_BITS)) and not fires(max(k - 4, 0)):
-            lo, hi = max(k - 4, 0), min(k + 4, _INF_BITS)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if fires(mid) else (mid, hi)
-    return _float(hi)
+    s = max((METRIC_FLOOR - 1.0) / slope, 5e-324)
+    while not fires(s):
+        s = math.nextafter(s, math.inf)
+    while fires(math.nextafter(s, 0.0)):
+        s = math.nextafter(s, 0.0)
+    return s
 
 
 def _metric_bounds(m) -> tuple:
@@ -192,7 +188,7 @@ def _metric_bounds(m) -> tuple:
     else max(m)) * S < METRIC_FLOOR`` fires exactly when S <= low or
     S >= high, low < 0 < high, a bound being NaN on a side where no float
     fires it (so S = +-0 and NaN never do).  For S < 0, max(m) * S is
-    -(max(m) * -S) to the bit."""
+    -(max(m) * -S) to the bit, so each side is one ``_first_collapse``."""
     return -_first_collapse(-max(m)), _first_collapse(min(m))
 
 
@@ -311,10 +307,9 @@ def thin_trajectory(traj: GeodesicTrajectory, stride: int) -> GeodesicTrajectory
 
 
 def phase_along(traj: GeodesicTrajectory):
-    """Per-sample (t, phi, dphi/dt) with dphi/dt = -2 sum_j a_j / g_j."""
-    a = traj.spec.coefficients
-    dphi = -2.0 * (a[np.newaxis, :] / traj.g).sum(axis=1)
-    return traj.times, traj.phases, dphi
+    """Per-sample (t, phi, dphi/dt), dphi/dt the sum over j of the flow's
+    dth_j/dt (``GeodesicTrajectory._rates``), negated in reversed time."""
+    return traj.times, traj.phases, traj._rates()[1].sum(axis=1)
 
 
 def _frame_rhs(a: np.ndarray, n: int):

@@ -214,6 +214,20 @@ class TestGeodesic:
         assert "smallest residual: " in err
         assert re.search(r"puts 4\.9e-324 at about \d{70,} steps", err)
 
+    def test_frozen_direction_angles_print_as_zero(self, tmp_path):
+        # a_1 = 0: RK4 from theta(0) = +0.0 adds the -0.0 increments of
+        # -2 a_1 / g_1 and stays at +0.0, which the CSV writes as 0
+        f0 = tmp_path / "l0.json"
+        f1 = tmp_path / "l1.json"
+        write_frame(f0, np.eye(2, dtype=complex))
+        write_frame(f1, np.diag([1.0, np.exp(0.5j)]))
+        out = tmp_path / "run"
+        assert cli("geodesic", "--lambda0", str(f0), "--lambda1", str(f1),
+                   "--steps", "100", "--out", str(out)) == 0
+        rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()]
+        assert rows[0][3] == "theta_1" and {row[3] for row in rows[1:]} == {"0"}
+        assert "-0" not in {cell for row in rows[1:] for cell in row}
+
     def test_failed_solve_exit_3(self, tmp_path, capsys):
         # 200 RK4 steps cannot reach this pair's targets (see test_bvpsolve);
         # the CLI must report a solver failure with the smallest residual

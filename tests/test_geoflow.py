@@ -32,6 +32,7 @@ from lagweb.geoflow import (
     horizontal_frame,
     phase_along,
     read_trajectory_csv,
+    time_reversed,
     two_route_deviation,
     write_trajectory_csv,
 )
@@ -294,9 +295,8 @@ def same_as_numpy_rk4(spec, steps):
             return str(exc)
         traj = geodesic_ivp(spec, config)
         g = 1.0 + -4.0 * spec.coefficients * ys[:, :1]
-    # equal values: a zero a_j gives the stepper's angles -0.0 where the field's are 0.0
     np.testing.assert_array_equal(traj.g.view(np.int64), g.view(np.int64))
-    np.testing.assert_array_equal(traj.theta, ys[:, 2:])
+    np.testing.assert_array_equal(traj.theta.view(np.int64), ys[:, 2:].view(np.int64))
     return None
 
 
@@ -415,6 +415,16 @@ class TestFlowFactors:
         central = (w[2:] - w[:-2]) / (traj.times[2:] - traj.times[:-2])[:, np.newaxis]
         assert np.max(np.abs(central - dw[1:-1])) < 1e-5
 
+    @pytest.mark.parametrize("a", [[-0.3, -0.2], [0.3, 0.2]], ids=["rising", "falling"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_rates_match_differenced_factors_either_way(self, a, reverse):
+        # the rates follow the samples' direction in time, not the phase's
+        traj = geodesic_ivp(flow_spec(a, 0.0), CFG)
+        traj = time_reversed(traj) if reverse else traj
+        w, dw = traj.flow_factors()
+        central = (w[2:] - w[:-2]) / (traj.times[2:] - traj.times[:-2])[:, np.newaxis]
+        assert np.max(np.abs(central - dw[1:-1])) < 1e-5
+
 
 class TestPhaseAlong:
     def test_zero_hamiltonian(self):
@@ -437,6 +447,23 @@ class TestPhaseAlong:
             _, phi, dphi = phase_along(geodesic_ivp(spec, IntegratorConfig(300)))
             assert np.all(np.diff(phi) > 0)
             assert np.all(dphi > 0)
+
+    @pytest.mark.parametrize("a", [[-0.3, -0.2], [0.3, 0.2]], ids=["rising", "falling"])
+    def test_forward_rate_is_the_flow_equation(self, a):
+        # dphi/dt = -2 sum_j a_j / g_j to the bit, whichever way the phase moves
+        traj = geodesic_ivp(flow_spec(a, 0.0), IntegratorConfig(100))
+        _, phi, dphi = phase_along(traj)
+        expected = -2.0 * (np.array(a) / traj.g).sum(axis=1)
+        np.testing.assert_array_equal(dphi.view(np.int64), expected.view(np.int64))
+        assert np.all(np.sign(dphi[:-1]) == np.sign(np.diff(phi)))
+
+    @pytest.mark.parametrize("a", [[-0.3, -0.2], [0.3, 0.2]], ids=["rising", "falling"])
+    def test_reversed_rate_is_the_forward_rate_negated(self, a):
+        forward = geodesic_ivp(flow_spec(a, 0.0), IntegratorConfig(100))
+        _, phi, dphi = phase_along(time_reversed(forward))
+        negated = -phase_along(forward)[2][::-1]
+        np.testing.assert_array_equal(dphi.view(np.int64), negated.view(np.int64))
+        assert np.all(np.sign(dphi[:-1]) == np.sign(np.diff(phi)))
 
 
 class TestFrameOracle:

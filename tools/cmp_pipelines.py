@@ -4,7 +4,7 @@
     python3 tools/cmp_pipelines.py <rev>
 
 The revision's src/ is extracted with ``git archive`` into a temporary
-directory.  Both trees then run the same eight pipelines, each stage in a
+directory.  Both trees then run the same nine pipelines, each stage in a
 fresh interpreter (``python -m lagweb.cli``):
 
   readme    the README pair, --steps 2000, --levels=-1,-0.25
@@ -26,6 +26,10 @@ fresh interpreter (``python -m lagweb.cli``):
             webbing exits 2, as it does for every n = 1 solution
   n1-fail   the same pair at --steps 200: the grid correction stalls and
             geodesic exits 3
+  frozen    the pair I -> diag(1, e^{0.5i}), --steps 100: direction 1 is
+            not turned (a_1 = 0), so its angles are RK4's sums of -0.0
+            increments from +0.0, and webbing exits 2 on the non-transverse
+            pair
 
 Each pipeline writes its frames, then runs pair-analyze, geodesic, webbing
 and verify on every mesh.  Every output file, exit code, stdout and stderr
@@ -66,6 +70,10 @@ N1_PAIR = """
 l0 = make_frame(FlatCalabiYau(1), np.array([[np.exp(0.06j)]]))
 l1 = make_frame(FlatCalabiYau(1), np.array([[np.exp(1.569j)]]))
 """
+FROZEN_PAIR = """
+l0 = make_frame(FlatCalabiYau(2), np.eye(2))
+l1 = make_frame(FlatCalabiYau(2), np.diag([1.0, np.exp(0.5j)]))
+"""
 FRAME_SCRIPT = """
 import numpy as np
 from lagweb.cli import write_json
@@ -89,6 +97,7 @@ PIPELINES = (
      ["--levels=-1e-20", "--sphere-res", "64"]),
     ("n1-grid", N1_PAIR, 1000, []),
     ("n1-fail", N1_PAIR, 200, []),
+    ("frozen", FROZEN_PAIR, 100, []),
 )
 
 

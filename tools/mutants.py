@@ -42,6 +42,8 @@ FLOW_BITS = "tests/test_geoflow.py::TestScalarFlowBits::test_same_bits_as_numpy_
 FLOW_AGREES = "tests/test_geoflow.py::TestScalarFlowBits::test_agrees_with_rk4_on_g_and_theta"
 FLOW_GUARDS = "tests/test_geoflow.py::TestScalarFlow"
 STEPPER_GUARDS = "tests/test_geoflow.py::TestStepperGuards"
+PHASE_ALONG = "tests/test_geoflow.py::TestPhaseAlong"
+FLOW_FACTORS = "tests/test_geoflow.py::TestFlowFactors"
 BVP = "src/lagweb/bvpsolve.py"
 MAP_BITS = "tests/test_bvpsolve.py::test_same_bits_as_the_per_evaluation_map"
 IMAG_RANGE = "tests/test_webbing.py::TestImagRange"
@@ -147,10 +149,12 @@ MUTANTS = {
     ),
     "reversed-time rates keep their forward sign": (
         FLOW,
-        "sign = -1.0 if phases[-1] < phases[0] else 1.0",
+        "sign = -1.0 if (a * (self.theta[-1] - self.theta[0]) > 0.0).any() else 1.0",
         "sign = 1.0",
         ["tests/test_cli.py::TestVerify::test_reversed_solution_round_trip",
-         "tests/test_webbing.py::TestVerifySlag::test_orientation_of_the_readme_pair"],
+         "tests/test_webbing.py::TestVerifySlag::test_orientation_of_the_readme_pair",
+         f"{PHASE_ALONG}::test_reversed_rate_is_the_forward_rate_negated[rising]",
+         f"{PHASE_ALONG}::test_reversed_rate_is_the_forward_rate_negated[falling]"],
     ),
     "mesh CSV nodes formed one block late": (
         WEB,
@@ -227,8 +231,8 @@ MUTANTS = {
     ),
     "metric guard bounds one float nearer 0": (
         FLOW,
-        "    return _float(hi)\n",
-        "    return _float(hi - 1)\n",
+        "    return s\n",
+        "    return math.nextafter(s, 0.0)\n",
         [f"{STEPPER_GUARDS}::test_metric_bounds_are_the_guards[mixed]",
          f"{STEPPER_GUARDS}::test_metric_bounds_are_the_guards[subnormal]",
          f"{STEPPER_GUARDS}::test_metric_guard_at_its_bound_and_next_to_it[0.3-1]",
@@ -236,8 +240,8 @@ MUTANTS = {
     ),
     "metric guard bounds one float farther from 0": (
         FLOW,
-        "    return _float(hi)\n",
-        "    return _float(hi + 1)\n",
+        "    return s\n",
+        "    return math.nextafter(s, math.inf)\n",
         [f"{STEPPER_GUARDS}::test_metric_bounds_are_the_guards[mixed]",
          f"{STEPPER_GUARDS}::test_metric_bounds_are_the_guards[one-overflowing]",
          f"{STEPPER_GUARDS}::test_metric_guard_at_its_bound_and_next_to_it[-0.3-1]",
@@ -275,6 +279,21 @@ MUTANTS = {
         "2.0 * k[:, 1] + 2.0 * k[:, 2]",
         [f"{FLOW_BITS}[seeded-2-1]", f"{FLOW_BITS}[seeded-6-7]",
          f"{FLOW_BITS}[hard-0-1.555-1000]"],
+    ),
+    "angle sums without the +0.0 that turns -0.0 into 0.0": (
+        FLOW,
+        "    theta[1:] += 0.0",
+        "    pass",
+        [f"{STEPPER_GUARDS}::test_guards_in_the_flow[0.3-zero]",
+         f"{STEPPER_GUARDS}::test_guards_in_the_flow[-1.2-least-subnormal]",
+         "tests/test_cli.py::TestGeodesic::test_frozen_direction_angles_print_as_zero"],
+    ),
+    "flow rates negated wherever the phase falls": (
+        FLOW,
+        "sign = -1.0 if (a * (self.theta[-1] - self.theta[0]) > 0.0).any() else 1.0",
+        "sign = -1.0 if self.phases[-1] < self.phases[0] else 1.0",
+        [f"{PHASE_ALONG}::test_forward_rate_is_the_flow_equation[falling]",
+         f"{FLOW_FACTORS}::test_rates_match_differenced_factors_either_way[forward-falling]"],
     ),
     "angle pass without its non-finite check": (
         FLOW,
@@ -365,11 +384,13 @@ MUTANTS = {
         "if any(not isinstance(x, (int, float)) for col in parts for part in col for x in part):",
         [f"{FRAME_TYPES}[re-bool]", f"{FRAME_TYPES}[im-bool]"],
     ),
-    "recorded level type tested by isinstance, so a bool passes": (
+    "exact JSON number tested by isinstance, so a bool passes": (
         CLI,
-        "type(level) in (int, float)",
-        "isinstance(level, (int, float))",
-        ["tests/test_cli.py::TestRecordedGrid::test_malformed_field[level-true]"],
+        "return type(value) in (int, float) and math.isfinite(value)",
+        "return isinstance(value, (int, float)) and math.isfinite(value)",
+        ["tests/test_cli.py::TestRecordedGrid::test_malformed_field[level-true]",
+         "tests/test_cli.py::TestTrajectoryFromSolution::test_malformed_field_exit_2"
+         "['phase0'-False]"],
     ),
     "CSV check without the end-of-file test": (
         TEXT,
