@@ -464,9 +464,16 @@ def _chunk_bounds(time_factor, sphere_factor, starts):
     any summation order, and its bound may round apart, for any n below
     10^6, and the subnormal terms of a value whose bounds lie within
     2^+-500, where the guards use them.  A NaN or inf factor makes the
-    bounds NaN or inf, which no guard accepts."""
+    bounds NaN or inf, which no guard accepts.
+
+    numpy folds a short axis slowly, so each is folded as elementwise
+    passes over the long one: the time factor's row minima as n - 1
+    np.minimum passes over its columns, and the sphere factor's row maxima
+    and node sums on one contiguous copy, whose sums add j in order."""
+    sphere_factor = np.ascontiguousarray(sphere_factor)
     top = np.maximum.reduceat(time_factor, starts, axis=0) @ sphere_factor.max(axis=1)
-    low = np.minimum.reduceat(time_factor.min(axis=1), starts) * sphere_factor.sum(axis=0).min()
+    row_min = functools.reduce(np.minimum, time_factor.T)
+    low = np.minimum.reduceat(row_min, starts) * sphere_factor.sum(axis=0).min()
     return low * (1.0 - BOUND_SLACK), top * (1.0 + BOUND_SLACK)
 
 
@@ -698,10 +705,11 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float) -> FluxReport:
     per direction before the sum over j, so only (T, n) and (P, n) arrays
     are held.
 
-    The value is an identity of the flow equations, which no (g, theta)
-    history can fail: dw/dt comes from them, so Im(conj(w_j) dw_j/dt) =
-    g_j dtheta_j/dt = -2 a_j, the pairing is -2c at every node and time,
-    and relflux is b1 - b0 (run forward in time) whatever g and theta hold.
+    The value is an identity of the flow equations, which no finite
+    (g, theta) history can fail: dw/dt comes from them, so Im(conj(w_j)
+    dw_j/dt) = g_j dtheta_j/dt = -2 a_j, the pairing is -2c at every node
+    and time, and relflux is b1 - b0 (run forward in time) whatever g and
+    theta hold.  A NaN in the history makes the spread NaN, which fails.
     """
     if not (b0 <= b1 < 0.0):
         raise ValueError("need b0 <= b1 < 0")
@@ -711,7 +719,7 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float) -> FluxReport:
     rates = np.trapezoid((w.conj() * dw).imag, traj.times, axis=0)    # (n,)
     u_top = (kappa**2 @ rates) / (2.0 * chart.level)
     spread = float(u_top.max() - u_top.min())
-    if spread > FLUX_SPREAD_TOL:
+    if not spread <= FLUX_SPREAD_TOL:  # so a NaN history fails too
         raise LagwebError(f"primitive varies by {spread:.3e} on the top boundary")
     boundary_value = float(u_top.mean())
     return FluxReport(boundary_value=boundary_value, spread=spread,
@@ -747,10 +755,21 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
     side: a residual row reads the time fluxes of rows r - 1 .. r + 1, and
     those read u of rows r - 2 .. r + 2.  So one-sided differences fall only
     on the grid's first and last rows, and every residual keeps the bits of
-    the whole-grid stencil.  No (T, P) array is formed.  Nor is a block of
-    the default u = t: its angle difference is exactly +0, kept as the
-    scalar 0.0 (so g * 0.0 still carries a NaN or inf of the metric), and
-    its time difference is one column for every node, taken once per grid.
+    the whole-grid stencil.  No (T, P) array is formed.
+
+    Nor is a block of the default u = t.  Its angle difference is exactly
+    +0, and its time difference is one column for every node, taken once
+    per grid, so its fluxes lose their zero terms: the angle flux is
+    -F u_t / root and the time flux E u_t / root, up to the sign of a zero.
+    As d_angle(-x) = -d_angle(x) exactly, the divergence Delta_t(E u_t /
+    root) - d_angle(F u_t / root) has the magnitude of the full one, and so
+    the residual its bits.  Only the rows that the residual reads are
+    formed, in place in the metric's arrays, and the time difference of an
+    interior row is np.gradient's (x[r + 1] - x[r - 1]) / (2 ht).  The
+    zero terms G * 0 and F * 0 only carried a NaN or inf of the metric.  A
+    NaN reaches det and root as well, but a G of +inf gives det = root =
+    inf and finite zero fluxes; so a block whose largest det is not finite
+    takes the full expression, where G * 0 makes it NaN.
     """
     if mesh.n != 2 or mesh.sphere.kind != "circle":
         raise ValueError("harmonic residual needs the n = 2 angle x time grid")
@@ -789,16 +808,30 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
         if lowest < 1e-14:
             continue  # raised below, naming the smallest EG - F^2 of the grid
         root = np.sqrt(det)
+        inner = slice(start - lo, stop - lo)  # the residual's rows
         if u_values is None:
             # t - t = +0 exactly, and one time difference for every node
             u_s, u_t = 0.0, time_steps[lo:hi, np.newaxis]
         else:
             u = u_values[lo:hi]
             u_s, u_t = d_angle(u), np.gradient(u, ht, axis=0)
-        flux_s = (g * u_s - f * u_t) / root
-        flux_t = (e * u_t - f * u_s) / root
-        div = d_angle(flux_s) + np.gradient(flux_t, ht, axis=0)
-        residual = div[start - lo:stop - lo] / root[start - lo:stop - lo]
+        if u_values is None and math.isfinite(det.max()):
+            # no zero terms: the time flux on rows r - 1 .. r + 1, the angle flux on r
+            near = slice(inner.start - 1, inner.stop + 1)
+            flux_t = e[near]
+            flux_t *= u_t[near]
+            flux_t /= root[near]
+            flux_s = f[inner]
+            flux_s *= u_t[inner]
+            flux_s /= root[inner]
+            div = flux_t[2:] - flux_t[:-2]
+            div /= 2.0 * ht
+            div -= d_angle(flux_s)
+        else:
+            flux_s = (g * u_s - f * u_t) / root
+            flux_t = (e * u_t - f * u_s) / root
+            div = (d_angle(flux_s) + np.gradient(flux_t, ht, axis=0))[inner]
+        residual = div / root[inner]
         worst = np.maximum(worst, np.max(np.abs(residual)))
     if min_det < 1e-14:
         raise LagwebError(f"induced metric degenerates (EG - F^2 = {min_det:.3e})")

@@ -1007,7 +1007,51 @@ def sums_in_orders(a, k):
     return [sum(products), sum(products[::-1]), math.fsum(products), float(exact)]
 
 
+def reference_chunk_bounds(time_factor, sphere_factor, starts):
+    """_chunk_bounds with numpy's folds along the short axes."""
+    top = np.maximum.reduceat(time_factor, starts, axis=0) @ sphere_factor.max(axis=1)
+    low = np.minimum.reduceat(time_factor.min(axis=1), starts) * sphere_factor.sum(axis=0).min()
+    return low * (1.0 - webbing.BOUND_SLACK), top * (1.0 + webbing.BOUND_SLACK)
+
+
+def bound_bits(bounds):
+    """The bits of (low, top), every NaN as one: the sign of a NaN carries
+    nothing, and no guard accepts a NaN bound."""
+    return [np.where(np.isnan(b), math.nan, b).view(np.int64).tolist() for b in bounds]
+
+
 class TestChunkBounds:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_same_bits_as_short_axis_folds(self, closed_form_meshes, n, monkeypatch):
+        # the four factor pairs of the sines and the two of the calibration,
+        # each over the three chunks of a seeded mesh
+        pairs, bounds = [], webbing._chunk_bounds
+        monkeypatch.setattr(webbing, "_chunk_bounds",
+                            lambda *args: pairs.append(args) or bounds(*args))
+        mesh = closed_form_meshes[f"seeded-n{n}"]
+        shrink_chunks(monkeypatch, len(mesh.sphere.points))
+        verify_slag(mesh)
+        euler_transversality(mesh)
+        assert len(pairs) == 6 and all(len(starts) == 3 for *_, starts in pairs)
+        for pair in pairs:
+            assert bound_bits(bounds(*pair)) == bound_bits(reference_chunk_bounds(*pair))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_same_bits_with_nan_inf_and_signed_zeros(self, n):
+        rng = np.random.default_rng(n)
+        specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+        for _ in range(200):
+            time_factor = rng.uniform(0.0, 2.0, (9, n))
+            sphere_factor = rng.uniform(0.0, 2.0, (7, n))
+            for factor in (time_factor, sphere_factor):
+                mask = rng.random(factor.shape) < 0.3
+                factor[mask] = rng.choice(specials, np.count_nonzero(mask))
+            with np.errstate(invalid="ignore"):
+                for starts in ([0], [0, 4, 8]):
+                    pair = time_factor, sphere_factor.T, starts
+                    assert (bound_bits(webbing._chunk_bounds(*pair))
+                            == bound_bits(reference_chunk_bounds(*pair)))
+
     @pytest.mark.parametrize("n", [2, 3, 6, 9])
     def test_every_summation_order_within_bounds(self, n):
         # the first row of a chunk holds every column maximum of the time
@@ -1227,6 +1271,17 @@ class TestRelflux:
         monkeypatch.setattr(webbing, "cylinder_mesh", no_mesh)
         assert abs(relflux(solved[2].trajectory, -2.0, -1.0).relflux - 1.0) < 1e-4
 
+    @pytest.mark.parametrize("edit", ["g", "theta"])
+    def test_nan_history_rejected(self, edit):
+        # one NaN sample makes every rate and so the spread NaN, which passes
+        # no tolerance
+        traj = random_traj(2, 100, 42)
+        values = getattr(traj, edit)[50].copy()
+        values[0] = math.nan
+        with np.errstate(invalid="ignore"), pytest.raises(
+                LagwebError, match=r"^primitive varies by nan on the top boundary$"):
+            relflux(edited_traj(traj, 50, **{edit: values}), -2.0, -1.0)
+
     def test_zero_coefficient_rejected(self):
         # a frozen direction has no level-set ellipsoid, as in cylinder_mesh
         l0 = make_frame(FlatCalabiYau(2), np.eye(2))
@@ -1356,6 +1411,29 @@ class TestHarmonicResidual:
         rows = max(16, csvtext.CSV_BLOCK // p_count)
         assert [(sl.start, sl.stop) for sl in spans] == [
             (max(start - 2, 0), min(start + rows + 2, 61)) for start in range(1, 60, rows)]
+
+    @pytest.mark.parametrize("row", [0, 1, 17, 30, 59, 60])
+    def test_infinite_metric_reaches_the_residual(self, monkeypatch, row):
+        # time tangents scaled by 1e160 give G = +inf on one row, but F^2,
+        # with F below 1e-15, stays finite: det and root are +inf there, and
+        # u = t's fluxes without G * 0 would be finite zeros.  The chunks
+        # that hold the row take the full expression, whose G * 0 = NaN
+        # reaches the residual of every interior row.  At 16-row blocks,
+        # row 17 is also a halo row
+        mesh = cylinder_mesh(random_traj(2, 60, 61), -0.7, 16)
+        fix_block_rows(monkeypatch, 16)
+        time_tangents = mesh.time_tangents.copy()
+        time_tangents[row] *= 1e160
+        broken = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart,
+                              sphere=mesh.sphere, points=mesh.points,
+                              sphere_tangents=mesh.sphere_tangents,
+                              time_tangents=time_tangents, boundary_defect=mesh.boundary_defect)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, f, g = webbing._metric(broken, slice(row, row + 1))
+            assert np.all(e * g - f * f == math.inf)
+            value = outcome(harmonic_residual, broken)
+            assert value == outcome(reference_harmonic, broken)
+        assert (value == "nan") == (0 < row < 60)
 
     def test_degenerate_metric_rejected(self, symmetric_traj):
         mesh = cylinder_mesh(symmetric_traj, -1.0, 16)

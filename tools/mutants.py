@@ -33,6 +33,8 @@ CSV_BYTES = "tests/test_webbing.py::TestMeshCsv::test_bytes_match_row_formatter"
 CSV_BLOCKS = "tests/test_webbing.py::TestMeshCsv::test_blocks_of_slices_match_row_formatter"
 HALO = "tests/test_webbing.py::TestHarmonicResidual::test_blocks_equal_one_block"
 FLOOR = "tests/test_webbing.py::TestHarmonicResidual::test_blocks_keep_sixteen_rows"
+INF_METRIC = ("tests/test_webbing.py::TestHarmonicResidual::"
+              "test_infinite_metric_reaches_the_residual")
 ROW_NUMBERS = "tests/test_webbing.py::TestMeshCsv::test_rows_numbered_across_blocks"
 FLOW = "src/lagweb/geoflow.py"
 KERNEL = "src/lagweb/numkernel.py"
@@ -175,6 +177,25 @@ MUTANTS = {
         "lo, hi = max(start - 1, 0)",
         [f"{HALO}[random-u-factored-17]", f"{HALO}[random-u-factored-35]",
          f"{HALO}[random-u-oracle-35]"],
+    ),
+    "u = t harmonic angle flux added, not subtracted": (
+        WEB,
+        "div -= d_angle(flux_s)",
+        "div += d_angle(flux_s)",
+        [f"{SCREENED}::test_levels[2--0.7]", f"{SCREENED}::test_readme_pair[-1.0]"],
+    ),
+    "u = t harmonic fluxes without zero terms where G is +inf": (
+        WEB,
+        "if u_values is None and math.isfinite(det.max()):",
+        "if u_values is None:",
+        [f"{INF_METRIC}[1]", f"{INF_METRIC}[17]", f"{INF_METRIC}[59]"],
+    ),
+    "relflux spread test passes a NaN": (
+        WEB,
+        "if not spread <= FLUX_SPREAD_TOL:",
+        "if spread > FLUX_SPREAD_TOL:",
+        ["tests/test_webbing.py::TestRelflux::test_nan_history_rejected[g]",
+         "tests/test_webbing.py::TestRelflux::test_nan_history_rejected[theta]"],
     ),
     "harmonic blocks combined with Python's max, which drops a later NaN": (
         WEB,
@@ -459,6 +480,13 @@ MUTANTS = {
         "top = np.minimum.reduceat(time_factor, starts, axis=0)",
         [f"{GUARDS}::test_degenerate_frame[False]", f"{BOUNDS}::test_chunks_bounded_apart",
          f"{BOUNDS}::test_every_summation_order_within_bounds[3]"],
+    ),
+    "factor bound's low from the time factor's row maxima": (
+        WEB,
+        "row_min = functools.reduce(np.minimum, time_factor.T)",
+        "row_min = functools.reduce(np.maximum, time_factor.T)",
+        [f"{BOUNDS}::test_same_bits_as_short_axis_folds[2]", f"{BOUNDS}::test_chunks_bounded_apart",
+         f"{BOUNDS}::test_same_bits_with_nan_inf_and_signed_zeros[3]"],
     ),
     "factor bounds without their rounding slack": (
         WEB,
