@@ -9,7 +9,8 @@ webbing       build level-set cylinder meshes from a solution and verify them
 verify        re-check an emitted mesh CSV and trajectory CSV against the solution
 
 webbing and verify rebuild the trajectory from the solution JSON alone, as the
-solver made it.  verify rebuilds each mesh from the level and sphere resolution
+solver made it: the solved pair is derived again from the two frames that the
+JSON stores.  verify rebuilds each mesh from the level and sphere resolution
 that webbing recorded for it.  Each stored CSV must then hold exactly the bytes
 that its writer makes from the rebuild, and each check value that verify
 computes must equal the one webbing recorded for the mesh.  The mesh CSV is
@@ -75,7 +76,8 @@ def _render_json(obj) -> str:
     if obj is None or isinstance(obj, (int, str)):  # bool is an int
         return json.dumps(obj)
     if isinstance(obj, float):
-        return format(obj, ".17g")
+        text = format(obj, ".17g")
+        return "-0.0" if text == "-0" else text  # json reads -0 as the int 0
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -88,15 +90,31 @@ def write_json(path, obj) -> str:
 # --- subcommand implementations ---
 
 def _load_pair(args):
-    l0 = laggrass.load_frame(args.lambda0)
-    l1 = laggrass.load_frame(args.lambda1)
+    """(l0, l1, data0, data1): the two frames and the JSON objects they were
+    made from (laggrass.load_frame)."""
+    (l0, data0), (l1, data1) = laggrass.load_frame(args.lambda0), laggrass.load_frame(args.lambda1)
     if l0.n != l1.n:
         raise ValueError("frames have different dimensions")
-    return l0, l1
+    return l0, l1, data0, data1
+
+
+def _solved_pair(l0, l1):
+    """(l0, l1, spectrum, reversed): the pair of Maslov index 0 that the
+    geodesic is solved for, with its decomposition.  An index-n pair is
+    solved as its swapped pair, and its trajectory reversed in time; any
+    other index raises ValueError."""
+    spectrum = laggrass.pair_decomposition(l0, l1)
+    maslov, _ = spectrum.maslov_index()
+    if maslov not in (0, l0.n):
+        raise ValueError(f"Maslov index {maslov} is not 0 or n = {l0.n}; "
+                         "the geodesic is solved for those two only")
+    if maslov == 0:
+        return l0, l1, spectrum, False
+    return l1, l0, laggrass.pair_decomposition(l1, l0), True
 
 
 def run_pair_analyze(args) -> int:
-    l0, l1 = _load_pair(args)
+    l0, l1, _, _ = _load_pair(args)
     spectrum = laggrass.pair_decomposition(l0, l1)
     maslov, defect = spectrum.maslov_index()
     payload = {
@@ -115,41 +133,25 @@ def run_pair_analyze(args) -> int:
 def run_geodesic(args) -> int:
     from . import bvpsolve, geoflow
 
-    l0, l1 = _load_pair(args)
-    spectrum = laggrass.pair_decomposition(l0, l1)
-    maslov, _ = spectrum.maslov_index()
-    if maslov not in (0, l0.n):
-        raise ValueError(f"Maslov index {maslov} is not 0 or n = {l0.n}; "
-                         "the geodesic is solved for those two only")
-    # index-n pairs: swap roles, solve at index zero, reverse time below;
-    # the swapped pair is decomposed anew
-    reversed_roles = maslov != 0
-    if reversed_roles:
-        l0, l1, spectrum = l1, l0, None
+    l0, l1, data0, data1 = _load_pair(args)
+    l0, l1, spectrum, reversed_roles = _solved_pair(l0, l1)
     sol = bvpsolve.solve_bvp_maslov0(l0, l1, args.tol, IntegratorConfig(args.steps),
                                      spectrum=spectrum)
-    spectrum, traj = sol.spectrum, sol.trajectory
-
+    traj = sol.trajectory
     out_traj = geoflow.time_reversed(traj) if reversed_roles else traj
     geoflow.write_trajectory_csv(out_traj, os.path.join(args.out, "trajectory.csv"))
 
-    base = traj.spec.base
     payload = {
         "a": sol.coefficients,
-        "beta": spectrum.beta,
-        "residual": sol.residual_norm,
-        "jacobian_condition": sol.jacobian_condition,
-        "n": base.n,
-        "maslov": maslov,
-        "phase0": spectrum.phase0,
-        "phase1": spectrum.phase1,
         "steps": args.steps,
         "tolerance": args.tol,
-        "reversed": reversed_roles,
-        "frame0": laggrass.frame_to_json_dict(base),
-        "adapted_basis": traj.spec.adapted_basis,
+        "frame0": data0,
+        "frame1": data1,
+        "beta": spectrum.beta,
+        "residual": sol.residual_norm,
         "newton_residuals": sol.newton_residuals,
         "grid_residuals": sol.grid_residuals,
+        "jacobian_condition": sol.jacobian_condition,
     }
     path = write_json(os.path.join(args.out, "solution.json"), payload)
     print(f"wrote {path} (residual {sol.residual_norm:.3e})")
@@ -166,53 +168,34 @@ def _residuals(value) -> bool:
 
 
 def _load_trajectory(solution_path: str):
-    """The solver's integration of the stored a from the stored phase0 (not
-    the re-made frame's, see GeodesicSpec) over the stored steps, once the
-    stored record of the solve agrees with it."""
+    """The solver's trajectory, rebuilt from the solution JSON as geodesic
+    made it: the solved pair and its decomposition come from the stored
+    frame0 and frame1 (_solved_pair), and the stored a is integrated from
+    that pair's phase0 over the stored steps, reversed in time for an
+    index-n pair.  The stored beta must be the derived angles and residual
+    the rebuild's max|theta(1) - beta|, both to the bit, and the residual
+    and the solve's history must lie below the stored tolerance."""
     from . import geoflow
 
     with open(solution_path, "r", encoding="utf-8") as fh:
         solution = json.load(fh)
     try:
-        steps, reverse, phase0 = solution["steps"], solution["reversed"], solution["phase0"]
-        if not (type(steps) is int and steps >= 1 and type(reverse) is bool
-                and _finite_number(phase0)):
-            raise ValueError("malformed solution JSON: need an integer steps >= 1, a bool "
-                             "reversed and a finite number phase0")
-        base = laggrass.frame_from_json_dict(solution["frame0"])
-        # geodesic derives n, maslov and reversed from the pair: none may contradict it
-        n, maslov = solution["n"], solution["maslov"]
-        if not (type(n) is int and n == base.n):
-            raise ValueError(f"malformed solution JSON: n must be frame0's dimension {base.n}, "
-                             f"got {n!r}")
-        if not (type(maslov) is int and maslov in (0, n)):
-            raise ValueError(f"malformed solution JSON: maslov must be 0 or n = {n}, "
-                             f"got {maslov!r}")
-        if reverse != (maslov != 0):
-            raise ValueError(f"malformed solution JSON: reversed must be "
-                             f"{json.dumps(maslov != 0)} for maslov {maslov}, "
-                             f"got {json.dumps(reverse)}")
-        beta, tolerance, residual = solution["beta"], solution["tolerance"], solution["residual"]
+        steps, tolerance, residual = solution["steps"], solution["tolerance"], solution["residual"]
         newton, grid = solution["newton_residuals"], solution["grid_residuals"]
         condition = solution["jacobian_condition"]
-        if not (type(beta) is list and len(beta) == n and all(map(_finite_number, beta))):
-            raise ValueError(f"malformed solution JSON: beta must be n = {n} finite numbers, "
-                             f"got {json.dumps(beta)}")
-        if not (_finite_number(tolerance) and tolerance > 0):
-            raise ValueError(f"malformed solution JSON: tolerance must be a positive finite "
-                             f"number, got {json.dumps(tolerance)}")
-        beta = np.array(beta, dtype=float)
-        # the solver solves the pair of index 0, the swapped one if reversed
-        quotient = (float(beta.sum()) + phase0 - solution["phase1"]) / math.pi
-        if not abs(quotient) < laggrass.INTEGER_TOL:
-            raise ValueError(f"malformed solution JSON: beta, phase0 and phase1 give the Maslov "
-                             f"quotient {quotient:.9f}, not 0")
-        spec = geoflow.GeodesicSpec(
-            base=base,
-            adapted_basis=np.asarray(solution["adapted_basis"], dtype=float),
-            coefficients=np.asarray(solution["a"], dtype=float),
-            phase0=float(phase0),
-        )
+        if not (type(steps) is int and steps >= 1 and _finite_number(tolerance)
+                and tolerance > 0):
+            raise ValueError("malformed solution JSON: need an integer steps >= 1 and a "
+                             "positive finite number tolerance")
+        frames = [laggrass.frame_from_json_dict(solution[key]) for key in ("frame0", "frame1")]
+        l0, _, spectrum, reverse = _solved_pair(*frames)
+        beta = spectrum.beta
+        if _render_json(solution["beta"]) != _render_json(beta):
+            raise ValueError(f"malformed solution JSON: beta must be the solved pair's angles "
+                             f"{_render_json(beta)}, got {json.dumps(solution['beta'])}")
+        spec = geoflow.GeodesicSpec(base=l0, adapted_basis=spectrum.adapted_basis,
+                                    coefficients=np.asarray(solution["a"], dtype=float),
+                                    phase0=spectrum.phase0)
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed solution JSON: {type(exc).__name__} {exc}") from exc
     traj = geoflow.geodesic_ivp(spec, IntegratorConfig(steps))

@@ -56,8 +56,9 @@ METRIC_FLOOR = 1e-9   # g_j below this signals bad input
 
 @dataclass(frozen=True, eq=False)
 class GeodesicSpec:
-    """Initial plane, adapted basis, Hamiltonian coefficients, base phase; phase0 is
-    not read off ``base``, whose phase can differ in the last bits once re-made from JSON."""
+    """Initial plane, adapted basis, Hamiltonian coefficients, base phase.  The
+    solver and the CLI's loader pass ``base.phase`` as phase0; tests set it
+    apart from the base to run the flow from other phases."""
 
     base: LagrangianFrame
     adapted_basis: np.ndarray  # (n, n) real orthogonal

@@ -265,9 +265,15 @@ def frame_from_json_dict(data: dict) -> LagrangianFrame:
     return make_frame(FlatCalabiYau(n), raw)
 
 
-def load_frame(path) -> LagrangianFrame:
+def load_frame(path):
+    """(frame, data): the frame that the JSON file at path gives, and the
+    JSON object it was made from, kept to n and each entry's re and im, so
+    that frame_from_json_dict(data) makes the same frame again."""
     with open(path, "r", encoding="utf-8") as fh:
-        return frame_from_json_dict(json.load(fh))
+        data = json.load(fh)
+    frame = frame_from_json_dict(data)
+    columns = [[{"re": e["re"], "im": e["im"]} for e in col] for col in data["columns"]]
+    return frame, {"n": frame.n, "columns": columns}
 
 
 # --- randomized samplers (test corpus + experiments) ---

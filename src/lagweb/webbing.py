@@ -803,8 +803,9 @@ def harmonic_residual(mesh: CylinderMesh, u_values=None) -> float:
         lo, hi = max(start - 2, 0), min(stop + 2, t_count)
         e, f, g = _metric(mesh, slice(lo, hi))
         det = e * g - f * f
-        lowest = det.min()
-        min_det = np.minimum(min_det, lowest)
+        # fmin skips NaN: a NaN row or block hides no degenerate row
+        lowest = np.fmin.reduce(det, axis=None)
+        min_det = np.fmin(min_det, lowest)
         if lowest < 1e-14:
             continue  # raised below, naming the smallest EG - F^2 of the grid
         root = np.sqrt(det)

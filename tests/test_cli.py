@@ -16,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagweb
-from lagweb import bvpsolve, laggrass
-from lagweb.cli import (THRESHOLDS, _check_thresholds, _load_trajectory, build_parser,
-                        config_from_args, run)
+from lagweb import bvpsolve, geoflow, laggrass
+from lagweb import cli as cli_module
+from lagweb.cli import (THRESHOLDS, _check_thresholds, _load_trajectory, _solved_pair,
+                        build_parser, config_from_args, run)
 from lagweb.laggrass import FlatCalabiYau, frame_to_json_dict, make_frame, random_maslov_zero_pair
+from lagweb.numkernel import IntegratorConfig
 from lagweb.cli import main, write_json
 from lagweb.webbing import cylinder_mesh
 
@@ -142,12 +144,28 @@ class TestGeodesic:
 
     def test_emits_solution_and_trajectory(self, solved_dir):
         sol = json.loads((solved_dir / "solution.json").read_text())
-        assert sol["maslov"] == 0
         assert sol["residual"] < 1e-10
-        assert "trajectory_csv" not in sol and "seed" not in sol
         lines = (solved_dir / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,g_1,g_2,theta_1,theta_2,phase"
         assert len(lines) == 502
+
+    def test_solution_holds_the_frames_and_the_solve(self, tmp_path, pair_files):
+        # everything else that describes the solve is derived from the two
+        # frames: the Maslov index, the role swap, the phases and the basis.
+        # A frame is stored as given, kept to n and each entry's re and im
+        f0, f1 = pair_files
+        doc = json.loads(open(f0).read())
+        doc["note"] = "identity"
+        doc["columns"][0][0]["unit"] = True
+        (tmp_path / "noted.json").write_text(json.dumps(doc))
+        assert cli("geodesic", "--lambda0", str(tmp_path / "noted.json"), "--lambda1", f1,
+                   "--steps", "300", "--out", str(tmp_path / "run")) == 0
+        sol = json.loads((tmp_path / "run" / "solution.json").read_text())
+        assert sorted(sol) == ["a", "beta", "frame0", "frame1", "grid_residuals",
+                               "jacobian_condition", "newton_residuals", "residual", "steps",
+                               "tolerance"]
+        assert sol["frame0"] == json.loads(open(f0).read())
+        assert sol["frame1"] == json.loads(open(f1).read())
 
     def test_determinism(self, tmp_path, pair_files):
         f0, f1 = pair_files
@@ -185,8 +203,10 @@ class TestGeodesic:
                    "--steps", "400", "--out", str(out))
         assert code == 0
         sol = json.loads((out / "solution.json").read_text())
-        assert sol["maslov"] == 2
-        assert sol["reversed"] is True
+        # the frames as the user gave them; beta is the swapped pair's
+        assert sol["frame0"] == json.loads(open(f1).read())
+        assert sol["frame1"] == json.loads(open(f0).read())
+        np.testing.assert_allclose(sol["beta"], [math.pi / 6, math.pi / 4], atol=1e-10)
         lines = (out / "trajectory.csv").read_text().splitlines()
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
@@ -449,6 +469,11 @@ TRAJECTORY_EDITS = {
 }
 
 
+# the README pair's angles pi/6 and pi/4 as solution.json writes them
+README_BETA = "[0.52359877559829882,0.78539816339744817]"
+BAD = "malformed solution JSON: "
+
+
 class TestTrajectoryFromSolution:
     """webbing rebuilds the trajectory from the solution JSON and never reads
     its CSV; verify requires every CSV column to equal that rebuild."""
@@ -583,11 +608,10 @@ class TestTrajectoryFromSolution:
 
     @pytest.mark.parametrize("key, value", [
         ("steps", True), ("steps", 400.0), ("steps", 0), ("steps", "400"), ("steps", 10**400),
-        ("reversed", 0), ("reversed", "false"), ("reversed", None),
-        ("phase0", "0.0"), ("phase0", False), ("phase0", math.nan), ("phase0", math.inf),
-        ("phase0", 10**400), ("beta", [0.5]), ("beta", [0.5, True]), ("beta", [0.5, "0.5"]),
+        ("frame0", None), ("frame0", {"n": 2}), ("frame1", []), ("frame1", {"n": 1}),
+        ("beta", [0.5]), ("beta", [0.5, True]), ("beta", [0.5, "0.5"]),
         ("beta", [0.5, math.nan]), ("beta", None), ("tolerance", 0), ("tolerance", math.inf),
-        ("tolerance", "1e-10"), ("residual", None), ("residual", math.nan), ("phase1", "0.5"),
+        ("tolerance", "1e-10"), ("tolerance", True), ("residual", None), ("residual", math.nan),
         ("newton_residuals", None), ("newton_residuals", [math.nan]),
         ("newton_residuals", [True]), ("newton_residuals", ["0"]), ("grid_residuals", None),
         ("grid_residuals", [math.inf]), ("grid_residuals", [-0.5]),
@@ -609,39 +633,48 @@ class TestTrajectoryFromSolution:
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("key, value, message", [
-        ("n", 9, "n must be frame0's dimension 2, got 9"),
-        ("maslov", 7, "maslov must be 0 or n = 2, got 7"),
-        ("reversed", True, "reversed must be false for maslov 0, got true"),
-        ("beta", [0.8, 0.8], "beta, phase0 and phase1 give the Maslov quotient 0.092629151, not 0"),
-        ("beta", ["0.5", 0.8], 'beta must be n = 2 finite numbers, got ["0.5", 0.8]'),
+        ("frame1", frame_to_json_dict(make_frame(FlatCalabiYau(3), np.eye(3))),
+         "frames live in different ambient dimensions"),
+        ("frame1", frame_to_json_dict(make_frame(FlatCalabiYau(2),
+                                                 np.diag(np.exp(1j * np.array([0.9, 1.0]))))),
+         "Maslov index 1 is not 0 or n = 2; the geodesic is solved for those two only"),
+        ("frame1", frame_to_json_dict(make_frame(FlatCalabiYau(2), np.eye(2))),
+         f"{BAD}beta must be the solved pair's angles [0,0], got {{beta}}"),
+        ("beta", [0.8, 0.8], f"{BAD}beta must be the solved pair's angles {README_BETA}, "
+                             "got [0.8, 0.8]"),
+        ("beta", ["0.5", 0.8], f"{BAD}beta must be the solved pair's angles {README_BETA}, "
+                               'got ["0.5", 0.8]'),
         ("residual", 0.5,
-         "residual must be the rebuilt max|theta(1) - beta| {residual!r}, got 0.5"),
-        ("phase1", 0, "beta, phase0 and phase1 give the Maslov quotient 0.416666667, not 0"),
-        ("tolerance", -1, "tolerance must be a positive finite number, got -1"),
-        ("tolerance", 1e-20, "residual {residual!r} is not below tolerance 1e-20"),
-        ("newton_residuals", [1], "newton_residuals must be one or more finite non-negative "
-                                  "numbers, the last below tolerance 1e-10, got [1]"),
-        ("newton_residuals", [], "newton_residuals must be one or more finite non-negative "
-                                 "numbers, the last below tolerance 1e-10, got []"),
-        ("newton_residuals", [0.5, -1e-20], "newton_residuals must be one or more finite "
+         f"{BAD}residual must be the rebuilt max|theta(1) - beta| {{residual!r}}, got 0.5"),
+        ("tolerance", -1,
+         f"{BAD}need an integer steps >= 1 and a positive finite number tolerance"),
+        ("tolerance", 1e-20, f"{BAD}residual {{residual!r}} is not below tolerance 1e-20"),
+        ("newton_residuals", [1], f"{BAD}newton_residuals must be one or more finite "
+                                  "non-negative numbers, the last below tolerance 1e-10, got [1]"),
+        ("newton_residuals", [], f"{BAD}newton_residuals must be one or more finite "
+                                 "non-negative numbers, the last below tolerance 1e-10, got []"),
+        ("newton_residuals", [0.5, -1e-20], f"{BAD}newton_residuals must be one or more finite "
                                             "non-negative numbers, the last below tolerance "
                                             "1e-10, got [0.5, -1e-20]"),
-        ("grid_residuals", [1e-9, 0.5], "grid_residuals must be [] or finite non-negative "
+        ("grid_residuals", [1e-9, 0.5], f"{BAD}grid_residuals must be [] or finite non-negative "
                                         "numbers ending in residual {residual!r}, got [1e-09, 0.5]"),
-        ("jacobian_condition", -5, "jacobian_condition must be a finite number >= 1, got -5"),
-        ("jacobian_condition", 0.5, "jacobian_condition must be a finite number >= 1, got 0.5"),
-    ], ids=["n", "maslov", "reversed", "beta", "beta-as-text", "residual", "phase1", "tolerance",
+        ("jacobian_condition", -5,
+         f"{BAD}jacobian_condition must be a finite number >= 1, got -5"),
+        ("jacobian_condition", 0.5,
+         f"{BAD}jacobian_condition must be a finite number >= 1, got 0.5"),
+    ], ids=["n", "maslov", "phase1", "beta", "beta-as-text", "residual", "tolerance",
             "tolerance-below-residual", "newton-above-tolerance", "newton-empty",
             "newton-negative", "grid-last-entry", "jacobian-condition", "jacobian-below-1"])
     def test_contradictory_field_exit_2(self, tmp_path, readme_400, capsys, key, value,
                                         message):
-        # each edit passed both stages: webbing rebuilt the mesh from frame0
-        # alone, or ran the README pair back in time, or read no record of
-        # the solve, and exited 0
+        # each edit contradicts the frames or the rebuild, or the record of
+        # the solve contradicts itself; frame1 of another dimension, of
+        # Maslov index 1 and of another phase stand for the n, maslov and
+        # phase1 that the record no longer stores
         run_dir, mesh = readme_400
         doc = json.loads((run_dir / "solution.json").read_text())
         assert 0.0 < doc["residual"] < 1e-10
-        message = message.format(**doc)
+        message = message.format(residual=doc["residual"], beta=json.dumps(doc["beta"]))
         doc[key] = value
         (tmp_path / "solution.json").write_text(json.dumps(doc))
         for argv in (["webbing", "--levels=-1", "--sphere-res", "16"],
@@ -649,7 +682,7 @@ class TestTrajectoryFromSolution:
                       str(run_dir / "trajectory.csv")]):
             assert exit_code(*argv, "--solution", str(tmp_path / "solution.json"),
                              "--out", str(tmp_path / "out")) == 2
-            assert capsys.readouterr().err == f"error: malformed solution JSON: {message}\n"
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("a", [[], [-0.1], [-0.1] * 3, [[-0.1, -0.1]]], ids=repr)
@@ -669,27 +702,93 @@ class TestTrajectoryFromSolution:
             assert capsys.readouterr().err == ("error: coefficients must be 2 numbers, one per "
                                                f"direction, got shape {np.shape(a)}\n")
 
-    @pytest.mark.parametrize("basis, message", [
-        ([[math.nan, 0.0], [0.0, 1.0]], "adapted basis must be finite"),
-        ([[math.inf, 0.0], [0.0, 1.0]], "adapted basis must be finite"),
-        (np.eye(3).tolist(), "adapted basis must be 2 x 2, one column per direction, "
-                             "got shape (3, 3)"),
-        ([1.0, 0.0], "adapted basis must be 2 x 2, one column per direction, got shape (2,)"),
-    ], ids=["nan", "inf", "3x3", "1-d"])
-    def test_adapted_basis_checked(self, tmp_path, readme_400, capsys, basis, message):
-        # a NaN basis passed the orthogonality test (NaN > 1e-8 is False) and
-        # wrote NaN into the report; a 3 x 3 one failed in a matmul
+    @pytest.mark.parametrize("rewrite_beta", [False, True], ids=["beta-kept", "beta-rewritten"])
+    @pytest.mark.parametrize("scale", [1.01, 1.10, 2.0])
+    def test_consistent_coefficient_edit_exit_2(self, tmp_path, readme_400, capsys, scale,
+                                                rewrite_beta):
+        # a scaled a, with beta set to the rebuild's theta(1) or kept, and
+        # residual set to the rebuild's: when the record also held phase0 and
+        # phase1 = phase0 + sum(beta), the rewritten edit with phase1 set to
+        # match passed webbing, and verify with CSVs made from it.  beta is
+        # now the frames' and is held to them, so the scaled flow misses it
         run_dir, mesh = readme_400
         doc = json.loads((run_dir / "solution.json").read_text())
-        doc["adapted_basis"] = basis
-        (tmp_path / "solution.json").write_text(json.dumps(doc))
+        l0, _, spectrum, _ = _solved_pair(laggrass.frame_from_json_dict(doc["frame0"]),
+                                          laggrass.frame_from_json_dict(doc["frame1"]))
+        a = [scale * v for v in doc["a"]]
+        spec = geoflow.GeodesicSpec(base=l0, adapted_basis=spectrum.adapted_basis,
+                                    coefficients=a, phase0=spectrum.phase0)
+        theta1 = geoflow.geodesic_ivp(spec, IntegratorConfig(doc["steps"])).theta[-1]
+        beta = theta1 if rewrite_beta else spectrum.beta
+        residual = float(np.max(np.abs(theta1 - beta)))
+        doc.update(a=a, beta=beta.tolist(), residual=residual)
+        write_json(tmp_path / "solution.json", doc)
+        message = (f"beta must be the solved pair's angles {README_BETA}, got "
+                   f"{json.dumps(doc['beta'])}" if rewrite_beta
+                   else f"residual {residual!r} is not below tolerance 1e-10")
         for argv in (["webbing", "--levels=-1", "--sphere-res", "16"],
                      ["verify", "--mesh", str(mesh), "--trajectory",
                       str(run_dir / "trajectory.csv")]):
             assert exit_code(*argv, "--solution", str(tmp_path / "solution.json"),
                              "--out", str(tmp_path / "out")) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
-            assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+            assert capsys.readouterr().err == f"error: malformed solution JSON: {message}\n"
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_swapped_frames_are_the_reversed_problem(self, tmp_path, readme_400, capsys):
+        # (frame1, frame0) has Maslov index n and is solved as the pair it
+        # swaps back to, by the same a: a valid record of the reversed
+        # problem, whose trajectory runs back in time
+        run_dir, mesh = readme_400
+        doc = json.loads((run_dir / "solution.json").read_text())
+        doc["frame0"], doc["frame1"] = doc["frame1"], doc["frame0"]
+        write_json(tmp_path / "solution.json", doc)
+        assert cli("webbing", "--solution", str(tmp_path / "solution.json"), "--levels=-1",
+                   "--sphere-res", "16", "--out", str(tmp_path / "web")) == 0
+        forward = _load_trajectory(str(run_dir / "solution.json"))
+        backward = _load_trajectory(str(tmp_path / "solution.json"))
+        np.testing.assert_array_equal(backward.theta, forward.theta[::-1])
+        capsys.readouterr()
+        assert cli("verify", "--mesh", str(mesh), "--trajectory", str(run_dir / "trajectory.csv"),
+                   "--solution", str(tmp_path / "solution.json"),
+                   "--out", str(tmp_path / "v")) == 2
+        assert capsys.readouterr().err.startswith("error: trajectory CSV samples disagree")
+        assert not (tmp_path / "v").exists() or not any((tmp_path / "v").iterdir())
+
+    def test_negative_zero_frame_entries(self, tmp_path, monkeypatch):
+        # json keeps -0.0 in a frame file; geodesic must store it so that
+        # webbing and verify re-make the frames, and so beta and phase0, to
+        # the bit
+        phases = np.array([[0.1, -0.2, 0.05], [0.5, 0.3, 0.40]])
+        for name, angles in zip(("l0.json", "l1.json"), phases):
+            cols = [[{"re": math.cos(angles[j]) if i == j else -0.0,
+                      "im": math.sin(angles[j]) if i == j else -0.0} for i in range(3)]
+                    for j in range(3)]
+            (tmp_path / name).write_text(json.dumps({"n": 3, "columns": cols}))
+        pairs = []
+        solved_pair = cli_module._solved_pair
+        monkeypatch.setattr(cli_module, "_solved_pair",
+                            lambda l0, l1: pairs.append(solved_pair(l0, l1)) or pairs[-1])
+        run_dir, web = tmp_path / "run", tmp_path / "web"
+        assert cli("geodesic", "--lambda0", str(tmp_path / "l0.json"),
+                   "--lambda1", str(tmp_path / "l1.json"), "--steps", "200",
+                   "--out", str(run_dir)) == 0
+        sol = json.loads((run_dir / "solution.json").read_text())
+        for key, name in (("frame0", "l0.json"), ("frame1", "l1.json")):
+            stored = [[complex(e["re"], e["im"]) for e in col] for col in sol[key]["columns"]]
+            given = [[complex(e["re"], e["im"]) for e in col]
+                     for col in json.loads((tmp_path / name).read_text())["columns"]]
+            np.testing.assert_array_equal(np.signbit(np.array(stored).view(float)),
+                                          np.signbit(np.array(given).view(float)))
+        assert cli("webbing", "--solution", str(run_dir / "solution.json"), "--levels=-1",
+                   "--sphere-res", "8", "--out", str(web)) == 0
+        assert cli("verify", "--mesh", str(web / "mesh_0.csv"),
+                   "--trajectory", str(run_dir / "trajectory.csv"),
+                   "--solution", str(run_dir / "solution.json"), "--out", str(tmp_path / "v")) == 0
+        assert len(pairs) == 3
+        for _, _, spectrum, reverse in pairs[1:]:
+            assert spectrum.beta.tobytes() == pairs[0][2].beta.tobytes()
+            assert spectrum.phase0.hex() == pairs[0][2].phase0.hex()
+            assert reverse is pairs[0][3] is False
 
 
 class TestVerify:
@@ -973,6 +1072,18 @@ class TestDeterministicJson:
         write_json(path, {"b": 1.0 / 3.0, "a": [1, True, None, "s"]})
         text = path.read_text()
         assert text == '{"a":[1,true,null,"s"],"b":0.33333333333333331}\n'
+
+    def test_negative_zero_read_back(self, tmp_path):
+        # '.17g' writes -0.0 as -0, which json reads as the int 0: a diagonal
+        # n = 3 frame re-made from that text differs in its columns' sign bits
+        frame = {"n": 3, "columns": [[{"re": 1.0 if i == j else -0.0,
+                                       "im": 0.0 if i == j else -0.0} for i in range(3)]
+                                     for j in range(3)]}
+        write_json(tmp_path / "frame.json", frame)
+        again, _ = laggrass.load_frame(tmp_path / "frame.json")
+        expected = laggrass.frame_from_json_dict(frame)
+        assert again.columns.tobytes() == expected.columns.tobytes()
+        assert "-0.0" in (tmp_path / "frame.json").read_text()
 
 
 def scipy_modules_after(code):

@@ -306,6 +306,22 @@ def flow_spec(a, phase0):
                         coefficients=a, phase0=phase0)
 
 
+class TestGeodesicSpec:
+    @pytest.mark.parametrize("basis, message", [
+        ([[math.nan, 0.0], [0.0, 1.0]], "adapted basis must be finite"),
+        ([[math.inf, 0.0], [0.0, 1.0]], "adapted basis must be finite"),
+        (np.eye(3).tolist(), "adapted basis must be 2 x 2, one column per direction, "
+                             "got shape (3, 3)"),
+        ([1.0, 0.0], "adapted basis must be 2 x 2, one column per direction, got shape (2,)"),
+    ], ids=["nan", "inf", "3x3", "1-d"])
+    def test_adapted_basis_checked(self, basis, message):
+        # a NaN basis passed the orthogonality test (NaN > 1e-8 is False) and
+        # wrote NaN into the report; a 3 x 3 one failed in a matmul
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeodesicSpec(base=make_frame(FlatCalabiYau(2), np.eye(2)), adapted_basis=basis,
+                         coefficients=[-0.1, -0.1], phase0=0.0)
+
+
 class TestStepperGuards:
     """The stepper's guards, S <= low or S >= high and |phi| against +-edge,
     give the verdict and message of the expressions they stand for, at their

@@ -1435,6 +1435,26 @@ class TestHarmonicResidual:
             assert value == outcome(reference_harmonic, broken)
         assert (value == "nan") == (0 < row < 60)
 
+    @pytest.mark.parametrize("rows, nan_rows", [(16, [10]), (59, [10]), (16, range(20))],
+                             ids=["nan-row", "one-block", "nan-block"])
+    def test_nan_row_hides_no_degenerate_row(self, monkeypatch, rows, nan_rows):
+        # the smallest EG - F^2 was folded with det.min() and np.minimum: a
+        # NaN metric row, or a block of them (rows 0-18 at 16-row blocks),
+        # made the fold NaN, NaN < 1e-14 is False, and the zero time
+        # tangents of row 40 returned nan
+        mesh = cylinder_mesh(random_traj(2, 60, 61), -0.7, 16)
+        fix_block_rows(monkeypatch, rows)
+        time_tangents = mesh.time_tangents.copy()
+        time_tangents[list(nan_rows)] = math.nan
+        time_tangents[40] = 0.0
+        broken = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart,
+                              sphere=mesh.sphere, points=mesh.points,
+                              sphere_tangents=mesh.sphere_tangents,
+                              time_tangents=time_tangents, boundary_defect=mesh.boundary_defect)
+        with pytest.raises(LagwebError,
+                           match=r"induced metric degenerates \(EG - F\^2 = 0\.000e\+00\)"):
+            harmonic_residual(broken)
+
     def test_degenerate_metric_rejected(self, symmetric_traj):
         mesh = cylinder_mesh(symmetric_traj, -1.0, 16)
         broken = CylinderMesh(trajectory=mesh.trajectory, chart=mesh.chart,

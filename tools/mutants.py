@@ -66,6 +66,9 @@ GUARDS = "tests/test_webbing.py::TestClosedFormGuards"
 MESH = "tests/test_webbing.py::TestCylinderMesh"
 BOUNDS = "tests/test_webbing.py::TestChunkBounds"
 SOLUTION_FIELDS = "tests/test_cli.py::TestTrajectoryFromSolution::test_contradictory_field_exit_2"
+COEFFICIENT_EDIT = ("tests/test_cli.py::TestTrajectoryFromSolution::"
+                    "test_consistent_coefficient_edit_exit_2")
+NAN_METRIC = "tests/test_webbing.py::TestHarmonicResidual::test_nan_row_hides_no_degenerate_row"
 RING = "tests/test_webbing.py::TestCsvRing"
 RING_BYTES = f"{RING}::test_same_bytes_at_one_and_two_cpus"
 FILE_ORDER = f"{RING}::test_first_edit_in_file_order_is_named"
@@ -135,6 +138,18 @@ MUTANTS = {
         "defect = max(defect, float(np.max(np.abs((points @ plane.conj()).imag))))",
         [f"{MESH}::test_nan_end_slice_left_its_plane[0]",
          f"{MESH}::test_nan_end_slice_left_its_plane[-1]"],
+    ),
+    "block's smallest EG - F^2 by det.min(), which a NaN row makes NaN": (
+        WEB,
+        "lowest = np.fmin.reduce(det, axis=None)",
+        "lowest = det.min()",
+        [f"{NAN_METRIC}[one-block]"],
+    ),
+    "smallest EG - F^2 folded with np.minimum, which a NaN block makes NaN": (
+        WEB,
+        "min_det = np.fmin(min_det, lowest)",
+        "min_det = np.minimum(min_det, lowest)",
+        [f"{NAN_METRIC}[nan-block]"],
     ),
     "boundary defect tested by >, which a NaN passes": (
         WEB,
@@ -411,7 +426,7 @@ MUTANTS = {
         "return isinstance(value, (int, float)) and math.isfinite(value)",
         ["tests/test_cli.py::TestRecordedGrid::test_malformed_field[level-true]",
          "tests/test_cli.py::TestTrajectoryFromSolution::test_malformed_field_exit_2"
-         "['phase0'-False]"],
+         "['tolerance-True]"],
     ),
     "CSV check without the end-of-file test": (
         TEXT,
@@ -568,41 +583,33 @@ MUTANTS = {
         "        if False:",
         ["tests/test_cli.py::TestWebbing::test_empty_level_grid"],
     ),
-    "solution n not held to frame0's dimension": (
-        CLI,
-        "type(n) is int and n == base.n",
-        "type(n) is int",
-        [f"{SOLUTION_FIELDS}[n]"],
-    ),
-    "solution maslov not held to 0 or n": (
-        CLI,
-        "type(maslov) is int and maslov in (0, n)",
-        "type(maslov) is int",
-        [f"{SOLUTION_FIELDS}[maslov]"],
-    ),
-    "solution reversed not held to maslov": (
-        CLI,
-        "if reverse != (maslov != 0):",
-        "if False:",
-        [f"{SOLUTION_FIELDS}[reversed]"],
-    ),
-    "solution beta taken as any n values": (
-        CLI,
-        "len(beta) == n and all(map(_finite_number, beta))",
-        "len(beta) == n",
-        [f"{SOLUTION_FIELDS}[beta-as-text]"],
-    ),
     "solution tolerance not held positive": (
         CLI,
-        "_finite_number(tolerance) and tolerance > 0",
+        "_finite_number(tolerance)\n                and tolerance > 0",
         "_finite_number(tolerance)",
         [f"{SOLUTION_FIELDS}[tolerance]"],
     ),
-    "solution beta and phases not held to Maslov index 0": (
+    "solution beta taken from the record, not from the frames": (
         CLI,
-        "if not abs(quotient) < laggrass.INTEGER_TOL:",
-        "if False:",
-        [f"{SOLUTION_FIELDS}[beta]", f"{SOLUTION_FIELDS}[phase1]"],
+        "beta = spectrum.beta",
+        'beta = np.array(solution["beta"], dtype=float)',
+        [f"{SOLUTION_FIELDS}[beta]", f"{SOLUTION_FIELDS}[phase1]",
+         f"{COEFFICIENT_EDIT}[1.01-beta-rewritten]", f"{COEFFICIENT_EDIT}[2.0-beta-rewritten]"],
+    ),
+    "solution frames read without the role swap": (
+        CLI,
+        "_solved_pair(*frames)",
+        "(*frames, laggrass.pair_decomposition(*frames), False)",
+        ["tests/test_cli.py::TestVerify::test_reversed_solution_round_trip",
+         "tests/test_cli.py::TestTrajectoryFromSolution::"
+         "test_swapped_frames_are_the_reversed_problem"],
+    ),
+    "JSON emitter writes -0.0 as -0, which json reads as the int 0": (
+        CLI,
+        'return "-0.0" if text == "-0" else text',
+        "return text",
+        ["tests/test_cli.py::TestDeterministicJson::test_negative_zero_read_back",
+         "tests/test_cli.py::TestTrajectoryFromSolution::test_negative_zero_frame_entries"],
     ),
     "solution residual not compared with the rebuild": (
         CLI,
