@@ -67,7 +67,11 @@ are screened on their squares, and hypot runs only at the nodes within a
 relative 1e-11 of the chunk's smallest (_closed_sines).  The forms round
 apart by a few ulps, far inside those margins, so the scalars choose a
 path and never a value, and every reported value and message keeps its
-bits.
+bits.  The angle check also skips whole groups of chunks, whose lower
+bounds of sin^2, from the same factor bounds, top the smallest sin^2 that
+it has screened (_sine_bounds): their sines exceed the minimum by a
+relative 1e-9, and a group that holds a NaN or a node at the origin is
+always visited.
 
 The boundary-flux check uses the exact level-family deformation field
 Phi_c / (2c), as Phi_c = sqrt|c| Phi_-1; with the u_j orthonormal its
@@ -589,7 +593,7 @@ def _swept_sines(mesh: CylinderMesh):
         points = mesh.points[sl]
         e = np.concatenate([points.real, points.imag], axis=-1)[..., np.newaxis]
         norms = np.linalg.norm(e[..., 0], axis=-1)
-        if norms.min() < 1e-12:
+        if np.fmin.reduce(norms, axis=None) < 1e-12:
             raise LagwebError("mesh node at the origin")
         frames = np.concatenate([v.real, v.imag], axis=-1).swapaxes(-1, -2)
         q, r = np.linalg.qr(frames)
@@ -619,6 +623,50 @@ def _sines_in_range(delta_sq, e, q, b, r, starts):
     return _in_range(delta_sq) & (2.0**-500 <= low) & (top <= 2.0**500)
 
 
+def _sine_groups(chunk_count: int, p_count: int):
+    """The groups of consecutive check chunks that _closed_sines bounds, as
+    ranges of chunk indices: at most block_rows(P) groups, so that each of
+    the (groups, P) arrays of _sine_bounds holds about CSV_BLOCK values, as
+    a chunk's arrays do."""
+    size = -(-chunk_count // csvtext.block_rows(p_count))
+    return [range(k, min(k + size, chunk_count)) for k in range(0, chunk_count, size)]
+
+
+def _sine_bounds(delta_sq, kappa_sq, normal_sq, c, g, q_time, r_time, b_time, starts):
+    """(bound, certified) per group of time rows, the groups starting at the
+    rows starts, in the names of _closed_sines.  bound is at most sin^2 =
+    Delta^2 Q / (E (R^2 + B Q)) at every node of the group, by a relative
+    1e-9 at least: that is increasing in Q and decreasing in E, B and |R|,
+    so each node takes Q's low bound and the top bounds of E, B and |R|.
+    Q, E and B are sums of non-negative products, bounded by the group's
+    column minima or maxima of the (T x n) time factor times the (n x P)
+    sphere factor, with a relative BOUND_SLACK each way (as _chunk_bounds).
+    R = sum_j Re d_j c_j has signed terms: it lies in the interval of that
+    sum over each Re d_j's range, and the chunk's product and the
+    interval's own sums, in any order, round apart by less than (3n + 2)
+    ulps of sum_j max |Re d_j| |c_j|, so |R|'s bound adds BOUND_SLACK times
+    that sum, which covers cancellation, for any n below 10^6.  certified
+    is true when E's low bound keeps every node of the group off the origin
+    (fmin, as the node guard).  A NaN or inf factor makes the bound NaN, and
+    so may a bound out of range, which no group skips on: so these raise no
+    floating-point warning here, and a chunk that is visited warns as before."""
+    low, top = 1.0 - BOUND_SLACK, 1.0 + BOUND_SLACK
+    r_low, r_top = np.minimum.reduceat(r_time, starts), np.maximum.reduceat(r_time, starts)
+    c_split = np.concatenate([np.maximum(c, 0.0), np.minimum(c, 0.0)])  # (2n, P)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = np.maximum(np.concatenate([r_top, r_low], axis=1) @ c_split,
+                       -(np.concatenate([r_low, r_top], axis=1) @ c_split))
+        r += BOUND_SLACK * (np.maximum(r_top, -r_low) @ np.abs(c))
+        q = (np.minimum.reduceat(q_time, starts) @ kappa_sq) * low
+        denominator = r * r
+        denominator += (np.maximum.reduceat(b_time, starts) @ normal_sq) * top * q
+        denominator *= (np.maximum.reduceat(g, starts) @ kappa_sq) * top
+        square = delta_sq * q
+        square /= denominator
+        e_low = (np.minimum.reduceat(g, starts) @ kappa_sq) * low
+    return square.min(axis=1), np.sqrt(np.fmin.reduce(e_low, axis=1)) >= 1e-12
+
+
 def _closed_sines(mesh: CylinderMesh):
     """The same sines from the factors.  U and the phases e^{i theta} are
     isometries, so the node becomes the real vector sqrt(g) kappa, the sphere
@@ -640,7 +688,26 @@ def _closed_sines(mesh: CylinderMesh):
     bounds (_chunk_bounds; |R| <= sum_j max |Re d_j| max |c_j|, and
     rounding is monotone on R^2 + B Q), with no (T, P) array.  Any other
     chunk, so also one that holds a NaN, takes the sines of every node,
-    where the NaN then reaches the sine."""
+    where the NaN then reaches the sine.
+
+    Most chunks need neither path: the chunks are bounded in groups
+    (_sine_groups), and each group's _sine_bounds give a lower bound of
+    sin^2 at every node, less a relative 1e-9, and a certificate that no
+    node is at the origin.  The groups are visited in ascending order of
+    bound, and a group is skipped whole when its bound, in [2^-500, 2^500],
+    strictly tops `smallest`, the least square of the screened chunks so
+    far, and its certificate holds.  A group whose chunks' screens are not
+    all in range gets a NaN bound, so it is never skipped: in range, each
+    Q, E, B and R of the group keeps its relative precision within its
+    bounds, and every sine that the group would yield exceeds the sine of
+    the node of `smallest` by a relative 1e-9 less a few ulps, far more than
+    arcsin's rounding; that node's sine is among those its screened chunk
+    yields.  A NaN node makes the bound NaN, and a node at the origin fails
+    the certificate, so each chunk that would yield a NaN or raise is
+    visited.  Every visited chunk runs the two paths above.
+
+    Yields (chunk index, sines) in the order visited, with None for the
+    sines of a skipped chunk."""
     f = mesh.factors
     normal = _normal(f)
     c = f.kappa * normal
@@ -653,32 +720,51 @@ def _closed_sines(mesh: CylinderMesh):
     factors_in_range = _sines_in_range(
         delta_sq, (g, kappa_sq), (q_time, kappa_sq), (b_time, normal_sq),
         (np.abs(r_time), np.abs(c)), [sl.start for sl in chunks])
-    for sl, in_range in zip(chunks, factors_in_range):
-        e = g[sl] @ kappa_sq
-        # the node guard on |Phi| = sqrt(E): a correctly rounded sqrt is monotone
-        if np.sqrt(e.min()) < 1e-12:
-            raise LagwebError("mesh node at the origin")
-        q, r, b = q_time[sl] @ kappa_sq, r_time[sl] @ c, b_time[sl] @ normal_sq
-        inner = r * r
-        inner += b * q
-        square = delta_sq * q
-        square /= e * inner
-        least = square.min()
-        if in_range and least >= 2.0**-500:
-            near = np.flatnonzero(square <= least * (1.0 + 1e-11))
-            yield _sines(delta[near % len(delta)], *(x.ravel()[near] for x in (q, e, r, b)))
-        else:
-            yield _sines(delta, q, e, r, b)
+    groups = _sine_groups(len(chunks), len(f.kappa))
+    firsts = [group.start for group in groups]
+    bounds, certified = _sine_bounds(delta_sq, kappa_sq, normal_sq, c, g, q_time, r_time,
+                                     b_time, [chunks[k].start for k in firsts])
+    bounds[~np.logical_and.reduceat(factors_in_range, firsts)] = math.nan
+    smallest = math.inf
+    for k in np.argsort(bounds, kind="stable"):
+        if 2.0**-500 <= bounds[k] <= 2.0**500 and bounds[k] > smallest and certified[k]:
+            yield from ((i, None) for i in groups[k])
+            continue
+        for i in groups[k]:
+            sl = chunks[i]
+            e = g[sl] @ kappa_sq
+            # the node guard on |Phi| = sqrt(E): a correctly rounded sqrt is
+            # monotone, and fmin skips a NaN, so a NaN node hides no other
+            if np.sqrt(np.fmin.reduce(e, axis=None)) < 1e-12:
+                raise LagwebError("mesh node at the origin")
+            q, r, b = q_time[sl] @ kappa_sq, r_time[sl] @ c, b_time[sl] @ normal_sq
+            inner = r * r
+            inner += b * q
+            square = delta_sq * q
+            square /= e * inner
+            least = square.min()
+            if factors_in_range[i] and least >= 2.0**-500:
+                smallest = min(smallest, least)
+                near = np.flatnonzero(square <= least * (1.0 + 1e-11))
+                yield i, _sines(delta[near % len(delta)], *(x.ravel()[near] for x in (q, e, r, b)))
+            else:
+                yield i, _sines(delta, q, e, r, b)
 
 
 def euler_transversality(mesh: CylinderMesh) -> float:
     """Minimum angle between the radial direction and the real span of the
     tangent frame, in closed form from the factors, or by the node sweep
     over a mesh's given arrays.  The closed form yields the sines of only
-    the nodes that can hold the minimum (_closed_sines)."""
+    the nodes that can hold the minimum, and skips the groups of chunks
+    whose bounds show that they cannot (_closed_sines).  The chunks' minima
+    are folded in chunk order, so the order in which the groups are visited
+    moves no bit, not even a NaN's."""
+    chunks = _closed_sines(mesh) if mesh.factored else enumerate(_swept_sines(mesh))
+    angles = {i: np.arcsin(np.clip(sines, 0.0, 1.0)).min()
+              for i, sines in chunks if sines is not None}
     min_angle = math.inf
-    for sines in _closed_sines(mesh) if mesh.factored else _swept_sines(mesh):
-        min_angle = np.minimum(min_angle, np.arcsin(np.clip(sines, 0.0, 1.0)).min())
+    for i in sorted(angles):
+        min_angle = np.minimum(min_angle, angles[i])
     return float(min_angle)
 
 

@@ -106,6 +106,18 @@ class TestPairAnalyze:
         assert cli("pair-analyze", "--lambda0", f0, "--lambda1", f1, "--out", str(tmp_path)) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("stage", ["pair-analyze", "geodesic"])
+    def test_frames_of_two_dimensions_exit_2(self, tmp_path, capsys, stage):
+        # the message that webbing and verify print for a stored frame1 of
+        # another dimension (TestTrajectoryFromSolution)
+        f0, f1 = tmp_path / "l0.json", tmp_path / "l1.json"
+        write_frame(f0, np.eye(2, dtype=complex))
+        write_frame(f1, np.eye(3, dtype=complex))
+        assert exit_code(stage, "--lambda0", str(f0), "--lambda1", str(f1),
+                         "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: frames live in different ambient dimensions\n"
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     def test_missing_file_exit_2(self, tmp_path):
         f0 = tmp_path / "l0.json"
         write_frame(f0, np.eye(2, dtype=complex))

@@ -691,6 +691,20 @@ class TestClosedFormGuards:
         if n == 2:
             assert math.isnan(harmonic_residual(mesh))
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_nan_node_hides_no_origin_node(self, oracle):
+        # g = 0 in row 20 puts nodes at the origin, and a NaN g_1 in row 10,
+        # in the same chunk, must not hide them from the node guard
+        traj = edited_traj(random_traj(3, 40, 63), 20, g=[0.0, 0.0, 0.0])
+        traj = edited_traj(traj, 10, g=[math.nan, 1.0, 1.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mesh = cylinder_mesh(traj, -0.7, 8)
+            assert len(list(webbing._time_chunks(len(traj.times), 8))) == 1
+            with pytest.raises(LagwebError, match="mesh node at the origin"):
+                euler_transversality(oracle_mesh(mesh) if oracle else mesh)
+            if not oracle:
+                assert outcome(reference_angle, mesh) == "raised: mesh node at the origin"
+
 
 def reference_slag(mesh):
     """verify_slag of a factored mesh by the unscreened closed form: the
@@ -740,7 +754,7 @@ def reference_angle(mesh):
         w, dw = f.w[sl], f.dw[sl]
         g, rate = (w.conj() * w).real, w.conj() * dw
         norms = np.sqrt(g @ kappa_sq)
-        if norms.min() < 1e-12:
+        if np.fmin.reduce(norms, axis=None) < 1e-12:
             raise LagwebError("mesh node at the origin")
         root_q = np.sqrt((rate.imag**2 / g) @ kappa_sq)
         sines = delta * root_q / (norms * np.hypot((rate.real / g) @ c,
@@ -807,10 +821,26 @@ def screen_paths(monkeypatch):
     screened minimum, or a chunk's 2-D arrays, and only the rank test's
     full path calls _rank_ratio.  "rank chunks" counts the rank tests, one
     per chunk, of which the factors settle "rank factors"; "sines factors"
-    counts the chunks whose sine screen range the factor bounds settle."""
+    counts the chunks whose sine screen range the factor bounds settle;
+    "sines skipped" counts the chunks of the groups that the sine bounds
+    skip, and "sines groups" the groups visited."""
     paths = collections.Counter()
     sines, rank = webbing._sines, webbing._rank_ratio
     settled, sines_in_range = webbing._rank_settled, webbing._sines_in_range
+    closed_sines = webbing._closed_sines
+
+    def spy_closed_sines(mesh):
+        t_count, p_count = len(mesh.trajectory.times), len(mesh.sphere.points)
+        chunk_count = len(list(webbing._time_chunks(t_count, p_count)))
+        group_of = {i: k for k, group in enumerate(webbing._sine_groups(chunk_count, p_count))
+                    for i in group}
+        visited = set()
+        for i, chunk_sines in closed_sines(mesh):
+            paths["sines skipped"] += chunk_sines is None
+            if chunk_sines is not None:
+                visited.add(group_of[i])
+            yield i, chunk_sines
+        paths["sines groups"] += len(visited)
 
     def spy_sines(delta, q, *rest):
         paths["sines full" if q.ndim == 2 else "sines screened"] += 1
@@ -836,6 +866,7 @@ def screen_paths(monkeypatch):
     monkeypatch.setattr(webbing, "_rank_ratio", spy_rank)
     monkeypatch.setattr(webbing, "_rank_settled", spy_settled)
     monkeypatch.setattr(webbing, "_sines_in_range", spy_sines_in_range)
+    monkeypatch.setattr(webbing, "_closed_sines", spy_closed_sines)
     return paths
 
 
@@ -860,7 +891,7 @@ class TestScreenedChecks:
         paths = screen_paths(monkeypatch)
         assert_reference_bits(mesh)
         assert paths["sines full"] == paths["rank full"] == 0
-        assert paths["sines screened"] == paths["rank chunks"] == 3
+        assert paths["sines screened"] + paths["sines skipped"] == paths["rank chunks"] == 3
 
     @pytest.mark.parametrize("budget", [1, 3, None])
     @pytest.mark.parametrize("n", range(2, 7))
@@ -944,15 +975,17 @@ class TestScreenedChecks:
                                                monkeypatch):
         # on the default chunks of the meshes that a mesh-checks pass runs,
         # the factor bounds decide every rank test and every sine screen's
-        # range, so no (T, P) array of E_t or E_a is formed
+        # range, so no (T, P) array of E_t or E_a is formed; the sine bounds
+        # skip all groups of chunks but one or two
         mesh = cylinder_mesh(checked_trajs[n], level, res)
         chunks = len(list(webbing._time_chunks(len(mesh.trajectory.times),
                                                len(mesh.sphere.points))))
         paths = screen_paths(monkeypatch)
         assert_reference_bits(mesh)
         assert paths["rank factors"] == paths["rank chunks"] == chunks
-        assert paths["sines factors"] == paths["sines screened"] == chunks
+        assert paths["sines factors"] == paths["sines screened"] + paths["sines skipped"] == chunks
         assert paths["rank full"] == paths["sines full"] == 0
+        assert 1 <= paths["sines groups"] <= 2
 
     @pytest.mark.parametrize("edit", ["sign-change", "zero-tangent"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -998,6 +1031,195 @@ class TestScreenedChecks:
                                                          sphere_sq, sphere_sq, n)
         assert below > 100
 
+
+def edited_factors(mesh, rows, w=None, dw=None):
+    """The mesh with the flow factors w and dw of the given time rows
+    replaced by functions of their old values."""
+    f = mesh.factors
+    new_w, new_dw = f.w.copy(), f.dw.copy()
+    if w is not None:
+        new_w[rows] = w(f.w[rows])
+    if dw is not None:
+        new_dw[rows] = dw(f.w[rows], f.dw[rows])
+    mesh.__dict__["factors"] = f._replace(w=new_w, dw=new_dw)
+    return mesh
+
+
+def planted_minimum(mesh, rows):
+    """The mesh with Im d = Im(dw / w) of the given time rows cut 10^3-fold:
+    Q falls 10^6-fold there, and the sines of those rows hold the mesh's
+    smallest."""
+    return edited_factors(mesh, rows, dw=lambda w, dw: w * ((dw / w).real + 1e-3j * (dw / w).imag))
+
+
+def chunk_count(mesh):
+    return len(list(webbing._time_chunks(len(mesh.trajectory.times), len(mesh.sphere.points))))
+
+
+class TestSineSkip:
+    """The sine bounds skip whole groups of chunks, and every angle, NaN
+    and message keeps the bits of the unscreened closed form
+    (reference_angle)."""
+
+    @pytest.fixture(scope="class")
+    def trajs(self):
+        # nine chunks of CHUNK_ROWS rows, so nine groups of one chunk
+        return {n: random_traj(n, 8 * CHUNK_ROWS + 7, 80 + n) for n in (2, 3)}
+
+    def mesh(self, traj, monkeypatch, level=-0.7):
+        mesh = cylinder_mesh(traj, level, 8)
+        shrink_chunks(monkeypatch, len(mesh.sphere.points))
+        assert len(webbing._sine_groups(chunk_count(mesh), 8)) == chunk_count(mesh) == 9
+        return mesh
+
+    @pytest.mark.parametrize("level", [-1e-9, -0.7, -1e9])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_minimum_in_the_last_group(self, trajs, n, level, monkeypatch):
+        mesh = planted_minimum(self.mesh(trajs[n], monkeypatch, level), [-1])
+        paths = screen_paths(monkeypatch)
+        assert outcome(euler_transversality, mesh) == outcome(reference_angle, mesh)
+        assert paths["sines groups"] == 1 and paths["sines skipped"] == 8
+
+    @pytest.mark.parametrize("level", [-1.0, -1e-9, -1e9])
+    @pytest.mark.parametrize("res", [16, 64])
+    def test_ties_across_groups(self, symmetric_traj, res, level, monkeypatch):
+        # on the round circle every node of a time row has the same sine but
+        # for rounding, here over 16 groups of eight chunks
+        mesh = cylinder_mesh(symmetric_traj, level, res)
+        shrink_chunks(monkeypatch, res)
+        paths = screen_paths(monkeypatch)
+        assert outcome(euler_transversality, mesh) == outcome(reference_angle, mesh)
+        assert paths["sines skipped"] > 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tied_groups(self, trajs, n, monkeypatch):
+        # the first and last chunks hold the same factors, and so the same
+        # smallest sine: its bound lies below the smallest square, so both
+        # groups are visited
+        mesh = planted_minimum(self.mesh(trajs[n], monkeypatch), [3])
+        first = mesh.factors.w[:CHUNK_ROWS], mesh.factors.dw[:CHUNK_ROWS]
+        mesh = edited_factors(mesh, slice(8 * CHUNK_ROWS, 9 * CHUNK_ROWS),
+                              w=lambda w: first[0][:len(w)], dw=lambda w, dw: first[1][:len(dw)])
+        paths = screen_paths(monkeypatch)
+        assert outcome(euler_transversality, mesh) == outcome(reference_angle, mesh)
+        assert paths["sines groups"] == 2 and paths["sines skipped"] == 7
+
+    @pytest.mark.parametrize("row", [-2, 4 * CHUNK_ROWS])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nan_in_a_group_the_bound_would_skip(self, trajs, n, row, monkeypatch):
+        # the minimum sits in the first chunk; a NaN w_1 in one row of a
+        # later group makes that group's bound NaN, so it is visited
+        mesh = planted_minimum(self.mesh(trajs[n], monkeypatch), [3])
+        mesh = edited_factors(mesh, [row], w=lambda w: w * np.where(np.arange(n) == 0, math.nan, 1.0))
+        paths = screen_paths(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            angle = outcome(euler_transversality, mesh)
+            assert angle == outcome(reference_angle, mesh) == "nan"
+        assert paths["sines groups"] == 2 and paths["sines skipped"] == 7
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_origin_in_a_group_the_bound_would_skip(self, trajs, n, monkeypatch):
+        # w and dw of every row of the fifth chunk scaled by 1e-15 leave its
+        # sines and its bound as they were, as sin^2 is scale-free, but put
+        # its nodes within 1e-12 of the origin: the certificate fails there
+        mesh = planted_minimum(self.mesh(trajs[n], monkeypatch), [3])
+        rows = slice(4 * CHUNK_ROWS, 5 * CHUNK_ROWS)
+        mesh = edited_factors(mesh, rows, w=lambda w: 1e-15 * w, dw=lambda w, dw: 1e-15 * dw)
+        with pytest.raises(LagwebError, match="mesh node at the origin"):
+            euler_transversality(mesh)
+        assert outcome(reference_angle, mesh) == "raised: mesh node at the origin"
+
+    def test_first_visited_chunk_below_the_range(self, monkeypatch):
+        # the first chunk takes w = 1 and dw = 2^20 + 2^-240 i, as in
+        # test_smallest_square_below_the_range: its bound is the least, and
+        # its smallest square near 2^-520 lies below the screen's range, so
+        # it takes the sines of every node and sets no smallest square; the
+        # second chunk is visited too
+        mesh = cylinder_mesh(random_traj(2, 20, 5), -0.7, 8)
+        shrink_chunks(monkeypatch, 8)
+        mesh = edited_factors(mesh, slice(0, CHUNK_ROWS), w=np.ones_like,
+                              dw=lambda w, dw: (2.0**20 + 2.0**-240 * 1j) * np.ones_like(dw))
+        paths = screen_paths(monkeypatch)
+        angle = euler_transversality(mesh)
+        assert float(angle).hex() == outcome(reference_angle, mesh)
+        assert 0.0 < angle < 1e-75
+        assert paths["sines full"] == paths["sines screened"] == 1
+        assert paths["sines skipped"] == 0
+
+    def test_skip_needs_a_bound_above_the_smallest_square(self, trajs, monkeypatch):
+        # bounds made up for the nine groups: the first visited first, the
+        # second equal to the first chunk's smallest square, the rest twice
+        # it.  Only a bound strictly above it skips: seven chunks
+        mesh = self.mesh(trajs[2], monkeypatch)
+        sines, sine_bounds, squares = webbing._sines, webbing._sine_bounds, []
+
+        def spy_sines(delta, q, e, r, b):
+            squares.append((delta**2 * q / (e * (r * r + b * q))).min())
+            return sines(delta, q, e, r, b)
+
+        def made_up(first):
+            def bounds(*args):
+                low, certified = sine_bounds(*args)
+                low[:] = 2.0 * first
+                low[:2] = 2.0**-400, first
+                return low, certified
+            return bounds
+
+        monkeypatch.setattr(webbing, "_sines", spy_sines)
+        monkeypatch.setattr(webbing, "_sine_bounds", made_up(math.nan))
+        euler_transversality(mesh)  # NaN bounds: every chunk visited, in time order
+        monkeypatch.setattr(webbing, "_sine_bounds", made_up(squares[0]))
+        paths = screen_paths(monkeypatch)
+        euler_transversality(mesh)
+        assert paths["sines skipped"] == 7
+
+    @pytest.mark.parametrize("level", [-1e-9, -0.7, -1e9])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_r_near_cancellation(self, trajs, n, level, monkeypatch):
+        # each row's Re d is made orthogonal to c at one node, so R cancels
+        # there to a few ulps, and Im d is cut 10^3-fold, so R^2 outweighs
+        # B Q elsewhere
+        mesh = self.mesh(trajs[n], monkeypatch, level)
+        f = mesh.factors
+        c = (f.kappa * webbing._normal(f)).T
+        d = f.dw / f.w
+        for t in range(len(d)):
+            cp = c[:, t % c.shape[1]]
+            d[t] = d[t].real - (d[t].real @ cp) / (cp @ cp) * cp + 1e-3j * d[t].imag
+        mesh = edited_factors(mesh, slice(None), dw=lambda w, dw: w * d)
+        paths = screen_paths(monkeypatch)
+        assert outcome(euler_transversality, mesh) == outcome(reference_angle, mesh)
+        assert paths["sines skipped"] > 0
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_bound_below_every_square(self, n, rows):
+        # sin^2 as a chunk forms it, against its group's bound for the node
+        # alone, with a relative 5e-10 to spare.  Each row's Re d is
+        # orthogonal to c at one node, so R cancels there to a few ulps;
+        # with Q at 1e-40 R^2 then outweighs B Q, with Q at 1 it does not
+        rng = np.random.default_rng(n)
+        t_count, p_count = 48, 40
+        kappa_sq, normal_sq = rng.uniform(0.1, 2.0, (2, n, p_count))
+        c = rng.standard_normal((n, p_count))
+        delta_sq = c.sum(axis=0)**2
+        g = rng.uniform(0.5, 2.0, (t_count, n))
+        r_time = rng.standard_normal((t_count, n))
+        for t, p in enumerate(rng.integers(0, p_count, t_count)):
+            r_time[t] -= (r_time[t] @ c[:, p]) / (c[:, p] @ c[:, p]) * c[:, p]
+        starts = list(range(0, t_count, rows))
+        for q_scale in (1e-40, 1e-8, 1.0):
+            q_time = q_scale * rng.uniform(0.1, 2.0, (t_count, n))
+            q, e, r, b = (x @ y for x, y in ((q_time, kappa_sq), (g, kappa_sq), (r_time, c),
+                                             (1.0 / g, normal_sq)))
+            squares = np.minimum.reduceat(delta_sq * q / (e * (r * r + b * q)), starts)
+            for p in range(p_count):
+                node = slice(p, p + 1)
+                bounds, certified = webbing._sine_bounds(
+                    delta_sq[node], kappa_sq[:, node], normal_sq[:, node], c[:, node], g,
+                    q_time, r_time, 1.0 / g, starts)
+                assert certified.all()
+                assert (bounds <= squares[:, p] * (1.0 - 5e-10)).all()
 
 def sums_in_orders(a, k):
     """a . k of two non-negative vectors: the rounded products summed

@@ -4,12 +4,14 @@
     python3 tools/cmp_pipelines.py <rev>
 
 The revision's src/ is extracted with ``git archive`` into a temporary
-directory.  Both trees then run the same nine pipelines, each stage in a
+directory.  Both trees then run the same ten pipelines, each stage in a
 fresh interpreter (``python -m lagweb.cli``):
 
   readme    the README pair, --steps 2000, --levels=-1,-0.25
   n3        random_maslov_zero_pair(default_rng(1), 3), --steps 500,
             --levels=-1,-0.5, the default sphere
+  n3-small  the n3 pair at --steps 300, --levels=-1e-9, --sphere-res 16:
+            the paper's small levels, near the intersection point
   reversed  the README pair in reverse order (Maslov index n), --steps 400,
             --sphere-res 24
   n4        random_maslov_zero_pair(default_rng(2), 4), --steps 300,
@@ -88,6 +90,8 @@ PIPELINES = (
     ("readme", README_PAIR, 2000, ["--levels=-1,-0.25"]),
     ("n3", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(1), 3)", 500,
      ["--levels=-1,-0.5"]),
+    ("n3-small", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(1), 3)", 300,
+     ["--levels=-1e-9", "--sphere-res", "16"]),
     ("reversed", README_PAIR + "l0, l1 = l1, l0", 400, ["--sphere-res", "24"]),
     ("n4", "l0, l1, _, _ = random_maslov_zero_pair(np.random.default_rng(2), 4)", 300,
      ["--sphere-res", "256"]),

@@ -61,6 +61,8 @@ NAN_FRAME = "tests/test_webbing.py::TestVerifySlag::test_nan_frame_hides_no_dege
 BUDGET = "tests/test_webbing.py::TestChunkBudget::test_chunks_hold_a_block_of_node_samples"
 FRAME_TYPES = "tests/test_cli.py::TestNonFiniteAndHugeInput::test_frame_json_types"
 SCREENED = "tests/test_webbing.py::TestScreenedChecks"
+SKIP = "tests/test_webbing.py::TestSineSkip"
+ORIGIN = "tests/test_webbing.py::TestClosedFormGuards::test_nan_node_hides_no_origin_node"
 RECORDED = "tests/test_cli.py::TestRecordedGrid"
 GUARDS = "tests/test_webbing.py::TestClosedFormGuards"
 MESH = "tests/test_webbing.py::TestCylinderMesh"
@@ -467,21 +469,66 @@ MUTANTS = {
     ),
     "sine screen without its range guard": (
         WEB,
-        "if in_range and least >= 2.0**-500:",
+        "if factors_in_range[i] and least >= 2.0**-500:",
         "if True:",
         [f"{SCREENED}::test_full_paths"],
     ),
     "sine screen without its smallest-square guard": (
         WEB,
-        "if in_range and least >= 2.0**-500:",
-        "if in_range:",
+        "if factors_in_range[i] and least >= 2.0**-500:",
+        "if factors_in_range[i]:",
         [f"{SCREENED}::test_smallest_square_below_the_range"],
     ),
     "sine screen range taken as settled without its factor bounds": (
         WEB,
-        "if in_range and least",
+        "if factors_in_range[i] and least",
         "if True and least",
         [f"{SCREENED}::test_full_paths"],
+    ),
+    "sine skip without the origin certificate": (
+        WEB,
+        "and bounds[k] > smallest and certified[k]:",
+        "and bounds[k] > smallest:",
+        [f"{SKIP}::test_origin_in_a_group_the_bound_would_skip[2]",
+         f"{SKIP}::test_origin_in_a_group_the_bound_would_skip[3]"],
+    ),
+    "sine bound without its relative slack": (
+        WEB,
+        "low, top = 1.0 - BOUND_SLACK, 1.0 + BOUND_SLACK",
+        "low, top = 1.0, 1.0",
+        [f"{SKIP}::test_bound_below_every_square[2-1]", f"{SKIP}::test_bound_below_every_square[3-1]"],
+    ),
+    "sine bound's |R| without its absolute rounding term": (
+        WEB,
+        "        r += BOUND_SLACK * (np.maximum(r_top, -r_low) @ np.abs(c))\n",
+        "",
+        [f"{SKIP}::test_bound_below_every_square[3-1]", f"{SKIP}::test_bound_below_every_square[6-1]"],
+    ),
+    "sine skip on a bound equal to the smallest square": (
+        WEB,
+        "bounds[k] > smallest",
+        "bounds[k] >= smallest",
+        [f"{SKIP}::test_skip_needs_a_bound_above_the_smallest_square"],
+    ),
+    "smallest square taken from a chunk outside the screen's range": (
+        WEB,
+        "            if factors_in_range[i] and least >= 2.0**-500:\n"
+        "                smallest = min(smallest, least)\n",
+        "            smallest = min(smallest, least)\n"
+        "            if factors_in_range[i] and least >= 2.0**-500:\n",
+        [f"{SKIP}::test_first_visited_chunk_below_the_range"],
+    ),
+    "closed form's node guard by e.min(), which a NaN node makes NaN": (
+        WEB,
+        "if np.sqrt(np.fmin.reduce(e, axis=None)) < 1e-12:",
+        "if np.sqrt(e.min()) < 1e-12:",
+        [f"{ORIGIN}[False]"],
+    ),
+    "node sweep's guard by norms.min(), which a NaN node makes NaN": (
+        WEB,
+        "if np.fmin.reduce(norms, axis=None) < 1e-12:",
+        "if norms.min() < 1e-12:",
+        [f"{ORIGIN}[True]"],
     ),
     "rank screen without its margin": (
         WEB,
