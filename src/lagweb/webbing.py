@@ -31,8 +31,12 @@ and tangent arrays are formed only when read.  Every tangent is U diag(w)
 times a real vector in p, or times diag(dw/w) kappa for the time tangent,
 so each check is a sum over j of a factor in p times a factor in t: one
 (T x n)(n x P) product per quantity, taken one time chunk at a time, with no
-array of the mesh formed (the closed form).  A mesh given any array by its
-caller, such as tangents differenced from the nodes, is checked by the node
+array of the mesh formed (the closed form).  For Omega the whole time
+factor det U prod_k w_k d_j, d = dw / w, is folded once per mesh, and the
+sphere factor c_j = kappa_j N_j is real, so a chunk's Re Omega and Im Omega
+are one real product of the stacked real and imaginary halves of the time
+factor with c.  A mesh given any array by its caller, such as tangents
+differenced from the nodes, is checked by the node
 sweep over those arrays instead, the oracle that the closed form is tested
 against: LAPACK per node frame, with det for Omega, the Gram matrix for omega
 and the Hadamard bound, and a QR factor for the radial projection, whose
@@ -415,15 +419,15 @@ def _swept_calibration(mesh: CylinderMesh):
             det = np.linalg.det(v)
         hadamard = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1).real).prod(axis=-1)
         yield (np.max(np.abs(gram.imag[..., upper[0], upper[1]])), np.max(np.abs(det.real)),
-               det.imag.min(), det.imag.max(), _rank_ratio(det, hadamard))
+               det.imag.min(), det.imag.max(), _rank_ratio(np.abs(det), hadamard))
 
 
-def _rank_ratio(det, hadamard):
-    """The chunk's smallest |Omega| / Hadamard bound, the scale-free rank
-    test, folded with fmin, which skips NaN, so a NaN frame cannot hide a
-    degenerate one; a frame with a zero tangent has bound 0 and counts as
-    ratio 0, not 0 / 0."""
-    ratio = np.divide(np.abs(det), hadamard, out=np.zeros_like(hadamard), where=hadamard != 0.0)
+def _rank_ratio(size, hadamard):
+    """The chunk's smallest size / hadamard, size being |Omega| and hadamard
+    the Hadamard bound at each node: the scale-free rank test, folded with
+    fmin, which skips NaN, so a NaN frame cannot hide a degenerate one; a
+    frame with a zero tangent has bound 0 and counts as ratio 0, not 0 / 0."""
+    ratio = np.divide(size, hadamard, out=np.zeros_like(hadamard), where=hadamard != 0.0)
     return np.fmin.reduce(ratio, axis=None)
 
 
@@ -432,20 +436,6 @@ def _in_range(values):
     of two such values is a normal double and keeps its full relative
     precision, as does a square."""
     return 2.0**-500 <= values.min() and values.max() <= 2.0**500
-
-
-def _imag_range(det):
-    """(min, max) of Im Omega over a chunk, folded over a contiguous copy,
-    about twice as fast as over the strided view det.imag.  Where an end is
-    a zero or a NaN, whose sign or payload depends on the loop's order (a
-    minimum among +0.0 and -0.0 of 8k + 1 entries does), the strided view is
-    folded again: any other minimum or maximum is one value with one bit
-    pattern, so the result is always the strided fold's bits."""
-    im = det.imag.copy()
-    low, high = im.min(), im.max()
-    if low == 0.0 or high == 0.0 or low != low:
-        return det.imag.min(), det.imag.max()
-    return low, high
 
 
 def _sup_abs(x):
@@ -507,42 +497,46 @@ def _rank_settled(im_min, im_max, time_low, time_top, sphere_low, sphere_top, n)
 def _closed_calibration(mesh: CylinderMesh):
     """The same per time chunk from the factors, each a (T x n)(n x P)
     product.  With c_j = kappa_j N_j and d = dw / w = conj(w) dw / |w|^2,
-    Omega = det U prod_j w_j sum_j d_j c_j.  omega is Im of a real sum on two
-    sphere tangents, so 0, and sum_j kappa_tan,aj kappa_j Im(conj(w_j) dw_j)
-    on sphere tangent a and the time tangent.  The squared tangent norms are
-    E_t = sum_j kappa_j^2 |dw_j|^2 and E_a = sum_j kappa_tan,aj^2 |w_j|^2.
+    Omega = sum_j (det U prod_k w_k d_j) c_j: the whole time factor e =
+    det U prod_k w_k d is folded once per mesh, a (T x n) complex array, and
+    c stays real, so a chunk's Re Omega and Im Omega are one real product
+    of its stacked halves [Re e; Im e] with c, and no complex (T, P) array
+    is formed.  Re Omega and Im Omega are folded over the product's two
+    contiguous halves.  omega is Im of a real sum on two sphere tangents, so
+    0, and sum_j kappa_tan,aj kappa_j Im(conj(w_j) dw_j) on sphere tangent a
+    and the time tangent.  The squared tangent norms are E_t = sum_j
+    kappa_j^2 |dw_j|^2 and E_a = sum_j kappa_tan,aj^2 |w_j|^2.
 
     The rank test is settled from the chunk's Im Omega fold and the column
     bounds of those two products (_rank_settled), with no (T, P) array of
     E_t or E_a.  A chunk that this leaves open, because Im Omega changes
     sign or is NaN in it, a bound leaves the range, or a frame may come
-    near RANK_TOL, forms the Hadamard bound sqrt(E_t) prod_a sqrt(E_a) at
-    every node for _rank_ratio.  The time factors are formed once per mesh.
-    c stays real: cast to complex once, it would change the bits of a
-    one-row chunk's product."""
+    near RANK_TOL, forms |Omega| = hypot(Re Omega, Im Omega) and the
+    Hadamard bound sqrt(E_t) prod_a sqrt(E_a) at every node for
+    _rank_ratio.  The time factors are formed once per mesh."""
     f, m = mesh.factors, mesh.n - 1
     c = (f.kappa * _normal(f)).T                                     # (n, P)
     pairs = (f.kappa_tan * f.kappa[:, np.newaxis, :]).reshape(-1, m + 1).T  # (n, P m)
     sphere_sq = (f.kappa_tan**2).reshape(-1, m + 1).T
     kappa_sq = (f.kappa**2).T
     g, rate, dw_sq = _abs2(f.w), f.w.conj() * f.dw, _abs2(f.dw)
-    scale = np.linalg.det(f.directions) * np.prod(f.w, axis=1)
     d = rate * (1.0 / g)
+    e = (np.linalg.det(f.directions) * np.prod(f.w, axis=1))[:, np.newaxis] * d  # (T, n)
     chunks = list(_time_chunks(len(f.w), len(f.kappa)))
     starts = [sl.start for sl in chunks]
     bounds = zip(*_chunk_bounds(dw_sq, kappa_sq, starts), *_chunk_bounds(g, sphere_sq, starts))
     for sl, chunk_bounds in zip(chunks, bounds):
-        det = scale[sl, np.newaxis] * (d[sl] @ c)
-        im_min, im_max = _imag_range(det)
+        re, im = np.split(np.concatenate([e.real[sl], e.imag[sl]]) @ c, 2)
+        im_min, im_max = im.min(), im.max()
         if _rank_settled(im_min, im_max, *chunk_bounds, m + 1):
             ratio = math.inf
         else:
             hadamard = np.sqrt(dw_sq[sl] @ kappa_sq)
-            sphere = np.sqrt(g[sl] @ sphere_sq).reshape(len(det), -1, m)
+            sphere = np.sqrt(g[sl] @ sphere_sq).reshape(len(re), -1, m)
             for a in range(m):
                 hadamard = hadamard * sphere[..., a]
-            ratio = _rank_ratio(det, hadamard)
-        yield _sup_abs(rate[sl].imag @ pairs), np.max(np.abs(det.real)), im_min, im_max, ratio
+            ratio = _rank_ratio(np.hypot(re, im), hadamard)
+        yield _sup_abs(rate[sl].imag @ pairs), _sup_abs(re), im_min, im_max, ratio
 
 
 def verify_slag(mesh: CylinderMesh) -> SlagReport:
@@ -553,8 +547,11 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
     closed form from the factors, or by the node sweep over a mesh's given
     arrays.  The orientation sign makes Im Omega predominantly positive and
     is reported alongside.  Re Omega cannot see a wrong theta history (module
-    docstring).  The closed form settles the rank test of a chunk from its
-    Im Omega fold and factor bounds, or forms the Hadamard bound at every
+    docstring).  The closed form takes Omega = sum_j (det U prod_k w_k d_j)
+    c_j, the time factor folded once per mesh, so each node's Re Omega and
+    Im Omega are real dot products of length n, one real product per chunk
+    for both halves.  It settles the rank test of a chunk from its Im Omega
+    fold and factor bounds, or forms |Omega| and the Hadamard bound at every
     node of it (_closed_calibration).  The chunk folds use np.maximum and
     np.minimum, so a NaN anywhere reaches the report.  The rank ratio alone
     is folded with fmin, which skips NaN, so a NaN frame cannot hide a

@@ -551,11 +551,7 @@ class TestClosedFormAgainstSweep:
         shrink_chunks(monkeypatch, len(mesh.sphere.points))
         assert len(mesh.trajectory.times) > 2 * csvtext.block_rows(len(mesh.sphere.points))
         assert mesh.factored
-        report, oracle = verify_slag(mesh), verify_slag(oracle_mesh(mesh))
-        assert report.orientation == oracle.orientation
-        assert report.min_im_omega == pytest.approx(oracle.min_im_omega, rel=1e-12)
-        assert report.max_omega == pytest.approx(oracle.max_omega, abs=1e-13)
-        assert report.max_re_omega == pytest.approx(oracle.max_re_omega, abs=1e-13)
+        assert_slag_agrees(mesh)
         assert euler_transversality(mesh) == pytest.approx(
             euler_transversality(oracle_mesh(mesh)), rel=1e-12)
         if mesh.n == 2:
@@ -565,6 +561,20 @@ class TestClosedFormAgainstSweep:
                 np.testing.assert_allclose(closed, swept, rtol=1e-12, atol=1e-13)
             assert harmonic_residual(mesh) == pytest.approx(
                 harmonic_residual(oracle_mesh(mesh)), rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("steps, res", [(4, 130), (16, 64)],
+                             ids=["every-chunk-one-row", "last-chunk-one-row"])
+    def test_one_row_chunks(self, steps, res):
+        # 130 x 65 = 8450 nodes, more than CSV_BLOCK // 2, give one time row
+        # per chunk; the 2048 default nodes give 8 rows, so 17 rows end in a
+        # chunk of one.  A product's last bits may follow its row count, so
+        # one-row chunks are held to the reference bit for bit
+        mesh = cylinder_mesh(random_traj(3, steps, 44), -0.7, res)
+        t_count, p_count = len(mesh.trajectory.times), len(mesh.sphere.points)
+        rows = [len(range(t_count)[sl]) for sl in webbing._time_chunks(t_count, p_count)]
+        assert rows == ([1] * 5 if steps == 4 else [8, 8, 1])
+        assert outcome(verify_slag, mesh) == outcome(reference_slag, mesh)
+        assert_slag_agrees(mesh)
 
     def test_reversed_mesh_has_the_opposite_orientation(self, closed_form_meshes):
         assert verify_slag(closed_form_meshes["readme-reversed"]).orientation == 1
@@ -606,6 +616,15 @@ class TestClosedFormAgainstSweep:
                                    rtol=0, atol=1e-13)
 
 
+def assert_slag_agrees(mesh):
+    """verify_slag in closed form agrees with the node sweep to rounding."""
+    report, oracle = verify_slag(mesh), verify_slag(oracle_mesh(mesh))
+    assert report.orientation == oracle.orientation
+    assert report.min_im_omega == pytest.approx(oracle.min_im_omega, rel=1e-12)
+    assert report.max_omega == pytest.approx(oracle.max_omega, abs=1e-13)
+    assert report.max_re_omega == pytest.approx(oracle.max_re_omega, abs=1e-13)
+
+
 def edited_traj(traj, row, g=None, theta=None):
     """A hand-built trajectory: traj with the g or theta of one sample replaced."""
     g_values, theta_values = traj.g.copy(), traj.theta.copy()
@@ -615,39 +634,6 @@ def edited_traj(traj, row, g=None, theta=None):
         theta_values[row] = theta
     return geoflow.GeodesicTrajectory(spec=traj.spec, times=traj.times, g=g_values,
                                       theta=theta_values)
-
-
-def float_bits(*values):
-    return np.array(values, dtype=float).view(np.int64).tolist()
-
-
-class TestImagRange:
-    """_closed_calibration's Im Omega fold per chunk must give the bits of
-    the fold over the strided view det.imag, also where they depend on the
-    loop: over 8k + 1 entries of +-0 the contiguous fold and the strided one
-    can end on different zeros."""
-
-    @pytest.mark.parametrize("shape", [(1, 9), (1, 17), (3, 11), (8, 2049), (16, 1024)])
-    @pytest.mark.parametrize("ends", ["zeros", "zero-max", "zero-min"])
-    def test_signed_zeros_at_the_ends(self, shape, ends):
-        rng = np.random.default_rng(shape[1])
-        for _ in range(20):
-            det = rng.standard_normal(shape).astype(complex)
-            det.imag = rng.choice([0.0, -0.0], shape)   # 1j * -0.0 has imaginary part +0.0
-            if ends != "zeros":
-                sign = -1.0 if ends == "zero-max" else 1.0
-                det.imag[rng.random(shape) < 0.5] = sign * rng.uniform(0.5, 2.0)
-            assert float_bits(*webbing._imag_range(det)) == float_bits(det.imag.min(),
-                                                                        det.imag.max())
-
-    @pytest.mark.parametrize("nans", [[np.nan], [-np.nan], [np.nan, -np.nan]])
-    def test_nan(self, nans):
-        det = np.exp(1j * np.linspace(0.1, 3.0, 17 * 8)).reshape(8, 17)
-        nan_bits = np.array(nans).view(np.int64) | 0x5  # NaNs of other payloads
-        for k, bits in enumerate(nan_bits):
-            det.imag[k + 2, 3 * k] = bits.view(np.float64)
-        assert float_bits(*webbing._imag_range(det)) == float_bits(det.imag.min(),
-                                                                    det.imag.max())
 
 
 class TestClosedFormGuards:
@@ -721,15 +707,16 @@ def reference_slag(mesh):
         w, dw = f.w[sl], f.dw[sl]
         g, rate = (w.conj() * w).real, w.conj() * dw
         max_omega = np.maximum(max_omega, np.max(np.abs(rate.imag @ pairs)))
-        det = (det_u * np.prod(w, axis=1))[:, np.newaxis] * ((rate * (1.0 / g)) @ c)
+        e = (det_u * np.prod(w, axis=1))[:, np.newaxis] * (rate * (1.0 / g))
+        re, im = np.split(np.concatenate([e.real, e.imag]) @ c, 2)
         hadamard = np.sqrt((dw.conj() * dw).real @ kappa_sq)
         sphere = np.sqrt(g @ sphere_sq).reshape(len(w), -1, m)
         for a in range(m):
             hadamard = hadamard * sphere[:, :, a]
-        max_re = np.maximum(max_re, np.max(np.abs(det.real)))
-        im_min = np.minimum(im_min, det.imag.min())
-        im_max = np.maximum(im_max, det.imag.max())
-        ratio = np.divide(np.abs(det), hadamard, out=np.zeros_like(hadamard),
+        max_re = np.maximum(max_re, np.max(np.abs(re)))
+        im_min = np.minimum(im_min, im.min())
+        im_max = np.maximum(im_max, im.max())
+        ratio = np.divide(np.hypot(re, im), hadamard, out=np.zeros_like(hadamard),
                           where=hadamard != 0.0)
         min_ratio = np.fmin(min_ratio, np.fmin.reduce(ratio, axis=None))
     if min_ratio < 1e-12:
@@ -1008,6 +995,24 @@ class TestScreenedChecks:
         assert paths["rank factors"] == 2 and paths["rank full"] == 1
         assert paths["sines factors"] == (3 if edit == "sign-change" else 2)
 
+    @pytest.mark.parametrize("n, seed", [(2, 31), (3, 43)])
+    def test_nearly_real_omega(self, n, seed, monkeypatch):
+        # phase0 turned by pi/2 after the flow was integrated (a phase0 fault
+        # of the record): Omega becomes real but for rounding, so Im Omega
+        # changes sign in every chunk, no chunk is settled from its factors,
+        # and the rank test reads |Omega| from both halves at every node
+        traj = random_traj(n, 2 * CHUNK_ROWS + 7, seed)
+        spec = dataclasses.replace(traj.spec, phase0=traj.spec.phase0 + math.pi / 2)
+        turned = geoflow.GeodesicTrajectory(spec=spec, times=traj.times, g=traj.g,
+                                            theta=traj.theta)
+        mesh = cylinder_mesh(turned, -0.7, 8)
+        shrink_chunks(monkeypatch, len(mesh.sphere.points))
+        paths = screen_paths(monkeypatch)
+        assert_reference_bits(mesh)
+        assert paths["rank full"] == paths["rank chunks"] == 3
+        report = verify_slag(mesh)
+        assert report.max_re_omega > 1.0 and abs(report.min_im_omega) < 1e-12
+
     def test_rank_screen_margin(self):
         # one-frame chunks whose |Omega| / Hadamard bound lies within a few
         # ulps of RANK_TOL, each bounded by its own E_t and E_a (all n - 1
@@ -1024,7 +1029,7 @@ class TestScreenedChecks:
                     hadamard *= math.sqrt(sphere_sq)
                 for step in range(-4, 5):
                     size = 1e-12 * hadamard + step * np.spacing(1e-12 * hadamard)
-                    ratio = webbing._rank_ratio(np.array([[1j * size]]), np.array([[hadamard]]))
+                    ratio = webbing._rank_ratio(np.array([[size]]), np.array([[hadamard]]))
                     if ratio < webbing.RANK_TOL:
                         below += 1
                         assert not webbing._rank_settled(size, size, time_sq, time_sq,

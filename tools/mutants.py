@@ -28,6 +28,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 WEB = "src/lagweb/webbing.py"
 CLOSED = "tests/test_webbing.py::TestClosedFormAgainstSweep::test_checks_agree"
+CLOSED_ONE_ROW = "tests/test_webbing.py::TestClosedFormAgainstSweep::test_one_row_chunks"
 NAN = "tests/test_webbing.py::TestClosedFormGuards::test_nan_reaches_the_report"
 CSV_BYTES = "tests/test_webbing.py::TestMeshCsv::test_bytes_match_row_formatter"
 CSV_BLOCKS = "tests/test_webbing.py::TestMeshCsv::test_blocks_of_slices_match_row_formatter"
@@ -48,7 +49,6 @@ PHASE_ALONG = "tests/test_geoflow.py::TestPhaseAlong"
 FLOW_FACTORS = "tests/test_geoflow.py::TestFlowFactors"
 BVP = "src/lagweb/bvpsolve.py"
 MAP_BITS = "tests/test_bvpsolve.py::test_same_bits_as_the_per_evaluation_map"
-IMAG_RANGE = "tests/test_webbing.py::TestImagRange"
 CSV_TEXT = "tests/test_geoflow.py::TestCsvText"
 CELLS = "tests/test_geoflow.py::TestCsvCells"
 SLICES = "tests/test_webbing.py::TestSlicePoints"
@@ -79,9 +79,22 @@ FILE_ORDER = f"{RING}::test_first_edit_in_file_order_is_named"
 MUTANTS = {
     "closed-form Omega without det U": (
         WEB,
-        "scale = np.linalg.det(f.directions) * np.prod(f.w, axis=1)",
-        "scale = np.prod(f.w, axis=1)",
+        "e = (np.linalg.det(f.directions) * np.prod(f.w, axis=1))[:, np.newaxis] * d",
+        "e = np.prod(f.w, axis=1)[:, np.newaxis] * d",
         [f"{CLOSED}[seeded-n3]", f"{CLOSED}[seeded-n5]"],
+    ),
+    "Re and Im halves of the stacked product swapped": (
+        WEB,
+        "re, im = np.split(np.concatenate([e.real[sl], e.imag[sl]]) @ c, 2)",
+        "im, re = np.split(np.concatenate([e.real[sl], e.imag[sl]]) @ c, 2)",
+        [f"{CLOSED}[readme-1.0]", f"{CLOSED}[seeded-n3]",
+         f"{CLOSED_ONE_ROW}[every-chunk-one-row]"],
+    ),
+    "rank test on |Im Omega| alone": (
+        WEB,
+        "ratio = _rank_ratio(np.hypot(re, im), hadamard)",
+        "ratio = _rank_ratio(np.abs(im), hadamard)",
+        [f"{SCREENED}::test_nearly_real_omega[2-31]", f"{SCREENED}::test_nearly_real_omega[3-43]"],
     ),
     "c_j of the wrong sign": (
         WEB,
@@ -338,14 +351,6 @@ MUTANTS = {
         "    if not np.isfinite(theta[-1]).all():",
         "    if False:",
         [f"{FLOW_GUARDS}::test_angles_overflow_while_phi_stays_finite"],
-    ),
-    "Im Omega fold without its strided redo at a zero or NaN end": (
-        WEB,
-        "    if low == 0.0 or high == 0.0 or low != low:",
-        "    if False:",
-        [f"{IMAG_RANGE}::test_signed_zeros_at_the_ends[zeros-shape1]",
-         f"{IMAG_RANGE}::test_signed_zeros_at_the_ends[zero-max-shape2]",
-         f"{IMAG_RANGE}::test_nan[nans2]"],
     ),
     "CSV digits without the lo term of the exact product": (
         TEXT,
