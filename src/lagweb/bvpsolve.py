@@ -273,8 +273,7 @@ def solve_bvp_maslov0(l0: LagrangianFrame, l1: LagrangianFrame,
         a = np.zeros(n)
         for value, block in zip(v, blocks):
             a[list(block)] = value
-        spec = GeodesicSpec(base=l0, adapted_basis=spectrum.adapted_basis,
-                            coefficients=a, phase0=spectrum.phase0)
+        spec = GeodesicSpec(base=l0, adapted_basis=spectrum.adapted_basis, coefficients=a)
         traj = geodesic_ivp(spec, config)
         return a, traj, float(np.max(np.abs(traj.theta[-1] - spectrum.beta)))
 

@@ -89,14 +89,6 @@ def write_json(path, obj) -> str:
 
 # --- subcommand implementations ---
 
-def _load_pair(args):
-    """(l0, l1, data0, data1): the two frames and the JSON objects they were
-    made from (laggrass.load_frame).  Frames of two dimensions are refused
-    by laggrass.pair_decomposition, which every stage calls."""
-    (l0, data0), (l1, data1) = laggrass.load_frame(args.lambda0), laggrass.load_frame(args.lambda1)
-    return l0, l1, data0, data1
-
-
 def _solved_pair(l0, l1):
     """(l0, l1, spectrum, reversed): the pair of Maslov index 0 that the
     geodesic is solved for, with its decomposition.  An index-n pair is
@@ -113,7 +105,7 @@ def _solved_pair(l0, l1):
 
 
 def run_pair_analyze(args) -> int:
-    l0, l1, _, _ = _load_pair(args)
+    (l0, _), (l1, _) = laggrass.load_frame(args.lambda0), laggrass.load_frame(args.lambda1)
     spectrum = laggrass.pair_decomposition(l0, l1)
     maslov, defect = spectrum.maslov_index()
     payload = {
@@ -132,7 +124,7 @@ def run_pair_analyze(args) -> int:
 def run_geodesic(args) -> int:
     from . import bvpsolve, geoflow
 
-    l0, l1, data0, data1 = _load_pair(args)
+    (l0, data0), (l1, data1) = laggrass.load_frame(args.lambda0), laggrass.load_frame(args.lambda1)
     l0, l1, spectrum, reversed_roles = _solved_pair(l0, l1)
     sol = bvpsolve.solve_bvp_maslov0(l0, l1, args.tol, IntegratorConfig(args.steps),
                                      spectrum=spectrum)
@@ -193,8 +185,7 @@ def _load_trajectory(solution_path: str):
             raise ValueError(f"malformed solution JSON: beta must be the solved pair's angles "
                              f"{_render_json(beta)}, got {json.dumps(solution['beta'])}")
         spec = geoflow.GeodesicSpec(base=l0, adapted_basis=spectrum.adapted_basis,
-                                    coefficients=np.asarray(solution["a"], dtype=float),
-                                    phase0=spectrum.phase0)
+                                    coefficients=np.asarray(solution["a"], dtype=float))
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed solution JSON: {type(exc).__name__} {exc}") from exc
     traj = geoflow.geodesic_ivp(spec, IntegratorConfig(steps))

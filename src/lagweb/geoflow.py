@@ -8,13 +8,14 @@ to the scalar system
     th_j' = -2 a_j / g_j,        th_j(0) = 0,
     phi(t) = phase0 + sum_j th_j(t),
 
-where g_j is the squared stretch of the j-th frame direction and th_j its
-accumulated rotation angle.  Along the flow g_j = 1 - 4 a_j S with
-S' = tan(phi), S(0) = 0, so the state that the equations leave free is
-(S, phi) alone.  ``geodesic_ivp`` integrates it by fixed-step classical RK4
-on Python floats, in one straight-line stepper per dimension, generated from
-n and compiled once (``_stepper``); g and th are formed from the stored
-stage values of S in one numpy pass (``_scalar_flow``).
+where phase0 is the phase of ``base``, g_j the squared stretch of the j-th
+frame direction and th_j its accumulated rotation angle.  Along the flow
+g_j = 1 - 4 a_j S with S' = tan(phi), S(0) = 0, so the state that the
+equations leave free is (S, phi) alone.  ``geodesic_ivp`` integrates it by
+fixed-step classical RK4 on Python floats, in one straight-line stepper per
+dimension, generated from n and compiled once (``_stepper``); g and th are
+formed from the stored stage values of S in one numpy pass
+(``_scalar_flow``).
 The plane at time t is spanned by w_j u_j for u_j the adapted basis pushed
 into C^n, with the flow factors
 
@@ -56,14 +57,12 @@ METRIC_FLOOR = 1e-9   # g_j below this signals bad input
 
 @dataclass(frozen=True, eq=False)
 class GeodesicSpec:
-    """Initial plane, adapted basis, Hamiltonian coefficients, base phase.  The
-    solver and the CLI's loader pass ``base.phase`` as phase0; tests set it
-    apart from the base to run the flow from other phases."""
+    """Initial plane, adapted basis and Hamiltonian coefficients.  The flow
+    starts from the phase of the plane, ``base.phase``."""
 
     base: LagrangianFrame
     adapted_basis: np.ndarray  # (n, n) real orthogonal
     coefficients: np.ndarray   # (n,) the a_j
-    phase0: float
 
     def __post_init__(self):
         a = np.array(self.coefficients, dtype=float)
@@ -107,7 +106,7 @@ class GeodesicTrajectory:
 
     @property
     def phases(self) -> np.ndarray:
-        return self.spec.phase0 + self.theta.sum(axis=1)
+        return self.spec.base.phase + self.theta.sum(axis=1)
 
     def grid_index(self, t: float) -> int:
         h = self.times[1] - self.times[0]
@@ -262,7 +261,7 @@ def _stepper(n: int):
 
 def geodesic_ivp(spec: GeodesicSpec, config: IntegratorConfig = IntegratorConfig()) -> GeodesicTrajectory:
     """Integrate the scalar geodesic system from (g, theta) = (1, 0)."""
-    ts, g, theta = _scalar_flow(spec.coefficients, spec.phase0, config)
+    ts, g, theta = _scalar_flow(spec.coefficients, spec.base.phase, config)
     traj = GeodesicTrajectory(spec=spec, times=ts, g=g, theta=theta)
     phases = traj.phases
     if traj.g.min() <= 0.0:
@@ -288,7 +287,7 @@ def horizontal_frame(traj: GeodesicTrajectory, t: float) -> LagrangianFrame:
     i = traj.grid_index(t)
     w = traj.flow_factors()[0][i]
     frame = make_frame(traj.spec.base.ambient, traj.spec.frame_directions() * w[np.newaxis, :])
-    expected = traj.spec.phase0 + traj.theta[i].sum()
+    expected = traj.spec.base.phase + traj.theta[i].sum()
     if abs(frame.phase - expected) > 1e-8:
         raise LagwebError(f"frame phase {frame.phase:.12f} != reconstructed {expected:.12f}")
     return frame

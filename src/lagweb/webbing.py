@@ -31,18 +31,21 @@ and tangent arrays are formed only when read.  Every tangent is U diag(w)
 times a real vector in p, or times diag(dw/w) kappa for the time tangent,
 so each check is a sum over j of a factor in p times a factor in t: one
 (T x n)(n x P) product per quantity, taken one time chunk at a time, with no
-array of the mesh formed (the closed form).  For Omega the whole time
-factor det U prod_k w_k d_j, d = dw / w, is folded once per mesh, and the
-sphere factor c_j = kappa_j N_j is real, so a chunk's Re Omega and Im Omega
-are one real product of the stacked real and imaginary halves of the time
-factor with c.  A mesh given any array by its caller, such as tangents
-differenced from the nodes, is checked by the node
-sweep over those arrays instead, the oracle that the closed form is tested
+array of the mesh formed (the closed form).  As every grid frame
+[p; tangents] has det +1, the cofactor normal N of the sphere tangents,
+det [kappa_tan; y] = sum_j y_j N_j, is N_j = (-1)^(n-1) p_j prod_{k != j} s_k
+for the semi-axes s.  For Omega the whole time factor det U prod_k w_k d_j,
+d = dw / w, is folded once per mesh, and the sphere factor c_j = kappa_j N_j
+is real, so a chunk's Re Omega and Im Omega are one real product of the
+stacked real and imaginary halves of the time factor with c.  These sphere
+factors are formed once per mesh.  A mesh given any array by its caller,
+such as tangents differenced from the nodes, is checked by the node sweep
+over those arrays instead, the oracle that the closed form is tested
 against: LAPACK per node frame, with det for Omega, the Gram matrix for omega
 and the Hadamard bound, and a QR factor for the radial projection, whose
 residual is formed directly.  It shares no code with the closed form, so a
-wrong cofactor there shows as a disagreement.  The mesh CSV writer and
-reader form a factored mesh's nodes one block of time slices at a time, and
+wrong normal there shows as a disagreement.  The mesh CSV writer and reader
+form a factored mesh's nodes one block of time slices at a time, and
 the harmonic residual reads the metric one time chunk at a time with a
 two-row halo, so no pass holds an array of the whole mesh.  Every such block
 is whole time rows of about CSV_BLOCK values or node-samples, whatever the
@@ -186,7 +189,8 @@ def sphere_grid(n: int, resolution=None) -> SphereGrid:
     quasi-random unit vectors (default 4096) with Householder-completed
     tangent bases.  The quasi-random points are the normal quantiles of a
     Halton sequence with the fixed seed 0, so every grid is a function of
-    (n, resolution) alone.
+    (n, resolution) alone.  Every node's unit frame [p; tangents] is
+    orthonormal with det +1, the invariant of the closed-form normal.
     """
     if n < 2:
         raise ValueError("cylinders need n >= 2 (S^0 cross sections are not supported)")
@@ -243,6 +247,17 @@ class _Factors(NamedTuple):
     w: np.ndarray           # (T, n) complex flow factors
     dw: np.ndarray          # (T, n) complex: their rates dw/dt
     directions: np.ndarray  # (n, n) complex unitary U, column j = u_j
+
+
+class _SphereFactors(NamedTuple):
+    """The (n x X) sphere factors of the closed-form checks' products."""
+
+    normal: np.ndarray      # (P, n) N: det [kappa_tan; y] = sum_j y_j N_j
+    c: np.ndarray           # (n, P) kappa_j N_j
+    kappa_sq: np.ndarray    # (n, P) kappa_j^2
+    normal_sq: np.ndarray   # (n, P) N_j^2
+    pairs: np.ndarray       # (n, P (n-1)) kappa_tan,aj kappa_j, node-major
+    tangent_sq: np.ndarray  # (n, P (n-1)) kappa_tan,aj^2, node-major
 
 
 class _Formed:
@@ -304,6 +319,17 @@ class CylinderMesh:
     @functools.cached_property
     def factors(self) -> _Factors:
         return _mesh_factors(self.trajectory, self.chart, self.sphere)
+
+    @functools.cached_property
+    def sphere_factors(self) -> _SphereFactors:
+        """Formed by the first closed-form check, N in closed form (module
+        docstring): no prod_k s_k, which may overflow where no N_j does."""
+        f, s, n = self.factors, self.chart.semi_axes, self.n
+        others = np.prod(np.where(np.eye(n, dtype=bool), 1.0, s), axis=1)  # prod_{k != j} s_k
+        normal = self.sphere.points * ((-1.0) ** (n - 1) * others)
+        return _SphereFactors(normal, (f.kappa * normal).T, (f.kappa**2).T, (normal**2).T,
+                              (f.kappa_tan * f.kappa[:, np.newaxis, :]).reshape(-1, n).T,
+                              (f.kappa_tan**2).reshape(-1, n).T)
 
 
 def _mesh_factors(traj: GeodesicTrajectory, chart: LevelSetChart, grid: SphereGrid) -> _Factors:
@@ -384,25 +410,6 @@ def _frame_chunks(mesh: CylinderMesh):
     for sl in _time_chunks(*mesh.time_tangents.shape[:2]):
         yield sl, np.concatenate([mesh.sphere_tangents[sl],
                                   mesh.time_tangents[sl, :, np.newaxis]], axis=2)
-
-
-def _cofactors(v):
-    """C_j with det [v; y] = sum_j y_j C_j, for the n - 1 rows of v over n
-    columns, by Laplace expansion along the rows: the minors of rows 0..r on
-    each column subset reuse those of rows 0..r-1 (n 2^(n-1) products)."""
-    n = v.shape[1]
-    minors = {(c,): v[0, c] for c in range(n)}
-    for row in range(1, n - 1):
-        minors = {cols: sum((-1) ** (row + k) * v[row, c] * minors[cols[:k] + cols[k + 1:]]
-                            for k, c in enumerate(cols))
-                  for cols in itertools.combinations(range(n), row + 1)}
-    return [(-1) ** (n - 1 + j) * minors[tuple(c for c in range(n) if c != j)] for j in range(n)]
-
-
-def _normal(f: _Factors) -> np.ndarray:
-    """(P, n) cofactor normal N of the sphere tangents kappa_tan: the
-    factor in p of det [kappa_tan; y] = sum_j y_j N_j."""
-    return np.stack(_cofactors(f.kappa_tan.transpose(1, 2, 0)), axis=1)
 
 
 def _swept_calibration(mesh: CylinderMesh):
@@ -513,30 +520,28 @@ def _closed_calibration(mesh: CylinderMesh):
     sign or is NaN in it, a bound leaves the range, or a frame may come
     near RANK_TOL, forms |Omega| = hypot(Re Omega, Im Omega) and the
     Hadamard bound sqrt(E_t) prod_a sqrt(E_a) at every node for
-    _rank_ratio.  The time factors are formed once per mesh."""
-    f, m = mesh.factors, mesh.n - 1
-    c = (f.kappa * _normal(f)).T                                     # (n, P)
-    pairs = (f.kappa_tan * f.kappa[:, np.newaxis, :]).reshape(-1, m + 1).T  # (n, P m)
-    sphere_sq = (f.kappa_tan**2).reshape(-1, m + 1).T
-    kappa_sq = (f.kappa**2).T
+    _rank_ratio.  The time factors are formed once per mesh, and the sphere
+    factors are the mesh's."""
+    f, sf, m = mesh.factors, mesh.sphere_factors, mesh.n - 1
     g, rate, dw_sq = _abs2(f.w), f.w.conj() * f.dw, _abs2(f.dw)
     d = rate * (1.0 / g)
     e = (np.linalg.det(f.directions) * np.prod(f.w, axis=1))[:, np.newaxis] * d  # (T, n)
     chunks = list(_time_chunks(len(f.w), len(f.kappa)))
     starts = [sl.start for sl in chunks]
-    bounds = zip(*_chunk_bounds(dw_sq, kappa_sq, starts), *_chunk_bounds(g, sphere_sq, starts))
+    bounds = zip(*_chunk_bounds(dw_sq, sf.kappa_sq, starts),
+                 *_chunk_bounds(g, sf.tangent_sq, starts))
     for sl, chunk_bounds in zip(chunks, bounds):
-        re, im = np.split(np.concatenate([e.real[sl], e.imag[sl]]) @ c, 2)
+        re, im = np.split(np.concatenate([e.real[sl], e.imag[sl]]) @ sf.c, 2)
         im_min, im_max = im.min(), im.max()
         if _rank_settled(im_min, im_max, *chunk_bounds, m + 1):
             ratio = math.inf
         else:
-            hadamard = np.sqrt(dw_sq[sl] @ kappa_sq)
-            sphere = np.sqrt(g[sl] @ sphere_sq).reshape(len(re), -1, m)
+            hadamard = np.sqrt(dw_sq[sl] @ sf.kappa_sq)
+            sphere = np.sqrt(g[sl] @ sf.tangent_sq).reshape(len(re), -1, m)
             for a in range(m):
                 hadamard = hadamard * sphere[..., a]
             ratio = _rank_ratio(np.hypot(re, im), hadamard)
-        yield _sup_abs(rate[sl].imag @ pairs), _sup_abs(re), im_min, im_max, ratio
+        yield _sup_abs(rate[sl].imag @ sf.pairs), _sup_abs(re), im_min, im_max, ratio
 
 
 def verify_slag(mesh: CylinderMesh) -> SlagReport:
@@ -547,15 +552,12 @@ def verify_slag(mesh: CylinderMesh) -> SlagReport:
     closed form from the factors, or by the node sweep over a mesh's given
     arrays.  The orientation sign makes Im Omega predominantly positive and
     is reported alongside.  Re Omega cannot see a wrong theta history (module
-    docstring).  The closed form takes Omega = sum_j (det U prod_k w_k d_j)
-    c_j, the time factor folded once per mesh, so each node's Re Omega and
-    Im Omega are real dot products of length n, one real product per chunk
-    for both halves.  It settles the rank test of a chunk from its Im Omega
-    fold and factor bounds, or forms |Omega| and the Hadamard bound at every
-    node of it (_closed_calibration).  The chunk folds use np.maximum and
-    np.minimum, so a NaN anywhere reaches the report.  The rank ratio alone
-    is folded with fmin, which skips NaN, so a NaN frame cannot hide a
-    degenerate one elsewhere.
+    docstring).  The closed form settles the rank test of a chunk from its
+    Im Omega fold and factor bounds, or forms |Omega| and the Hadamard bound
+    at every node of it (_closed_calibration).  The chunk folds use
+    np.maximum and np.minimum, so a NaN anywhere reaches the report.  The
+    rank ratio alone is folded with fmin, which skips NaN, so a NaN frame
+    cannot hide a degenerate one elsewhere.
     """
     chunks = _closed_calibration(mesh) if mesh.factored else _swept_calibration(mesh)
     max_omega = max_re = 0.0
@@ -705,12 +707,10 @@ def _closed_sines(mesh: CylinderMesh):
 
     Yields (chunk index, sines) in the order visited, with None for the
     sines of a skipped chunk."""
-    f = mesh.factors
-    normal = _normal(f)
-    c = f.kappa * normal
-    delta = np.abs(c.sum(axis=1))
+    f, sf = mesh.factors, mesh.sphere_factors
+    c, normal_sq, kappa_sq = sf.c, sf.normal_sq, sf.kappa_sq
+    delta = np.abs(c.sum(axis=0))
     delta_sq = delta**2
-    c, normal_sq, kappa_sq = c.T, (normal**2).T, (f.kappa**2).T
     g, rate = _abs2(f.w), f.w.conj() * f.dw  # g d = rate
     q_time, r_time, b_time = rate.imag**2 / g, rate.real / g, 1.0 / g
     chunks = list(_time_chunks(len(f.w), len(f.kappa)))
@@ -812,13 +812,12 @@ def relflux(traj: GeodesicTrajectory, b0: float, b1: float) -> FluxReport:
 def _metric(mesh: CylinderMesh, rows: slice):
     """E, F, G of the induced metric of an n = 2 mesh on the time rows, each
     (rows, P): from the factors, sum_j kappa_tan,j^2 |w_j|^2,
-    sum_j kappa_tan,j kappa_j Re(conj(w_j) dw_j) and sum_j kappa_j^2 |dw_j|^2,
-    or from the arrays."""
+    sum_j kappa_tan,j kappa_j Re(conj(w_j) dw_j) and sum_j kappa_j^2 |dw_j|^2
+    on the mesh's sphere factors, or from the arrays."""
     if mesh.factored:
-        f = mesh.factors
-        w, dw, tangent = f.w[rows], f.dw[rows], f.kappa_tan[:, 0, :]
-        return (_abs2(w) @ (tangent**2).T, (w.conj() * dw).real @ (tangent * f.kappa).T,
-                _abs2(dw) @ (f.kappa**2).T)
+        f, sf = mesh.factors, mesh.sphere_factors
+        w, dw = f.w[rows], f.dw[rows]
+        return _abs2(w) @ sf.tangent_sq, (w.conj() * dw).real @ sf.pairs, _abs2(dw) @ sf.kappa_sq
     phi_s = mesh.sphere_tangents[rows, :, 0, :]
     phi_t = mesh.time_tangents[rows]
     return (np.einsum("tpi,tpi->tp", phi_s.conj(), phi_s).real,

@@ -9,10 +9,9 @@ from lagweb.numkernel import IntegratorConfig
 
 
 def frame_spec(base, coefficients):
-    """The flow spec in the frame's own basis (the identity), with phase0
-    read off the frame, which a frame made in this process carries exactly."""
+    """The flow spec in the frame's own basis (the identity)."""
     return GeodesicSpec(base=base, adapted_basis=np.eye(base.n),
-                        coefficients=np.asarray(coefficients, float), phase0=base.phase)
+                        coefficients=np.asarray(coefficients, float))
 
 
 def random_flow_spec(rng, n, amin=-2.0, amax=-0.05):
@@ -26,7 +25,7 @@ def random_flow_spec(rng, n, amin=-2.0, amax=-0.05):
     a = rng.uniform(amin, amax, size=n)
     a *= min(1.0, room / (2.0 * np.abs(a).sum()))
     while True:
-        spec = GeodesicSpec(base=l0, adapted_basis=basis, coefficients=a, phase0=l0.phase)
+        spec = GeodesicSpec(base=l0, adapted_basis=basis, coefficients=a)
         try:
             traj = geodesic_ivp(spec, IntegratorConfig(200))
         except LagwebError:  # the flow left the chart

@@ -292,7 +292,7 @@ class TestExactMap:
             l0, l1, _, _ = random_maslov_zero_pair(rng, n)
             traj = solve_bvp_maslov0(l0, l1, 1e-10, IntegratorConfig(1000)).trajectory
             integral = np.cos(traj.phases) * np.sqrt(np.prod(traj.g, axis=1))
-            assert np.max(np.abs(integral - math.cos(traj.spec.phase0))) <= 1e-11
+            assert np.max(np.abs(integral - math.cos(traj.spec.base.phase))) <= 1e-11
 
     @pytest.mark.parametrize("phase0,beta", [
         (0.0, (0.568, 1.0)),                # phase1 = 1.568

@@ -729,7 +729,7 @@ class TestTrajectoryFromSolution:
                                           laggrass.frame_from_json_dict(doc["frame1"]))
         a = [scale * v for v in doc["a"]]
         spec = geoflow.GeodesicSpec(base=l0, adapted_basis=spectrum.adapted_basis,
-                                    coefficients=a, phase0=spectrum.phase0)
+                                    coefficients=a)
         theta1 = geoflow.geodesic_ivp(spec, IntegratorConfig(doc["steps"])).theta[-1]
         beta = theta1 if rewrite_beta else spectrum.beta
         residual = float(np.max(np.abs(theta1 - beta)))

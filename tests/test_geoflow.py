@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import functools
 import hashlib
@@ -233,7 +234,7 @@ class TestScalarFlowBits:
     def test_same_bits_as_numpy_rk4(self, case, steps):
         spec = solved_spec(case)
         config = IntegratorConfig(steps)
-        y0 = np.concatenate([[0.0, spec.phase0], np.zeros(spec.n)])
+        y0 = np.concatenate([[0.0, spec.base.phase], np.zeros(spec.n)])
         try:
             ts, ys = integrate_rk4(numpy_scalar_rhs(spec.coefficients), y0, 0.0, 1.0, config)
         except LagwebError as exc:
@@ -253,7 +254,8 @@ class TestScalarFlowBits:
         spec = solved_spec(case)
         config = IntegratorConfig(1000)
         y0 = np.concatenate([np.ones(spec.n), np.zeros(spec.n)])
-        _, ys = integrate_rk4(numpy_2n_rhs(spec.coefficients, spec.phase0), y0, 0.0, 1.0, config)
+        field = numpy_2n_rhs(spec.coefficients, spec.base.phase)
+        _, ys = integrate_rk4(field, y0, 0.0, 1.0, config)
         traj = geodesic_ivp(spec, config)
         assert np.max(np.abs(traj.g / ys[:, :spec.n] - 1.0)) < 1e-13
         assert np.max(np.abs(traj.theta - ys[:, spec.n:])) < 1e-13
@@ -285,7 +287,7 @@ def same_as_numpy_rk4(spec, steps):
     """geodesic_ivp against the numpy (S, phi, th) field through integrate_rk4:
     the same bits, or the same LagwebError, whose message is returned."""
     config = IntegratorConfig(steps)
-    y0 = np.concatenate([[0.0, spec.phase0], np.zeros(spec.n)])
+    y0 = np.concatenate([[0.0, spec.base.phase], np.zeros(spec.n)])
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             ts, ys = integrate_rk4(numpy_scalar_rhs(spec.coefficients), y0, 0.0, 1.0, config)
@@ -301,9 +303,10 @@ def same_as_numpy_rk4(spec, steps):
 
 
 def flow_spec(a, phase0):
+    """The flow of a from phase0, on the real plane re-based on that phase."""
     n = len(a)
-    return GeodesicSpec(base=make_frame(FlatCalabiYau(n), np.eye(n)), adapted_basis=np.eye(n),
-                        coefficients=a, phase0=phase0)
+    base = dataclasses.replace(make_frame(FlatCalabiYau(n), np.eye(n)), phase=phase0)
+    return GeodesicSpec(base=base, adapted_basis=np.eye(n), coefficients=a)
 
 
 class TestGeodesicSpec:
@@ -319,7 +322,7 @@ class TestGeodesicSpec:
         # wrote NaN into the report; a 3 x 3 one failed in a matmul
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GeodesicSpec(base=make_frame(FlatCalabiYau(2), np.eye(2)), adapted_basis=basis,
-                         coefficients=[-0.1, -0.1], phase0=0.0)
+                         coefficients=[-0.1, -0.1])
 
 
 class TestStepperGuards:
@@ -412,7 +415,7 @@ class TestHorizontalFrame:
         traj = geodesic_ivp(spec, IntegratorConfig(200))
         for i in range(0, 201, 50):
             f = horizontal_frame(traj, traj.times[i])
-            expected = spec.phase0 + traj.theta[i].sum()
+            expected = spec.base.phase + traj.theta[i].sum()
             assert abs(f.phase - expected) < 1e-8
 
     def test_non_sample_time_rejected(self):
@@ -566,8 +569,8 @@ def trajectory_digests(directory) -> dict:
     digests = {}
     for name, (a, phase0, steps) in GOLDEN_FLOWS.items():
         n = len(a)
-        spec = GeodesicSpec(base=diagonal_frame(n, phase0), adapted_basis=np.eye(n),
-                            coefficients=np.array(a), phase0=phase0)
+        base = dataclasses.replace(diagonal_frame(n, phase0), phase=phase0)
+        spec = GeodesicSpec(base=base, adapted_basis=np.eye(n), coefficients=np.array(a))
         path = os.path.join(directory, f"{name}.csv")
         write_trajectory_csv(geodesic_ivp(spec, IntegratorConfig(steps)), path)
         with open(path, "rb") as fh:

@@ -156,6 +156,14 @@ class TestSphereGrid:
         eye = np.broadcast_to(np.eye(n - 1), gram.shape)
         assert np.max(np.abs(gram - eye)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_node_frames_have_det_one(self, n):
+        # the invariant of the closed-form normal (webbing._mesh_factors)
+        grid = sphere_grid(n)
+        assert grid.kind == {2: "circle", 3: "latlong"}.get(n, "quasirandom")
+        det = np.linalg.det(np.concatenate([grid.points[:, np.newaxis], grid.tangents], axis=1))
+        assert np.max(np.abs(det - 1.0)) <= 1e-13
+
     def test_quasirandom_nodes_are_halton_gaussians(self):
         from scipy.stats import qmc
 
@@ -251,6 +259,14 @@ class TestCylinderMesh:
         traj = edited_traj(random_traj(2, 20, 5), row, g=[math.nan, 1.0])
         with pytest.raises(LagwebError, match=r"^boundary slice left its plane \(defect nan\)$"):
             cylinder_mesh(traj, -0.7, 8)
+
+    @pytest.mark.parametrize("level", [-1e200, -1e300])
+    def test_huge_level_forms_no_sphere_factor(self, level):
+        # at n = 3 the sphere factors' products overflow at these levels,
+        # but the boundary check raises first: the build forms none of them
+        traj = random_traj(3, 20, 33)
+        with pytest.raises(LagwebError, match=r"^boundary slice left its plane \(defect "):
+            cylinder_mesh(traj, level, 8)
 
     def test_dimension_guard(self):
         l0 = make_frame(FlatCalabiYau(1), np.eye(1))
@@ -460,11 +476,24 @@ def random_frames(n, shape, rng):
     return gauss(n), gauss(n, n)
 
 
+def cofactors(v):
+    """C_j with det [v; y] = sum_j y_j C_j, for the n - 1 rows of v over n
+    columns, by Laplace expansion along the rows: the minors of rows 0..r on
+    each column subset reuse those of rows 0..r-1 (n 2^(n-1) products)."""
+    n = v.shape[1]
+    minors = {(c,): v[0, c] for c in range(n)}
+    for row in range(1, n - 1):
+        minors = {cols: sum((-1) ** (row + k) * v[row, c] * minors[cols[:k] + cols[k + 1:]]
+                            for k, c in enumerate(cols))
+                  for cols in itertools.combinations(range(n), row + 1)}
+    return [(-1) ** (n - 1 + j) * minors[tuple(c for c in range(n) if c != j)] for j in range(n)]
+
+
 def laplace_det(frames):
-    """det of each (n, n) frame by Laplace expansion along its last row, on
-    the cofactors that the closed form's normal uses: no LAPACK call."""
+    """det of each (n, n) frame by Laplace expansion along its last row: no
+    LAPACK call."""
     v = np.moveaxis(frames, (-2, -1), (0, 1))
-    return sum(v[-1, j] * cofactor for j, cofactor in enumerate(webbing._cofactors(v[:-1])))
+    return sum(v[-1, j] * cofactor for j, cofactor in enumerate(cofactors(v[:-1])))
 
 
 class TestAgainstPerFrameReference:
@@ -601,17 +630,22 @@ class TestClosedFormAgainstSweep:
 
     @pytest.mark.parametrize("kind, n, res, sign", [
         ("circle", 2, 16, -1.0), ("latlong", 3, 8, 1.0),
-        ("quasirandom", 4, 64, -1.0), ("quasirandom", 5, 64, 1.0), ("quasirandom", 6, 64, -1.0),
+        *(("quasirandom", n, 64, (-1.0) ** (n - 1)) for n in range(4, 9)),
     ])
     def test_cofactor_normal(self, kind, n, res, sign):
-        # c_j = kappa_j N_j reduces to sign * prod(semi-axes) * p_j^2, the
-        # sign being det [tangents..., p] of the grid's unit frames
+        # the mesh's closed-form N is the Laplace cofactor normal of its
+        # sphere tangents, and c_j = kappa_j N_j reduces to sign *
+        # prod(semi-axes) * p_j^2, the sign being det [tangents..., p]
         grid = sphere_grid(n, res)
         chart = level_set_chart(-0.3 * np.arange(1, n + 1), -0.7)
-        kappa_tan = grid.tangents * chart.semi_axes[np.newaxis, np.newaxis, :]
-        normal = np.stack(webbing._cofactors(kappa_tan.transpose(1, 2, 0)), axis=1)
+        # any trajectory: the sphere factors read the chart and the grid alone
+        traj = geodesic_ivp(frame_spec(make_frame(FlatCalabiYau(n), np.eye(n)), [-0.01] * n),
+                            IntegratorConfig(4))
+        mesh = CylinderMesh(trajectory=traj, chart=chart, sphere=grid, boundary_defect=0.0)
+        laplace = np.stack(cofactors(mesh.factors.kappa_tan.transpose(1, 2, 0)), axis=1)
         assert grid.kind == kind
-        np.testing.assert_allclose(grid.points * chart.semi_axes * normal,
+        np.testing.assert_allclose(mesh.sphere_factors.normal, laplace, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(mesh.sphere_factors.c.T,
                                    sign * np.prod(chart.semi_axes) * grid.points**2,
                                    rtol=0, atol=1e-13)
 
@@ -696,7 +730,7 @@ def reference_slag(mesh):
     """verify_slag of a factored mesh by the unscreened closed form: the
     Hadamard bound's square roots and |Omega| / bound at every node."""
     f, m = mesh.factors, mesh.n - 1
-    c = (f.kappa * webbing._normal(f)).T
+    c = (f.kappa * mesh.sphere_factors.normal).T
     det_u = np.linalg.det(f.directions)
     pairs = (f.kappa_tan * f.kappa[:, np.newaxis, :]).reshape(-1, m + 1).T
     sphere_sq = (f.kappa_tan**2).reshape(-1, m + 1).T
@@ -731,8 +765,7 @@ def reference_slag(mesh):
 def reference_angle(mesh):
     """euler_transversality of a factored mesh by the unscreened closed form:
     hypot and arcsin at every node."""
-    f = mesh.factors
-    normal = webbing._normal(f)
+    f, normal = mesh.factors, mesh.sphere_factors.normal
     c = f.kappa * normal
     delta = np.abs(c.sum(axis=1))
     c, normal_sq, kappa_sq = c.T, (normal**2).T, (f.kappa**2).T
@@ -997,12 +1030,14 @@ class TestScreenedChecks:
 
     @pytest.mark.parametrize("n, seed", [(2, 31), (3, 43)])
     def test_nearly_real_omega(self, n, seed, monkeypatch):
-        # phase0 turned by pi/2 after the flow was integrated (a phase0 fault
-        # of the record): Omega becomes real but for rounding, so Im Omega
-        # changes sign in every chunk, no chunk is settled from its factors,
-        # and the rank test reads |Omega| from both halves at every node
+        # the base's phase turned by pi/2 after the flow was integrated (a
+        # phase fault of the record): Omega becomes real but for rounding, so
+        # Im Omega changes sign in every chunk, no chunk is settled from its
+        # factors, and the rank test reads |Omega| from both halves at every
+        # node
         traj = random_traj(n, 2 * CHUNK_ROWS + 7, seed)
-        spec = dataclasses.replace(traj.spec, phase0=traj.spec.phase0 + math.pi / 2)
+        base = dataclasses.replace(traj.spec.base, phase=traj.spec.base.phase + math.pi / 2)
+        spec = dataclasses.replace(traj.spec, base=base)
         turned = geoflow.GeodesicTrajectory(spec=spec, times=traj.times, g=traj.g,
                                             theta=traj.theta)
         mesh = cylinder_mesh(turned, -0.7, 8)
@@ -1186,7 +1221,7 @@ class TestSineSkip:
         # B Q elsewhere
         mesh = self.mesh(trajs[n], monkeypatch, level)
         f = mesh.factors
-        c = (f.kappa * webbing._normal(f)).T
+        c = (f.kappa * mesh.sphere_factors.normal).T
         d = f.dw / f.w
         for t in range(len(d)):
             cp = c[:, t % c.shape[1]]

@@ -28,6 +28,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 WEB = "src/lagweb/webbing.py"
 CLOSED = "tests/test_webbing.py::TestClosedFormAgainstSweep::test_checks_agree"
+NAN_GUARDS = "tests/test_guards.py::test_every_raising_guard_fails_nan_or_is_allowed"
+COFACTOR = "tests/test_webbing.py::TestClosedFormAgainstSweep::test_cofactor_normal"
 CLOSED_ONE_ROW = "tests/test_webbing.py::TestClosedFormAgainstSweep::test_one_row_chunks"
 NAN = "tests/test_webbing.py::TestClosedFormGuards::test_nan_reaches_the_report"
 CSV_BYTES = "tests/test_webbing.py::TestMeshCsv::test_bytes_match_row_formatter"
@@ -85,8 +87,8 @@ MUTANTS = {
     ),
     "Re and Im halves of the stacked product swapped": (
         WEB,
-        "re, im = np.split(np.concatenate([e.real[sl], e.imag[sl]]) @ c, 2)",
-        "im, re = np.split(np.concatenate([e.real[sl], e.imag[sl]]) @ c, 2)",
+        "re, im = np.split(np.concatenate([e.real[sl], e.imag[sl]]) @ sf.c, 2)",
+        "im, re = np.split(np.concatenate([e.real[sl], e.imag[sl]]) @ sf.c, 2)",
         [f"{CLOSED}[readme-1.0]", f"{CLOSED}[seeded-n3]",
          f"{CLOSED_ONE_ROW}[every-chunk-one-row]"],
     ),
@@ -98,8 +100,8 @@ MUTANTS = {
     ),
     "c_j of the wrong sign": (
         WEB,
-        "c = (f.kappa * _normal(f)).T",
-        "c = (-f.kappa * _normal(f)).T",
+        "(f.kappa * normal).T",
+        "(-f.kappa * normal).T",
         [f"{CLOSED}[readme-1.0]", f"{CLOSED}[seeded-n4]",
          "tests/test_webbing.py::TestClosedFormAgainstSweep"
          "::test_reversed_mesh_has_the_opposite_orientation"],
@@ -110,12 +112,19 @@ MUTANTS = {
         "r_time, b_time = rate.imag**2 / g, rate.imag / g,",
         [f"{CLOSED}[readme-0.25]", f"{CLOSED}[seeded-n3]", f"{CLOSED}[seeded-n6]"],
     ),
-    "cofactors with the row-2 minors of the wrong sign": (
+    "normal without its (-1)^(n-1)": (
         WEB,
-        "(-1) ** (row + k)",
-        "(-1) ** (row + k + (row == 2))",
-        [f"{CLOSED}[seeded-n4]", f"{CLOSED}[seeded-n5]", f"{CLOSED}[seeded-n6]",
-         "tests/test_webbing.py::TestAgainstPerFrameReference::test_random_frames[4-0]"],
+        "normal = self.sphere.points * ((-1.0) ** (n - 1) * others)",
+        "normal = self.sphere.points * others",
+        [f"{CLOSED}[readme-1.0]", f"{CLOSED}[seeded-n4]", f"{COFACTOR}[circle-2-16--1.0]",
+         f"{COFACTOR}[quasirandom-6-64--1.0]"],
+    ),
+    "normal with the product over every k": (
+        WEB,
+        "np.where(np.eye(n, dtype=bool), 1.0, s)",
+        "np.where(np.eye(n, dtype=bool), s, s)",
+        [f"{CLOSED}[seeded-n3]", f"{CLOSED}[seeded-n5]", f"{COFACTOR}[latlong-3-8-1.0]",
+         f"{COFACTOR}[quasirandom-7-64-1.0]"],
     ),
     "sweep's QR pivot test never fires": (
         WEB,
@@ -171,7 +180,7 @@ MUTANTS = {
         "if not defect <= BOUNDARY_TOL:",
         "if defect > BOUNDARY_TOL:",
         [f"{MESH}::test_nan_end_slice_left_its_plane[0]",
-         f"{MESH}::test_nan_end_slice_left_its_plane[-1]"],
+         f"{MESH}::test_nan_end_slice_left_its_plane[-1]", NAN_GUARDS],
     ),
     "check chunk rows sized without the node count": (
         WEB,
